@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..durable import atomic_write
 from ..errors import CalibrationError
 from ..harness.result_cache import code_fingerprint
 from ..hls.perf import HLSModelParams
@@ -107,13 +108,10 @@ class CalibrationArtifact:
                 f"malformed calibration payload: {exc!r}") from exc
 
     def save(self, path: str | Path) -> Path:
-        """Write the artifact atomically (tmp + rename)."""
+        """Write the artifact with :func:`repro.durable.atomic_write`."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.to_payload(), indent=1, sort_keys=True) + "\n")
-        tmp.replace(path)
+        text = json.dumps(self.to_payload(), indent=1, sort_keys=True)
+        atomic_write(path, (text + "\n").encode(), fsync=False)
         return path
 
 

@@ -554,7 +554,7 @@ def run_dse(
     ckpt_spec = None
     if checkpoint_dir is not None and confirm != "none":
         from ..vortex.simx.checkpoint import CheckpointStore
-        CheckpointStore(str(checkpoint_dir), sweep_age_s=0.0)
+        CheckpointStore(str(checkpoint_dir))
         budget = getattr(engine, "point_timeout", None) or point_timeout
         deadline_s = checkpoint_deadline_s
         if deadline_s is None and budget:

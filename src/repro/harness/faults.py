@@ -38,6 +38,7 @@ import os
 import time
 from dataclasses import dataclass
 
+from ..durable import claim
 from ..errors import ReproError
 
 __all__ = [
@@ -112,9 +113,9 @@ def _active_plan(text: str) -> list[FaultSpec]:
 def _claim_firing(state_dir: str, index: int, times: int) -> bool:
     """Atomically claim one of the spec's ``times`` firings.
 
-    With a state directory the claim is an ``O_CREAT|O_EXCL`` file
-    creation — atomic across processes, so concurrent workers can never
-    over-fire a budgeted fault. Without one, a per-process counter.
+    With a state directory the claim is a :func:`repro.durable.claim`
+    file creation — atomic across processes, so concurrent workers can
+    never over-fire a budgeted fault. Without one, a per-process counter.
     """
     if not state_dir:
         count = _local_counts.get(index, 0)
@@ -123,15 +124,8 @@ def _claim_firing(state_dir: str, index: int, times: int) -> bool:
         _local_counts[index] = count + 1
         return True
     os.makedirs(state_dir, exist_ok=True)
-    for k in range(times):
-        path = os.path.join(state_dir, f"fault{index}.{k}")
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            continue
-        os.close(fd)
-        return True
-    return False
+    return any(claim(os.path.join(state_dir, f"fault{index}.{k}"))
+               for k in range(times))
 
 
 def maybe_fault(site: str) -> None:

@@ -14,21 +14,20 @@ inputs plus a fingerprint of every ``repro`` source file, so
   unreachable (and cheap to garbage-collect by deleting the directory).
 
 Entries are plain JSON files named by their key under two-level fan-out
-directories (``ab/ab12....json``), written atomically (temp file +
-``os.replace``) so concurrent writers — the parallel experiment engine
-runs points from several worker processes — can never expose a torn
-entry. Corrupt or unreadable entries are treated as misses.
+directories (``ab/ab12....json``), written with
+:func:`repro.durable.atomic_write` so concurrent writers — the parallel
+experiment engine runs points from several worker processes — can never
+expose a torn entry. Corrupt or unreadable entries are treated as misses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-import time
 from pathlib import Path
 from typing import Any
+
+from ..durable import TMP_GC_AGE_S, atomic_write, sweep_tmp
 
 __all__ = ["MISS", "ResultCache", "code_fingerprint"]
 
@@ -104,17 +103,11 @@ class ResultCache:
         keeps batch runs fast and still crash-*consistent*, just not
         crash-*durable* for the very last writes).
 
-    A crashed writer (``kill -9`` between ``mkstemp`` and
-    ``os.replace``) leaves an orphaned ``*.tmp`` file behind;
+    A writer killed mid-``put`` leaves an orphaned temp file behind;
     :meth:`vacuum` garbage-collects those, and construction sweeps any
-    orphan older than :data:`TMP_GC_AGE_S` (old enough that no live
-    writer can still own it).
+    orphan older than :data:`~repro.durable.TMP_GC_AGE_S` (old enough
+    that no live writer can still own it).
     """
-
-    #: age (seconds) past which an orphaned ``*.tmp`` is fair game for
-    #: the constructor's sweep — generous, so a slow concurrent writer
-    #: mid-``put`` is never robbed of its temp file.
-    TMP_GC_AGE_S = 3600.0
 
     def __init__(self, root: str | Path, fingerprint: str | None = None,
                  durable: bool = False):
@@ -124,8 +117,7 @@ class ResultCache:
         self.durable = durable
         self.hits = 0
         self.misses = 0
-        if self.root.is_dir():
-            self.vacuum(self.TMP_GC_AGE_S)
+        self.vacuum(TMP_GC_AGE_S)
 
     # -- keys --------------------------------------------------------------
 
@@ -160,37 +152,9 @@ class ResultCache:
         return value
 
     def put(self, key: str, value: Any) -> None:
-        """Atomically store a JSON-serialisable ``value`` under ``key``.
-
-        The temp file is unlinked on *every* path that does not commit
-        it (encoding error, full disk, interrupt), so failed writes can
-        never accumulate orphans — only a hard process kill can, and
-        :meth:`vacuum` reaps those.
-        """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        encoded = json.dumps(value)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        committed = False
-        try:
-            try:
-                fh = os.fdopen(fd, "w")
-            except BaseException:
-                os.close(fd)
-                raise
-            with fh:
-                fh.write(encoded)
-                if self.durable:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            committed = True
-        finally:
-            if not committed:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        """Atomically store a JSON-serialisable ``value`` under ``key``."""
+        atomic_write(self._path(key), json.dumps(value).encode(),
+                     fsync=self.durable)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -207,22 +171,11 @@ class ResultCache:
                 pass
 
     def vacuum(self, max_age_s: float = 0.0) -> int:
-        """Reap orphaned ``*.tmp`` files left by crashed writers.
+        """Reap orphaned temp files left by crashed writers.
 
         Only temp files whose mtime is at least ``max_age_s`` seconds
         old are removed (``0`` reaps everything — safe when the caller
         knows no writer is live, e.g. the service daemon at startup).
         Returns the number of files removed.
         """
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        now = time.time()
-        for tmp in self.root.glob("*/*.tmp"):
-            try:
-                if now - tmp.stat().st_mtime >= max_age_s:
-                    tmp.unlink()
-                    removed += 1
-            except OSError:
-                continue
-        return removed
+        return sweep_tmp(self.root, "*/*", max_age_s)

@@ -241,9 +241,9 @@ def run_sweep(
     deadline_s = None
     if checkpointing:
         from ..vortex.simx.checkpoint import CheckpointStore
-        # mkdir up front + sweep orphaned tmp files from crashed runs
-        # (the ResultCache.vacuum discipline, at engine startup).
-        CheckpointStore(str(checkpoint_dir), sweep_age_s=0.0)
+        # mkdir up front + sweep stale temp files from crashed runs;
+        # only the stale age is safe, as concurrent runs may share the dir.
+        CheckpointStore(str(checkpoint_dir))
         budget = (point_timeout if owns_engine
                   else getattr(engine, "point_timeout", None))
         if budget:

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..durable import atomic_write, sweep_tmp
 from ..errors import PointFailure, ServiceError
 from ..harness.engine import ExperimentEngine
 from ..harness.result_cache import MISS, ResultCache
@@ -231,8 +232,10 @@ class ExperimentDaemon:
                                code="already-running")
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self._refuse_second_daemon()
-        # startup is the one moment no cache writer can be live, so a
-        # full zero-age vacuum of crashed writers' temp files is safe.
+        # startup is the one moment no writer of ours can be live, so a
+        # full zero-age sweep of crashed writers' temp files is safe:
+        # journal compactions and daemon.json here, entries in the cache.
+        sweep_tmp(self.state_dir, "*", 0.0)
         self.cache.vacuum(0.0)
         if self.checkpoint_dir is not None:
             from ..vortex.simx.checkpoint import CheckpointStore
@@ -377,9 +380,8 @@ class ExperimentDaemon:
     def _write_daemon_info(self) -> None:
         info = {"pid": os.getpid(), "host": self.address[0],
                 "port": self.address[1], "started_unix": time.time()}
-        tmp = self._info_path().with_suffix(".tmp")
-        tmp.write_text(json.dumps(info))
-        os.replace(tmp, self._info_path())
+        atomic_write(self._info_path(), json.dumps(info).encode(),
+                     fsync=False)
 
     def _recover(self) -> None:
         """Rebuild job state from the journal (``--resume``).

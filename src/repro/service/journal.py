@@ -18,10 +18,10 @@ Records are small dicts with a ``t`` tag::
 
 Torn tails are expected: a crash mid-append leaves a partial last line,
 which :meth:`Journal.replay` skips (and counts) instead of refusing to
-start. Compaction rewrites the live records through a temp file +
-``fsync`` + atomic ``os.replace`` — the same discipline as
-:meth:`ResultCache.put` — so the journal is never observed in a
-half-rewritten state and cannot grow without bound.
+start. Compaction rewrites the live records with
+:func:`repro.durable.atomic_write` (file and directory fsynced), so the
+journal is never observed in a half-rewritten state and cannot grow
+without bound.
 """
 
 from __future__ import annotations
@@ -30,21 +30,9 @@ import json
 import os
 from pathlib import Path
 
+from ..durable import atomic_write, fsync_dir
+
 __all__ = ["Journal"]
-
-
-def _fsync_dir(path: Path) -> None:
-    """Best-effort fsync of a directory (persists renames/creates)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 class Journal:
@@ -119,14 +107,8 @@ class Journal:
         the old journal or the new one, never a hybrid.
         """
         self.close()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".compact.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, separators=(",", ":"))
-                         + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        _fsync_dir(self.path.parent)
+        lines = "".join(json.dumps(record, separators=(",", ":")) + "\n"
+                        for record in records)
+        atomic_write(self.path, lines.encode("utf-8"), fsync=True)
+        fsync_dir(self.path.parent)
         self.appended = 0

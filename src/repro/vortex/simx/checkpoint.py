@@ -14,8 +14,8 @@ golden-trace suite and the hypothesis round-trip property in
 
 Snapshot files are a single JSON header line (magic, format version,
 source fingerprint, point id, cycle, payload length + sha256) followed
-by a zlib-compressed pickle of the state tree. Writes are atomic
-(tmp + fsync + rename, the :class:`ResultCache` discipline); loads
+by a zlib-compressed pickle of the state tree. Writes go through
+:func:`repro.durable.atomic_write` with the file fsynced; loads
 verify every header field and degrade to ``None`` — a clean re-run —
 on corruption or version/fingerprint skew, unlinking the bad file.
 
@@ -35,7 +35,6 @@ import json
 import os
 import pickle
 import re
-import tempfile
 import time
 import zlib
 from pathlib import Path
@@ -43,6 +42,7 @@ from typing import Any
 
 import numpy as np
 
+from ... import durable
 from ...errors import CheckpointError
 from .cache import CacheStats
 from .core import CoreStats
@@ -82,10 +82,6 @@ ADAPT_TARGET_OVERHEAD = 0.05
 #: Ceiling on adaptive stretching (worst-case re-simulated work on a
 #: resume stays bounded).
 ADAPT_MAX_EVERY_CYCLES = 64 * DEFAULT_EVERY_CYCLES
-
-#: Orphaned ``*.tmp`` files older than this are swept on store
-#: construction (mirrors ``ResultCache.TMP_GC_AGE_S``).
-TMP_GC_AGE_S = 3600.0
 
 
 def _slug(point_id: str) -> str:
@@ -349,8 +345,8 @@ def restore_state(machine: Any, state: dict[str, Any]) -> None:
 
 
 class CheckpointStore:
-    """Directory of snapshot files with atomic writes and verified
-    loads (the ``ResultCache`` discipline, one layer down).
+    """Directory of snapshot files with atomic, fsynced writes
+    (:func:`repro.durable.atomic_write`) and verified loads.
 
     Besides snapshots the directory holds a ``hits.log`` (one appended
     JSON line per successful resume — the durable checkpoint-hit
@@ -362,7 +358,7 @@ class CheckpointStore:
 
     def __init__(self, root: str | os.PathLike,
                  fingerprint: str | None = None,
-                 sweep_age_s: float | None = TMP_GC_AGE_S):
+                 sweep_age_s: float | None = durable.TMP_GC_AGE_S):
         self.root = Path(root)
         if fingerprint is None:
             # Lazy import: vortex must stay importable without harness.
@@ -392,21 +388,7 @@ class CheckpointStore:
         }
         blob = json.dumps(header, sort_keys=True).encode() + b"\n" + payload
         path = self.path(point_id)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        committed = False
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            committed = True
-        finally:
-            if not committed:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        durable.atomic_write(path, blob, fsync=True)
         return path
 
     def load(self, point_id: str) -> dict[str, Any] | None:
@@ -468,34 +450,15 @@ class CheckpointStore:
             return 0
 
     def claim_once(self, tag: str) -> bool:
-        """Cross-process once-only marker (O_CREAT|O_EXCL, the fault
-        plan's firing-budget idiom) — arms one-shot test hooks so a
-        resumed or re-simulated launch cannot re-fire them."""
-        path = self.root / (_slug(tag) + ".once")
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.close(fd)
-        return True
+        """Cross-process once-only marker (:func:`repro.durable.claim`,
+        as the fault plan's firing budget) — arms one-shot test hooks so
+        a resumed or re-simulated launch cannot re-fire them."""
+        return durable.claim(self.root / (_slug(tag) + ".once"))
 
     def sweep_tmp(self, max_age_s: float) -> int:
-        """Unlink orphaned ``*.tmp`` files (a crash between mkstemp and
-        rename leaks one) older than ``max_age_s``; returns the count."""
-        removed = 0
-        cutoff = time.time() - max_age_s
-        try:
-            candidates = list(self.root.glob("*.tmp"))
-        except OSError:
-            return 0
-        for path in candidates:
-            try:
-                if path.stat().st_mtime <= cutoff:
-                    path.unlink()
-                    removed += 1
-            except OSError:
-                pass
-        return removed
+        """Unlink orphaned snapshot temp files (a crash mid-save leaks
+        one) older than ``max_age_s``; returns the count."""
+        return durable.sweep_tmp(self.root, "*", max_age_s)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ resumed campaigns all read and write one directory concurrently. These
 tests hammer a single cache root from several *processes* at once
 (mixed get/put/clear) and assert the atomic-rename discipline holds:
 no worker ever crashes, no reader ever observes a torn JSON entry, and
-no orphaned temp file survives a vacuum.
+no orphaned temp file survives a vacuum. The failed-write hygiene case
+runs over every writer that commits through ``repro.durable``.
 """
 
 import json
@@ -18,8 +19,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.calibrate.artifact import CalibrationArtifact
 from repro.harness import ResultCache
 from repro.harness.result_cache import MISS
+from repro.hls.perf import HLSModelParams
+from repro.service.journal import Journal
+from repro.vortex.analytical import VortexModelParams
+from repro.vortex.simx.checkpoint import CheckpointStore
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -139,20 +145,56 @@ class TestVacuum:
         assert cache.get(key) == {"v": 3}
 
 
+# Every writer that commits through repro.durable.atomic_write, as
+# root -> (write(version), committed file).
+def _cache_put(root):
+    cache = ResultCache(root, fingerprint="t")
+    key = cache.key(point=4)
+    return (lambda v: cache.put(key, {"v": v}),
+            root / key[:2] / f"{key}.json")
+
+
+def _checkpoint_save(root):
+    store = CheckpointStore(root, fingerprint="t")
+    return lambda v: store.save("p", {"now": v}), store.path("p")
+
+
+def _journal_compact(root):
+    journal = Journal(root / "journal.jsonl")
+    return (lambda v: journal.compact([{"t": "done", "id": str(v)}]),
+            journal.path)
+
+
+def _calibration_save(root):
+    def save(v):
+        CalibrationArtifact(fingerprint=str(v), vortex=VortexModelParams(),
+                            hls=HLSModelParams()).save(root / "cal.json")
+    return save, root / "cal.json"
+
+
+_WRITERS = {"cache-put": _cache_put, "checkpoint-save": _checkpoint_save,
+            "journal-compact": _journal_compact,
+            "calibration-save": _calibration_save}
+
+
 class TestPutFailureHygiene:
-    def test_failed_replace_leaves_no_tmp(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path / "cache", fingerprint="t")
-        key = cache.key(point=4)
+    @pytest.mark.parametrize("writer", list(_WRITERS))
+    def test_failed_replace_leaves_no_tmp(self, tmp_path, monkeypatch,
+                                          writer):
+        root = tmp_path / "w"
+        write, committed = _WRITERS[writer](root)
+        write(1)
+        before = committed.read_bytes()
 
         def boom(src, dst):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
-            cache.put(key, {"v": 4})
+            write(2)
         monkeypatch.undo()
-        assert not list((tmp_path / "cache").glob("*/*.tmp"))
-        assert cache.get(key) is MISS
+        assert not list(root.rglob("*.tmp"))
+        assert committed.read_bytes() == before
 
     def test_unencodable_value_leaves_no_tmp(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", fingerprint="t")

@@ -27,6 +27,7 @@ from repro.errors import (
     PointFailure,
     SimulationPreempted,
 )
+from repro.harness.dse import run_dse
 from repro.harness.engine import ExperimentEngine
 from repro.harness.faults import corrupt_checkpoint
 from repro.harness.result_cache import ResultCache
@@ -242,6 +243,21 @@ class TestStore:
         assert fresh.exists()
         assert CheckpointStore(tmp_path, sweep_age_s=0.0) is not None
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "run_dse"])
+    def test_batch_runs_spare_fresh_tmp_files(self, tmp_path, entry):
+        """Concurrent runs (or the daemon) may share a checkpoint dir, so
+        a batch run reaps only stale temp files, never a fresh one that
+        may be another writer's snapshot in flight."""
+        live = tmp_path / "tmpinflight.tmp"
+        live.write_bytes(b"half a snapshot")
+        grid = dict(n=64, warp_sizes=(2,), thread_sizes=(2,),
+                    checkpoint_dir=tmp_path)
+        if entry == "run_sweep":
+            run_sweep("vecadd", cores=1, **grid)
+        else:
+            run_dse("vecadd", core_counts=(1,), **grid)
+        assert live.exists()
 
     def test_resume_verification_runs_before_mutation(self, tmp_path):
         spec = _spec(tmp_path, "ver", preempt_at_cycle=5_000)

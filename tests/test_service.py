@@ -385,6 +385,9 @@ class TestAdmissionControl:
     def test_shutting_down_rejects_submissions(self, daemon_factory):
         daemon = daemon_factory()
         client = _client(daemon, retries=0)
+        # an unfinished sleeper keeps the draining daemon's listener
+        # open, so the next submit reaches it instead of a closed socket
+        client.submit(_probe("sleeper", sleep_s=2.0))
         client.drain()
         with pytest.raises(ServiceError) as exc:
             client.submit(_probe(9))
@@ -506,6 +509,17 @@ class TestResume:
         done = {r["id"] for r in records if r["t"] == "done"}
         assert accepted == done and len(accepted) == 5
         assert not list(state.glob("*.tmp"))
+
+    def test_start_sweeps_orphaned_state_dir_tmp(self, daemon_factory,
+                                                 tmp_path):
+        """A temp file a killed daemon stranded mid-compaction or
+        mid-``daemon.json`` write is gone once a new daemon starts."""
+        state = tmp_path / "state"
+        state.mkdir()
+        orphan = state / "tmpdeadbeef.tmp"
+        orphan.write_text('{"t": "accepted"')
+        daemon_factory(state_dir=state, resume=True)
+        assert not orphan.exists()
 
 
 # -- fault injection through the service -------------------------------------
