@@ -67,7 +67,10 @@ class VortexBackend(DeviceBackend):
 
     def compile_for(self, kernel: Kernel, ndrange: NDRange
                     ) -> VortexKernelImage:
-        key = (id(kernel), ndrange.global_size, ndrange.local_size)
+        # Keyed by the kernel object, not id(kernel): the key keeps the
+        # kernel alive, so a later kernel can never reuse its id and be
+        # handed this image.
+        key = (kernel, ndrange.global_size, ndrange.local_size)
         image = self._image_cache.get(key)
         if image is None:
             image = compile_kernel(kernel, ndrange,

@@ -55,7 +55,9 @@ SNAPSHOT_MAGIC = "repro-simx-snapshot"
 #: Bump whenever the state tree captured below changes shape. Old
 #: snapshots are then rejected (and unlinked) instead of misrestored.
 #: v2: ``baseline_sha`` (sha256) became ``baseline_digest`` (crc32).
-SNAPSHOT_VERSION = 2
+#: v3: ``skip_stats`` holds only ``ff_windows``/``ff_cycles``, which now
+#: count the all-stalled jump.
+SNAPSHOT_VERSION = 3
 
 #: Default snapshot cadence in simulated cycles.
 DEFAULT_EVERY_CYCLES = 2_000_000

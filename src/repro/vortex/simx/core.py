@@ -17,8 +17,8 @@ in statically-decoded handlers (:mod:`.decode`), LSU book-keeping
 structures are purged lazily (``_purge_at`` tracks the earliest expiry
 instead of rescanning every queue every cycle), and
 :meth:`Core.next_change_time` gives the machine a conservative bound on
-how long the core's issue/stall classification stays constant, enabling
-bulk fast-forwarding in :mod:`.machine`.
+how long an idle core's stall classification stays constant, so
+:mod:`.machine` can book the frozen idle cycles without re-scanning.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ from .config import VortexConfig
 from .warp import BLOCKED, Warp
 
 _INT32_MIN = np.int32(-(2**31))
-
-
-def _i32(value: int) -> np.int32:
-    """Wrap a Python int to signed 32-bit."""
-    value &= 0xFFFFFFFF
-    if value >= 2**31:
-        value -= 2**32
-    return np.int32(value)
 
 
 @dataclass
@@ -127,11 +119,6 @@ class CoreStats:
     simt_instructions: int = 0
 
 
-#: ``Core.tick`` result codes.
-TICK_IDLE = 0
-TICK_BUSY = 1
-TICK_ISSUED = 2
-
 #: ``Core._stall`` classification of an idle tick.
 STALL_NONE = 0
 STALL_LSU = 1
@@ -191,20 +178,17 @@ class Core:
     # Issue.
     # ------------------------------------------------------------------
 
-    def tick(self, now: int) -> int:
+    def tick(self, now: int) -> bool:
         """Advance the issue stage one cycle.
 
-        Returns ``TICK_ISSUED`` when an instruction issued,
-        ``TICK_BUSY`` when a previous multi-beat issue still occupies
-        the stage, ``TICK_IDLE`` otherwise (with ``_stall`` recording
-        why). Exactly one of ``cycles_active``/``idle_cycles`` is booked
-        per call.
+        Returns True when an instruction issued, False when the core
+        idled (with ``_stall`` recording why). Exactly one of
+        ``cycles_active``/``idle_cycles`` is booked per call. The
+        machine never ticks a core inside a multi-beat issue window
+        (``now < issue_busy_until``); it books those cycles itself.
         """
         if now >= self._purge_at:
             self._purge(now)
-        if now < self.issue_busy_until:
-            self.stats.cycles_active += 1
-            return TICK_BUSY
         saw_lsu_block = False
         saw_scoreboard_block = False
         dec = self._decoded
@@ -259,7 +243,7 @@ class Core:
             if d.is_simt:
                 stats.simt_instructions += 1
             stats.cycles_active += 1
-            return TICK_ISSUED
+            return True
         stats = self.stats
         stats.idle_cycles += 1
         if saw_lsu_block:
@@ -270,7 +254,7 @@ class Core:
             self._stall = STALL_SCOREBOARD
         else:
             self._stall = STALL_NONE
-        return TICK_IDLE
+        return False
 
     def _purge(self, now: int) -> None:
         """Drop expired LSU queue entries, outstanding fills and MSHR
@@ -334,8 +318,8 @@ class Core:
         completion when full and the lane-sequencer's busy horizon. As
         long as the machine clock stays below this bound, re-running
         :meth:`tick` would book exactly the same counters, which is what
-        licenses the machine's bulk fast-forward to book them in one
-        multiplication instead.
+        licenses the machine's idle freeze to book them without calling
+        :meth:`tick`.
         """
         if now >= self._purge_at:
             self._purge(now)

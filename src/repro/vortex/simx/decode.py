@@ -1,30 +1,29 @@
 """Decode-once instruction cache for the SimX hot loop.
 
-The pre-optimization simulator re-decoded every instruction at every
-issue: a PC-to-index search, an :class:`InstrMeta` lookup, a latency
-dict built per issue and a long mnemonic ``if/elif`` chain before any
-lane arithmetic ran. This module moves all of that to *load time*: when
-a kernel image is loaded, every static instruction is compiled into a
-:class:`DecodedInstr` — a flat record holding the pre-resolved handler
-function, operand registers, immediate constants already cast to their
-numpy types, the absolute jump/branch target (PCs are static, so
-``auipc``/``jal``/branch arithmetic folds away entirely) and the
+When a kernel image is loaded, every static instruction is compiled
+into a :class:`DecodedInstr` — a flat record holding the pre-resolved
+handler function, operand registers, immediate constants already cast
+to their numpy types, the absolute jump/branch target (PCs are static,
+so ``auipc``/``jal``/branch arithmetic folds away entirely) and the
 writeback latency for the machine configuration. The issue stage then
 costs one list index and one indirect call per dynamic instruction.
 
-Two handler tables implement the same ISA:
+Two handler tables implement the compute instructions:
 
-* ``VECTOR_DISPATCH`` — numpy lane-vectorized execution (production);
-* ``SCALAR_DISPATCH`` — a per-lane Python reference path for the
-  masked compute operations, selected with ``REPRO_SIMX_SCALAR=1``.
+* ``VECTOR_TABLE`` — production. Each handler executes the whole warp
+  row with numpy in one of two forms, chosen by ``Warp._full``: a
+  whole-row write while every lane is active, a masked
+  ``np.copyto(..., where=tmask)`` otherwise. No handler forks on warp
+  width.
+* ``SCALAR_TABLE`` — a per-lane Python reference, selected with
+  ``REPRO_SIMX_SCALAR=1`` and used only as a differential oracle.
 
-The scalar path exists purely as a differential oracle: the property
-tests in ``tests/test_simx_vectorized.py`` drive random instruction
-sequences and active-mask patterns through both tables and require
-bit-identical register/memory state. Each scalar handler loops over the
-active lanes applying the *same* arithmetic kernel to one-element
-slices, so any divergence isolates a masking/vectorization bug rather
-than a numerics difference.
+The property tests in ``tests/test_simx_vectorized.py`` drive random
+divergent kernels through both tables and require bit-identical
+memory, registers and timing. Each scalar handler loops over the active
+lanes applying the *same* arithmetic kernel to one-element slices, so
+any divergence isolates a masking/vectorization bug rather than a
+numerics difference.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ _SIGN_BIT = np.int32(-(2**31))
 
 
 def _i32(value: int) -> np.int32:
+    """Wrap a Python int to signed 32-bit."""
     value &= 0xFFFFFFFF
     if value >= 2**31:
         value -= 2**32
@@ -56,9 +56,9 @@ class DecodedInstr:
     """One statically-decoded instruction (the per-PC cache entry)."""
 
     __slots__ = (
-        "ins", "meta", "mnemonic", "pc",
+        "ins", "mnemonic", "pc",
         "rs1", "rs2", "rd", "imm", "imm64",
-        "kind", "is_mem", "is_simt",
+        "is_mem", "is_simt",
         "srcs_x", "srcs_f",
         "wb_x", "wb_f", "latency",
         "handler", "op", "val", "target", "aux",
@@ -67,7 +67,6 @@ class DecodedInstr:
     def __init__(self, ins: Instruction, meta: InstrMeta, pc: int,
                  latency: int):
         self.ins = ins
-        self.meta = meta
         self.mnemonic = ins.mnemonic
         self.pc = pc
         self.rs1 = ins.rs1
@@ -77,7 +76,6 @@ class DecodedInstr:
         #: immediate as a numpy int64 scalar: ``int32_row + imm64``
         #: upcasts to int64 in one ufunc call (the LSU address path).
         self.imm64 = np.int64(ins.imm)
-        self.kind = meta.kind
         self.is_mem = meta.is_mem
         self.is_simt = meta.kind == "simt"
         self.srcs_x = meta.srcs_x
@@ -155,89 +153,6 @@ def _make_imm_op(m: str, imm: int):
     raise SimulationError(f"bad int immop {m}")  # pragma: no cover
 
 
-# -- tiny-warp Python-int kernels -------------------------------------------
-#
-# For warps of <= TINY_LANES threads the numpy handlers spend more time
-# in ufunc dispatch and temporary-row allocation than in arithmetic.
-# These kernels mirror _INT_BIN_OPS/_make_imm_op exactly (including the
-# RISC-V M-extension division corner cases) but operate on plain Python
-# ints extracted with ndarray.item(); the ``_v_int_bin``/``_v_int_imm``
-# handlers select them via ``warp._tiny``. The differential tests in
-# ``tests/test_simx_vectorized.py`` hold both paths bit-identical.
-
-
-def _w32(v: int) -> int:
-    """Wrap a Python int to signed 32-bit two's complement."""
-    v &= 0xFFFFFFFF
-    return v - 0x100000000 if v >= 0x80000000 else v
-
-
-def _py_sdiv(a: int, b: int) -> int:
-    # RISC-V div: by zero -> -1, INT_MIN / -1 -> INT_MIN, else
-    # truncation toward zero (Python // truncates toward -inf).
-    if b == 0:
-        return -1
-    if a == -(2**31) and b == -1:
-        return a
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def _py_srem(a: int, b: int) -> int:
-    # RISC-V rem: by zero -> dividend, INT_MIN % -1 -> 0, else the
-    # remainder matching truncating division (sign of the dividend).
-    if b == 0:
-        return a
-    if a == -(2**31) and b == -1:
-        return 0
-    return a - _py_sdiv(a, b) * b
-
-
-_PY_INT_BIN_OPS = {
-    "add": lambda a, b: _w32(a + b),
-    "sub": lambda a, b: _w32(a - b),
-    "sll": lambda a, b: _w32(a << (b & 31)),
-    "slt": lambda a, b: 1 if a < b else 0,
-    "sltu": lambda a, b: 1 if (a & 0xFFFFFFFF) < (b & 0xFFFFFFFF) else 0,
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: _w32((a & 0xFFFFFFFF) >> (b & 31)),
-    "sra": lambda a, b: a >> (b & 31),
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "mul": lambda a, b: _w32(a * b),
-    "mulh": lambda a, b: _w32((a * b) >> 32),
-    "div": _py_sdiv,
-    "rem": _py_srem,
-}
-
-
-def _make_py_imm_op(m: str, imm: int):
-    """Python-int twin of :func:`_make_imm_op` (same mnemonics)."""
-    if m == "addi":
-        return lambda a: _w32(a + imm)
-    if m == "slti":
-        return lambda a: 1 if a < imm else 0
-    if m == "sltiu":
-        c = imm & 0xFFFFFFFF
-        return lambda a: 1 if (a & 0xFFFFFFFF) < c else 0
-    if m == "xori":
-        return lambda a: a ^ imm
-    if m == "ori":
-        return lambda a: a | imm
-    if m == "andi":
-        return lambda a: a & imm
-    if m == "slli":
-        s = imm & 31
-        return lambda a: _w32(a << s)
-    if m == "srli":
-        s = imm & 31
-        return lambda a: _w32((a & 0xFFFFFFFF) >> s)
-    if m == "srai":
-        s = imm & 31
-        return lambda a: a >> s
-    raise SimulationError(f"bad int immop {m}")  # pragma: no cover
-
-
 _FLOAT_BIN_OPS = {
     "fadd.s": lambda a, b: a + b,
     "fsub.s": lambda a, b: a - b,
@@ -304,18 +219,7 @@ def _fcvt_w_s(a: np.ndarray) -> np.ndarray:
 def _v_int_bin(core, warp, d, now):
     if d.wb_x >= 0:
         x = warp.x
-        if warp._tiny:
-            op, rs1, rs2, wb = d.aux, d.rs1, d.rs2, d.wb_x
-            if warp._full:
-                for lane in range(warp.num_threads):
-                    x[wb, lane] = op(x.item(rs1, lane), x.item(rs2, lane))
-            else:
-                tm = warp.tmask
-                for lane in range(warp.num_threads):
-                    if tm.item(lane):
-                        x[wb, lane] = op(x.item(rs1, lane),
-                                         x.item(rs2, lane))
-        elif warp._full:
+        if warp._full:
             x[d.wb_x] = d.op(x[d.rs1], x[d.rs2])
         else:
             np.copyto(x[d.wb_x], d.op(x[d.rs1], x[d.rs2]),
@@ -327,17 +231,7 @@ def _v_int_bin(core, warp, d, now):
 def _v_int_imm(core, warp, d, now):
     if d.wb_x >= 0:
         x = warp.x
-        if warp._tiny:
-            op, rs1, wb = d.aux, d.rs1, d.wb_x
-            if warp._full:
-                for lane in range(warp.num_threads):
-                    x[wb, lane] = op(x.item(rs1, lane))
-            else:
-                tm = warp.tmask
-                for lane in range(warp.num_threads):
-                    if tm.item(lane):
-                        x[wb, lane] = op(x.item(rs1, lane))
-        elif warp._full:
+        if warp._full:
             x[d.wb_x] = d.op(x[d.rs1])
         else:
             np.copyto(x[d.wb_x], d.op(x[d.rs1]), where=warp.tmask)
@@ -673,13 +567,10 @@ def decode_one(ins: Instruction, pc: int, config: VortexConfig,
         group, op = _COMPUTE_KINDS[m]
         d.handler = table[group]
         d.op = op
-        if group == "int_bin":
-            d.aux = _PY_INT_BIN_OPS[m]  # tiny-warp twin (warp._tiny)
     elif m in ("addi", "slti", "sltiu", "xori", "ori", "andi",
                "slli", "srli", "srai"):
         d.handler = table["int_imm"]
         d.op = _make_imm_op(m, ins.imm)
-        d.aux = _make_py_imm_op(m, ins.imm)
     elif m == "lui":
         d.handler = table["const"]
         d.val = _i32(ins.imm << 12)
@@ -716,12 +607,10 @@ def decode_one(ins: Instruction, pc: int, config: VortexConfig,
     return d
 
 
-def decode_program(program: Program, config: VortexConfig,
-                   scalar: bool | None = None) -> list[DecodedInstr]:
+def decode_program(program: Program,
+                   config: VortexConfig) -> list[DecodedInstr]:
     """Decode every static instruction once, indexed by PC."""
-    if scalar is None:
-        scalar = scalar_path_enabled()
-    table = SCALAR_TABLE if scalar else VECTOR_TABLE
+    table = SCALAR_TABLE if scalar_path_enabled() else VECTOR_TABLE
     base = program.code_base
     decoded = [
         decode_one(ins, base + 4 * i, config, table)

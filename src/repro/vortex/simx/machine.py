@@ -6,24 +6,23 @@ T)`` warps on one core and one *slot*, which selects its barrier id and
 local-memory window). Warps halt when their kernel returns; freed warps
 immediately receive the next pending group.
 
-The main loop advances one cycle at a time only while some core is
-actually issuing. Two fast-forward mechanisms skip the rest (both
-behaviour-preserving — the golden-trace suite pins every counter):
+The main loop steps one cycle at a time while some core issues or is
+inside a multi-beat issue window. Within a step a core is only ticked
+when its outcome can change: cycles inside a known busy window are
+booked active, and an idle core stays frozen at its last stall
+classification until ``Core.next_change_time``.
 
-* **all-stalled jump** — when no core issued and none is mid-issue, the
-  clock jumps straight to the earliest scoreboard/LSU completion
-  (``next_event_time``); the skipped cycles book no statistics.
-* **bulk stall booking** — when no core issued but some are still
-  burning multi-beat issue cycles, every core's tick outcome is frozen
-  until the earliest ``next_change_time``; the window's cycles are
-  booked per core in one multiplication (active for busy cores,
-  idle + the recorded stall reason for stalled ones) and the clock
-  jumps to the window's end.
+When no core issued and none is mid-issue, the **all-stalled jump**
+moves the clock straight to the earliest scoreboard/LSU completion
+(``Core.next_event_time``). Nothing changes before then, so each
+core's idle and stall counters are booked for the whole window at once
+and stay identical to a cycle-by-cycle visit. ``skip_stats`` counts
+the jumps (``ff_windows``) and the cycles they skipped (``ff_cycles``).
 
-Set ``REPRO_SIMX_NO_FASTFORWARD=1`` (or pass ``fast_forward=False``) to
-visit every cycle instead; cycle counts, cache/DRAM traffic and results
-are identical, only wall-clock and the idle-cycle bookkeeping of the
-jumped ranges differ (the jump path books nothing for skipped cycles).
+Set ``REPRO_SIMX_NO_FASTFORWARD=1`` to visit every cycle instead. Cycle
+counts, every per-core, cache and DRAM counter, and results are
+identical; only wall-clock and ``skip_stats`` differ. The golden-trace
+suite and ``tests/test_simx_fastforward.py`` pin this.
 """
 
 from __future__ import annotations
@@ -47,21 +46,13 @@ from ..codegen import VortexKernelImage
 from ..isa import CSR
 from .checkpoint import CHECK_INTERVAL as _CKPT_CHECK_INTERVAL
 from .config import VortexConfig
-from .core import (
-    Core,
-    CoreStats,
-    STALL_LSU,
-    STALL_SCOREBOARD,
-    TICK_BUSY,
-    TICK_IDLE,
-    TICK_ISSUED,
-)
+from .core import Core, CoreStats, STALL_LSU, STALL_SCOREBOARD
 from .decode import DecodedInstr, decode_program
 from .dram import DRAM
 from .mem import Memory
 from .warp import BLOCKED
 
-#: Environment variable disabling both fast-forward mechanisms.
+#: Environment variable disabling the all-stalled jump.
 NO_FASTFORWARD_ENV = "REPRO_SIMX_NO_FASTFORWARD"
 
 #: `describe_warp_states` renders at most this many warp lines before
@@ -88,14 +79,12 @@ class LaunchResult:
 
 
 def _fresh_skip_stats() -> dict[str, int]:
-    return {"ff_windows": 0, "ff_cycles": 0,
-            "idle_jumps": 0, "idle_cycles": 0}
+    return {"ff_windows": 0, "ff_cycles": 0}
 
 
 class Machine:
     def __init__(self, config: VortexConfig, trace: bool = False,
-                 profiler: Profiler | None = None,
-                 fast_forward: bool | None = None):
+                 profiler: Profiler | None = None):
         self.config = config
         self.memory = Memory()
         self.dram = DRAM(config.dram, config.line_size)
@@ -111,13 +100,12 @@ class Machine:
         self.trace: list[tuple[int, int, int, int, str, int]] | None = (
             [] if trace else None
         )
-        if fast_forward is None:
-            fast_forward = os.environ.get(NO_FASTFORWARD_ENV, "") in ("", "0")
-        self.fast_forward = fast_forward
+        self.fast_forward = os.environ.get(NO_FASTFORWARD_ENV, "") in ("", "0")
         self.program = None
         self._decoded: list[DecodedInstr] = []
         self._code_base = layout.CODE_BASE
-        #: cycles the clock jumped over, by mechanism (reset per launch).
+        #: all-stalled jumps and the cycles they skipped (reset per
+        #: launch).
         self.skip_stats = _fresh_skip_stats()
         self._group_remaining: dict[int, int] = {}
         self._group_slot: dict[int, tuple[int, int]] = {}  # key -> (core, slot)
@@ -201,7 +189,6 @@ class Machine:
         self._groups_dispatched = 0
         self.printf_output.clear()
         self.skip_stats = _fresh_skip_stats()
-        skip = self.skip_stats
         self._active_warps = sum(
             1 for core in self.cores for w in core.warps if w.active
         )
@@ -280,7 +267,6 @@ class Machine:
 
         ff = self.fast_forward
         cores = self.cores
-        codes = [0] * len(cores)
         # _try_dispatch pops this list in place, so the binding is
         # loop-invariant even as its contents drain.
         pending = self._pending
@@ -290,7 +276,7 @@ class Machine:
         # cycle directly instead of calling tick. (Deferring the lazy
         # LSU purge is safe — its state is only read at issue time.)
         # ``busy_until[i]`` tracks ``core.issue_busy_until`` exactly
-        # (both start at 0 and only the ISSUED/BUSY branches copy it),
+        # (both start at 0 and only an issuing tick moves either),
         # which is what lets a restored snapshot rebuild it here.
         busy_until = [core.issue_busy_until for core in cores]
         run_start = now
@@ -306,13 +292,12 @@ class Machine:
         # context manager (float div-by-zero etc. must stay silent).
         with np.errstate(all="ignore"):
             while True:
-                issued_any = False
-                busy_any = False
+                # Some core issued this cycle or is mid-issue.
+                active = False
                 for i, core in enumerate(cores):
                     if now < busy_until[i]:
                         core.stats.cycles_active += 1
-                        codes[i] = TICK_BUSY
-                        busy_any = True
+                        active = True
                         continue
                     if now < frozen_until[i]:
                         # Frozen idle: book the cached classification
@@ -324,15 +309,9 @@ class Machine:
                             stats.lsu_stalls += 1
                         elif st == STALL_SCOREBOARD:
                             stats.scoreboard_stalls += 1
-                        codes[i] = TICK_IDLE
                         continue
-                    code = core.tick(now)
-                    codes[i] = code
-                    if code == TICK_ISSUED:
-                        issued_any = True
-                        busy_until[i] = core.issue_busy_until
-                    elif code == TICK_BUSY:
-                        busy_any = True
+                    if core.tick(now):
+                        active = True
                         busy_until[i] = core.issue_busy_until
                     else:
                         frozen_until[i] = core.next_change_time(now)
@@ -340,46 +319,11 @@ class Machine:
                     self._try_dispatch(now)
                 if profiling:
                     sampler.maybe_sample(now)
-                # Inline _done(): this runs every cycle of the hot loop.
                 if not pending and self._active_warps == 0:
                     now += 1
                     break
-                if issued_any:
+                if active:
                     now += 1
-                elif busy_any:
-                    if ff:
-                        # No core can issue before the earliest busy
-                        # expiry / stall release: book the whole window
-                        # at once with each core's frozen classification.
-                        skip_to = BLOCKED
-                        for i, core in enumerate(cores):
-                            if codes[i] == TICK_BUSY:
-                                t = core.issue_busy_until
-                            elif now < frozen_until[i]:
-                                t = frozen_until[i]
-                            else:
-                                t = core.next_change_time(now)
-                            if t < skip_to:
-                                skip_to = t
-                        k = skip_to - now - 1
-                        if k > 0:
-                            for i, core in enumerate(cores):
-                                stats = core.stats
-                                if codes[i] == TICK_BUSY:
-                                    stats.cycles_active += k
-                                else:
-                                    stats.idle_cycles += k
-                                    if core._stall == STALL_LSU:
-                                        stats.lsu_stalls += k
-                                    elif core._stall == STALL_SCOREBOARD:
-                                        stats.scoreboard_stalls += k
-                            skip["ff_windows"] += 1
-                            skip["ff_cycles"] += k
-                            now = skip_to
-                        else:
-                            now += 1
-                    else:
-                        now += 1
                 else:
                     nxt = min(core.next_event_time(now) for core in cores)
                     if nxt >= BLOCKED:
@@ -405,8 +349,8 @@ class Machine:
                                     stats.lsu_stalls += k
                                 elif core._stall == STALL_SCOREBOARD:
                                     stats.scoreboard_stalls += k
-                            skip["idle_jumps"] += 1
-                            skip["idle_cycles"] += k
+                            skip["ff_windows"] += 1
+                            skip["ff_cycles"] += k
                         now = jumped
                     else:
                         now += 1
@@ -446,8 +390,6 @@ class Machine:
                 "lsu_replays": sum(c.stats.lsu_replays for c in self.cores),
                 "ff_windows": skip["ff_windows"],
                 "ff_cycles": skip["ff_cycles"],
-                "idle_jumps": skip["idle_jumps"],
-                "idle_skipped_cycles": skip["idle_cycles"],
             },
         )
 
@@ -510,9 +452,6 @@ class Machine:
         exc.warp_dump = dump
         return exc
 
-    def _done(self) -> bool:
-        return not self._pending and self._active_warps == 0
-
     # ------------------------------------------------------------------
     # Profiling.
     # ------------------------------------------------------------------
@@ -559,8 +498,6 @@ class Machine:
             "dram.row_misses": self.dram.stats.row_misses,
             "skip.ff_windows": skip["ff_windows"],
             "skip.ff_cycles": skip["ff_cycles"],
-            "skip.idle_jumps": skip["idle_jumps"],
-            "skip.idle_cycles": skip["idle_cycles"],
         }
         prof.count_many(totals, prefix="simx.")
         hits, misses = totals["dcache.hits"], totals["dcache.misses"]
@@ -796,8 +733,7 @@ class _BucketSampler:
                 pid=_DEVICE_PID,
             )
         self.dram_prev = dsnap
-        skip = self.machine.skip_stats
-        skipped = skip["ff_cycles"] + skip["idle_cycles"]
+        skipped = self.machine.skip_stats["ff_cycles"]
         if skipped != self.skip_prev:
             prof.sample(
                 "skipped cycles", ts=now,

@@ -9,11 +9,15 @@ at the reconvergence point.
 The scoreboards (``x_ready``/``f_ready``) are plain Python lists: the
 issue stage reads a handful of entries per cycle and numpy scalar
 indexing costs more than it saves at that access pattern.
+
+``Warp._full`` is the one execution-shape flag: it is kept in sync with
+every thread-mask write, and the decoded handlers use it to choose
+between a whole-row numpy write and a masked one. Warps of every width
+take those same two forms.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +26,6 @@ from ...errors import SimulationError
 
 #: Sentinel "ready" time for warps blocked at a barrier.
 BLOCKED = 1 << 60
-
-#: Warp width at or below which the integer ALU handlers switch from
-#: numpy ufuncs to plain Python-int arithmetic: ufunc dispatch costs
-#: more than it vectorizes when a row holds one or two lanes.
-TINY_LANES = 2
-
-#: Environment variable disabling the tiny-warp fast path (the
-#: differential tests use it to drive the same workload down both
-#: integer execution paths).
-TINYFAST_ENV = "REPRO_SIMX_NO_TINYFAST"
 
 
 @dataclass
@@ -69,11 +63,6 @@ class Warp:
         #: True while every lane is active — kept in sync at each tmask
         #: write so handlers can take unmasked (whole-row) fast paths.
         self._full = False
-        #: True for warps narrow enough that per-lane Python-int
-        #: arithmetic beats numpy ufunc dispatch (see :data:`TINY_LANES`
-        #: and the ``_v_int_bin``/``_v_int_imm`` handlers).
-        self._tiny = (num_threads <= TINY_LANES
-                      and os.environ.get(TINYFAST_ENV, "") in ("", "0"))
         self.ipdom: list[IPDOMEntry] = []
         #: warp-level CSRs set by the dispatcher (group ids etc.).
         self.csrs: dict[int, int] = {}

@@ -34,6 +34,7 @@ from repro.harness.result_cache import ResultCache
 from repro.harness.sweep import run_sweep, sweep_point
 from repro.vortex import VortexBackend, VortexConfig
 from repro.vortex.simx.checkpoint import (
+    SNAPSHOT_VERSION,
     CheckpointPlan,
     CheckpointStore,
 )
@@ -185,10 +186,21 @@ class TestRoundTrip:
 
 
 class TestStore:
-    def test_version_skew_dropped_and_counted(self, tmp_path):
+    @pytest.mark.parametrize("skew", ["fingerprint", "version"])
+    def test_version_skew_dropped_and_counted(self, tmp_path, skew):
         writer = CheckpointStore(tmp_path, fingerprint="old-code")
-        writer.save("p", {"now": 7})
-        reader = CheckpointStore(tmp_path, fingerprint="new-code")
+        saved = writer.save("p", {"now": 7})
+        if skew == "fingerprint":
+            reader = CheckpointStore(tmp_path, fingerprint="new-code")
+        else:
+            # An older format's header over an intact payload: only the
+            # version check can refuse it.
+            raw = saved.read_bytes()
+            nl = raw.index(b"\n")
+            header = json.loads(raw[:nl])
+            header["version"] = SNAPSHOT_VERSION - 1
+            saved.write_bytes(json.dumps(header).encode() + raw[nl:])
+            reader = CheckpointStore(tmp_path, fingerprint="old-code")
         assert reader.load("p") is None
         assert reader.stale_dropped == 1
         assert not reader.path("p").exists()

@@ -1,6 +1,9 @@
 """Infrastructure tests: the memory map, the Vortex runtime's buffer
 management and image cache, and the CLI entry point."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,18 @@ class TestVortexRuntime:
         assert img1 is img2
         img3 = backend.compile_for(kernel, NDRange.create(64, 8))
         assert img3 is not img1
+
+    def test_image_cache_pins_its_kernels(self):
+        """A freed kernel's id() can be reused by a new kernel, which
+        would then be handed the freed kernel's image; the cache must
+        keep every kernel it holds an image for alive."""
+        backend = VortexBackend(VortexConfig(cores=1, warps=2, threads=4))
+        kernel = _copy_kernel()
+        backend.compile_for(kernel, NDRange.create(32, 8))
+        ref = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert ref() is not None
 
     def test_heap_exhaustion(self):
         backend = VortexBackend(VortexConfig(cores=1, warps=2, threads=4))

@@ -29,7 +29,6 @@ from repro.ocl import (
 from repro.vortex import VortexBackend, VortexConfig
 from repro.vortex.simx.decode import SCALAR_ENV, scalar_path_enabled
 from repro.vortex.simx.machine import Machine
-from repro.vortex.simx.warp import TINYFAST_ENV
 
 N_ITEMS = 16
 LOCAL = 8
@@ -150,12 +149,11 @@ class _Capture:
 
 
 def _run(kernel, scalar: bool, float_ops=False, config=CONFIG,
-         local=LOCAL, extra_env=()):
+         local=LOCAL):
     cap = _Capture()
     backend = VortexBackend(config, launch_hook=cap)
-    sets = {SCALAR_ENV: "1" if scalar else "0", **dict(extra_env)}
-    old = {k: os.environ.get(k) for k in sets}
-    os.environ.update(sets)
+    old = os.environ.get(SCALAR_ENV)
+    os.environ[SCALAR_ENV] = "1" if scalar else "0"
     try:
         assert scalar_path_enabled() is scalar
         ctx = Context(backend)
@@ -165,17 +163,18 @@ def _run(kernel, scalar: bool, float_ops=False, config=CONFIG,
         prog.launch("diff", bufs, N_ITEMS, local)
         outs = [b.read().copy() for b in bufs]
     finally:
-        for k, v in old.items():
-            if v is None:
-                del os.environ[k]
-            else:
-                os.environ[k] = v
+        if old is None:
+            del os.environ[SCALAR_ENV]
+        else:
+            os.environ[SCALAR_ENV] = old
     return cap, outs
 
 
-def _assert_identical(kernel, float_ops=False):
-    vec, vec_outs = _run(kernel, scalar=False, float_ops=float_ops)
-    sca, sca_outs = _run(kernel, scalar=True, float_ops=float_ops)
+def _assert_identical(kernel, float_ops=False, config=CONFIG, local=LOCAL):
+    vec, vec_outs = _run(kernel, scalar=False, float_ops=float_ops,
+                         config=config, local=local)
+    sca, sca_outs = _run(kernel, scalar=True, float_ops=float_ops,
+                         config=config, local=local)
     for v, s in zip(vec_outs, sca_outs):
         np.testing.assert_array_equal(v, s)
     # Full device memory and every warp's register file must match
@@ -243,72 +242,15 @@ def test_decode_cache_covers_program(program):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-def test_tiny_warp_paths_identical(program):
-    """Warps of <= 2 threads take the Python-int fast path in the
-    integer handlers; it must be bit-identical (memory, registers,
-    timing) to both the numpy vector path (REPRO_SIMX_NO_TINYFAST=1)
-    and the per-lane scalar reference path."""
+def test_scalar_vector_identical_narrow_warps(program):
+    """One- and two-lane warps run the same numpy handlers as wide ones;
+    a masked row of a single lane must still match the per-lane scalar
+    reference in memory, registers and timing."""
     kernel = build_kernel(program)
     for threads in (1, 2):
-        config = VortexConfig(cores=2, warps=2, threads=threads)
-        tiny, tiny_outs = _run(kernel, scalar=False, config=config,
-                               local=2)
-        runs = [
-            _run(kernel, scalar=False, config=config, local=2,
-                 extra_env={TINYFAST_ENV: "1"}),
-            _run(kernel, scalar=True, config=config, local=2),
-        ]
-        for cap, outs in runs:
-            for t, o in zip(tiny_outs, outs):
-                np.testing.assert_array_equal(t, o)
-            assert np.array_equal(tiny.memory, cap.memory)
-            np.testing.assert_array_equal(tiny.x, cap.x)
-            assert tiny.cycles == cap.cycles
-            assert tiny.instructions == cap.instructions
-
-
-def test_py_int_ops_match_numpy():
-    """The tiny-warp Python-int kernels agree with the numpy kernels on
-    every mnemonic, including the RISC-V division corner cases
-    (div-by-zero, INT_MIN/-1, shift-amount masking, unsigned
-    comparisons)."""
-    from repro.vortex.simx.decode import (_INT_BIN_OPS, _PY_INT_BIN_OPS,
-                                          _make_imm_op, _make_py_imm_op)
-
-    values = [0, 1, -1, 2, -2, 5, -7, 31, 32, 33, 0x55,
-              2**31 - 1, -(2**31), 12345678, -12345678]
-    for m, np_op in _INT_BIN_OPS.items():
-        py_op = _PY_INT_BIN_OPS[m]
-        for a in values:
-            for b in values:
-                av = np.array([a], dtype=np.int32)
-                bv = np.array([b], dtype=np.int32)
-                expect = int(np_op(av, bv)[0])
-                got = py_op(a, b)
-                assert got == expect, (m, a, b, got, expect)
-                assert -(2**31) <= got < 2**31, (m, a, b, got)
-    imm_mnemonics = ("addi", "slti", "sltiu", "xori", "ori", "andi",
-                     "slli", "srli", "srai")
-    for m in imm_mnemonics:
-        for imm in (-2048, -1, 0, 1, 7, 31, 2047):
-            np_op = _make_imm_op(m, imm)
-            py_op = _make_py_imm_op(m, imm)
-            for a in values:
-                av = np.array([a], dtype=np.int32)
-                expect = int(np_op(av)[0])
-                got = py_op(a)
-                assert got == expect, (m, imm, a, got, expect)
-                assert -(2**31) <= got < 2**31, (m, imm, a, got)
-
-
-def test_tinyfast_env_gates_flag(monkeypatch):
-    from repro.vortex.simx.warp import Warp
-
-    monkeypatch.delenv(TINYFAST_ENV, raising=False)
-    assert Warp(0, 1)._tiny and Warp(0, 2)._tiny
-    assert not Warp(0, 4)._tiny
-    monkeypatch.setenv(TINYFAST_ENV, "1")
-    assert not Warp(0, 1)._tiny and not Warp(0, 2)._tiny
+        _assert_identical(
+            kernel, config=VortexConfig(cores=2, warps=2, threads=threads),
+            local=2)
 
 
 def test_scalar_env_parsing(monkeypatch):
