@@ -6,8 +6,10 @@ Measures one cold-cache design-space exploration on a 648-point
 
 * **hierarchical** — calibrated analytical screen, Pareto-frontier
   extraction, SimX confirmation of the pruned frontier only;
-* **flat** — the retained ``simulate_top=K`` baseline: same screen,
-  then SimX on the K best-predicted points.
+* **flat** — "rank the grid, simulate the top K", the search the
+  hierarchy replaced, kept here only as the baseline: same screen
+  (``confirm="none"``), then SimX on the K best-predicted points
+  through the same engine point function.
 
 Both modes run with ``cache=None`` (no result-cache hits: every
 confirmation simulates), so the recorded speedup is the real
@@ -31,8 +33,11 @@ from pathlib import Path
 
 import pytest
 
+from functools import partial
+
 from repro.calibrate import run_calibration
-from repro.harness.dse import run_dse
+from repro.harness import ExperimentEngine
+from repro.harness.dse import dse_confirm_point, run_dse
 
 BENCH = "vecadd"
 N = 1024
@@ -76,9 +81,16 @@ def measurements():
     hier_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    flat = run_dse(BENCH, n=N, calibration=calibration,
-                   confirm="top", simulate_top=FLAT_TOP_K,
-                   cache=None, **_grid_kwargs())
+    flat = run_dse(BENCH, n=N, calibration=calibration, confirm="none",
+                   **_grid_kwargs())
+    top = sorted(flat.candidates,
+                 key=lambda c: (c.prediction.cycles, c.area.aluts,
+                                c.config.label()))[:FLAT_TOP_K]
+    with ExperimentEngine() as engine:
+        values = engine.run(partial(dse_confirm_point, benchmark=BENCH, n=N),
+                            [(c.config,) for c in top], label="flat top-k")
+    for cand, value in zip(top, values):
+        cand.simulated_cycles = value["cycles"]
     flat_wall = time.perf_counter() - start
 
     def confirmed(result):

@@ -6,50 +6,25 @@ Question: *which Vortex configuration should I synthesize on the SX2800
 for my workload?* The paper answers "it depends on the application, so
 explore" (§III-C, §IV-A). This script runs the whole loop:
 
-1. profile vecadd once on the functional interpreter,
-2. enumerate 64 (cores, warps, threads) points, dropping the ones whose
+1. profile the Figure 7 vecadd cell once on the functional interpreter,
+2. enumerate 80 (cores, warps, threads) points, dropping the ones whose
    synthesis area exceeds the SX2800 (area model — no Quartus),
-3. rank the survivors with the analytical model (no simulation),
-4. verify the top three on the SimX cycle simulator.
+3. rank the survivors with the analytical model (no simulation) and
+   keep the area x predicted-cycles Pareto frontier,
+4. confirm the three fastest-predicted frontier points on the SimX
+   cycle simulator.
 """
 
-import numpy as np
-
-from repro.benchmarks import get_benchmark
-from repro.harness.dse import explore_design_space
+from repro.harness.dse import run_dse
 from repro.hls import STRATIX10_SX2800
-from repro.ocl import Context, NDRange
-from repro.vortex import KernelProfile, VortexBackend
-
-
-def simulate_vecadd(config, n=4096):
-    bench = get_benchmark("vecadd")
-    ctx = Context(VortexBackend(config))
-    prog = ctx.program(bench.build())
-    rng = np.random.default_rng(0)
-    a = ctx.buffer(rng.random(n, dtype=np.float32))
-    b = ctx.buffer(rng.random(n, dtype=np.float32))
-    c = ctx.alloc(n)
-    return prog.launch("vecadd", [a, b, c, n], n,
-                       min(16, config.warps * config.threads)).cycles
 
 
 def main():
-    bench = get_benchmark("vecadd")
-    kernel = bench.build()[0]
-    rng = np.random.default_rng(0)
-    n = 4096
-    args = [rng.random(n, dtype=np.float32),
-            rng.random(n, dtype=np.float32),
-            np.zeros(n, dtype=np.float32), n]
-    profile = KernelProfile.collect(kernel, args, NDRange.create(n, 16))
-
-    result = explore_design_space(
-        profile,
+    result = run_dse(
+        "vecadd",
         device=STRATIX10_SX2800,
-        core_counts=(1, 2, 4, 8, 16),  # 16-core points exceed the part
-        simulate_top=3,
-        simulate=simulate_vecadd,
+        core_counts=(1, 2, 4, 8, 16),  # big 16-core points exceed the part
+        frontier_cap=3,
     )
     print(result.render())
     best = result.best

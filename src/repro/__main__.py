@@ -256,6 +256,13 @@ def _dse(args: argparse.Namespace) -> int:
 
     policy = _policy(args)
     cache = _make_cache(args)
+    checkpoint = None
+    if args.checkpoint_dir:
+        from .vortex.simx.checkpoint import checkpoint_spec
+
+        checkpoint = checkpoint_spec(args.checkpoint_dir, "dse",
+                                     args.checkpoint_every,
+                                     policy["point_timeout"])
     try:
         calibration = None
         if args.calibrate:
@@ -274,10 +281,7 @@ def _dse(args: argparse.Namespace) -> int:
             calibration=calibration,
             confirm=args.confirm,
             frontier_cap=args.frontier_cap,
-            simulate_top=args.top_k,
-            cache=cache, jobs=_jobs(args),
-            checkpoint_dir=(getattr(args, "checkpoint_dir", "") or None),
-            checkpoint_every=getattr(args, "checkpoint_every", None),
+            cache=cache, jobs=_jobs(args), checkpoint=checkpoint,
             **policy)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -436,42 +440,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    engine_flags = argparse.ArgumentParser(add_help=False)
-    engine_flags.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for independent experiment points "
-             "(default 1 = serial; 0 = one per CPU)")
-    engine_flags.add_argument(
+    # Each subcommand parses only the engine flags it reads, from the
+    # narrowest set up: profile < calibrate < table1 < fig7/dse.
+    point_flags = argparse.ArgumentParser(add_help=False)
+    point_flags.add_argument(
         "--cache-dir", default="", metavar="PATH",
         help="memoise experiment points on disk under PATH (also honours "
              "the REPRO_CACHE_DIR environment variable); entries are "
              "keyed by the inputs plus a fingerprint of the repro "
              "source, so code changes invalidate them automatically")
-    engine_flags.add_argument(
+    point_flags.add_argument(
         "--no-cache", action="store_true",
         help="ignore --cache-dir / REPRO_CACHE_DIR for this run")
-    engine_flags.add_argument(
+    point_flags.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="retry a failed experiment point up to N times with "
              "exponential backoff before recording it as an ERROR "
              "(recovers transient faults and killed workers)")
+
+    engine_flags = argparse.ArgumentParser(add_help=False,
+                                           parents=[point_flags])
+    engine_flags.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes for independent experiment points "
+             "(default 1 = serial; 0 = one per CPU)")
     engine_flags.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
         help="per-point watchdog: a point running longer is cancelled "
              "(its stuck worker pool is torn down and respawned) and "
              "counts as failed/retried")
-    engine_flags.add_argument(
-        "--checkpoint-dir", default="", metavar="PATH",
-        help="snapshot running simulations under PATH so a preempted or "
-             "killed point resumes mid-flight instead of restarting "
-             "(fig7 and dse confirmations; with --point-timeout a point "
-             "checkpoints out before the watchdog would kill it)")
-    engine_flags.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="CYCLES",
-        help="snapshot cadence in simulated cycles "
-             "(default 2000000; implies nothing without "
-             "--checkpoint-dir)")
-    policy = engine_flags.add_mutually_exclusive_group()
+
+    campaign_flags = argparse.ArgumentParser(add_help=False,
+                                             parents=[engine_flags])
+    policy = campaign_flags.add_mutually_exclusive_group()
     policy.add_argument(
         "--keep-going", dest="keep_going", action="store_true",
         default=True,
@@ -482,10 +483,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="abort the whole campaign on the first failed point "
              "(completed points stay in the cache, so a re-run resumes)")
 
+    sim_flags = argparse.ArgumentParser(add_help=False,
+                                        parents=[campaign_flags])
+    sim_flags.add_argument(
+        "--checkpoint-dir", default="", metavar="PATH",
+        help="snapshot running simulations under PATH so a preempted or "
+             "killed point resumes mid-flight instead of restarting "
+             "(fig7 and dse confirmations; with --point-timeout a point "
+             "checkpoints out before the watchdog would kill it)")
+    sim_flags.add_argument(
+        "--checkpoint-every", type=int, default=None, metavar="CYCLES",
+        help="snapshot cadence in simulated cycles "
+             "(default 2000000; implies nothing without "
+             "--checkpoint-dir)")
+
+    artifact_flags = {"table1": [campaign_flags], "fig7": [sim_flags]}
     for name, fn in _ARTIFACTS.items():
-        parents = [engine_flags] if name in ("table1", "fig7") else []
         p = sub.add_parser(name, help=f"regenerate {name}",
-                           parents=parents)
+                           parents=artifact_flags.get(name, []))
         if name == "fig7":
             p.add_argument(
                 "--warp-sizes", default="", metavar="W,W,...",
@@ -511,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        parents=[engine_flags],
+        parents=[point_flags],
         help="run one benchmark under the unified profiler and emit a "
              "text report plus a Chrome-trace JSON file",
     )
@@ -556,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "dse",
-        parents=[engine_flags],
+        parents=[sim_flags],
         help="hierarchical design-space exploration: screen the full "
              "grid with the analytical model in milliseconds, then "
              "SimX-confirm only the Pareto frontier",
@@ -570,16 +585,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="warp counts to screen (default 2,4,8,16)")
     p.add_argument("--threads", default="", metavar="T,T,...",
                    help="thread counts to screen (default 2,4,8,16)")
-    p.add_argument("--confirm", choices=("frontier", "top", "none"),
+    p.add_argument("--confirm", choices=("frontier", "none"),
                    default="frontier",
-                   help="confirmation policy: Pareto frontier "
-                        "(hierarchical, default), flat top-K baseline, "
-                        "or screen only")
+                   help="SimX-confirm the Pareto frontier (default) or "
+                        "stop at the analytical screen")
     p.add_argument("--frontier-cap", type=int, default=8,
                    help="max frontier points to SimX-confirm (default 8)")
-    p.add_argument("--top-k", type=int, default=8,
-                   help="confirmation budget for --confirm top "
-                        "(default 8)")
     p.add_argument("--calibration", default="", metavar="PATH",
                    help="load a saved calibration artifact (its error "
                         "bounds drive frontier pruning)")

@@ -115,15 +115,9 @@ class CalibrationArtifact:
         return path
 
 
-def load_calibration(path: str | Path,
-                     strict_fingerprint: bool = True
-                     ) -> CalibrationArtifact:
-    """Load a saved fit, verifying it matches the running code.
-
-    ``strict_fingerprint=False`` returns a stale artifact anyway (the
-    CLI's escape hatch for inspecting old fits); everything else should
-    keep the default and re-calibrate on mismatch.
-    """
+def load_calibration(path: str | Path) -> CalibrationArtifact:
+    """Load a saved fit, refusing one fitted against different code
+    (re-calibrate on mismatch)."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -135,7 +129,7 @@ def load_calibration(path: str | Path,
         raise CalibrationError(
             f"unreadable calibration artifact {path}: {exc}") from exc
     artifact = CalibrationArtifact.from_payload(payload)
-    if strict_fingerprint and artifact.fingerprint != code_fingerprint():
+    if artifact.fingerprint != code_fingerprint():
         raise CalibrationError(
             f"calibration artifact {path} was fitted against different "
             f"code (fingerprint {artifact.fingerprint[:12]}… vs current "

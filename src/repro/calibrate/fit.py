@@ -33,13 +33,16 @@ from typing import Callable, Sequence
 
 import math
 
-import numpy as np
-
-from ..benchmarks import get_benchmark
 from ..errors import CalibrationError, PointFailure
 from ..harness.engine import ExperimentEngine
 from ..harness.result_cache import ResultCache, code_fingerprint
-from ..harness.sweep import SWEEP_SEED, sweep_point
+from ..harness.sweep import (
+    fig7_geometry,
+    fig7_key,
+    fig7_profile,
+    fig7_workload,
+    sweep_point,
+)
 from ..hls.lsu import classify_kernel
 from ..hls.perf import (
     HLSKernelProfile,
@@ -49,7 +52,7 @@ from ..hls.perf import (
 )
 from ..ocl.interp import interpret
 from ..ocl.ndrange import NDRange
-from ..vortex.analytical import KernelProfile, VortexModelParams, predict
+from ..vortex.analytical import VortexModelParams, predict
 from ..vortex.simx.config import VortexConfig
 from .artifact import CalibrationArtifact
 
@@ -102,31 +105,6 @@ class CalibrationSample:
     true_cycles: float
 
 
-def _vortex_workload(benchmark: str, n: int):
-    """(kernel, args, ndrange) describing exactly the launch
-    :func:`~repro.harness.sweep.sweep_point` simulates, so the profile
-    and the SimX ground truth measure the same work."""
-    if benchmark not in ("vecadd", "transpose"):
-        raise CalibrationError(
-            f"no calibration workload for benchmark {benchmark!r} "
-            f"(supported: vecadd, transpose)")
-    rng = np.random.default_rng(SWEEP_SEED)
-    bench = get_benchmark(benchmark)
-    kernel = bench.build()[0]
-    if benchmark == "vecadd":
-        a = rng.random(n, dtype=np.float32)
-        b = rng.random(n, dtype=np.float32)
-        out = np.zeros(n, dtype=np.float32)
-        return kernel, [a, b, out, n], NDRange.create(n, 16)
-    dim = int(round(n ** 0.5))
-    dim -= dim % 16
-    dim = max(dim, 16)
-    src = rng.random(dim * dim, dtype=np.float32)
-    dst = np.zeros(dim * dim, dtype=np.float32)
-    return kernel, [src, dst, dim, dim], NDRange.create((dim, dim),
-                                                        (4, 4))
-
-
 def collect_vortex_samples(
     benchmarks: Sequence[str] = ("vecadd", "transpose"),
     n: int = 4096,
@@ -146,40 +124,31 @@ def collect_vortex_samples(
     calibration warms the sweep).
     """
     base = base or VortexConfig()
-    profiles = {}
-    for benchmark in benchmarks:
-        kernel, args, ndrange = _vortex_workload(benchmark, n)
-        profiles[benchmark] = KernelProfile.collect(kernel, args, ndrange)
+    profiles = {b: fig7_profile(b, n) for b in benchmarks}
 
     owns_engine = engine is None
     if owns_engine:
         engine = ExperimentEngine(jobs=jobs, cache=cache, retries=retries,
                                   point_timeout=point_timeout)
-    grid = [(benchmark, w, t) for benchmark in benchmarks
-            for (w, t) in cells]
-    points, keys = [], []
-    for benchmark, w, t in grid:
-        config = base.with_geometry(cores=cores, warps=w, threads=t)
-        points.append((benchmark, config, n))
-        keys.append(
-            None if engine.cache is None
-            else engine.cache.key(kind="fig7-cell", benchmark=benchmark,
-                                  config=config, n=n, seed=SWEEP_SEED))
+    points = [(benchmark, base.with_geometry(cores=cores, warps=w,
+                                             threads=t), n)
+              for benchmark in benchmarks for (w, t) in cells]
     try:
-        values = engine.run(sweep_point, points, keys=keys,
-                            label="calibrate vortex")
+        values = engine.run(
+            sweep_point, points,
+            keys=[fig7_key(engine.cache, *point) for point in points],
+            label="calibrate vortex")
     finally:
         if owns_engine:
             engine.close()
 
     samples = []
-    for (benchmark, w, t), value in zip(grid, values):
+    for (benchmark, config, _), value in zip(points, values):
         if isinstance(value, PointFailure):
             raise CalibrationError(
                 f"ground-truth simulation failed for {benchmark} "
-                f"w={w} t={t}: {value.brief()} — calibration needs a "
-                f"complete sample set")
-        config = base.with_geometry(cores=cores, warps=w, threads=t)
+                f"{config.label()}: {value.brief()} — calibration needs "
+                f"a complete sample set")
         samples.append(CalibrationSample(
             flow="vortex", benchmark=benchmark, label=config.label(),
             profile=profiles[benchmark], config=config,
@@ -203,7 +172,8 @@ def collect_hls_samples(
     for benchmark in benchmarks:
         profile = None
         for size in sorted(sizes):
-            kernel, args, ndrange = _vortex_workload(benchmark, size)
+            kernel, args = fig7_workload(benchmark, size)
+            ndrange = NDRange.create(*fig7_geometry(benchmark, size, 16))
             sites = classify_kernel(kernel)
             run = interpret(kernel, args, ndrange)
             if profile is None:

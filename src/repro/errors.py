@@ -101,10 +101,10 @@ class TrapError(SimulationError):
 class CalibrationError(ReproError):
     """Model calibration could not produce or load a usable fit.
 
-    Raised when a calibration artifact is missing/corrupt, was fitted
-    against a different code fingerprint (and the caller asked for a
-    strict load), or when ground-truth collection failed so the fit
-    would be based on incomplete samples.
+    Raised when a calibration artifact is missing/corrupt or was fitted
+    against a different code fingerprint, when a benchmark has no
+    calibration workload, or when ground-truth collection failed so the
+    fit would be based on incomplete samples.
     """
 
 

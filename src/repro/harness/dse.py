@@ -23,12 +23,13 @@ magnitude at each stage:
    cycle-confirmed with SimX, fanned through the
    :class:`~repro.harness.engine.ExperimentEngine` so memoisation,
    ``--jobs``, retries, and checkpoint/preemption all apply. Confirm
-   points share the Figure 7 sweep's content keys, so a warmed sweep
-   cache makes confirmation free (and vice versa).
+   points are Figure 7 cells (:mod:`repro.harness.sweep` defines their
+   workload, launch geometry and content key), so a warmed sweep cache
+   makes confirmation free (and vice versa).
 
-The flat "rank the grid, simulate the top K" mode is retained
-(``simulate_top=``) — it is both the backwards-compatible API and the
-baseline ``BENCH_dse.json`` measures the hierarchical speedup against.
+The flat "rank the grid, simulate the top K" baseline that
+``BENCH_dse.json`` measures the hierarchy against lives in
+``benchmarks/test_dse_speed.py``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from ..vortex.area import VortexAreaReport, synthesize
 from ..vortex.simx.config import VortexConfig
 from .engine import ExperimentEngine
 from .result_cache import ResultCache
+from .sweep import fig7_geometry, fig7_key, fig7_profile, sweep_point
 from .tables import render_table
 
 
@@ -251,42 +253,23 @@ def launch_rejection(config: VortexConfig) -> str | None:
 
 
 def workload_rejection(benchmark: str, n: int):
-    """A ``config -> reason`` screen mirroring the sweep launch geometry.
+    """A ``config -> reason`` screen: ``"workgroup"`` when the cell's
+    launch geometry (:func:`~repro.harness.sweep.fig7_geometry`) on
+    ``config`` has a local size that does not divide the global size.
 
-    The sweep workloads size their work-groups from the configuration
-    (``min(16, warps*threads)`` lanes for vecadd, a ``min(4, ...)``
-    tile for transpose), and an OpenCL-style launch requires the local
-    size to divide the global size. Grids that include non-power-of-two
-    warp/thread counts would otherwise reach SimX only to fail with a
-    launch error — screening them out keeps both the flat baseline and
-    the frontier confirmation on launchable points only.
+    An OpenCL-style launch requires that divisibility, so grids with
+    non-power-of-two warp/thread counts would otherwise reach SimX only
+    to fail with a launch error. The check is plain integer modulo: it
+    runs on every screened point that fits the device.
     """
-    if benchmark == "vecadd":
-        def reject(config: VortexConfig) -> str | None:
-            local = min(16, config.warps * config.threads)
-            return None if n % local == 0 else "workgroup"
-        return reject
-    if benchmark == "transpose":
-        dim = int(round(n ** 0.5))
-        dim -= dim % 16
-        dim = max(dim, 16)
-
-        def reject(config: VortexConfig) -> str | None:
-            cap = config.warps * config.threads
-            lx = min(4, cap)
-            ly = max(1, min(4, cap // lx))
-            return None if dim % lx == 0 and dim % ly == 0 else "workgroup"
-        return reject
-    return lambda config: None
-
-
-def _sim_cycles(value) -> int:
-    """Simulate callables may return raw cycles or a sweep-style
-    ``{"cycles": ...}`` payload (the latter keeps DSE confirmation
-    cache-compatible with Figure 7 sweep cells)."""
-    if isinstance(value, dict):
-        return value["cycles"]
-    return value
+    def reject(config: VortexConfig) -> str | None:
+        sizes, local = fig7_geometry(benchmark, n,
+                                     config.warps * config.threads)
+        for size, group in zip(sizes, local):
+            if size % group:
+                return "workgroup"
+        return None
+    return reject
 
 
 def dse_confirm_point(config: VortexConfig, benchmark: str, n: int,
@@ -300,8 +283,6 @@ def dse_confirm_point(config: VortexConfig, benchmark: str, n: int,
     configuration so every confirm point snapshots/resumes
     independently.
     """
-    from .sweep import sweep_point
-
     ckpt = None
     if checkpoint is not None:
         ckpt = dict(checkpoint)
@@ -315,22 +296,15 @@ def explore_design_space(
     core_counts: tuple[int, ...] = (1, 2, 4, 8),
     warp_sizes: tuple[int, ...] = (2, 4, 8, 16),
     thread_sizes: tuple[int, ...] = (2, 4, 8, 16),
-    items_per_group: int = 16,
     base: VortexConfig | None = None,
-    simulate_top: int = 0,
     simulate=None,
     params: VortexModelParams | None = None,
     reject=None,
-    confirm_frontier: bool = False,
     frontier_cap: int | None = None,
     prune_rel_err: float | None = None,
     simulate_key=None,
     engine: ExperimentEngine | None = None,
     profiler: Profiler | None = None,
-    jobs: int = 1,
-    retries: int = 0,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
 ) -> DSEResult:
     """Enumerate (C, W, T), filter by area, rank analytically, confirm.
 
@@ -340,35 +314,25 @@ def explore_design_space(
     workload-specific unlaunchable geometries — see
     :func:`workload_rejection`.
 
-    ``simulate`` (optional) is a callable ``config -> cycles`` (or a
-    dict containing ``"cycles"``) used to cycle-confirm candidates. Two
-    confirmation policies select which candidates it runs on:
+    ``simulate`` (optional) is an engine point function ``config ->
+    {"cycles": ...}`` (the sweep payload; see :func:`dse_confirm_point`)
+    that cycle-confirms the (predicted cycles x ALUT) Pareto frontier,
+    pruned to points within ``best_predicted * (1 + 2*prune_rel_err)``
+    (a calibrated error bound: anything predicted slower than that
+    cannot be the true optimum even at the stated model error) and
+    capped at the ``frontier_cap`` fastest-predicted points.
 
-    * ``simulate_top=K`` — the flat baseline: the K best-predicted
-      feasible candidates;
-    * ``confirm_frontier=True`` — the hierarchical mode: only the
-      (predicted cycles x ALUT) Pareto frontier, optionally pruned to
-      points within ``best_predicted * (1 + 2*prune_rel_err)`` (a
-      calibrated error bound: anything predicted slower than that
-      cannot be the true optimum even at the stated model error) and
-      capped at the ``frontier_cap`` fastest-predicted points.
-
-    With ``jobs > 1`` (or an explicit ``engine``) the confirmations —
-    the only expensive part of the loop — fan out across the experiment
-    engine's worker pool; ``simulate`` must then be a picklable
-    module-level callable (closures still work in the default serial
-    path). ``simulate_key`` (optional, ``config -> cache key``) lets the
-    engine memoise each confirmation in its result cache.
-
-    ``retries``/``point_timeout``/``keep_going`` configure the fault
-    policy of those verification runs when the exploration owns the
-    engine: under ``keep_going`` a failed simulation leaves the
-    candidate unverified with an ``ERROR(...)`` note in
-    :attr:`Candidate.sim_error` instead of aborting the exploration.
+    Confirmations run through ``engine``: its worker pool, its result
+    cache (keyed by ``simulate_key``, ``config -> cache key``) and its
+    fault policy apply — under ``keep_going`` a failed simulation
+    leaves the candidate unverified with an ``ERROR(...)`` note in
+    :attr:`Candidate.sim_error`. Without ``engine`` a serial fail-fast
+    engine runs them inline (so ``simulate`` may be a closure) and a
+    failure raises :class:`~repro.errors.ExperimentAborted`.
 
     ``profiler`` (optional) records the exploration itself: counters for
     enumerated/feasible/rejected/frontier points and wall-clock spans
-    around the screen and each confirmation.
+    around the screen.
     """
     base = base or VortexConfig()
     prof = ensure_profiler(profiler)
@@ -385,23 +349,18 @@ def explore_design_space(
                     try:
                         area = synthesize(config, device)
                     except SynthesisError as exc:
-                        result.rejected.append(((c, w, t), exc.reason))
-                        if prof.enabled:
-                            prof.count("dse.rejected")
-                            prof.count(f"dse.rejected.{exc.reason}")
-                        continue
-                    reason = launch_rejection(config)
-                    if reason is None and reject is not None:
-                        reason = reject(config)
+                        reason = exc.reason
+                    else:
+                        reason = launch_rejection(config)
+                        if reason is None and reject is not None:
+                            reason = reject(config)
                     if reason is not None:
                         result.rejected.append(((c, w, t), reason))
                         if prof.enabled:
                             prof.count("dse.rejected")
                             prof.count(f"dse.rejected.{reason}")
                         continue
-                    prediction = predict(profile, config,
-                                         items_per_group=items_per_group,
-                                         params=params)
+                    prediction = predict(profile, config, params=params)
                     if prof.enabled:
                         prof.count("dse.feasible")
                     result.candidates.append(
@@ -413,74 +372,42 @@ def explore_design_space(
     if prof.enabled:
         prof.count("dse.frontier", len(result.frontier))
 
-    # -- select the confirmation set --------------------------------------
-    to_confirm: list[Candidate] = []
-    if simulate is not None:
-        if confirm_frontier:
-            to_confirm = result.frontier
-            if prune_rel_err is not None and to_confirm:
-                cutoff = (to_confirm[0].prediction.cycles
-                          * (1.0 + 2.0 * prune_rel_err))
-                kept = [c for c in to_confirm
-                        if c.prediction.cycles <= cutoff]
-                # never confirm fewer than 3 frontier points: the
-                # stated bound is measured on the calibration set, and
-                # held-out cells can exceed it — a small floor hedges
-                # against over-trusting the model.
-                floor = min(3, len(to_confirm))
-                to_confirm = (kept if len(kept) >= floor
-                              else to_confirm[:floor])
-            if frontier_cap is not None:
-                to_confirm = to_confirm[:frontier_cap]
-        elif simulate_top:
-            ranked = sorted(result.candidates,
-                            key=lambda cand: (cand.prediction.cycles,
-                                              cand.area.aluts,
-                                              cand.config.label()))
-            to_confirm = ranked[:simulate_top]
-
+    if simulate is None:
+        return result
+    to_confirm = result.frontier
+    if prune_rel_err is not None and to_confirm:
+        cutoff = to_confirm[0].prediction.cycles * (1.0 + 2.0 * prune_rel_err)
+        kept = [c for c in to_confirm if c.prediction.cycles <= cutoff]
+        # never confirm fewer than 3 frontier points: the stated bound
+        # is measured on the calibration set, and held-out cells can
+        # exceed it — a small floor hedges against over-trusting the
+        # model.
+        floor = min(3, len(to_confirm))
+        to_confirm = kept if len(kept) >= floor else to_confirm[:floor]
+    if frontier_cap is not None:
+        to_confirm = to_confirm[:frontier_cap]
     if not to_confirm:
         return result
 
     confirm_started = time.perf_counter()
-    use_engine = engine is not None or (jobs > 1 and len(to_confirm) > 1)
-    if use_engine:
-        owns_engine = engine is None
+    owns_engine = engine is None
+    if owns_engine:
+        engine = ExperimentEngine(profiler=profiler)
+    keys = (None if simulate_key is None
+            else [simulate_key(cand.config) for cand in to_confirm])
+    try:
+        values = engine.run(simulate, [(cand.config,) for cand in to_confirm],
+                            keys=keys, label="dse verify")
+    finally:
         if owns_engine:
-            engine = ExperimentEngine(jobs=jobs, profiler=profiler,
-                                      retries=retries,
-                                      point_timeout=point_timeout,
-                                      keep_going=keep_going)
-        keys = None
-        if simulate_key is not None and engine.cache is not None:
-            keys = [simulate_key(cand.config) for cand in to_confirm]
-        try:
-            values = engine.run(simulate,
-                                [(cand.config,) for cand in to_confirm],
-                                keys=keys, label="dse verify")
-        finally:
-            if owns_engine:
-                engine.close()
-        for cand, value in zip(to_confirm, values):
-            if isinstance(value, PointFailure):
-                cand.sim_error = f"ERROR({value.exc_type})"
-            else:
-                cand.simulated_cycles = _sim_cycles(value)
-        if prof.enabled:
-            prof.count("dse.simulated", len(to_confirm))
-    else:
-        for cand in to_confirm:
-            with prof.span(f"dse: simulate {cand.config.label()}",
-                           cat="dse"):
-                try:
-                    cand.simulated_cycles = _sim_cycles(
-                        simulate(cand.config))
-                except Exception as exc:
-                    if not keep_going:
-                        raise
-                    cand.sim_error = f"ERROR({type(exc).__name__})"
-            if prof.enabled:
-                prof.count("dse.simulated")
+            engine.close()
+    for cand, value in zip(to_confirm, values):
+        if isinstance(value, PointFailure):
+            cand.sim_error = f"ERROR({value.exc_type})"
+        else:
+            cand.simulated_cycles = value["cycles"]
+    if prof.enabled:
+        prof.count("dse.simulated", len(to_confirm))
     result.confirm_seconds = time.perf_counter() - confirm_started
     return result
 
@@ -496,7 +423,6 @@ def run_dse(
     calibration=None,
     confirm: str = "frontier",
     frontier_cap: int | None = 8,
-    simulate_top: int = 8,
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
     profiler: Profiler | None = None,
@@ -504,39 +430,30 @@ def run_dse(
     retries: int = 0,
     point_timeout: float | None = None,
     keep_going: bool = False,
-    checkpoint_dir=None,
-    checkpoint_every: int | None = None,
-    checkpoint_deadline_s: float | None = None,
-    checkpoint_stop_file: str | None = None,
+    checkpoint: dict | None = None,
 ) -> DSEResult:
-    """End-to-end hierarchical DSE for one benchmark workload.
+    """End-to-end hierarchical DSE for one Figure 7 benchmark workload.
 
-    Profiles the benchmark once with the functional interpreter, screens
-    the grid with the (calibrated, when ``calibration`` is a
-    :class:`~repro.calibrate.CalibrationArtifact`) analytical model, and
-    confirms according to ``confirm``:
+    Profiles the sweep's cell once with the functional interpreter
+    (:func:`~repro.harness.sweep.fig7_profile`, which rejects
+    benchmarks without one), screens the grid with the (calibrated,
+    when ``calibration`` is a
+    :class:`~repro.calibrate.CalibrationArtifact`) analytical model,
+    and with ``confirm="frontier"`` SimX-confirms the Pareto frontier,
+    the calibrated error bound driving the pruning cutoff;
+    ``confirm="none"`` screens only (milliseconds end to end).
 
-    * ``"frontier"`` — hierarchical: SimX on the pruned Pareto frontier
-      (the calibrated error bound drives the pruning cutoff);
-    * ``"top"`` — the flat baseline: SimX on the ``simulate_top``
-      best-predicted candidates;
-    * ``"none"`` — screen only (milliseconds end to end).
-
-    Confirmations run :func:`dse_confirm_point` (SimX via
-    ``sweep_point``) through the engine, memoised under the same
-    content keys as Figure 7 sweep cells. ``checkpoint_dir`` makes each
-    confirmation preemptible exactly as in
-    :func:`~repro.harness.sweep.run_sweep`;
-    ``checkpoint_deadline_s``/``checkpoint_stop_file`` let a hosting
-    service (the daemon's ``dse`` job kind) impose its own preemption
-    deadline and cooperative stop file on every confirmation.
+    Confirmations run :func:`dse_confirm_point` through ``engine`` (or
+    one built from ``jobs``/``cache``/``retries``/``point_timeout``/
+    ``keep_going``), memoised under the Figure 7 cells' content keys.
+    ``checkpoint`` (a
+    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`, whose
+    ``point_id`` each confirmation replaces) makes them preemptible
+    exactly as in :func:`~repro.harness.sweep.run_sweep`.
     """
-    if confirm not in ("frontier", "top", "none"):
-        raise ValueError("confirm must be 'frontier', 'top', or 'none'")
-    from ..calibrate.fit import _vortex_workload
-
-    kernel, args, ndrange = _vortex_workload(benchmark, n)
-    profile = KernelProfile.collect(kernel, args, ndrange)
+    if confirm not in ("frontier", "none"):
+        raise ValueError("confirm must be 'frontier' or 'none'")
+    profile = fig7_profile(benchmark, n)
 
     params = None
     prune_rel_err = None
@@ -544,56 +461,32 @@ def run_dse(
         params = calibration.vortex
         prune_rel_err = calibration.bound("vortex", benchmark)
 
-    owns_engine = engine is None
-    if owns_engine and confirm != "none":
-        engine = ExperimentEngine(jobs=jobs, cache=cache, retries=retries,
-                                  point_timeout=point_timeout,
-                                  keep_going=keep_going,
-                                  profiler=profiler)
-
-    ckpt_spec = None
-    if checkpoint_dir is not None and confirm != "none":
-        from ..vortex.simx.checkpoint import CheckpointStore
-        CheckpointStore(str(checkpoint_dir))
-        budget = getattr(engine, "point_timeout", None) or point_timeout
-        deadline_s = checkpoint_deadline_s
-        if deadline_s is None and budget:
-            deadline_s = budget * 0.8
-        ckpt_spec = {
-            "dir": str(checkpoint_dir),
-            "point_id": "dse",  # overridden per point
-            "every": checkpoint_every,
-            "deadline_s": deadline_s,
-        }
-        if checkpoint_stop_file is not None:
-            ckpt_spec["stop_file"] = checkpoint_stop_file
-
-    simulate = partial(dse_confirm_point, benchmark=benchmark, n=n,
-                       checkpoint=ckpt_spec)
-
-    def simulate_key(config: VortexConfig):
-        from .sweep import SWEEP_SEED
-        if engine is None or engine.cache is None:
-            return None
-        return engine.cache.key(kind="fig7-cell", benchmark=benchmark,
-                                config=config, n=n, seed=SWEEP_SEED)
+    simulate = simulate_key = None
+    owns_engine = engine is None and confirm == "frontier"
+    if confirm == "frontier":
+        if owns_engine:
+            engine = ExperimentEngine(jobs=jobs, cache=cache,
+                                      retries=retries,
+                                      point_timeout=point_timeout,
+                                      keep_going=keep_going,
+                                      profiler=profiler)
+        if checkpoint is not None:
+            from ..vortex.simx.checkpoint import CheckpointStore
+            # mkdir + stale-only temp sweep, as in run_sweep.
+            CheckpointStore(checkpoint["dir"])
+        simulate = partial(dse_confirm_point, benchmark=benchmark, n=n,
+                           checkpoint=checkpoint)
+        simulate_key = partial(fig7_key, engine.cache, benchmark, n=n)
 
     try:
         return explore_design_space(
             profile, device=device, core_counts=core_counts,
             warp_sizes=warp_sizes, thread_sizes=thread_sizes, base=base,
-            params=params,
-            reject=workload_rejection(benchmark, n),
-            simulate=None if confirm == "none" else simulate,
-            confirm_frontier=confirm == "frontier",
-            frontier_cap=frontier_cap,
-            prune_rel_err=prune_rel_err,
-            simulate_top=simulate_top if confirm == "top" else 0,
-            simulate_key=simulate_key,
-            engine=engine, profiler=profiler, jobs=jobs,
-            retries=retries, point_timeout=point_timeout,
-            keep_going=keep_going,
+            params=params, reject=workload_rejection(benchmark, n),
+            simulate=simulate, frontier_cap=frontier_cap,
+            prune_rel_err=prune_rel_err, simulate_key=simulate_key,
+            engine=engine, profiler=profiler,
         )
     finally:
-        if owns_engine and engine is not None:
+        if owns_engine:
             engine.close()

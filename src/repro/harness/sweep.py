@@ -14,8 +14,10 @@ loses ~44% at 4/4 and ~17% at 8 warps / 4 threads.
 The grid is embarrassingly parallel: each cell is an independent SimX
 run, so ``run_sweep(jobs=N)`` fans the cells across the
 :class:`~repro.harness.engine.ExperimentEngine`'s worker pool, and
-``cache=`` memoises each cell on disk keyed by (benchmark, config,
-problem size, seed, code fingerprint).
+``cache=`` memoises each cell on disk. A cell's inputs, launch geometry
+and content key are defined here once (:func:`fig7_workload`,
+:func:`fig7_geometry`, :func:`fig7_key`): DSE confirmations, the
+calibration and the service's ``fig7-cell`` jobs run the same cell.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from ..benchmarks import get_benchmark
-from ..errors import PointFailure, ReproError
-from ..ocl import Context
+from ..errors import CalibrationError, PointFailure, ReproError
+from ..ocl import Context, Kernel, NDRange
 from ..profiling import NULL_PROFILER, Profiler
-from ..vortex import VortexBackend, VortexConfig
+from ..vortex import KernelProfile, VortexBackend, VortexConfig
 from .engine import EngineStats, ExperimentEngine
 from .result_cache import ResultCache
 from .tables import render_heatmap, render_table
@@ -40,6 +42,9 @@ THREAD_SIZES = (2, 4, 8, 16)
 
 #: the deterministic workload seed every cell uses.
 SWEEP_SEED = 0
+
+#: the benchmarks a Figure 7 cell runs.
+FIG7_BENCHMARKS = ("vecadd", "transpose")
 
 #: Ratios quoted in §III-C, relative to each benchmark's optimum.
 PAPER_FIG7 = {
@@ -103,38 +108,73 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _launch_vecadd(config: VortexConfig, n: int,
-                   profiler: Profiler = NULL_PROFILER,
-                   checkpoint=None) -> "tuple[int, int]":
-    bench = get_benchmark("vecadd")
-    ctx = Context(VortexBackend(config, profiler=profiler,
-                                checkpoint=checkpoint))
-    prog = ctx.program(bench.build())
-    rng = np.random.default_rng(SWEEP_SEED)
-    a = ctx.buffer(rng.random(n, dtype=np.float32))
-    b = ctx.buffer(rng.random(n, dtype=np.float32))
-    c = ctx.alloc(n)
-    local = min(16, config.warps * config.threads)
-    stats = prog.launch("vecadd", [a, b, c, n], n, local)
-    return stats.cycles, stats.extra.get("lsu_replays", 0)
+def _transpose_side(n: int) -> int:
+    """Side of the square transpose matrix nearest ``n`` elements: a
+    multiple of 16, at least 16."""
+    dim = int(round(n ** 0.5))
+    return max(dim - dim % 16, 16)
 
 
-def _launch_transpose(config: VortexConfig, dim: int,
-                      profiler: Profiler = NULL_PROFILER,
-                      checkpoint=None) -> "tuple[int, int]":
-    bench = get_benchmark("transpose")
-    ctx = Context(VortexBackend(config, profiler=profiler,
-                                checkpoint=checkpoint))
-    prog = ctx.program(bench.build())
+def fig7_workload(benchmark: str, n: int) -> tuple[Kernel, list]:
+    """The cell's kernel and host arguments: :data:`SWEEP_SEED` inputs
+    as numpy arrays (buffers) and ints (scalars).
+
+    Raises :class:`~repro.errors.CalibrationError` for a benchmark with
+    no Figure 7 cell — the analytical model has no calibration workload
+    for it either.
+    """
+    if benchmark not in FIG7_BENCHMARKS:
+        raise CalibrationError(
+            f"no calibration workload for benchmark {benchmark!r} "
+            f"(supported: {', '.join(FIG7_BENCHMARKS)})")
+    kernel = get_benchmark(benchmark).build()[0]
     rng = np.random.default_rng(SWEEP_SEED)
-    src = ctx.buffer(rng.random(dim * dim, dtype=np.float32))
-    dst = ctx.alloc(dim * dim)
-    cap = config.warps * config.threads
-    lx = min(4, cap)
-    ly = max(1, min(4, cap // lx))
-    stats = prog.launch("transpose", [src, dst, dim, dim],
-                        (dim, dim), (lx, ly))
-    return stats.cycles, stats.extra.get("lsu_replays", 0)
+    if benchmark == "vecadd":
+        return kernel, [rng.random(n, dtype=np.float32),
+                        rng.random(n, dtype=np.float32),
+                        np.zeros(n, dtype=np.float32), n]
+    dim = _transpose_side(n)
+    return kernel, [rng.random(dim * dim, dtype=np.float32),
+                    np.zeros(dim * dim, dtype=np.float32), dim, dim]
+
+
+def fig7_geometry(benchmark: str, n: int, lanes: int
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(global, local)`` sizes of the cell's launch on a configuration
+    with ``lanes`` = warps x threads.
+
+    PoCL clamps the work-group to what the device runs at once: up to
+    16 items for vecadd, up to a 4x4 tile for transpose — so every
+    ``lanes >= 16`` launches the same geometry.
+    """
+    if benchmark == "vecadd":
+        return (n,), (min(16, lanes),)
+    dim = _transpose_side(n)
+    lx = min(4, lanes)
+    return (dim, dim), (lx, max(1, min(4, lanes // lx)))
+
+
+def fig7_key(cache: ResultCache | None, benchmark: str,
+             config: VortexConfig, n: int) -> str | None:
+    """The cell's content key in ``cache`` (``None`` without a cache).
+
+    The sweep, DSE confirmations, calibration ground truth and the
+    service's ``fig7-cell`` jobs all key cells here, so each dedupes
+    against the others in one :class:`ResultCache`.
+    """
+    if cache is None:
+        return None
+    return cache.key(kind="fig7-cell", benchmark=benchmark, config=config,
+                     n=n, seed=SWEEP_SEED)
+
+
+def fig7_profile(benchmark: str, n: int) -> KernelProfile:
+    """The cell's configuration-independent :class:`KernelProfile` — the
+    analytical model's input for calibration and DSE, collected on the
+    clamped (``lanes=16``) work-group."""
+    kernel, args = fig7_workload(benchmark, n)
+    return KernelProfile.collect(
+        kernel, args, NDRange.create(*fig7_geometry(benchmark, n, 16)))
 
 
 def sweep_point(benchmark: str, config: VortexConfig, n: int,
@@ -162,14 +202,14 @@ def sweep_point(benchmark: str, config: VortexConfig, n: int,
     if checkpoint is not None and not profile:
         from ..vortex.simx.checkpoint import CheckpointPlan
         plan = CheckpointPlan.from_spec(checkpoint)
-    if benchmark == "vecadd":
-        cycles, stalls = _launch_vecadd(config, n, profiler, plan)
-    else:
-        dim = int(round(n ** 0.5))
-        dim -= dim % 16
-        cycles, stalls = _launch_transpose(config, max(dim, 16), profiler,
-                                           plan)
-    result = {"cycles": cycles, "lsu_stalls": stalls}
+    kernel, args = fig7_workload(benchmark, n)
+    ctx = Context(VortexBackend(config, profiler=profiler, checkpoint=plan))
+    prog = ctx.program([kernel])
+    args = [ctx.buffer(a) if isinstance(a, np.ndarray) else a for a in args]
+    stats = prog.launch(kernel.name, args, *fig7_geometry(
+        benchmark, n, config.warps * config.threads))
+    result = {"cycles": stats.cycles,
+              "lsu_stalls": stats.extra.get("lsu_replays", 0)}
     if profile:
         result["report"] = profiler.report(
             title=f"{benchmark} w={config.warps} t={config.threads}",
@@ -222,7 +262,7 @@ def run_sweep(
     watchdog kill (which stays armed as the hard fallback). Cache keys
     and cached values are unchanged by checkpointing.
     """
-    if benchmark not in ("vecadd", "transpose"):
+    if benchmark not in FIG7_BENCHMARKS:
         raise ValueError("the Figure 7 sweep covers vecadd and transpose")
     base = base_config or VortexConfig()
     profile = profile_dir is not None
@@ -238,16 +278,11 @@ def run_sweep(
                                   keep_going=keep_going)
 
     checkpointing = checkpoint_dir is not None and not profile
-    deadline_s = None
     if checkpointing:
-        from ..vortex.simx.checkpoint import CheckpointStore
+        from ..vortex.simx.checkpoint import CheckpointStore, checkpoint_spec
         # mkdir up front + sweep stale temp files from crashed runs;
         # only the stale age is safe, as concurrent runs may share the dir.
         CheckpointStore(str(checkpoint_dir))
-        budget = (point_timeout if owns_engine
-                  else getattr(engine, "point_timeout", None))
-        if budget:
-            deadline_s = budget * 0.8
 
     grid = [(w, t) for w in warp_sizes for t in thread_sizes]
     points = []
@@ -256,21 +291,12 @@ def run_sweep(
         config = base.with_geometry(cores=cores, warps=w, threads=t)
         ckpt = None
         if checkpointing:
-            ckpt = {
-                "dir": str(checkpoint_dir),
-                "point_id": (f"fig7-{benchmark}-c{cores}"
-                             f"-w{w}-t{t}-n{n}"),
-                "every": checkpoint_every,
-                "deadline_s": deadline_s,
-            }
+            ckpt = checkpoint_spec(
+                checkpoint_dir, f"fig7-{benchmark}-c{cores}-w{w}-t{t}-n{n}",
+                checkpoint_every, engine.point_timeout)
         points.append((benchmark, config, n, profile, ckpt))
-        keys.append(
-            None if engine.cache is None or profile
-            else engine.cache.key(
-                kind="fig7-cell", benchmark=benchmark, config=config,
-                n=n, seed=SWEEP_SEED,
-            )
-        )
+        keys.append(None if profile
+                    else fig7_key(engine.cache, benchmark, config, n))
     try:
         values = engine.run(sweep_point, points, keys=keys,
                             label=f"fig7 {benchmark}")

@@ -55,6 +55,7 @@ from ..errors import PointFailure, ServiceError
 from ..harness.engine import ExperimentEngine
 from ..harness.result_cache import MISS, ResultCache
 from ..profiling import Profiler
+from ..vortex.simx.checkpoint import checkpoint_spec
 from . import protocol
 from .jobs import execute_job, job_key, validate_job
 from .journal import Journal
@@ -345,22 +346,16 @@ class ExperimentDaemon:
         The point id is derived from the job's *content key*, so a
         coalesced resubmission — or the same job re-queued by
         ``--resume`` after a crash — finds the snapshot of its earlier
-        incarnation. The deadline is 80% of the engine watchdog budget:
-        the simulation yields a snapshot before the watchdog would have
-        killed it without one.
+        incarnation. The simulation yields a snapshot before the engine
+        watchdog would have killed it without one, or as soon as a stop
+        request drops the ``STOP`` file.
         """
         if (self.checkpoint_dir is None
                 or job.spec.get("kind") not in ("fig7-cell", "dse")):
             return None
-        deadline_s = (self.point_timeout * 0.8
-                      if self.point_timeout else None)
-        return {
-            "dir": str(self.checkpoint_dir),
-            "point_id": f"job-{job.key[:16]}",
-            "every": self.checkpoint_every,
-            "deadline_s": deadline_s,
-            "stop_file": str(self._stop_file_path()),
-        }
+        return checkpoint_spec(self.checkpoint_dir, f"job-{job.key[:16]}",
+                               self.checkpoint_every, self.point_timeout,
+                               stop_file=str(self._stop_file_path()))
 
     def _refuse_second_daemon(self) -> None:
         try:
@@ -391,7 +386,10 @@ class ExperimentDaemon:
         cache, or the cache was cleared) re-queue too — the journal
         promises *at-least-once* execution, the cache provides the
         at-most-once half. Content keys are recomputed against the
-        current code fingerprint, never trusted from disk.
+        current code fingerprint, never trusted from disk. A journalled
+        spec the current code no longer accepts (an upgrade removed one
+        of its fields) recovers as a ``failed`` job naming the
+        validation error — never run, never silently dropped.
         """
         records = self.journal.replay()
         order: list[str] = []
@@ -401,22 +399,28 @@ class ExperimentDaemon:
                 job_id = record.get("id")
                 if not isinstance(job_id, str) or job_id in self._jobs:
                     continue
-                try:
-                    spec = validate_job(record.get("spec"))
-                except ServiceError:
-                    continue
                 client = str(record.get("client") or "recovered")
                 idem = record.get("idem")
-                job = _Job(id=job_id, spec=spec,
-                           key=job_key(self.cache, spec),
+                job = _Job(id=job_id, spec=record.get("spec"), key="",
                            seq=self._parse_seq(job_id),
                            clients={client},
                            idem=idem if isinstance(idem, str) else None)
+                try:
+                    job.spec = validate_job(job.spec)
+                    job.key = job_key(self.cache, job.spec)
+                except ServiceError as exc:
+                    job.state = FAILED
+                    job.failure = PointFailure(
+                        "ServiceError",
+                        f"journalled spec no longer validates: {exc}",
+                        attempts=0).to_payload()
                 self._jobs[job_id] = job
                 order.append(job_id)
             elif tag in ("done", "failed"):
                 job = self._jobs.get(record.get("id"))
-                if job is None:
+                # failed is terminal: a spec that no longer validates
+                # stays failed even when a done record follows.
+                if job is None or job.state == FAILED:
                     continue
                 if tag == "done":
                     job.state = DONE

@@ -13,8 +13,8 @@ Kinds
 ``fig7-cell``
     One cell of the paper's Figure 7 warp/thread sweep: ``benchmark``
     (vecadd or transpose), ``warps``, ``threads``, plus optional
-    ``cores`` and ``n``. The content key is **identical** to the one
-    :func:`repro.harness.sweep.run_sweep` uses, so service results,
+    ``cores`` and ``n``. The content key is the sweep's own
+    (:func:`repro.harness.sweep.fig7_key`), so service results,
     batch-CLI results, and resumed campaigns all deduplicate against
     the same :class:`~repro.harness.result_cache.ResultCache` entries.
 
@@ -22,7 +22,8 @@ Kinds
     One hierarchical design-space exploration (see
     :func:`repro.harness.dse.run_dse`): screen a ``cores`` x ``warps``
     x ``threads`` grid with the analytical model, then confirm the
-    Pareto frontier (or the flat top-K, per ``confirm``) on SimX.
+    Pareto frontier on SimX (``confirm: "frontier"``, capped at
+    ``frontier_cap`` points) or stop at the screen (``"none"``).
     ``calibrated`` fits the model against SimX first, so the job's
     frontier pruning uses measured error bounds. The result payload is
     :meth:`~repro.harness.dse.DSEResult.to_payload`.
@@ -66,7 +67,7 @@ SWEEP_BENCHMARKS = ("vecadd", "transpose")
 MAX_DSE_THREADS = 32
 MAX_DSE_POINTS = 4096
 MAX_DSE_CONFIRM = 64
-DSE_CONFIRM_MODES = ("frontier", "top", "none")
+DSE_CONFIRM_MODES = ("frontier", "none")
 
 JOB_KINDS = ("fig7-cell", "dse", "probe")
 
@@ -143,7 +144,7 @@ def validate_job(spec: Any) -> dict:
     if kind == "dse":
         _check_fields(spec, {"benchmark", "n", "cores", "warps",
                              "threads", "confirm", "frontier_cap",
-                             "simulate_top", "calibrated"})
+                             "calibrated"})
         benchmark = spec.get("benchmark")
         if benchmark not in SWEEP_BENCHMARKS:
             raise _bad(f"dse benchmark must be one of "
@@ -175,8 +176,6 @@ def validate_job(spec: Any) -> dict:
             "confirm": confirm,
             "frontier_cap": _require_int(spec, "frontier_cap", 1,
                                          MAX_DSE_CONFIRM, 8),
-            "simulate_top": _require_int(spec, "simulate_top", 1,
-                                         MAX_DSE_CONFIRM, 8),
             "calibrated": calibrated,
         }
     # probe
@@ -206,23 +205,28 @@ def validate_job(spec: Any) -> dict:
 def job_key(cache, spec: dict) -> str:
     """The content-addressed cache key of a validated job spec.
 
-    ``fig7-cell`` keys reproduce :func:`~repro.harness.sweep.run_sweep`
-    exactly (same parts, same canonical :class:`VortexConfig`), which
-    is what lets the service dedupe against sweeps run by the batch
-    CLI — and vice versa. Other kinds (``dse``, ``probe``) key on their
-    canonical spec directly: :func:`validate_job` already normalised
-    field order, defaults, and grid lists, so equal requests collide.
+    ``fig7-cell`` jobs take the sweep's cell key
+    (:func:`~repro.harness.sweep.fig7_key`), which is what lets the
+    service dedupe against sweeps, DSE confirmations and calibrations
+    run by the batch CLI — and vice versa. Other kinds (``dse``,
+    ``probe``) key on their canonical spec directly:
+    :func:`validate_job` already normalised field order, defaults, and
+    grid lists, so equal requests collide.
     """
     if spec["kind"] == "fig7-cell":
-        from ..vortex import VortexConfig
-        from ..harness.sweep import SWEEP_SEED
+        from ..harness.sweep import fig7_key
 
-        config = VortexConfig().with_geometry(
-            cores=spec["cores"], warps=spec["warps"],
-            threads=spec["threads"])
-        return cache.key(kind="fig7-cell", benchmark=spec["benchmark"],
-                         config=config, n=spec["n"], seed=SWEEP_SEED)
+        return fig7_key(cache, spec["benchmark"], _cell_config(spec),
+                        spec["n"])
     return cache.key(**spec)
+
+
+def _cell_config(spec: dict):
+    """The :class:`~repro.vortex.VortexConfig` of a ``fig7-cell`` spec."""
+    from ..vortex import VortexConfig
+
+    return VortexConfig().with_geometry(
+        cores=spec["cores"], warps=spec["warps"], threads=spec["threads"])
 
 
 def execute_job(spec: dict, checkpoint: dict | None = None) -> dict:
@@ -248,13 +252,9 @@ def execute_job(spec: dict, checkpoint: dict | None = None) -> dict:
         return {"value": spec["value"]}
     if kind == "fig7-cell":
         from ..harness.sweep import sweep_point
-        from ..vortex import VortexConfig
 
-        config = VortexConfig().with_geometry(
-            cores=spec["cores"], warps=spec["warps"],
-            threads=spec["threads"])
-        return sweep_point(spec["benchmark"], config, spec["n"],
-                           checkpoint=checkpoint)
+        return sweep_point(spec["benchmark"], _cell_config(spec),
+                           spec["n"], checkpoint=checkpoint)
     if kind == "dse":
         from ..harness.dse import run_dse
 
@@ -276,11 +276,7 @@ def execute_job(spec: dict, checkpoint: dict | None = None) -> dict:
             calibration=calibration,
             confirm=spec["confirm"],
             frontier_cap=spec["frontier_cap"],
-            simulate_top=spec["simulate_top"],
-            checkpoint_dir=(checkpoint or {}).get("dir"),
-            checkpoint_every=(checkpoint or {}).get("every"),
-            checkpoint_deadline_s=(checkpoint or {}).get("deadline_s"),
-            checkpoint_stop_file=(checkpoint or {}).get("stop_file"),
+            checkpoint=checkpoint,
         )
         return result.to_payload()
     raise ServiceError(f"unexecutable job kind {kind!r}",

@@ -10,9 +10,7 @@ from .analytical import (
     KernelProfile,
     Prediction,
     VortexModelParams,
-    explore,
     predict,
-    recommend,
 )
 from .asm import Assembler, Program, disassemble
 from .codegen import CodeGen, VortexKernelImage, compile_kernel
@@ -26,9 +24,7 @@ __all__ = [
     "KernelProfile",
     "Prediction",
     "VortexModelParams",
-    "explore",
     "predict",
-    "recommend",
     "Assembler",
     "CSR",
     "CodeGen",

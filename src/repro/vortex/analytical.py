@@ -19,10 +19,11 @@ implements a first-order such model:
    * **latency bound** — each warp serialises its waves' memory round
      trips; only ``W`` resident warps overlap them.
 
-The model is validated against SimX in ``tests/test_analytical.py`` and
-``benchmarks/test_ablations.py``: it ranks the Figure 7 grid with high
+The model is validated against SimX in ``tests/test_analytical.py``:
+it ranks the Figure 7 grid with high
 correlation and places the true optimum in its top picks at a cost of
-one interpreter run instead of 16 cycle simulations.
+one interpreter run instead of 16 cycle simulations. The design-space
+search built on it is :mod:`repro.harness.dse`.
 """
 
 from __future__ import annotations
@@ -153,7 +154,6 @@ DEFAULT_VORTEX_PARAMS = VortexModelParams()
 
 
 def predict(profile: KernelProfile, config: VortexConfig,
-            items_per_group: int = 16,
             params: VortexModelParams | None = None) -> Prediction:
     """Predict launch cycles for one configuration.
 
@@ -208,30 +208,3 @@ def predict(profile: KernelProfile, config: VortexConfig,
         latency_bound=latency * p.latency_scale,
     )
 
-
-def explore(
-    profile: KernelProfile,
-    cores: int = 4,
-    warp_sizes: tuple[int, ...] = (2, 4, 8, 16),
-    thread_sizes: tuple[int, ...] = (2, 4, 8, 16),
-    base: VortexConfig | None = None,
-    items_per_group: int = 16,
-    params: VortexModelParams | None = None,
-) -> dict[tuple[int, int], Prediction]:
-    """Predict the whole Figure 7 grid from one profile."""
-    base = base or VortexConfig()
-    out: dict[tuple[int, int], Prediction] = {}
-    for w in warp_sizes:
-        for t in thread_sizes:
-            config = base.with_geometry(cores=cores, warps=w, threads=t)
-            out[(w, t)] = predict(profile, config,
-                                  items_per_group=items_per_group,
-                                  params=params)
-    return out
-
-
-def recommend(predictions: dict[tuple[int, int], "Prediction"],
-              top: int = 3) -> list[tuple[int, int]]:
-    """The configurations predicted fastest, best first."""
-    ranked = sorted(predictions, key=lambda k: predictions[k].cycles)
-    return ranked[:top]

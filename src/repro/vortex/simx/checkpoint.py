@@ -592,3 +592,20 @@ class CheckpointPlan:
 
     def _note_stretch(self, every_cycles: int) -> None:
         self.every_cycles = every_cycles
+
+
+def checkpoint_spec(root: str | os.PathLike, point_id: str,
+                    every: int | None, point_timeout: float | None,
+                    stop_file: str | None = None) -> dict[str, Any]:
+    """The spec :meth:`CheckpointPlan.from_spec` reads, for a point
+    that snapshots under ``root`` every ``every`` simulated cycles
+    (``None``: the adaptive default cadence).
+
+    Under an engine watchdog of ``point_timeout`` seconds the point
+    yields a snapshot at 80% of that budget, before the watchdog would
+    kill it without one; ``stop_file`` makes it yield as soon as that
+    file exists.
+    """
+    return {"dir": str(root), "point_id": point_id, "every": every,
+            "deadline_s": point_timeout * 0.8 if point_timeout else None,
+            "stop_file": stop_file}

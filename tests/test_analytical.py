@@ -10,28 +10,28 @@ prediction.
 import numpy as np
 import pytest
 
-from repro.benchmarks.suite import get_benchmark
+from repro.harness.dse import explore_design_space
+from repro.harness.sweep import fig7_profile
 from repro.ocl import NDRange
 from repro.vortex import VortexConfig
-from repro.vortex.analytical import (
-    KernelProfile,
-    Prediction,
-    explore,
-    predict,
-    recommend,
-)
+from repro.vortex.analytical import KernelProfile, Prediction, predict
 
 
 @pytest.fixture(scope="module")
 def vecadd_profile():
-    bench = get_benchmark("vecadd")
-    rng = np.random.default_rng(0)
-    n = 4096
-    kernel = bench.build()[0]
-    args = [rng.random(n, dtype=np.float32),
-            rng.random(n, dtype=np.float32),
-            np.zeros(n, dtype=np.float32), n]
-    return KernelProfile.collect(kernel, args, NDRange.create(n, 16))
+    return fig7_profile("vecadd", 4096)
+
+
+def fig7_predictions(profile) -> dict:
+    """The model's price for each (warps, threads) cell of the 4-core
+    Figure 7 grid, as the DSE screen computes it."""
+    result = explore_design_space(profile, core_counts=(4,))
+    return {(c.config.warps, c.config.threads): c.prediction
+            for c in result.candidates}
+
+
+def predicted_best(predictions: dict) -> tuple[int, int]:
+    return min(predictions, key=lambda k: predictions[k].cycles)
 
 
 class TestProfile:
@@ -78,7 +78,7 @@ class TestPredictions:
         assert pred.cycles > big.issue_bound
 
     def test_explore_covers_grid(self, vecadd_profile):
-        preds = explore(vecadd_profile)
+        preds = fig7_predictions(vecadd_profile)
         assert len(preds) == 16
         assert all(isinstance(p, Prediction) for p in preds.values())
 
@@ -94,11 +94,11 @@ class TestAgainstSimulator:
 
     def test_recommends_true_optimum_for_vecadd(self, vecadd_profile,
                                                 sweep):
-        preds = explore(vecadd_profile)
-        assert recommend(preds, top=1)[0] == sweep.best == (4, 4)
+        preds = fig7_predictions(vecadd_profile)
+        assert predicted_best(preds) == sweep.best == (4, 4)
 
     def test_rank_correlation(self, vecadd_profile, sweep):
-        preds = explore(vecadd_profile)
+        preds = fig7_predictions(vecadd_profile)
         keys = sorted(preds)
         predicted = [preds[k].cycles for k in keys]
         actual = [sweep.cycles[k] for k in keys]
@@ -109,7 +109,6 @@ class TestAgainstSimulator:
         assert rho > 0.6
 
     def test_regret_of_top_pick(self, vecadd_profile, sweep):
-        preds = explore(vecadd_profile)
-        pick = recommend(preds, top=1)[0]
+        pick = predicted_best(fig7_predictions(vecadd_profile))
         regret = sweep.cycles[pick] / sweep.cycles[sweep.best] - 1.0
         assert regret <= 0.15

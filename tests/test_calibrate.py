@@ -147,9 +147,6 @@ class TestArtifact:
         with pytest.raises(CalibrationError) as exc:
             load_calibration(path)
         assert "different code" in str(exc.value)
-        # the escape hatch still reads it
-        loaded = load_calibration(path, strict_fingerprint=False)
-        assert loaded.fingerprint == "not-the-running-code"
 
     def test_missing_and_malformed(self, tmp_path):
         with pytest.raises(CalibrationError) as exc:

@@ -37,6 +37,7 @@ from repro.vortex.simx.checkpoint import (
     SNAPSHOT_VERSION,
     CheckpointPlan,
     CheckpointStore,
+    checkpoint_spec,
 )
 from repro.vortex.simx.machine import (
     NO_FASTFORWARD_ENV,
@@ -263,12 +264,13 @@ class TestStore:
         may be another writer's snapshot in flight."""
         live = tmp_path / "tmpinflight.tmp"
         live.write_bytes(b"half a snapshot")
-        grid = dict(n=64, warp_sizes=(2,), thread_sizes=(2,),
-                    checkpoint_dir=tmp_path)
+        grid = dict(n=64, warp_sizes=(2,), thread_sizes=(2,))
         if entry == "run_sweep":
-            run_sweep("vecadd", cores=1, **grid)
+            run_sweep("vecadd", cores=1, checkpoint_dir=tmp_path, **grid)
         else:
-            run_dse("vecadd", core_counts=(1,), **grid)
+            run_dse("vecadd", core_counts=(1,),
+                    checkpoint=checkpoint_spec(tmp_path, "dse", None, None),
+                    **grid)
         assert live.exists()
 
     def test_resume_verification_runs_before_mutation(self, tmp_path):

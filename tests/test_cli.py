@@ -107,6 +107,18 @@ def test_profile_unknown_backend_rejected(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "vecadd", "--jobs", "2"],
+    ["table1", "--checkpoint-dir", "x"],
+])
+def test_subcommands_reject_flags_they_ignore(argv, capsys):
+    """A subcommand parses only the engine flags it reads, so a flag it
+    would silently ignore is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # -- interrupt handling ------------------------------------------------------
 
 def test_keyboard_interrupt_exits_130(capsys, monkeypatch):

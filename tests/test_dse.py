@@ -1,8 +1,8 @@
 """Tests for the design-space-exploration harness."""
 
-import numpy as np
 import pytest
 
+from repro.harness import ExperimentEngine
 from repro.harness.dse import (
     Candidate,
     DSEResult,
@@ -11,29 +11,22 @@ from repro.harness.dse import (
     pareto_frontier,
     workload_rejection,
 )
+from repro.harness.sweep import fig7_profile
 from repro.hls import STRATIX10_MX2100, STRATIX10_SX2800
-from repro.ocl import NDRange
-from repro.vortex import KernelProfile, VortexConfig
+from repro.vortex import VortexConfig
 from repro.vortex.analytical import Prediction
 from repro.vortex.area import VortexAreaReport
-from repro.benchmarks import get_benchmark
 
 
 def _fake_simulate(config):
     """Deterministic, spawn-picklable stand-in for a SimX run."""
-    return config.cores * 1000 + config.warps * 10 + config.threads
+    return {"cycles": config.cores * 1000 + config.warps * 10
+            + config.threads}
 
 
 @pytest.fixture(scope="module")
 def profile():
-    bench = get_benchmark("vecadd")
-    kernel = bench.build()[0]
-    rng = np.random.default_rng(0)
-    n = 1024
-    args = [rng.random(n, dtype=np.float32),
-            rng.random(n, dtype=np.float32),
-            np.zeros(n, dtype=np.float32), n]
-    return KernelProfile.collect(kernel, args, NDRange.create(n, 16))
+    return fig7_profile("vecadd", 1024)
 
 
 class TestExploration:
@@ -62,15 +55,15 @@ class TestExploration:
             calls.append(config.label())
             # Invert the analytical order: the "worst" predicted of the
             # simulated set gets the best simulated time.
-            return 1000 - len(calls)
+            return {"cycles": 1000 - len(calls)}
 
         result = explore_design_space(
             profile, core_counts=(2,), warp_sizes=(2, 4),
-            thread_sizes=(4,), simulate_top=2, simulate=fake_sim,
+            thread_sizes=(4,), simulate=fake_sim,
         )
-        assert len(calls) == 2
+        assert len(calls) == len(result.frontier) >= 2
         best = result.best
-        assert best.simulated_cycles is not None
+        assert best.config.label() == calls[-1]
         assert best.simulated_cycles == min(
             c.simulated_cycles for c in result.candidates
             if c.simulated_cycles is not None)
@@ -100,16 +93,12 @@ class TestExploration:
             result.rejected)
 
     def test_parallel_verification_matches_serial(self, profile):
-        serial = explore_design_space(
-            profile, core_counts=(2,), warp_sizes=(2, 4),
-            thread_sizes=(4,), simulate_top=2, simulate=_fake_simulate,
-            jobs=1,
-        )
-        parallel = explore_design_space(
-            profile, core_counts=(2,), warp_sizes=(2, 4),
-            thread_sizes=(4,), simulate_top=2, simulate=_fake_simulate,
-            jobs=2,
-        )
+        grid = dict(core_counts=(2,), warp_sizes=(2, 4),
+                    thread_sizes=(4,), simulate=_fake_simulate)
+        serial = explore_design_space(profile, **grid)
+        with ExperimentEngine(jobs=2) as engine:
+            parallel = explore_design_space(profile, engine=engine, **grid)
+        assert engine.stats.executed == len(parallel.frontier) >= 2
         serial_cycles = {c.config.label(): c.simulated_cycles
                          for c in serial.candidates}
         parallel_cycles = {c.config.label(): c.simulated_cycles
@@ -233,9 +222,15 @@ class TestScreens:
         assert reject(VortexConfig(cores=2, warps=4,
                                    threads=3)) == "workgroup"
 
-    def test_workload_rejection_unknown_benchmark_passes_all(self):
-        reject = workload_rejection("sgemm", 1024)
-        assert reject(VortexConfig(cores=2, warps=4, threads=3)) is None
+    def test_run_dse_rejects_benchmark_without_a_cell(self):
+        """Only Figure 7 cells have a workload to screen and confirm:
+        anything else is refused before the screen, typed."""
+        from repro.errors import CalibrationError
+        from repro.harness.dse import run_dse
+
+        with pytest.raises(CalibrationError) as exc:
+            run_dse("sgemm", n=1024)
+        assert "no calibration workload" in str(exc.value)
 
     def test_reject_hook_recorded_with_reason(self, profile):
         result = explore_design_space(
@@ -253,12 +248,11 @@ class TestHierarchicalExploration:
 
         def fake_sim(config):
             simulated.append(config.label())
-            return 1_000_000
+            return {"cycles": 1_000_000}
 
         result = explore_design_space(
             profile, core_counts=(1, 2, 4), warp_sizes=(2, 4, 8),
-            thread_sizes=(2, 4, 8), confirm_frontier=True,
-            simulate=fake_sim,
+            thread_sizes=(2, 4, 8), simulate=fake_sim,
         )
         frontier_labels = {c.config.label() for c in result.frontier}
         assert set(simulated) == frontier_labels
@@ -269,12 +263,11 @@ class TestHierarchicalExploration:
 
         def fake_sim(config):
             simulated.append(config.label())
-            return 1_000_000
+            return {"cycles": 1_000_000}
 
         explore_design_space(
             profile, core_counts=(1, 2, 4), warp_sizes=(2, 4, 8),
-            thread_sizes=(2, 4, 8), confirm_frontier=True,
-            frontier_cap=2, simulate=fake_sim,
+            thread_sizes=(2, 4, 8), frontier_cap=2, simulate=fake_sim,
         )
         assert len(simulated) == 2
 
@@ -283,12 +276,12 @@ class TestHierarchicalExploration:
 
         def fake_sim(config):
             simulated.append(config.label())
-            return 1_000_000
+            return {"cycles": 1_000_000}
 
         result = explore_design_space(
             profile, core_counts=(1, 2, 4), warp_sizes=(2, 4, 8),
-            thread_sizes=(2, 4, 8), confirm_frontier=True,
-            prune_rel_err=0.0, simulate=fake_sim,
+            thread_sizes=(2, 4, 8), prune_rel_err=0.0,
+            simulate=fake_sim,
         )
         # a zero stated error would prune to 1; the floor hedges to 3
         assert len(simulated) == min(3, len(result.frontier))
@@ -304,8 +297,8 @@ class TestHierarchicalExploration:
     def test_payload_is_bounded_and_complete(self, profile):
         result = explore_design_space(
             profile, core_counts=(1, 2, 4), warp_sizes=(2, 4, 8, 16),
-            thread_sizes=(2, 4, 8, 16), confirm_frontier=True,
-            simulate=lambda config: 12345,
+            thread_sizes=(2, 4, 8, 16),
+            simulate=lambda config: {"cycles": 12345},
         )
         payload = result.to_payload()
         assert payload["screened"] == 48

@@ -67,6 +67,12 @@ def _probe(value=0, **extra):
     return {"kind": "probe", "value": value, **extra}
 
 
+#: a dse job small enough for a unit test: 8 points, 5 confirmations.
+TINY_DSE = {"kind": "dse", "benchmark": "vecadd", "n": 256,
+            "cores": [1, 2], "warps": [2, 4], "threads": [2, 4],
+            "calibrated": False}
+
+
 # -- protocol framing --------------------------------------------------------
 
 class TestProtocol:
@@ -199,24 +205,56 @@ class TestValidateJob:
         with pytest.raises(ServiceError):
             validate_job(_probe(value=[1, 2]))
 
-    def test_fig7_key_matches_sweep_cache_key(self, tmp_path):
-        """The service keys fig7 cells exactly as run_sweep does, so
-        results dedupe across the service and the batch CLI."""
-        from repro.harness import ResultCache
-        from repro.harness.sweep import SWEEP_SEED
-        from repro.vortex import VortexConfig
+    def test_dse_defaults_and_removed_modes(self):
+        spec = validate_job({"kind": "dse", "benchmark": "vecadd",
+                             "cores": [4, 1, 4]})
+        assert spec == {"kind": "dse", "benchmark": "vecadd", "n": 4096,
+                        "cores": [1, 4], "warps": [2, 4, 8, 16],
+                        "threads": [2, 4, 8, 16], "confirm": "frontier",
+                        "frontier_cap": 8, "calibrated": True}
+        for extra in ({"confirm": "top"}, {"simulate_top": 8}):
+            with pytest.raises(ServiceError) as exc:
+                validate_job({"kind": "dse", "benchmark": "vecadd",
+                              **extra})
+            assert exc.value.code == "bad-request"
 
-        cache = ResultCache(tmp_path / "cache")
-        spec = validate_job({"kind": "fig7-cell",
-                             "benchmark": "transpose",
-                             "warps": 2, "threads": 8, "cores": 2,
-                             "n": 512})
-        expected = cache.key(
-            kind="fig7-cell", benchmark="transpose",
-            config=VortexConfig().with_geometry(cores=2, warps=2,
-                                                threads=8),
-            n=512, seed=SWEEP_SEED)
-        assert job_key(cache, spec) == expected
+    def test_fig7_key_matches_sweep_cache_key(self, daemon_factory,
+                                              tmp_path):
+        """A cell the sweep cached is a cache hit for every other
+        consumer of the Figure 7 cell: a DSE confirmation, a
+        calibration sample and a service fig7-cell job all execute
+        nothing."""
+        from repro.calibrate import collect_vortex_samples
+        from repro.harness import ExperimentEngine, ResultCache, run_sweep
+        from repro.harness.dse import run_dse
+
+        state = tmp_path / "state"
+        cache = ResultCache(state / "cache")
+        cell = dict(cores=2, warps=2, threads=8, n=512)
+        sweep = run_sweep("transpose", cores=2, n=512, warp_sizes=(2,),
+                          thread_sizes=(8,), cache=cache)
+        cycles = sweep.cycles[(2, 8)]
+
+        with ExperimentEngine(cache=cache) as engine:
+            dse = run_dse("transpose", n=512, core_counts=(2,),
+                          warp_sizes=(2,), thread_sizes=(8,),
+                          engine=engine)
+            samples = collect_vortex_samples(
+                benchmarks=("transpose",), n=512, cores=2,
+                cells=((2, 8),), engine=engine)
+        assert engine.stats.executed == 0
+        assert dse.best.simulated_cycles == cycles
+        assert samples[0].true_cycles == cycles
+
+        daemon = daemon_factory(state_dir=state)
+        client = _client(daemon)
+        job_id = client.submit({"kind": "fig7-cell",
+                                "benchmark": "transpose", **cell})["job_id"]
+        result = client.wait(job_id, timeout=60)
+        assert result["value"]["cycles"] == cycles
+        daemon.request_drain()
+        assert daemon.wait(30)
+        assert daemon.engine.stats.executed == 0
 
 
 # -- daemon lifecycle --------------------------------------------------------
@@ -312,6 +350,24 @@ class TestRoundtrip:
         assert result["value"]["cycles"] > 0
         key = job_key(daemon.cache, validate_job(spec))
         assert daemon.cache.get(key) is not MISS
+
+    def test_dse_job_confirms_the_frontier(self, daemon_factory,
+                                           tmp_path):
+        daemon = daemon_factory(checkpoint_dir=tmp_path / "ck",
+                                point_timeout=120.0)
+        client = _client(daemon)
+        job_id = client.submit(TINY_DSE)["job_id"]
+        result = client.wait(job_id, timeout=120)
+        assert result["state"] == "done"
+        best = result["value"]["best"]
+        assert (best["config"], best["simulated_cycles"]) == (
+            "2c4w4t", 1030)
+        # the winner is an ordinary Figure 7 cell: the same work, the
+        # same cycles as a fig7-cell job for it.
+        cell = client.submit({"kind": "fig7-cell", "benchmark": "vecadd",
+                              "cores": 2, "warps": 4, "threads": 4,
+                              "n": 256})["job_id"]
+        assert client.wait(cell, timeout=60)["value"]["cycles"] == 1030
 
     def test_done_eviction_keeps_serving(self, daemon_factory):
         daemon = daemon_factory(max_done=2)
@@ -509,6 +565,30 @@ class TestResume:
         done = {r["id"] for r in records if r["t"] == "done"}
         assert accepted == done and len(accepted) == 5
         assert not list(state.glob("*.tmp"))
+
+    @pytest.mark.parametrize("with_done", [False, True])
+    def test_unvalidatable_journal_record_recovers_failed(
+            self, daemon_factory, tmp_path, with_done):
+        """A dse spec journalled before ``simulate_top`` was removed no
+        longer validates: resume reports the job failed, naming the
+        field, instead of dropping it — and never runs it."""
+        state = tmp_path / "state"
+        journal = Journal(state / "journal.jsonl")
+        job_id = "j000001-0123456789"
+        journal.append({"t": "accepted", "id": job_id, "client": "old",
+                        "idem": None, "key": "0" * 64,
+                        "spec": {**TINY_DSE, "confirm": "frontier",
+                                 "frontier_cap": 8, "simulate_top": 8}})
+        if with_done:
+            journal.append({"t": "done", "id": job_id})
+        journal.close()
+        daemon = daemon_factory(state_dir=state, resume=True)
+        result = _client(daemon).results(job_id)
+        assert result["state"] == "failed"
+        assert "simulate_top" in result["failure"]["message"]
+        daemon.request_drain()
+        assert daemon.wait(30)
+        assert daemon.engine.stats.executed == 0
 
     def test_start_sweeps_orphaned_state_dir_tmp(self, daemon_factory,
                                                  tmp_path):
