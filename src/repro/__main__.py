@@ -38,9 +38,9 @@ import signal
 import sys
 
 
-def _make_cache(args: argparse.Namespace | None):
+def _make_cache(args: argparse.Namespace):
     """Build the result cache the flags (or REPRO_CACHE_DIR) ask for."""
-    if args is None or getattr(args, "no_cache", False):
+    if getattr(args, "no_cache", False):
         return None
     cache_dir = (getattr(args, "cache_dir", "")
                  or os.environ.get("REPRO_CACHE_DIR", ""))
@@ -51,27 +51,49 @@ def _make_cache(args: argparse.Namespace | None):
     return ResultCache(cache_dir)
 
 
-def _jobs(args: argparse.Namespace | None) -> int:
-    from .harness import resolve_jobs
-
-    return resolve_jobs(getattr(args, "jobs", 1) if args else 1)
-
-
-def _policy(args: argparse.Namespace | None) -> dict:
-    """Engine fault-tolerance policy from the CLI flags.
+def _engine(args: argparse.Namespace):
+    """The one engine a subcommand runs on, from the flags it parsed.
 
     The CLI defaults to ``--keep-going`` (the library default is
     fail-fast): a hand-run campaign should render every row it can and
     mark the rest ERROR, exactly as the paper's Table I records
     failures instead of omitting them.
     """
-    if args is None:
-        return dict(retries=0, point_timeout=None, keep_going=True)
-    return dict(
+    from .harness import ExperimentEngine
+
+    return ExperimentEngine(
+        jobs=getattr(args, "jobs", 1), cache=_make_cache(args),
         retries=getattr(args, "retries", 0),
         point_timeout=getattr(args, "point_timeout", None),
-        keep_going=getattr(args, "keep_going", True),
-    )
+        keep_going=getattr(args, "keep_going", True))
+
+
+def _checkpoint(args: argparse.Namespace, point_id: str) -> dict | None:
+    """The checkpoint spec the ``--checkpoint-*`` flags ask for (its
+    ``point_id`` is replaced per simulation), or ``None``."""
+    if not getattr(args, "checkpoint_dir", ""):
+        return None
+    from .vortex.simx.checkpoint import checkpoint_spec
+
+    return checkpoint_spec(args.checkpoint_dir, point_id,
+                           args.checkpoint_every, args.point_timeout)
+
+
+def _bounded(convert, lo, strict: bool = False):
+    """argparse ``type=`` for a number ``>= lo`` (``> lo`` if strict):
+    a bad value is a usage error, not a constructor traceback."""
+    def parse(text: str):
+        value = convert(text)  # ValueError: "invalid int value: 'x'"
+        if not (value > lo if strict else value >= lo):  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {lo}, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_COUNT, _POSITIVE = _bounded(int, 0), _bounded(int, 1)
+_SECONDS = _bounded(float, 0, strict=True)
 
 
 def _sizes(spec: str, default: tuple[int, ...]) -> tuple[int, ...]:
@@ -86,11 +108,11 @@ def _sizes(spec: str, default: tuple[int, ...]) -> tuple[int, ...]:
     return sizes
 
 
-def _table1(args: argparse.Namespace | None = None) -> int:
+def _table1(args: argparse.Namespace) -> int:
     from .harness import run_coverage
 
-    report = run_coverage(jobs=_jobs(args), cache=_make_cache(args),
-                          **_policy(args))
+    with _engine(args) as engine:
+        report = run_coverage(engine=engine)
     print(report.render())
     print(f"\nVortex {report.vortex_passes}/28, "
           f"Intel SDK {report.hls_passes}/28; "
@@ -98,12 +120,11 @@ def _table1(args: argparse.Namespace | None = None) -> int:
     if report.errors:
         print(f"{report.errors} row(s) hit an engine-level ERROR "
               f"(crash/timeout after retries)")
-    if report.engine_stats is not None:
-        print(report.engine_stats.summary())
+    print(engine.stats.summary())
     return 1 if report.errors else 0
 
 
-def _table2(args: argparse.Namespace | None = None) -> int:
+def _table2(args: argparse.Namespace) -> int:
     from .harness import run_auto_cse_ablation, run_case_study
 
     print(run_case_study().render())
@@ -112,14 +133,14 @@ def _table2(args: argparse.Namespace | None = None) -> int:
     return 0
 
 
-def _table3(args: argparse.Namespace | None = None) -> int:
+def _table3(args: argparse.Namespace) -> int:
     from .harness import run_table3
 
     print(run_table3().render())
     return 0
 
 
-def _table4(args: argparse.Namespace | None = None) -> int:
+def _table4(args: argparse.Namespace) -> int:
     from .harness import run_table4
 
     report = run_table4()
@@ -129,28 +150,22 @@ def _table4(args: argparse.Namespace | None = None) -> int:
     return 0
 
 
-def _fig7(args: argparse.Namespace | None = None) -> int:
-    from .harness import ExperimentEngine, render_comparison, run_sweep
+def _fig7(args: argparse.Namespace) -> int:
+    from .harness import render_comparison, run_sweep
     from .harness.sweep import THREAD_SIZES, WARP_SIZES
 
-    warp_sizes = _sizes(getattr(args, "warp_sizes", "") if args else "",
-                        WARP_SIZES)
-    thread_sizes = _sizes(getattr(args, "thread_sizes", "") if args else "",
-                          THREAD_SIZES)
+    warp_sizes = _sizes(getattr(args, "warp_sizes", ""), WARP_SIZES)
+    thread_sizes = _sizes(getattr(args, "thread_sizes", ""), THREAD_SIZES)
+    checkpoint = _checkpoint(args, "fig7")
     # One engine for both benchmarks: the run summary aggregates the
     # whole figure (32 points by default) and the worker pool is spun
     # up once, not per benchmark.
-    with ExperimentEngine(jobs=_jobs(args), cache=_make_cache(args),
-                          **_policy(args)) as engine:
+    with _engine(args) as engine:
         results = []
-        ckpt_dir = getattr(args, "checkpoint_dir", "") if args else ""
-        ckpt_every = (getattr(args, "checkpoint_every", None)
-                      if args else None)
         for benchmark in ("vecadd", "transpose"):
             result = run_sweep(benchmark, warp_sizes=warp_sizes,
                                thread_sizes=thread_sizes, engine=engine,
-                               checkpoint_dir=ckpt_dir or None,
-                               checkpoint_every=ckpt_every)
+                               checkpoint=checkpoint)
             results.append(result)
             print(result.render())
             print()
@@ -188,16 +203,16 @@ def _profile(args: argparse.Namespace) -> int:
             threads=args.threads or base.threads,
         )
     try:
-        report, summary, cache_hit = run_profile_cached(
-            args.benchmark,
-            backend=args.backend,
-            scale=args.scale,
-            config=config,
-            cycle_bucket=args.bucket,
-            validate=not args.no_validate,
-            cache=_make_cache(args),
-            retries=_policy(args)["retries"],
-        )
+        with _engine(args) as engine:
+            report, summary, cache_hit = run_profile_cached(
+                args.benchmark,
+                backend=args.backend,
+                scale=args.scale,
+                config=config,
+                cycle_bucket=args.bucket,
+                validate=not args.no_validate,
+                engine=engine,
+            )
     except (ReproError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -224,12 +239,10 @@ def _calibrate(args: argparse.Namespace) -> int:
     benchmarks = tuple(
         tok for tok in (args.benchmarks or "").split(",") if tok.strip()
     ) or ("vecadd", "transpose")
-    policy = _policy(args)
     try:
-        artifact = run_calibration(
-            benchmarks=benchmarks, n=args.n, cache=_make_cache(args),
-            jobs=_jobs(args), retries=policy["retries"],
-            point_timeout=policy["point_timeout"])
+        with _engine(args) as engine:
+            artifact = run_calibration(benchmarks=benchmarks, n=args.n,
+                                       engine=engine)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -254,35 +267,24 @@ def _dse(args: argparse.Namespace) -> int:
     from .errors import ReproError
     from .harness import run_dse
 
-    policy = _policy(args)
-    cache = _make_cache(args)
-    checkpoint = None
-    if args.checkpoint_dir:
-        from .vortex.simx.checkpoint import checkpoint_spec
-
-        checkpoint = checkpoint_spec(args.checkpoint_dir, "dse",
-                                     args.checkpoint_every,
-                                     policy["point_timeout"])
     try:
-        calibration = None
-        if args.calibrate:
-            calibration = run_calibration(
-                benchmarks=(args.benchmark,), n=min(args.n, 1024),
-                cache=cache, jobs=_jobs(args),
-                retries=policy["retries"],
-                point_timeout=policy["point_timeout"])
-        elif args.calibration:
-            calibration = load_calibration(args.calibration)
-        result = run_dse(
-            args.benchmark, n=args.n,
-            core_counts=_sizes(args.cores, (1, 2, 4, 8)),
-            warp_sizes=_sizes(args.warps, (2, 4, 8, 16)),
-            thread_sizes=_sizes(args.threads, (2, 4, 8, 16)),
-            calibration=calibration,
-            confirm=args.confirm,
-            frontier_cap=args.frontier_cap,
-            cache=cache, jobs=_jobs(args), checkpoint=checkpoint,
-            **policy)
+        with _engine(args) as engine:
+            calibration = None
+            if args.calibrate:
+                calibration = run_calibration(
+                    benchmarks=(args.benchmark,), n=min(args.n, 1024),
+                    engine=engine)
+            elif args.calibration:
+                calibration = load_calibration(args.calibration)
+            result = run_dse(
+                args.benchmark, n=args.n,
+                core_counts=_sizes(args.cores, (1, 2, 4, 8)),
+                warp_sizes=_sizes(args.warps, (2, 4, 8, 16)),
+                thread_sizes=_sizes(args.threads, (2, 4, 8, 16)),
+                calibration=calibration,
+                confirm=args.confirm,
+                frontier_cap=args.frontier_cap,
+                engine=engine, checkpoint=_checkpoint(args, "dse"))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -453,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="ignore --cache-dir / REPRO_CACHE_DIR for this run")
     point_flags.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=_COUNT, default=0, metavar="N",
         help="retry a failed experiment point up to N times with "
              "exponential backoff before recording it as an ERROR "
              "(recovers transient faults and killed workers)")
@@ -461,11 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
     engine_flags = argparse.ArgumentParser(add_help=False,
                                            parents=[point_flags])
     engine_flags.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_COUNT, default=1, metavar="N",
         help="worker processes for independent experiment points "
              "(default 1 = serial; 0 = one per CPU)")
     engine_flags.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SECONDS",
+        "--point-timeout", type=_SECONDS, default=None, metavar="SECONDS",
         help="per-point watchdog: a point running longer is cancelled "
              "(its stuck worker pool is torn down and respawned) and "
              "counts as failed/retried")
@@ -492,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(fig7 and dse confirmations; with --point-timeout a point "
              "checkpoints out before the watchdog would kill it)")
     sim_flags.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="CYCLES",
+        "--checkpoint-every", type=_POSITIVE, default=None, metavar="CYCLES",
         help="snapshot cadence in simulated cycles "
              "(default 2000000; implies nothing without "
              "--checkpoint-dir)")
@@ -589,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="frontier",
                    help="SimX-confirm the Pareto frontier (default) or "
                         "stop at the analytical screen")
-    p.add_argument("--frontier-cap", type=int, default=8,
+    p.add_argument("--frontier-cap", type=_POSITIVE, default=8,
                    help="max frontier points to SimX-confirm (default 8)")
     p.add_argument("--calibration", default="", metavar="PATH",
                    help="load a saved calibration artifact (its error "
@@ -618,24 +620,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="bind port (default 0 = ephemeral; clients "
                         "discover it via the state dir's daemon.json)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_COUNT, default=1, metavar="N",
                    help="engine worker processes (default 1 = inline; "
                         "0 = one per CPU)")
     p.add_argument("--resume", action="store_true",
                    help="replay the write-ahead journal and re-queue "
                         "every job without a durable result (use after "
                         "a crash or kill)")
-    p.add_argument("--max-queue", type=int, default=256, metavar="N",
+    p.add_argument("--max-queue", type=_POSITIVE, default=256, metavar="N",
                    help="admission bound on queued jobs; beyond it "
                         "submissions get queue-full + retry_after "
                         "(default 256)")
-    p.add_argument("--per-client", type=int, default=32, metavar="N",
+    p.add_argument("--per-client", type=_POSITIVE, default=32, metavar="N",
                    help="in-flight job cap per client id (default 32)")
-    p.add_argument("--batch-max", type=int, default=16, metavar="N",
+    p.add_argument("--batch-max", type=_POSITIVE, default=16, metavar="N",
                    help="jobs per engine campaign (default 16)")
-    p.add_argument("--retries", type=int, default=1, metavar="N",
+    p.add_argument("--retries", type=_COUNT, default=1, metavar="N",
                    help="engine retries per failed point (default 1)")
-    p.add_argument("--point-timeout", type=float, default=None,
+    p.add_argument("--point-timeout", type=_SECONDS, default=None,
                    metavar="SECONDS",
                    help="per-point watchdog for service jobs")
     p.add_argument("--checkpoint-dir", default="", metavar="PATH",
@@ -643,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "under PATH: a stop/kill mid-simulation is resumed "
                         "mid-flight by serve --resume instead of "
                         "re-running from cycle 0")
-    p.add_argument("--checkpoint-every", type=int, default=None,
+    p.add_argument("--checkpoint-every", type=_POSITIVE, default=None,
                    metavar="CYCLES",
                    help="snapshot cadence in simulated cycles "
                         "(default 2000000)")
@@ -652,7 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
     client_flags = argparse.ArgumentParser(
         add_help=False, parents=[service_flags])
     client_flags.add_argument(
-        "--service-retries", type=int, default=5, metavar="N",
+        "--service-retries", type=_COUNT, default=5, metavar="N",
         help="client-side retry budget for transient/backpressure "
              "errors, with jittered exponential backoff (default 5)")
 
@@ -720,10 +722,11 @@ def main(argv: list[str] | None = None) -> int:
     previous_sigterm = _install_terminate_handler()
     try:
         if args.command == "all":
-            for name in ("table1", "table2", "table3", "table4", "fig7"):
+            status = 0
+            for name, artifact in _ARTIFACTS.items():
                 print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-                _ARTIFACTS[name](None)
-            return 0
+                status = max(status, artifact(args))
+            return status
         return args.func(args)
     except ExperimentAborted as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ the trusted input of the hierarchical DSE in :mod:`repro.harness.dse`.
 
 Usage::
 
-    art = run_calibration(cache=cache, jobs=4)
+    with ExperimentEngine(jobs=4, cache=cache) as engine:
+        art = run_calibration(engine=engine)
     art.save(".repro-calibration.json")
     ...
     art = load_calibration(".repro-calibration.json")

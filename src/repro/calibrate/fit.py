@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import math
 
 from ..errors import CalibrationError, PointFailure
-from ..harness.engine import ExperimentEngine
+from ..harness.engine import ExperimentEngine, default_engine
 from ..harness.result_cache import ResultCache, code_fingerprint
 from ..harness.sweep import (
     fig7_geometry,
@@ -113,34 +113,24 @@ def collect_vortex_samples(
     base: VortexConfig | None = None,
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
-    jobs: int = 1,
-    retries: int = 0,
-    point_timeout: float | None = None,
 ) -> list[CalibrationSample]:
-    """SimX ground truth for the Vortex fit, fanned through the engine.
+    """SimX ground truth for the Vortex fit, run on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`).
 
     Content keys are identical to :func:`~repro.harness.sweep.run_sweep`
     cells, so a warmed sweep cache makes calibration free (and a
     calibration warms the sweep).
     """
+    engine = default_engine(engine, cache)
     base = base or VortexConfig()
     profiles = {b: fig7_profile(b, n) for b in benchmarks}
-
-    owns_engine = engine is None
-    if owns_engine:
-        engine = ExperimentEngine(jobs=jobs, cache=cache, retries=retries,
-                                  point_timeout=point_timeout)
     points = [(benchmark, base.with_geometry(cores=cores, warps=w,
                                              threads=t), n)
               for benchmark in benchmarks for (w, t) in cells]
-    try:
-        values = engine.run(
-            sweep_point, points,
-            keys=[fig7_key(engine.cache, *point) for point in points],
-            label="calibrate vortex")
-    finally:
-        if owns_engine:
-            engine.close()
+    values = engine.run(
+        sweep_point, points,
+        keys=[fig7_key(engine.cache, *point) for point in points],
+        label="calibrate vortex")
 
     samples = []
     for (benchmark, config, _), value in zip(points, values):
@@ -312,20 +302,17 @@ def run_calibration(
     base: VortexConfig | None = None,
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
-    jobs: int = 1,
-    retries: int = 0,
-    point_timeout: float | None = None,
 ) -> CalibrationArtifact:
     """Collect ground truth, fit both flows, and assemble the artifact.
 
-    The caller persists it with :meth:`CalibrationArtifact.save`; the
-    fingerprint is recorded at fit time so a later load can detect code
-    drift.
+    The SimX ground truth runs on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`). The caller persists
+    the artifact with :meth:`CalibrationArtifact.save`; the fingerprint
+    is recorded at fit time so a later load can detect code drift.
     """
     vortex_samples = collect_vortex_samples(
         benchmarks=benchmarks, n=n, cores=cores, cells=cells, base=base,
-        cache=cache, engine=engine, jobs=jobs, retries=retries,
-        point_timeout=point_timeout)
+        engine=default_engine(engine, cache))
     hls_samples = collect_hls_samples(benchmarks=benchmarks,
                                       sizes=hls_sizes)
     vortex_params = fit_vortex_params(vortex_samples)

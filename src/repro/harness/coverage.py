@@ -13,7 +13,7 @@ from ..benchmarks import all_benchmarks, get_benchmark, run_benchmark
 from ..errors import PointFailure
 from ..hls import HLSBackend, STRATIX10_MX2100
 from ..vortex import VortexBackend, VortexConfig
-from .engine import EngineStats, ExperimentEngine
+from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
 from .tables import render_table
 
@@ -71,8 +71,6 @@ class CoverageReport:
     rows: dict[str, tuple[CoverageCell, CoverageCell]] = field(
         default_factory=dict
     )
-    #: execution/cache bookkeeping from the engine that ran the rows.
-    engine_stats: EngineStats | None = None
 
     @property
     def vortex_passes(self) -> int:
@@ -160,40 +158,31 @@ def run_coverage(
     scale: int = 1,
     vortex_config: VortexConfig | None = None,
     validate: bool = True,
-    jobs: int = 1,
     cache: ResultCache | None = None,
-    retries: int = 0,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
+    engine: ExperimentEngine | None = None,
 ) -> CoverageReport:
     """Regenerate Table I (validating outputs on both flows).
 
-    The 28 benchmark rows are independent experiment points: ``jobs``
-    fans them across worker processes and ``cache`` memoises each row
-    (the row payload is plain JSON, so it round-trips losslessly).
-
-    ``retries``/``point_timeout``/``keep_going`` configure the engine's
-    fault-tolerance policy: under ``keep_going`` a row whose point
-    crashed or timed out (after retries) renders as ``E`` cells with an
-    ``ERROR(...)`` reason and counts in :attr:`CoverageReport.errors`,
-    instead of aborting the whole table.
+    The 28 rows are independent points on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`), memoised as plain
+    JSON. Under its ``keep_going`` a row whose point crashed or timed
+    out (after retries) renders as ``E`` cells with an ``ERROR(...)``
+    reason and counts in :attr:`CoverageReport.errors`, instead of
+    aborting the whole table.
     """
+    engine = default_engine(engine, cache)
     benches = all_benchmarks()
     points = [(bench.name, scale, validate, vortex_config)
               for bench in benches]
     keys = [
-        None if cache is None else cache.key(
+        None if engine.cache is None else engine.cache.key(
             kind="table1-row", benchmark=bench.name, scale=scale,
             validate=validate, vortex_config=vortex_config,
         )
         for bench in benches
     ]
-    with ExperimentEngine(jobs=jobs, cache=cache, retries=retries,
-                          point_timeout=point_timeout,
-                          keep_going=keep_going) as engine:
-        values = engine.run(coverage_point, points, keys=keys,
-                            label="table1")
-    report = CoverageReport(engine_stats=engine.stats)
+    values = engine.run(coverage_point, points, keys=keys, label="table1")
+    report = CoverageReport()
     for bench, value in zip(benches, values):
         if isinstance(value, PointFailure):
             report.rows[bench.table_name] = (_error_cell(value),

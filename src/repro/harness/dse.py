@@ -50,7 +50,7 @@ from ..vortex.analytical import (
 from ..vortex import layout
 from ..vortex.area import VortexAreaReport, synthesize
 from ..vortex.simx.config import VortexConfig
-from .engine import ExperimentEngine
+from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
 from .sweep import fig7_geometry, fig7_key, fig7_profile, sweep_point
 from .tables import render_table
@@ -390,17 +390,12 @@ def explore_design_space(
         return result
 
     confirm_started = time.perf_counter()
-    owns_engine = engine is None
-    if owns_engine:
+    if engine is None:
         engine = ExperimentEngine(profiler=profiler)
     keys = (None if simulate_key is None
             else [simulate_key(cand.config) for cand in to_confirm])
-    try:
-        values = engine.run(simulate, [(cand.config,) for cand in to_confirm],
-                            keys=keys, label="dse verify")
-    finally:
-        if owns_engine:
-            engine.close()
+    values = engine.run(simulate, [(cand.config,) for cand in to_confirm],
+                        keys=keys, label="dse verify")
     for cand, value in zip(to_confirm, values):
         if isinstance(value, PointFailure):
             cand.sim_error = f"ERROR({value.exc_type})"
@@ -426,10 +421,6 @@ def run_dse(
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
     profiler: Profiler | None = None,
-    jobs: int = 1,
-    retries: int = 0,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
     checkpoint: dict | None = None,
 ) -> DSEResult:
     """End-to-end hierarchical DSE for one Figure 7 benchmark workload.
@@ -443,14 +434,14 @@ def run_dse(
     the calibrated error bound driving the pruning cutoff;
     ``confirm="none"`` screens only (milliseconds end to end).
 
-    Confirmations run :func:`dse_confirm_point` through ``engine`` (or
-    one built from ``jobs``/``cache``/``retries``/``point_timeout``/
-    ``keep_going``), memoised under the Figure 7 cells' content keys.
-    ``checkpoint`` (a
+    Confirmations run :func:`dse_confirm_point` on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`), memoised under the
+    Figure 7 cells' content keys. ``checkpoint`` (a
     :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`, whose
     ``point_id`` each confirmation replaces) makes them preemptible
     exactly as in :func:`~repro.harness.sweep.run_sweep`.
     """
+    engine = default_engine(engine, cache)
     if confirm not in ("frontier", "none"):
         raise ValueError("confirm must be 'frontier' or 'none'")
     profile = fig7_profile(benchmark, n)
@@ -462,14 +453,7 @@ def run_dse(
         prune_rel_err = calibration.bound("vortex", benchmark)
 
     simulate = simulate_key = None
-    owns_engine = engine is None and confirm == "frontier"
     if confirm == "frontier":
-        if owns_engine:
-            engine = ExperimentEngine(jobs=jobs, cache=cache,
-                                      retries=retries,
-                                      point_timeout=point_timeout,
-                                      keep_going=keep_going,
-                                      profiler=profiler)
         if checkpoint is not None:
             from ..vortex.simx.checkpoint import CheckpointStore
             # mkdir + stale-only temp sweep, as in run_sweep.
@@ -478,15 +462,11 @@ def run_dse(
                            checkpoint=checkpoint)
         simulate_key = partial(fig7_key, engine.cache, benchmark, n=n)
 
-    try:
-        return explore_design_space(
-            profile, device=device, core_counts=core_counts,
-            warp_sizes=warp_sizes, thread_sizes=thread_sizes, base=base,
-            params=params, reject=workload_rejection(benchmark, n),
-            simulate=simulate, frontier_cap=frontier_cap,
-            prune_rel_err=prune_rel_err, simulate_key=simulate_key,
-            engine=engine, profiler=profiler,
-        )
-    finally:
-        if owns_engine:
-            engine.close()
+    return explore_design_space(
+        profile, device=device, core_counts=core_counts,
+        warp_sizes=warp_sizes, thread_sizes=thread_sizes, base=base,
+        params=params, reject=workload_rejection(benchmark, n),
+        simulate=simulate, frontier_cap=frontier_cap,
+        prune_rel_err=prune_rel_err, simulate_key=simulate_key,
+        engine=engine, profiler=profiler,
+    )

@@ -59,6 +59,10 @@ in the serial path. Inline execution cannot preempt a hung point, so
 there ``point_timeout`` is enforced *post hoc*: an overrunning point is
 recorded as the same ``PointTimeout`` failure, after it returns.
 
+Execution policy lives only on the engine: every harness runner takes
+the caller's engine as ``engine=`` and otherwise runs on the serial,
+fail-fast engine of :func:`default_engine`.
+
 Profiling composes per point, not per engine: a profiled point function
 creates its own :class:`~repro.profiling.Profiler` inside the worker
 and returns the (picklable) :class:`~repro.profiling.ProfileReport`,
@@ -86,7 +90,7 @@ from .faults import FAULT_PLAN_ENV
 from .result_cache import MISS, ResultCache
 
 __all__ = ["EngineStats", "ExperimentEngine", "close_all_engines",
-           "resolve_jobs"]
+           "default_engine", "resolve_jobs"]
 
 #: every constructed engine, tracked weakly so interrupt handlers
 #: (``python -m repro`` on SIGINT/SIGTERM) can tear down worker pools
@@ -121,7 +125,7 @@ def resolve_jobs(jobs: int | None) -> int:
 
 @dataclass
 class EngineStats:
-    """Bookkeeping for one engine invocation (or several, merged)."""
+    """Bookkeeping summed over every run of one engine."""
 
     jobs: int = 1
     points: int = 0
@@ -138,19 +142,6 @@ class EngineStats:
     preempted: int = 0
     wall_s: float = 0.0
     cache_dir: str = ""
-
-    def merge(self, other: "EngineStats") -> "EngineStats":
-        self.jobs = max(self.jobs, other.jobs)
-        self.points += other.points
-        self.executed += other.executed
-        self.cache_hits += other.cache_hits
-        self.cache_stores += other.cache_stores
-        self.failed += other.failed
-        self.retried += other.retried
-        self.preempted += other.preempted
-        self.wall_s += other.wall_s
-        self.cache_dir = self.cache_dir or other.cache_dir
-        return self
 
     def summary(self) -> str:
         """One-line run summary (the cache-hit counter the CLI prints)."""
@@ -689,3 +680,17 @@ class ExperimentEngine:
         except ExperimentAborted:
             self.close()
             raise
+
+
+def default_engine(engine: ExperimentEngine | None,
+                   cache: ResultCache | None) -> ExperimentEngine:
+    """The engine a runner runs on: the caller's ``engine``, or else a
+    serial, fail-fast one over ``cache`` (it never starts a pool, so
+    there is nothing to close). ``cache=`` is shorthand for that engine,
+    so passing both raises :class:`TypeError`."""
+    if engine is None:
+        return ExperimentEngine(cache=cache)
+    if cache is not None:
+        raise TypeError("pass either engine= or cache=, not both "
+                        "(the engine carries its own cache)")
+    return engine

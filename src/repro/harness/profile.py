@@ -12,12 +12,13 @@ Chrome-trace file.
 from __future__ import annotations
 
 from ..benchmarks import BenchmarkResult, get_benchmark, run_benchmark
-from ..errors import ReproError
+from ..errors import PointFailure, ReproError
 from ..hls import HLSBackend
 from ..ocl.host import ReferenceBackend
 from ..profiling import ProfileReport, Profiler
 from ..vortex import VortexBackend, VortexConfig
-from .result_cache import MISS, ResultCache
+from .engine import ExperimentEngine, default_engine
+from .result_cache import ResultCache
 
 #: CLI spelling -> backend factory.
 PROFILE_BACKENDS = ("interp", "simx", "hls")
@@ -70,6 +71,21 @@ def run_profile(
     return report, result
 
 
+def profile_point(benchmark: str, backend: str, scale: int,
+                  config: VortexConfig | None, cycle_bucket: int,
+                  validate: bool) -> dict:
+    """:func:`run_profile` as a (picklable, module-level) engine point.
+    The :class:`BenchmarkResult` holds live buffers, so only the launch
+    count and total cycles the CLI prints are kept beside the report."""
+    report, result = run_profile(
+        benchmark, backend=backend, scale=scale, config=config,
+        cycle_bucket=cycle_bucket, validate=validate,
+    )
+    return {"report": report.to_payload(),
+            "summary": {"launches": len(result.launches),
+                        "total_cycles": result.total_cycles}}
+
+
 def run_profile_cached(
     benchmark: str,
     backend: str = "simx",
@@ -78,53 +94,37 @@ def run_profile_cached(
     cycle_bucket: int = Profiler.DEFAULT_CYCLE_BUCKET,
     validate: bool = True,
     cache: ResultCache | None = None,
-    retries: int = 0,
+    engine: ExperimentEngine | None = None,
 ) -> tuple[ProfileReport, dict, bool]:
-    """:func:`run_profile` behind the experiment result cache.
+    """:func:`profile_point` on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`), whose cache and
+    retries apply; a failed profile raises
+    :class:`~repro.errors.ReproError` under any ``keep_going`` policy.
 
-    ``retries`` re-runs a failed profile up to that many extra times
-    (the same transient-fault policy the experiment engine applies per
-    point) before letting the failure propagate.
-
-    Returns ``(report, summary, cache_hit)`` where ``summary`` carries
-    the launch count and total cycles the CLI prints (the full
-    :class:`BenchmarkResult` holds live buffers and is not cached). The
-    report round-trips losslessly through
-    :meth:`~repro.profiling.ProfileReport.to_payload`, so a cached run
-    emits byte-identical trace and summary files.
+    Returns ``(report, summary, cache_hit)``. The report round-trips
+    losslessly through :meth:`~repro.profiling.ProfileReport.to_payload`,
+    so a cached run emits byte-identical trace and summary files.
 
     The profiler's wall-clock harness span is excluded from the cache
     key inputs but *included* in the cached report — a cached run
     replays the originally measured wall time rather than remeasuring a
     run that never happened.
     """
+    engine = default_engine(engine, cache)
     key = None
-    if cache is not None:
-        key = cache.key(
+    if engine.cache is not None:
+        key = engine.cache.key(
             kind="profile", benchmark=benchmark, backend=backend,
             scale=scale, config=config, cycle_bucket=cycle_bucket,
             validate=validate,
         )
-        payload = cache.get(key)
-        if payload is not MISS:
-            return (ProfileReport.from_payload(payload["report"]),
-                    payload["summary"], True)
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            report, result = run_profile(
-                benchmark, backend=backend, scale=scale, config=config,
-                cycle_bucket=cycle_bucket, validate=validate,
-            )
-            break
-        except ReproError:
-            if attempt > retries:
-                raise
-    summary = {
-        "launches": len(result.launches),
-        "total_cycles": result.total_cycles,
-    }
-    if cache is not None and key is not None:
-        cache.put(key, {"report": report.to_payload(), "summary": summary})
-    return report, summary, False
+    hits = engine.stats.cache_hits
+    [value] = engine.run(
+        profile_point,
+        [(benchmark, backend, scale, config, cycle_bucket, validate)],
+        keys=[key], label="profile")
+    if isinstance(value, PointFailure):
+        raise ReproError(f"profiling {benchmark} on {backend} failed: "
+                         f"{value.brief()}")
+    return (ProfileReport.from_payload(value["report"]), value["summary"],
+            engine.stats.cache_hits > hits)

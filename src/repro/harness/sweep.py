@@ -12,12 +12,12 @@ LSU stalls from its higher load density); transpose peaks at 8/8 and
 loses ~44% at 4/4 and ~17% at 8 warps / 4 threads.
 
 The grid is embarrassingly parallel: each cell is an independent SimX
-run, so ``run_sweep(jobs=N)`` fans the cells across the
-:class:`~repro.harness.engine.ExperimentEngine`'s worker pool, and
-``cache=`` memoises each cell on disk. A cell's inputs, launch geometry
-and content key are defined here once (:func:`fig7_workload`,
-:func:`fig7_geometry`, :func:`fig7_key`): DSE confirmations, the
-calibration and the service's ``fig7-cell`` jobs run the same cell.
+run, so ``run_sweep(engine=ExperimentEngine(jobs=N, cache=...))`` fans
+the cells across worker processes and memoises each on disk. A cell's
+inputs, launch geometry and content key are defined here once
+(:func:`fig7_workload`, :func:`fig7_geometry`, :func:`fig7_key`): DSE
+confirmations, the calibration and the service's ``fig7-cell`` jobs
+run the same cell.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ..errors import CalibrationError, PointFailure, ReproError
 from ..ocl import Context, Kernel, NDRange
 from ..profiling import NULL_PROFILER, Profiler
 from ..vortex import KernelProfile, VortexBackend, VortexConfig
-from .engine import EngineStats, ExperimentEngine
+from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
 from .tables import render_heatmap, render_table
 
@@ -62,8 +62,6 @@ class SweepResult:
     #: cells whose point failed (after retries) under ``keep_going``.
     failures: dict[tuple[int, int], PointFailure] = field(
         default_factory=dict)
-    #: execution/cache bookkeeping from the engine that ran the grid.
-    engine_stats: EngineStats | None = None
 
     @property
     def best(self) -> tuple[int, int]:
@@ -225,14 +223,9 @@ def run_sweep(
     thread_sizes: tuple[int, ...] = THREAD_SIZES,
     base_config: VortexConfig | None = None,
     profile_dir: str | Path | None = None,
-    jobs: int = 1,
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
-    retries: int = 0,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int | None = None,
+    checkpoint: dict | None = None,
 ) -> SweepResult:
     """Sweep one benchmark over the (warps, threads) grid.
 
@@ -241,27 +234,22 @@ def run_sweep(
     JSON land in that directory (``<bench>_w<warps>_t<threads>.*``), so
     any cell of the Figure 7 heatmap can be inspected cycle by cycle.
 
-    ``jobs`` fans the grid cells across worker processes and ``cache``
-    memoises them on disk; both default to the serial, uncached
-    behaviour. Profiled runs bypass the cache — the traces are the
-    point, and they must be regenerated. Passing ``engine`` reuses an
-    existing :class:`ExperimentEngine` (its stats accumulate across
-    sweeps, and its fault-tolerance policy applies).
-
-    ``retries``/``point_timeout``/``keep_going`` configure the engine's
-    fault-tolerance policy when the sweep owns the engine: under
+    The cells run on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`): under its
     ``keep_going`` a cell whose point fails (after retries) lands in
     :attr:`SweepResult.failures` and renders as an ``ERROR(...)`` line
-    instead of aborting the whole grid.
+    instead of aborting the whole grid. Profiled runs bypass the cache —
+    the traces are the point, and they must be regenerated.
 
-    ``checkpoint_dir`` makes every (non-profiled) cell preemptible:
-    workers snapshot machine state every ``checkpoint_every`` simulated
-    cycles (default ``DEFAULT_EVERY_CYCLES``), retries resume from the
-    latest snapshot, and when ``point_timeout`` is also set each cell
-    yields a snapshot at 80% of the budget instead of waiting for the
-    watchdog kill (which stays armed as the hard fallback). Cache keys
-    and cached values are unchanged by checkpointing.
+    ``checkpoint`` (a
+    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`, whose
+    ``point_id`` each cell replaces) makes every non-profiled cell
+    preemptible: it snapshots on the spec's cadence, retries resume from
+    the latest snapshot, and a spec built with a ``point_timeout``
+    yields at 80% of that budget instead of waiting for the watchdog
+    kill. Cache keys and cached values are unchanged by checkpointing.
     """
+    engine = default_engine(engine, cache)
     if benchmark not in FIG7_BENCHMARKS:
         raise ValueError("the Figure 7 sweep covers vecadd and transpose")
     base = base_config or VortexConfig()
@@ -269,20 +257,11 @@ def run_sweep(
     if profile:
         profile_dir = Path(profile_dir)
         profile_dir.mkdir(parents=True, exist_ok=True)
-    owns_engine = engine is None
-    if owns_engine:
-        engine = ExperimentEngine(jobs=jobs,
-                                  cache=None if profile else cache,
-                                  retries=retries,
-                                  point_timeout=point_timeout,
-                                  keep_going=keep_going)
-
-    checkpointing = checkpoint_dir is not None and not profile
-    if checkpointing:
-        from ..vortex.simx.checkpoint import CheckpointStore, checkpoint_spec
+    if checkpoint is not None:
+        from ..vortex.simx.checkpoint import CheckpointStore
         # mkdir up front + sweep stale temp files from crashed runs;
         # only the stale age is safe, as concurrent runs may share the dir.
-        CheckpointStore(str(checkpoint_dir))
+        CheckpointStore(checkpoint["dir"])
 
     grid = [(w, t) for w in warp_sizes for t in thread_sizes]
     points = []
@@ -290,21 +269,16 @@ def run_sweep(
     for w, t in grid:
         config = base.with_geometry(cores=cores, warps=w, threads=t)
         ckpt = None
-        if checkpointing:
-            ckpt = checkpoint_spec(
-                checkpoint_dir, f"fig7-{benchmark}-c{cores}-w{w}-t{t}-n{n}",
-                checkpoint_every, engine.point_timeout)
+        if checkpoint is not None:
+            ckpt = {**checkpoint, "point_id":
+                    f"fig7-{benchmark}-c{cores}-w{w}-t{t}-n{n}"}
         points.append((benchmark, config, n, profile, ckpt))
         keys.append(None if profile
                     else fig7_key(engine.cache, benchmark, config, n))
-    try:
-        values = engine.run(sweep_point, points, keys=keys,
-                            label=f"fig7 {benchmark}")
-    finally:
-        if owns_engine:
-            engine.close()
+    values = engine.run(sweep_point, points, keys=keys,
+                        label=f"fig7 {benchmark}")
 
-    result = SweepResult(benchmark=benchmark, engine_stats=engine.stats)
+    result = SweepResult(benchmark=benchmark)
     for (w, t), value in zip(grid, values):
         if isinstance(value, PointFailure):
             result.failures[(w, t)] = value

@@ -707,7 +707,8 @@ class ExperimentDaemon:
         try:
             self.engine.run(
                 execute_job,
-                [(job.spec, self._job_checkpoint(job)) for job in batch],
+                [(job.spec, self._job_checkpoint(job), self.cache)
+                 for job in batch],
                 keys=[job.key for job in batch], label="service",
                 on_result=on_result)
         except Exception as exc:  # noqa: BLE001 - engine bug guard

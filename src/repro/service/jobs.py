@@ -25,7 +25,8 @@ Kinds
     Pareto frontier on SimX (``confirm: "frontier"``, capped at
     ``frontier_cap`` points) or stop at the screen (``"none"``).
     ``calibrated`` fits the model against SimX first, so the job's
-    frontier pruning uses measured error bounds. The result payload is
+    frontier pruning uses measured error bounds. Its SimX cells share
+    the daemon's cache with ``fig7-cell`` jobs. The result payload is
     :meth:`~repro.harness.dse.DSEResult.to_payload`.
 
 ``probe``
@@ -229,7 +230,8 @@ def _cell_config(spec: dict):
         cores=spec["cores"], warps=spec["warps"], threads=spec["threads"])
 
 
-def execute_job(spec: dict, checkpoint: dict | None = None) -> dict:
+def execute_job(spec: dict, checkpoint: dict | None = None,
+                cache=None) -> dict:
     """Run one validated job spec — the engine's unit of work.
 
     Module-level and called with plain-dict arguments, so it is
@@ -237,11 +239,12 @@ def execute_job(spec: dict, checkpoint: dict | None = None) -> dict:
     Returns a JSON-serialisable result (the engine memoises it in the
     result cache).
 
-    ``checkpoint`` is an optional snapshot spec (see
-    :meth:`~repro.vortex.simx.checkpoint.CheckpointPlan.from_spec`) the
-    daemon attaches per job; it changes *scheduling* (the simulation can
-    yield mid-flight and resume), never the result, so it is
-    deliberately not part of the job spec or its content key.
+    ``checkpoint`` (a snapshot spec, see
+    :meth:`~repro.vortex.simx.checkpoint.CheckpointPlan.from_spec`) and
+    ``cache`` (the daemon's result cache, which a ``dse`` job runs its
+    SimX cells on) are scheduling inputs the daemon attaches per job.
+    Neither changes the result, so neither is part of the job spec or
+    its content key.
     """
     kind = spec["kind"]
     if kind == "probe":
@@ -257,7 +260,9 @@ def execute_job(spec: dict, checkpoint: dict | None = None) -> dict:
                            spec["n"], checkpoint=checkpoint)
     if kind == "dse":
         from ..harness.dse import run_dse
+        from ..harness.engine import ExperimentEngine
 
+        engine = ExperimentEngine(cache=cache)  # serial: one daemon point
         calibration = None
         if spec["calibrated"]:
             from ..calibrate import run_calibration
@@ -267,7 +272,7 @@ def execute_job(spec: dict, checkpoint: dict | None = None) -> dict:
             # regression tests bound the held-out error).
             calibration = run_calibration(
                 benchmarks=(spec["benchmark"],),
-                n=min(spec["n"], 1024))
+                n=min(spec["n"], 1024), engine=engine)
         result = run_dse(
             spec["benchmark"], n=spec["n"],
             core_counts=tuple(spec["cores"]),
@@ -276,7 +281,7 @@ def execute_job(spec: dict, checkpoint: dict | None = None) -> dict:
             calibration=calibration,
             confirm=spec["confirm"],
             frontier_cap=spec["frontier_cap"],
-            checkpoint=checkpoint,
+            engine=engine, checkpoint=checkpoint,
         )
         return result.to_payload()
     raise ServiceError(f"unexecutable job kind {kind!r}",

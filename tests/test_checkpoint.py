@@ -266,7 +266,10 @@ class TestStore:
         live.write_bytes(b"half a snapshot")
         grid = dict(n=64, warp_sizes=(2,), thread_sizes=(2,))
         if entry == "run_sweep":
-            run_sweep("vecadd", cores=1, checkpoint_dir=tmp_path, **grid)
+            run_sweep("vecadd", cores=1,
+                      checkpoint=checkpoint_spec(tmp_path, "fig7", None,
+                                                 None),
+                      **grid)
         else:
             run_dse("vecadd", core_counts=(1,),
                     checkpoint=checkpoint_spec(tmp_path, "dse", None, None),
@@ -356,14 +359,16 @@ class TestEnginePreemption:
 
     def test_cache_keys_unchanged_by_checkpointing(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        kwargs = dict(warp_sizes=(2,), thread_sizes=(2, 4), n=N,
-                      cache=cache)
-        first = run_sweep("vecadd", checkpoint_dir=tmp_path / "ck",
+        kwargs = dict(warp_sizes=(2,), thread_sizes=(2, 4), n=N)
+        first = run_sweep("vecadd", cache=cache,
+                          checkpoint=checkpoint_spec(tmp_path / "ck",
+                                                     "fig7", None, None),
                           **kwargs)
-        second = run_sweep("vecadd", **kwargs)
+        engine = ExperimentEngine(cache=cache)
+        second = run_sweep("vecadd", engine=engine, **kwargs)
         assert second.cycles == first.cycles
-        assert second.engine_stats.cache_hits == 2
-        assert second.engine_stats.executed == 0
+        assert engine.stats.cache_hits == 2
+        assert engine.stats.executed == 0
 
 
 # -- daemon integration ------------------------------------------------------

@@ -197,3 +197,90 @@ def test_client_commands_report_unavailable(capsys, tmp_path):
         err = capsys.readouterr().err
         assert "unavailable" in err
         assert "Traceback" not in err
+
+
+# -- flag validation and the engine/checkpoint builders ----------------------
+
+@pytest.mark.parametrize("argv", [
+    ["fig7", "--jobs", "-1"],
+    ["table1", "--retries", "-1"],
+    ["calibrate", "--point-timeout", "0"],
+    ["calibrate", "--point-timeout", "nan"],
+    ["fig7", "--checkpoint-every", "0"],
+    ["fig7", "--checkpoint-every", "-5"],
+    ["dse", "vecadd", "--frontier-cap", "0"],
+    ["dse", "vecadd", "--frontier-cap", "-1"],
+    ["serve", "--max-queue", "0"],
+    ["serve", "--per-client", "0"],
+    ["serve", "--batch-max", "0"],
+    ["serve", "--jobs", "-1"],
+    ["serve", "--retries", "-1"],
+    ["serve", "--point-timeout", "-3"],
+    ["serve", "--checkpoint-every", "0"],
+    ["status", "--service-retries", "-1"],
+])
+def test_bad_numeric_flags_are_usage_errors(argv, capsys):
+    """An out-of-range number is rejected by the parser (exit 2 with
+    the usage line) before any engine or daemon is built."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, runner", [
+    (["fig7", "--warp-sizes", "2", "--thread-sizes", "2"], "run_sweep"),
+    (["dse", "vecadd"], "run_dse"),
+])
+def test_checkpoint_flags_reach_the_runner(command, runner, monkeypatch,
+                                           tmp_path, capsys):
+    """``--checkpoint-*`` and ``--point-timeout`` become one
+    ``checkpoint_spec`` handed to the runner (its 80% deadline comes
+    from the timeout), next to the engine the CLI built."""
+    from repro import harness
+    from repro.harness import DSEResult, SweepResult
+    from repro.hls import STRATIX10_SX2800
+    from repro.vortex.simx.checkpoint import checkpoint_spec
+
+    seen = []
+
+    def fake(benchmark, **kwargs):
+        seen.append(kwargs["checkpoint"])
+        return (SweepResult(benchmark) if runner == "run_sweep"
+                else DSEResult(device=STRATIX10_SX2800))
+
+    monkeypatch.setattr(harness, runner, fake)
+    ckpt = str(tmp_path / "ck")
+    assert main(command + ["--checkpoint-dir", ckpt, "--checkpoint-every",
+                           "5000", "--point-timeout", "100"]) == 0
+    point_id = "fig7" if runner == "run_sweep" else "dse"
+    assert seen and all(
+        spec == checkpoint_spec(ckpt, point_id, 5000, 100.0)
+        for spec in seen)
+
+
+def test_all_exits_with_the_worst_artifact_status(monkeypatch, capsys):
+    """A failed artifact is not masked by the ones regenerated after it."""
+    import repro.__main__ as cli
+
+    for name in cli._ARTIFACTS:
+        monkeypatch.setitem(cli._ARTIFACTS, name,
+                            lambda args, name=name: int(name == "table1"))
+    assert main(["all"]) == 1
+
+
+def test_all_honours_repro_cache_dir(monkeypatch, tmp_path, capsys):
+    """Every artifact of ``all`` sees the parsed flags, so
+    REPRO_CACHE_DIR reaches it like any other subcommand."""
+    import repro.__main__ as cli
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    caches = []
+    for name in cli._ARTIFACTS:
+        monkeypatch.setitem(
+            cli._ARTIFACTS, name,
+            lambda args: caches.append(cli._make_cache(args)) or 0)
+    assert main(["all"]) == 0
+    assert len(caches) == 5
+    assert all(c is not None and c.root == tmp_path for c in caches)

@@ -14,7 +14,9 @@ import time
 
 import pytest
 
+from repro.calibrate import collect_vortex_samples, run_calibration
 from repro.errors import ExperimentAborted, PointFailure
+from repro.harness import run_coverage, run_dse, run_profile_cached
 from repro.harness.engine import EngineStats, ExperimentEngine, resolve_jobs
 from repro.harness.result_cache import MISS, ResultCache, code_fingerprint
 from repro.harness.sweep import run_sweep
@@ -193,10 +195,8 @@ class TestEngine:
             ExperimentEngine(jobs=1).run(_add, [(1, 1)], keys=[])
 
     def test_stats_merge_and_summary(self):
-        a = EngineStats(jobs=1, points=2, executed=2, wall_s=1.0)
-        b = EngineStats(jobs=4, points=3, cache_hits=3, cache_dir="/c")
-        a.merge(b)
-        assert (a.jobs, a.points, a.executed, a.cache_hits) == (4, 5, 2, 3)
+        a = EngineStats(jobs=4, points=5, executed=2, cache_hits=3,
+                        wall_s=1.0, cache_dir="/c")
         assert "5 points" in a.summary() and "3 cache hits" in a.summary()
 
 
@@ -361,38 +361,42 @@ GRID = dict(cores=2, n=512, warp_sizes=(2, 4), thread_sizes=(2, 4))
 
 class TestSweepEngine:
     def test_parallel_sweep_bit_identical_to_serial(self):
-        serial = run_sweep("vecadd", jobs=1, **GRID)
-        parallel = run_sweep("vecadd", jobs=4, **GRID)
+        serial = run_sweep("vecadd", engine=ExperimentEngine(), **GRID)
+        with ExperimentEngine(jobs=4) as engine:
+            parallel = run_sweep("vecadd", engine=engine, **GRID)
         assert serial.cycles == parallel.cycles
         assert serial.lsu_stalls == parallel.lsu_stalls
         assert serial.render() == parallel.render()
 
     def test_second_run_is_all_cache_hits(self, tmp_path):
-        cold = run_sweep("vecadd", cache=ResultCache(tmp_path), **GRID)
-        assert cold.engine_stats.executed == 4
-        warm = run_sweep("vecadd", cache=ResultCache(tmp_path), **GRID)
-        assert warm.engine_stats.executed == 0
-        assert warm.engine_stats.cache_hits == 4
+        cold_engine = ExperimentEngine(cache=ResultCache(tmp_path))
+        cold = run_sweep("vecadd", engine=cold_engine, **GRID)
+        assert cold_engine.stats.executed == 4
+        warm_engine = ExperimentEngine(cache=ResultCache(tmp_path))
+        warm = run_sweep("vecadd", engine=warm_engine, **GRID)
+        assert warm_engine.stats.executed == 0
+        assert warm_engine.stats.cache_hits == 4
         assert warm.cycles == cold.cycles
 
     def test_code_fingerprint_change_invalidates(self, tmp_path):
         run_sweep("vecadd", cache=ResultCache(tmp_path), **GRID)
-        changed = run_sweep(
-            "vecadd", cache=ResultCache(tmp_path, fingerprint="edited"),
-            **GRID)
-        assert changed.engine_stats.cache_hits == 0
-        assert changed.engine_stats.executed == 4
+        engine = ExperimentEngine(
+            cache=ResultCache(tmp_path, fingerprint="edited"))
+        run_sweep("vecadd", engine=engine, **GRID)
+        assert engine.stats.cache_hits == 0
+        assert engine.stats.executed == 4
 
     def test_profiled_sweep_bypasses_cache_and_matches_serial(
             self, tmp_path):
         cache = ResultCache(tmp_path / "cache", fingerprint="f")
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
-        run_sweep("vecadd", profile_dir=serial_dir, jobs=1,
-                  cache=cache, **GRID)
+        run_sweep("vecadd", profile_dir=serial_dir,
+                  engine=ExperimentEngine(cache=cache), **GRID)
         assert len(cache) == 0, "profiled points must not be memoised"
-        run_sweep("vecadd", profile_dir=parallel_dir, jobs=2,
-                  cache=cache, **GRID)
+        with ExperimentEngine(jobs=2, cache=cache) as engine:
+            run_sweep("vecadd", profile_dir=parallel_dir, engine=engine,
+                      **GRID)
         serial_files = sorted(p.name for p in serial_dir.iterdir())
         assert serial_files == sorted(
             p.name for p in parallel_dir.iterdir())
@@ -402,12 +406,50 @@ class TestSweepEngine:
                     == (parallel_dir / name).read_bytes()), name
 
 
+# -- every runner runs on the caller's engine --------------------------------
+
+_CELL = dict(n=64, cores=1, cells=((2, 2),))
+
+#: one small call per harness runner; runners with a grid get one cell.
+RUNNERS = {
+    "run_sweep": lambda **kw: run_sweep(
+        "vecadd", cores=1, n=64, warp_sizes=(2,), thread_sizes=(2,), **kw),
+    "run_coverage": lambda **kw: run_coverage(**kw),
+    "run_dse": lambda **kw: run_dse(
+        "vecadd", n=64, core_counts=(1,), warp_sizes=(2,),
+        thread_sizes=(2,), **kw),
+    "collect_vortex_samples": lambda **kw: collect_vortex_samples(
+        benchmarks=("vecadd",), **_CELL, **kw),
+    "run_calibration": lambda **kw: run_calibration(
+        benchmarks=("vecadd",), hls_sizes=(64,), **_CELL, **kw),
+    "run_profile_cached": lambda **kw: run_profile_cached(
+        "vecadd", backend="interp", **kw),
+}
+
+
+class TestRunnersTakeAnEngine:
+    """The engine is the only execution argument a runner takes: the
+    caller's engine runs the runner's points, and ``cache=`` is only
+    shorthand for an engine, so passing both is an error."""
+
+    @pytest.mark.parametrize("runner", list(RUNNERS))
+    def test_callers_engine_runs_the_points(self, runner):
+        engine = ExperimentEngine()
+        RUNNERS[runner](engine=engine)
+        assert engine.stats.points > 0
+
+    @pytest.mark.parametrize("runner", list(RUNNERS))
+    def test_engine_and_cache_together_is_a_type_error(self, runner,
+                                                        tmp_path):
+        with pytest.raises(TypeError):
+            RUNNERS[runner](engine=ExperimentEngine(),
+                            cache=ResultCache(tmp_path))
+
+
 # -- cached profile harness --------------------------------------------------
 
 class TestProfileCache:
     def test_cached_profile_replays_identically(self, tmp_path):
-        from repro.harness import run_profile_cached
-
         rep1, sum1, hit1 = run_profile_cached(
             "vecadd", backend="simx", cache=ResultCache(tmp_path))
         rep2, sum2, hit2 = run_profile_cached(

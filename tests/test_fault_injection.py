@@ -212,16 +212,17 @@ class TestResume:
 class TestHarnessIntegration:
     def test_sweep_renders_error_cell(self, arm):
         arm("raise:fig7 vecadd#2:99")
+        engine = ExperimentEngine(keep_going=True)
         result = run_sweep("vecadd", cores=2, n=512,
                            warp_sizes=(2, 4), thread_sizes=(2, 4),
-                           jobs=1, keep_going=True)
+                           engine=engine)
         assert set(result.failures) == {(4, 2)}
         assert result.failures[(4, 2)].exc_type == "FaultInjected"
         assert len(result.cycles) == 3
         rendered = result.render()
         assert "1 cell(s) failed" in rendered
         assert "w=4 t=2: ERROR(FaultInjected" in rendered
-        assert result.engine_stats.failed == 1
+        assert engine.stats.failed == 1
 
     def test_cli_fig7_keep_going_renders_error_and_exits_1(
             self, arm, capsys):

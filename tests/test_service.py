@@ -363,11 +363,32 @@ class TestRoundtrip:
         assert (best["config"], best["simulated_cycles"]) == (
             "2c4w4t", 1030)
         # the winner is an ordinary Figure 7 cell: the same work, the
-        # same cycles as a fig7-cell job for it.
+        # same cycles as a fig7-cell job for it — and the dse job's
+        # confirmation already put it in the daemon's cache, so the
+        # fig7-cell job executes nothing (the dse job is the one point).
         cell = client.submit({"kind": "fig7-cell", "benchmark": "vecadd",
                               "cores": 2, "warps": 4, "threads": 4,
                               "n": 256})["job_id"]
         assert client.wait(cell, timeout=60)["value"]["cycles"] == 1030
+        daemon.request_drain()
+        assert daemon.wait(30)
+        assert daemon.engine.stats.executed == 1
+
+    def test_calibrated_dse_jobs_share_calibration_cells(
+            self, daemon_factory, monkeypatch, tmp_path):
+        """A second calibrated dse job reuses the first one's SimX
+        calibration cells from the daemon's cache: with every
+        calibration simulation armed to fail, it still succeeds."""
+        daemon = daemon_factory()
+        client = _client(daemon)
+        first = client.submit({**TINY_DSE, "calibrated": True})["job_id"]
+        assert client.wait(first, timeout=120)["state"] == "done"
+        monkeypatch.setenv(FAULT_PLAN_ENV, "raise:calibrate vortex#:99")
+        monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path / "fault-state"))
+        second = client.submit({**TINY_DSE, "calibrated": True,
+                                "cores": [1]})["job_id"]
+        result = client.wait(second, timeout=120)
+        assert result["state"] == "done", result.get("failure")
 
     def test_done_eviction_keeps_serving(self, daemon_factory):
         daemon = daemon_factory(max_done=2)
