@@ -79,14 +79,17 @@ def _checkpoint(args: argparse.Namespace, point_id: str) -> dict | None:
                            args.checkpoint_every, args.point_timeout)
 
 
-def _bounded(convert, lo, strict: bool = False):
-    """argparse ``type=`` for a number ``>= lo`` (``> lo`` if strict):
-    a bad value is a usage error, not a constructor traceback."""
+def _bounded(convert, lo, strict: bool = False, hi=None):
+    """argparse ``type=`` for a number ``>= lo`` (``> lo`` if strict)
+    and, if given, ``<= hi``: a bad value is a usage error, not a
+    constructor traceback."""
     def parse(text: str):
         value = convert(text)  # ValueError: "invalid int value: 'x'"
         if not (value > lo if strict else value >= lo):  # NaN fails too
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {lo}, got {text}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {text}")
         return value
     parse.__name__ = convert.__name__
     return parse
@@ -94,18 +97,18 @@ def _bounded(convert, lo, strict: bool = False):
 
 _COUNT, _POSITIVE = _bounded(int, 0), _bounded(int, 1)
 _SECONDS = _bounded(float, 0, strict=True)
+_PORT = _bounded(int, 0, hi=65535)
 
 
-def _sizes(spec: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    if not spec:
-        return default
+def _sizes(spec: str) -> tuple[int, ...]:
+    """argparse ``type=`` for a comma-separated list of sizes, each
+    ``>= 1``; an empty list keeps the subcommand's default grid."""
     try:
-        sizes = tuple(int(tok) for tok in spec.split(",") if tok.strip())
+        return tuple(_POSITIVE(tok) for tok in spec.split(",")
+                     if tok.strip())
     except ValueError:
-        raise SystemExit(f"bad size list {spec!r} (want e.g. 2,4,8)")
-    if not sizes:
-        return default
-    return sizes
+        raise argparse.ArgumentTypeError(
+            f"want sizes like 2,4,8, got {spec!r}") from None
 
 
 def _table1(args: argparse.Namespace) -> int:
@@ -154,8 +157,8 @@ def _fig7(args: argparse.Namespace) -> int:
     from .harness import render_comparison, run_sweep
     from .harness.sweep import THREAD_SIZES, WARP_SIZES
 
-    warp_sizes = _sizes(getattr(args, "warp_sizes", ""), WARP_SIZES)
-    thread_sizes = _sizes(getattr(args, "thread_sizes", ""), THREAD_SIZES)
+    warp_sizes = getattr(args, "warp_sizes", ()) or WARP_SIZES
+    thread_sizes = getattr(args, "thread_sizes", ()) or THREAD_SIZES
     checkpoint = _checkpoint(args, "fig7")
     # One engine for both benchmarks: the run summary aggregates the
     # whole figure (32 points by default) and the worker pool is spun
@@ -249,13 +252,11 @@ def _calibrate(args: argparse.Namespace) -> int:
     path = artifact.save(args.out or DEFAULT_ARTIFACT_PATH)
     print(f"calibrated against SimX at n={args.n} "
           f"({', '.join(benchmarks)})")
-    for flow in ("vortex", "hls"):
-        for bench, bounds in sorted(
-                artifact.error_bounds.get(flow, {}).items()):
-            print(f"  {flow:6s} {bench:12s} max rel err "
-                  f"{bounds['max_rel_err']:.3f}  mean "
-                  f"{bounds['mean_rel_err']:.3f}  "
-                  f"({bounds['points']} points)")
+    for bench, bounds in sorted(artifact.error_bounds.items()):
+        print(f"  {bench:12s} max rel err "
+              f"{bounds['max_rel_err']:.3f}  mean "
+              f"{bounds['mean_rel_err']:.3f}  "
+              f"({bounds['points']} points)")
     print(f"artifact written to {path} "
           f"(fingerprint {artifact.fingerprint[:12]}…)")
     return 0
@@ -278,9 +279,9 @@ def _dse(args: argparse.Namespace) -> int:
                 calibration = load_calibration(args.calibration)
             result = run_dse(
                 args.benchmark, n=args.n,
-                core_counts=_sizes(args.cores, (1, 2, 4, 8)),
-                warp_sizes=_sizes(args.warps, (2, 4, 8, 16)),
-                thread_sizes=_sizes(args.threads, (2, 4, 8, 16)),
+                core_counts=args.cores or (1, 2, 4, 8),
+                warp_sizes=args.warps or (2, 4, 8, 16),
+                thread_sizes=args.threads or (2, 4, 8, 16),
                 calibration=calibration,
                 confirm=args.confirm,
                 frontier_cap=args.frontier_cap,
@@ -505,10 +506,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            parents=artifact_flags.get(name, []))
         if name == "fig7":
             p.add_argument(
-                "--warp-sizes", default="", metavar="W,W,...",
+                "--warp-sizes", type=_sizes, default=(), metavar="W,W,...",
                 help="comma-separated warp counts (default 2,4,8,16)")
             p.add_argument(
-                "--thread-sizes", default="", metavar="T,T,...",
+                "--thread-sizes", type=_sizes, default=(),
+                metavar="T,T,...",
                 help="comma-separated thread counts (default 2,4,8,16)")
         p.set_defaults(func=fn)
     p_all = sub.add_parser("all", help="regenerate every table and figure")
@@ -535,15 +537,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("benchmark", help="Table-I benchmark name, e.g. vecadd")
     p.add_argument("--backend", choices=("interp", "simx", "hls"),
                    default="simx")
-    p.add_argument("--scale", type=int, default=1,
+    p.add_argument("--scale", type=_POSITIVE, default=1,
                    help="workload scale factor (default 1)")
-    p.add_argument("--cores", type=int, default=0,
-                   help="simx: core count override")
-    p.add_argument("--warps", type=int, default=0,
-                   help="simx: warps-per-core override")
-    p.add_argument("--threads", type=int, default=0,
-                   help="simx: threads-per-warp override")
-    p.add_argument("--bucket", type=int, default=256,
+    p.add_argument("--cores", type=_COUNT, default=0,
+                   help="simx: core count override (0 keeps the default)")
+    p.add_argument("--warps", type=_COUNT, default=0,
+                   help="simx: warps-per-core override (0 keeps the "
+                        "default)")
+    p.add_argument("--threads", type=_COUNT, default=0,
+                   help="simx: threads-per-warp override (0 keeps the "
+                        "default)")
+    p.add_argument("--bucket", type=_POSITIVE, default=256,
                    help="simx: cycles per sampling bucket (default 256)")
     p.add_argument("--trace-out", default="",
                    help="Chrome-trace output path "
@@ -557,16 +561,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "calibrate",
         parents=[engine_flags],
-        help="fit the analytical predictors against SimX / the HLS "
-             "pipeline model and write a fingerprinted calibration "
-             "artifact (the trusted input of `dse`)",
+        help="fit the Vortex analytical model against SimX and write "
+             "a fingerprinted calibration artifact (the input of `dse`)",
     )
     p.add_argument("--out", default="", metavar="PATH",
                    help="artifact path (default .repro-calibration.json)")
     p.add_argument("--benchmarks", default="", metavar="B,B,...",
                    help="comma-separated benchmarks "
                         "(default vecadd,transpose)")
-    p.add_argument("--n", type=int, default=4096,
+    p.add_argument("--n", type=_POSITIVE, default=4096,
                    help="problem size of the SimX ground-truth cells "
                         "(default 4096)")
     p.set_defaults(func=_calibrate)
@@ -579,13 +582,13 @@ def _build_parser() -> argparse.ArgumentParser:
              "SimX-confirm only the Pareto frontier",
     )
     p.add_argument("benchmark", help="sweep benchmark: vecadd or transpose")
-    p.add_argument("--n", type=int, default=4096,
+    p.add_argument("--n", type=_POSITIVE, default=4096,
                    help="problem size (default 4096)")
-    p.add_argument("--cores", default="", metavar="C,C,...",
+    p.add_argument("--cores", type=_sizes, default=(), metavar="C,C,...",
                    help="core counts to screen (default 1,2,4,8)")
-    p.add_argument("--warps", default="", metavar="W,W,...",
+    p.add_argument("--warps", type=_sizes, default=(), metavar="W,W,...",
                    help="warp counts to screen (default 2,4,8,16)")
-    p.add_argument("--threads", default="", metavar="T,T,...",
+    p.add_argument("--threads", type=_sizes, default=(), metavar="T,T,...",
                    help="thread counts to screen (default 2,4,8,16)")
     p.add_argument("--confirm", choices=("frontier", "none"),
                    default="frontier",
@@ -617,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=0,
+    p.add_argument("--port", type=_PORT, default=0,
                    help="bind port (default 0 = ephemeral; clients "
                         "discover it via the state dir's daemon.json)")
     p.add_argument("--jobs", type=_COUNT, default=1, metavar="N",

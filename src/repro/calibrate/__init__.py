@@ -1,14 +1,15 @@
-"""Model calibration: fit the analytical predictors to ground truth.
+"""Model calibration: fit the Vortex analytical model to SimX.
 
 The paper's conclusion asks for an analytical model that can stand in
 for simulation when searching the configuration space; arxiv 2003.13054
 shows such a model earns its place only once it is *calibrated* against
 the thing it replaces. This package fits the free parameters of
-:mod:`repro.vortex.analytical` (against SimX) and of the
-:func:`repro.hls.perf.screen_cycles` fast path (against the full HLS
-pipeline model), measures per-benchmark error bounds, and persists the
-fit as a versioned JSON artifact keyed by the repro code fingerprint —
-the trusted input of the hierarchical DSE in :mod:`repro.harness.dse`.
+:mod:`repro.vortex.analytical` against SimX, measures per-benchmark
+error bounds on the calibration cells, and persists the fit as a
+versioned JSON artifact keyed by the repro code fingerprint — the input
+of the hierarchical DSE in :mod:`repro.harness.dse`. The HLS flow has
+no calibration: it compiles each kernel to one fixed datapath, so there
+is no configuration to search.
 
 Usage::
 
@@ -26,13 +27,10 @@ from .artifact import (
     load_calibration,
 )
 from .fit import (
-    HLS_CALIBRATION_SIZES,
     VORTEX_CALIBRATION_CELLS,
     CalibrationSample,
-    collect_hls_samples,
     collect_vortex_samples,
     error_bounds,
-    fit_hls_params,
     fit_vortex_params,
     run_calibration,
 )
@@ -45,12 +43,9 @@ __all__ = [
     "DEFAULT_ARTIFACT_PATH",
     "CalibrationArtifact",
     "CalibrationSample",
-    "HLS_CALIBRATION_SIZES",
     "VORTEX_CALIBRATION_CELLS",
-    "collect_hls_samples",
     "collect_vortex_samples",
     "error_bounds",
-    "fit_hls_params",
     "fit_vortex_params",
     "load_calibration",
     "run_calibration",

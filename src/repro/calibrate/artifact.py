@@ -8,25 +8,23 @@ result cache keys on) and :func:`load_calibration` refuses — by
 default — to hand back a fit whose fingerprint does not match the
 running code.
 
-The JSON layout (``schema`` 1)::
+The JSON layout (``schema`` 2)::
 
     {
-      "schema": 1,
+      "schema": 2,
       "fingerprint": "<code_fingerprint() at fit time>",
       "vortex": { ...VortexModelParams... },
-      "hls": { ...HLSModelParams... },
       "error_bounds": {
-        "vortex": {"vecadd": {"max_rel_err": ..., "mean_rel_err": ...,
-                              "points": N}, ...},
-        "hls": {...}
+        "vecadd": {"max_rel_err": ..., "mean_rel_err": ..., "points": N},
+        ...
       },
       "meta": {"benchmarks": [...], "n": ..., ...}
     }
 
-``error_bounds`` are *measured on the calibration set*, per benchmark
-and per flow — they are what downstream consumers (the hierarchical
-DSE's frontier pruning, the regression tests) treat as the model's
-stated tolerance.
+``error_bounds`` are *measured on the calibration cells*, per
+benchmark. The hierarchical DSE prunes its frontier with them, but
+held-out cells can exceed them, so the prune is a heuristic, not a
+guarantee (see :func:`repro.harness.dse.explore_design_space`).
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from pathlib import Path
 
 from ..durable import atomic_write
 from ..errors import CalibrationError
-from ..harness.result_cache import code_fingerprint
-from ..hls.perf import HLSModelParams
+from ..fingerprint import code_fingerprint
 from ..vortex.analytical import VortexModelParams
 
 __all__ = [
@@ -47,40 +44,36 @@ __all__ = [
     "load_calibration",
 ]
 
-CALIBRATION_SCHEMA = 1
+CALIBRATION_SCHEMA = 2
 
 
 @dataclass
 class CalibrationArtifact:
-    """One complete fit: parameters per flow plus measured error bounds."""
+    """One complete fit: model parameters plus measured error bounds."""
 
     fingerprint: str
     vortex: VortexModelParams
-    hls: HLSModelParams
-    #: ``{"vortex": {bench: {...}}, "hls": {bench: {...}}}``
+    #: ``{bench: {"max_rel_err", "mean_rel_err", "points"}}``
     error_bounds: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     schema: int = CALIBRATION_SCHEMA
 
-    def bound(self, flow: str, benchmark: str | None = None) -> float:
-        """The stated max relative error of ``flow`` (``"vortex"`` or
-        ``"hls"``): for one benchmark, or the worst across the
-        calibration set when ``benchmark`` is ``None`` (also the
-        fallback for benchmarks outside the set)."""
-        per_bench = self.error_bounds.get(flow, {})
-        if benchmark is not None and benchmark in per_bench:
-            return float(per_bench[benchmark]["max_rel_err"])
-        if not per_bench:
-            raise CalibrationError(
-                f"artifact carries no error bounds for flow {flow!r}")
-        return max(float(b["max_rel_err"]) for b in per_bench.values())
+    def bound(self, benchmark: str | None = None) -> float:
+        """The stated max relative error: for one benchmark, or the
+        worst across the calibration set when ``benchmark`` is ``None``
+        (also the fallback for benchmarks outside the set)."""
+        if benchmark in self.error_bounds:
+            return float(self.error_bounds[benchmark]["max_rel_err"])
+        if not self.error_bounds:
+            raise CalibrationError("artifact carries no error bounds")
+        return max(float(b["max_rel_err"])
+                   for b in self.error_bounds.values())
 
     def to_payload(self) -> dict:
         return {
             "schema": self.schema,
             "fingerprint": self.fingerprint,
             "vortex": self.vortex.to_payload(),
-            "hls": self.hls.to_payload(),
             "error_bounds": self.error_bounds,
             "meta": self.meta,
         }
@@ -96,7 +89,6 @@ class CalibrationArtifact:
             return CalibrationArtifact(
                 fingerprint=str(payload["fingerprint"]),
                 vortex=VortexModelParams.from_payload(payload["vortex"]),
-                hls=HLSModelParams.from_payload(payload["hls"]),
                 error_bounds=dict(payload.get("error_bounds", {})),
                 meta=dict(payload.get("meta", {})),
                 schema=schema,

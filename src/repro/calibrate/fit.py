@@ -1,24 +1,13 @@
-"""Fit the analytical predictors against ground truth.
+"""Fit the Vortex analytical model against SimX.
 
-Two fits, one artifact:
-
-* **Vortex flow** — the free parameters of
-  :func:`repro.vortex.analytical.predict` (per-bound scale factors plus
-  the MSHR contention coefficient) are fitted against **SimX** cycle
-  counts on a small calibration set of (warps, threads) cells. Ground
-  truth runs through the :class:`~repro.harness.engine.ExperimentEngine`
-  with the *same content keys as the Figure 7 sweep*, so calibration
-  simulations dedupe against sweeps (and vice versa) in one
-  :class:`~repro.harness.result_cache.ResultCache`.
-
-* **HLS flow** — the ``issue_scale``/``memory_scale`` of the
-  millisecond screen predictor (:func:`repro.hls.perf.screen_cycles`)
-  are fitted against the **full pipeline model**
-  (:func:`repro.hls.perf.estimate_cycles`, which needs a functional
-  interpreter run per launch size) across several problem sizes. The
-  paper publishes HLS synthesis *area*, not cycle counts, so the full
-  model is the best ground truth available in-repo — the fit makes the
-  screen's per-item extrapolation faithful to it.
+The free parameters of :func:`repro.vortex.analytical.predict`
+(per-bound scale factors plus the MSHR contention coefficient) are
+fitted against **SimX** cycle counts on a small calibration set of
+(warps, threads) cells. Ground truth runs through the
+:class:`~repro.harness.engine.ExperimentEngine` with the *same content
+keys as the Figure 7 sweep*, so calibration simulations dedupe against
+sweeps (and vice versa) in one
+:class:`~repro.harness.result_cache.ResultCache`.
 
 Fitting is a deterministic multiplicative coordinate descent on mean
 squared log-relative error: no SciPy dependence, no RNG, same fit on
@@ -34,36 +23,19 @@ from typing import Callable, Sequence
 import math
 
 from ..errors import CalibrationError, PointFailure
+from ..fingerprint import code_fingerprint
 from ..harness.engine import ExperimentEngine, default_engine
-from ..harness.result_cache import ResultCache, code_fingerprint
-from ..harness.sweep import (
-    fig7_geometry,
-    fig7_key,
-    fig7_profile,
-    fig7_workload,
-    sweep_point,
-)
-from ..hls.lsu import classify_kernel
-from ..hls.perf import (
-    HLSKernelProfile,
-    HLSModelParams,
-    estimate_cycles,
-    screen_cycles,
-)
-from ..ocl.interp import interpret
-from ..ocl.ndrange import NDRange
-from ..vortex.analytical import VortexModelParams, predict
+from ..harness.result_cache import ResultCache
+from ..harness.sweep import fig7_key, fig7_profile, sweep_point
+from ..vortex.analytical import KernelProfile, VortexModelParams, predict
 from ..vortex.simx.config import VortexConfig
 from .artifact import CalibrationArtifact
 
 __all__ = [
-    "HLS_CALIBRATION_SIZES",
     "VORTEX_CALIBRATION_CELLS",
     "CalibrationSample",
-    "collect_hls_samples",
     "collect_vortex_samples",
     "error_bounds",
-    "fit_hls_params",
     "fit_vortex_params",
     "run_calibration",
 ]
@@ -74,11 +46,6 @@ __all__ = [
 VORTEX_CALIBRATION_CELLS = ((2, 2), (2, 16), (4, 4), (8, 8), (16, 4),
                             (16, 16))
 
-#: problem sizes the HLS screen predictor is fitted across (the full
-#: pipeline model re-runs the interpreter per size; the screen must
-#: extrapolate between them).
-HLS_CALIBRATION_SIZES = (256, 1024, 4096)
-
 #: parameter fields the descent adjusts, with multiplicative bounds.
 _VORTEX_FIT_FIELDS = (
     ("issue_scale", 1.0 / 64, 64.0),
@@ -86,22 +53,16 @@ _VORTEX_FIT_FIELDS = (
     ("latency_scale", 1.0 / 64, 64.0),
     ("contention_alpha", 1e-3, 4.0),
 )
-_HLS_FIT_FIELDS = (
-    ("issue_scale", 1.0 / 64, 64.0),
-    ("memory_scale", 1.0 / 64, 64.0),
-)
 
 
 @dataclass(frozen=True)
 class CalibrationSample:
-    """One (prediction input, ground truth) pair for either flow."""
+    """One (prediction input, SimX ground truth) pair."""
 
-    flow: str  # "vortex" | "hls"
     benchmark: str
-    label: str  # config label / "n=4096"
-    profile: object  # KernelProfile | HLSKernelProfile
-    config: VortexConfig | None  # vortex flow only
-    total_items: int  # hls flow only (extrapolation target)
+    label: str  # config label
+    profile: KernelProfile
+    config: VortexConfig
     true_cycles: float
 
 
@@ -140,50 +101,15 @@ def collect_vortex_samples(
                 f"{config.label()}: {value.brief()} — calibration needs "
                 f"a complete sample set")
         samples.append(CalibrationSample(
-            flow="vortex", benchmark=benchmark, label=config.label(),
+            benchmark=benchmark, label=config.label(),
             profile=profiles[benchmark], config=config,
-            total_items=profiles[benchmark].total_items,
             true_cycles=float(value["cycles"])))
     return samples
 
 
-def collect_hls_samples(
-    benchmarks: Sequence[str] = ("vecadd", "transpose"),
-    sizes: Sequence[int] = HLS_CALIBRATION_SIZES,
-) -> list[CalibrationSample]:
-    """Full-pipeline-model ground truth for the HLS screen fit.
-
-    The profile is collected once per benchmark at the smallest size;
-    the truth at each size comes from a fresh interpreter run through
-    :func:`estimate_cycles` — exactly the cost the screen exists to
-    avoid paying per design point.
-    """
-    samples = []
-    for benchmark in benchmarks:
-        profile = None
-        for size in sorted(sizes):
-            kernel, args = fig7_workload(benchmark, size)
-            ndrange = NDRange.create(*fig7_geometry(benchmark, size, 16))
-            sites = classify_kernel(kernel)
-            run = interpret(kernel, args, ndrange)
-            if profile is None:
-                profile = HLSKernelProfile.collect(kernel, sites, run)
-            truth = estimate_cycles(kernel, sites, ndrange, run)
-            samples.append(CalibrationSample(
-                flow="hls", benchmark=benchmark,
-                label=f"n={ndrange.total_items}", profile=profile,
-                config=None, total_items=ndrange.total_items,
-                true_cycles=float(truth.cycles)))
-    return samples
-
-
 def _sample_prediction(sample: CalibrationSample, vortex:
-                       VortexModelParams | None = None,
-                       hls: HLSModelParams | None = None) -> float:
-    if sample.flow == "vortex":
-        return predict(sample.profile, sample.config,
-                       params=vortex).cycles
-    return screen_cycles(sample.profile, sample.total_items, params=hls)
+                       VortexModelParams | None = None) -> float:
+    return predict(sample.profile, sample.config, params=vortex).cycles
 
 
 def _msle(samples: Sequence[CalibrationSample],
@@ -227,15 +153,13 @@ def _coordinate_descent(
     return vals, best
 
 
-def fit_vortex_params(samples: Sequence[CalibrationSample],
-                      start: VortexModelParams | None = None
+def fit_vortex_params(samples: Sequence[CalibrationSample]
                       ) -> VortexModelParams:
-    """Fit the Vortex analytical model's free parameters to SimX truth."""
-    samples = [s for s in samples if s.flow == "vortex"]
+    """Fit the Vortex analytical model's free parameters to SimX truth,
+    starting from the hand-tuned defaults."""
     if not samples:
-        raise CalibrationError("no vortex samples to fit against")
-    start = start or VortexModelParams()
-    base = start.to_payload()
+        raise CalibrationError("no samples to fit against")
+    base = VortexModelParams().to_payload()
 
     def objective(vals: dict[str, float]) -> float:
         params = VortexModelParams.from_payload({**base, **vals})
@@ -247,49 +171,27 @@ def fit_vortex_params(samples: Sequence[CalibrationSample],
     return VortexModelParams.from_payload({**base, **fitted})
 
 
-def fit_hls_params(samples: Sequence[CalibrationSample],
-                   start: HLSModelParams | None = None) -> HLSModelParams:
-    """Fit the HLS screen predictor to the full pipeline model."""
-    samples = [s for s in samples if s.flow == "hls"]
-    if not samples:
-        raise CalibrationError("no hls samples to fit against")
-    start = start or HLSModelParams()
-    base = start.to_payload()
-
-    def objective(vals: dict[str, float]) -> float:
-        params = HLSModelParams.from_payload({**base, **vals})
-        return _msle(samples, lambda s: _sample_prediction(s, hls=params))
-
-    fitted, _ = _coordinate_descent(
-        {name: base[name] for name, _, _ in _HLS_FIT_FIELDS},
-        _HLS_FIT_FIELDS, objective)
-    return HLSModelParams.from_payload({**base, **fitted})
-
-
 def error_bounds(samples: Sequence[CalibrationSample],
-                 vortex: VortexModelParams | None = None,
-                 hls: HLSModelParams | None = None) -> dict:
-    """Per-flow, per-benchmark relative-error bounds of a fit.
+                 vortex: VortexModelParams | None = None) -> dict:
+    """Per-benchmark relative-error bounds of a fit on ``samples``.
 
-    ``{"vortex": {bench: {"max_rel_err", "mean_rel_err", "points"}},
-    "hls": {...}}`` — the numbers the artifact states and the
-    regression tests assert.
+    ``{bench: {"max_rel_err", "mean_rel_err", "points"}}`` — the
+    numbers the artifact states and the regression tests assert.
     """
-    bounds: dict[str, dict[str, dict]] = {}
+    bounds: dict[str, dict] = {}
     for s in samples:
-        pred = _sample_prediction(s, vortex=vortex, hls=hls)
+        pred = _sample_prediction(s, vortex=vortex)
         rel = abs(pred - s.true_cycles) / max(s.true_cycles, 1e-9)
-        entry = bounds.setdefault(s.flow, {}).setdefault(
+        entry = bounds.setdefault(
             s.benchmark, {"max_rel_err": 0.0, "mean_rel_err": 0.0,
                           "points": 0})
         entry["max_rel_err"] = max(entry["max_rel_err"], rel)
         entry["mean_rel_err"] += rel
         entry["points"] += 1
-    for per_bench in bounds.values():
-        for entry in per_bench.values():
-            entry["max_rel_err"] = round(entry["max_rel_err"], 6)
-            entry["mean_rel_err"] = round(
-                entry["mean_rel_err"] / entry["points"], 6)
+    for entry in bounds.values():
+        entry["max_rel_err"] = round(entry["max_rel_err"], 6)
+        entry["mean_rel_err"] = round(
+            entry["mean_rel_err"] / entry["points"], 6)
     return bounds
 
 
@@ -298,37 +200,30 @@ def run_calibration(
     n: int = 4096,
     cores: int = 4,
     cells: Sequence[tuple[int, int]] = VORTEX_CALIBRATION_CELLS,
-    hls_sizes: Sequence[int] = HLS_CALIBRATION_SIZES,
     base: VortexConfig | None = None,
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
 ) -> CalibrationArtifact:
-    """Collect ground truth, fit both flows, and assemble the artifact.
+    """Collect SimX ground truth, fit the Vortex model, and assemble
+    the artifact.
 
-    The SimX ground truth runs on ``engine`` (see
+    The ground truth runs on ``engine`` (see
     :func:`~repro.harness.engine.default_engine`). The caller persists
     the artifact with :meth:`CalibrationArtifact.save`; the fingerprint
     is recorded at fit time so a later load can detect code drift.
     """
-    vortex_samples = collect_vortex_samples(
+    samples = collect_vortex_samples(
         benchmarks=benchmarks, n=n, cores=cores, cells=cells, base=base,
         engine=default_engine(engine, cache))
-    hls_samples = collect_hls_samples(benchmarks=benchmarks,
-                                      sizes=hls_sizes)
-    vortex_params = fit_vortex_params(vortex_samples)
-    hls_params = fit_hls_params(hls_samples)
-    bounds = error_bounds(vortex_samples + hls_samples,
-                          vortex=vortex_params, hls=hls_params)
+    params = fit_vortex_params(samples)
     return CalibrationArtifact(
         fingerprint=code_fingerprint(),
-        vortex=vortex_params,
-        hls=hls_params,
-        error_bounds=bounds,
+        vortex=params,
+        error_bounds=error_bounds(samples, vortex=params),
         meta={
             "benchmarks": list(benchmarks),
             "n": n,
             "cores": cores,
             "cells": [list(c) for c in cells],
-            "hls_sizes": list(hls_sizes),
         },
     )

@@ -13,12 +13,13 @@ magnitude at each stage:
    :mod:`repro.calibrate`) analytical performance model prices the
    survivors, at microseconds per point: thousands of (C, W, T) points
    per second from one configuration-independent kernel profile;
-2. **frontier** — only the area x predicted-cycles Pareto frontier can
-   contain the best buildable configuration, so everything dominated in
-   both resources *and* predicted time is dropped without ever being
-   simulated. Calibrated error bounds tighten this further: a frontier
-   point predicted slower than ``best x (1 + 2*bound)`` cannot win even
-   at the stated model error, so it is pruned too;
+2. **frontier** — only the area x predicted-cycles Pareto frontier is
+   kept: everything dominated in both resources *and* predicted time
+   is dropped without ever being simulated. With a calibration, a
+   heuristic prune then drops frontier points predicted slower than
+   ``best x (1 + 2*bound)``, keeping at least three. The bound is
+   measured on the calibration cells and held-out cells can exceed
+   it, so neither step guarantees that the true optimum survives;
 3. **confirm** — the surviving handful of frontier points are
    cycle-confirmed with SimX, fanned through the
    :class:`~repro.harness.engine.ExperimentEngine` so memoisation,
@@ -318,9 +319,10 @@ def explore_design_space(
     {"cycles": ...}`` (the sweep payload; see :func:`dse_confirm_point`)
     that cycle-confirms the (predicted cycles x ALUT) Pareto frontier,
     pruned to points within ``best_predicted * (1 + 2*prune_rel_err)``
-    (a calibrated error bound: anything predicted slower than that
-    cannot be the true optimum even at the stated model error) and
-    capped at the ``frontier_cap`` fastest-predicted points.
+    but never below three, and capped at the ``frontier_cap``
+    fastest-predicted points. The prune is a heuristic: the calibrated
+    bound is measured on the calibration cells, and held-out cells can
+    exceed it.
 
     Confirmations run through ``engine``: its worker pool, its result
     cache (keyed by ``simulate_key``, ``config -> cache key``) and its
@@ -450,7 +452,7 @@ def run_dse(
     prune_rel_err = None
     if calibration is not None:
         params = calibration.vortex
-        prune_rel_err = calibration.bound("vortex", benchmark)
+        prune_rel_err = calibration.bound(benchmark)
 
     simulate = simulate_key = None
     if confirm == "frontier":

@@ -28,39 +28,13 @@ from pathlib import Path
 from typing import Any
 
 from ..durable import TMP_GC_AGE_S, atomic_write, sweep_tmp
+from ..fingerprint import code_fingerprint
 
 __all__ = ["MISS", "ResultCache", "code_fingerprint"]
 
 #: Sentinel returned by :meth:`ResultCache.get` on a miss (``None`` is a
 #: legitimate cached value).
 MISS = object()
-
-_fingerprint_cache: dict[str, str] = {}
-
-
-def code_fingerprint() -> str:
-    """SHA-256 over every ``*.py`` file of the installed ``repro`` package.
-
-    Computed once per process; any source change (a new timing model, a
-    cache bugfix) yields a new fingerprint and silently invalidates all
-    previously cached results.
-    """
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    key = str(root)
-    cached = _fingerprint_cache.get(key)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    fingerprint = digest.hexdigest()
-    _fingerprint_cache[key] = fingerprint
-    return fingerprint
 
 
 def _canonical(value: Any) -> Any:

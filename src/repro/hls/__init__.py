@@ -26,13 +26,7 @@ from .lsu import (
     LSUSite,
     classify_kernel,
 )
-from .perf import (
-    HLSKernelProfile,
-    HLSModelParams,
-    PipelineEstimate,
-    estimate_cycles,
-    screen_cycles,
-)
+from .perf import PipelineEstimate, estimate_cycles
 from .report import format_breakdown, format_table, format_utilization
 
 __all__ = [
@@ -45,8 +39,6 @@ __all__ = [
     "HBM2",
     "HLSBackend",
     "HLSCompiledKernel",
-    "HLSKernelProfile",
-    "HLSModelParams",
     "LSUKind",
     "LSUSite",
     "MemorySystem",
@@ -58,7 +50,6 @@ __all__ = [
     "estimate",
     "estimate_cycles",
     "estimate_program",
-    "screen_cycles",
     "format_breakdown",
     "format_table",
     "format_utilization",

@@ -47,50 +47,6 @@ STAGES_PER_INSTR = 3
 BASE_DEPTH = 50
 
 
-@dataclass(frozen=True)
-class HLSModelParams:
-    """The pipeline model's free parameters, exposed for calibration.
-
-    Defaults reproduce the historical module-level constants exactly;
-    every ``params=None`` call site is unchanged. ``issue_scale`` and
-    ``memory_scale`` are pure fitting degrees of freedom used by the
-    millisecond screen predictor (:func:`screen_cycles`), whose per-item
-    extrapolation :mod:`repro.calibrate` fits against this full model.
-    """
-
-    coalesced_words_per_cycle: float = COALESCED_WORDS_PER_CYCLE
-    strided_cycles_per_word: float = STRIDED_CYCLES_PER_WORD
-    pipelined_cycles_per_word: float = PIPELINED_CYCLES_PER_WORD
-    atomic_ii_penalty: int = ATOMIC_II_PENALTY
-    stages_per_instr: int = STAGES_PER_INSTR
-    base_depth: int = BASE_DEPTH
-    issue_scale: float = 1.0
-    memory_scale: float = 1.0
-
-    def to_payload(self) -> dict:
-        return {
-            "coalesced_words_per_cycle": self.coalesced_words_per_cycle,
-            "strided_cycles_per_word": self.strided_cycles_per_word,
-            "pipelined_cycles_per_word": self.pipelined_cycles_per_word,
-            "atomic_ii_penalty": self.atomic_ii_penalty,
-            "stages_per_instr": self.stages_per_instr,
-            "base_depth": self.base_depth,
-            "issue_scale": self.issue_scale,
-            "memory_scale": self.memory_scale,
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "HLSModelParams":
-        ints = {"atomic_ii_penalty", "stages_per_instr", "base_depth"}
-        return HLSModelParams(**{
-            k: (int(payload[k]) if k in ints else float(payload[k]))
-            for k in HLSModelParams().to_payload()
-        })
-
-
-DEFAULT_HLS_PARAMS = HLSModelParams()
-
-
 @dataclass
 class PipelineEstimate:
     depth: int
@@ -103,110 +59,15 @@ class PipelineEstimate:
         return self.cycles / fmax_mhz
 
 
-def _site_cost(kind: LSUKind, p: HLSModelParams) -> float:
+def _site_cost(kind: LSUKind) -> float:
     if kind in (LSUKind.STREAMING, LSUKind.UNIFORM,
                 LSUKind.CONSTANT_CACHE):
-        return 1.0 / p.coalesced_words_per_cycle
+        return 1.0 / COALESCED_WORDS_PER_CYCLE
     if kind is LSUKind.PIPELINED:
-        return p.pipelined_cycles_per_word
+        return PIPELINED_CYCLES_PER_WORD
     if kind is LSUKind.LOCAL_PORT:
         return 0.0  # on-chip, overlapped
-    return p.strided_cycles_per_word
-
-
-@dataclass(frozen=True)
-class HLSKernelProfile:
-    """Scale-free summary of one HLS launch, for millisecond screening.
-
-    :func:`estimate_cycles` needs a functional interpreter run per
-    launch size — fine for one compile, too slow for a DSE loop that
-    screens thousands of points. This profile normalises the dynamic
-    counts *per work item* so :func:`screen_cycles` can extrapolate the
-    pipeline model to any problem size without re-running the
-    interpreter. The extrapolation error (loop trip counts and integer
-    truncation do not scale perfectly linearly) is what
-    :mod:`repro.calibrate` fits ``issue_scale``/``memory_scale``
-    against, with measured per-benchmark bounds.
-    """
-
-    static_instrs: int
-    has_atomics: bool
-    total_items: int
-    branches_per_item: float
-    atomics_per_item: float
-    #: dynamic memory words per item, bucketed by LSU cost class
-    #: (coalesced = streaming/uniform/constant-cache; local-port words
-    #: are free and not recorded).
-    coalesced_words_per_item: float
-    strided_words_per_item: float
-    pipelined_words_per_item: float
-
-    @staticmethod
-    def collect(kernel: Kernel, sites: list[LSUSite], run: RunResult
-                ) -> "HLSKernelProfile":
-        items = max(1, run.items_executed)
-        loads_dyn = run.op_counts.get(Opcode.LOAD, 0)
-        stores_dyn = run.op_counts.get(Opcode.STORE, 0)
-        buckets = {"coalesced": 0.0, "strided": 0.0, "pipelined": 0.0}
-
-        def bucket_of(kind: LSUKind) -> str | None:
-            if kind in (LSUKind.STREAMING, LSUKind.UNIFORM,
-                        LSUKind.CONSTANT_CACHE):
-                return "coalesced"
-            if kind is LSUKind.PIPELINED:
-                return "pipelined"
-            if kind is LSUKind.LOCAL_PORT:
-                return None
-            return "strided"
-
-        # Same uniform per-site apportioning as estimate_cycles, so the
-        # screen agrees with the full model at the collection scale.
-        for is_store, dyn in ((False, loads_dyn), (True, stores_dyn)):
-            group = [s for s in sites if s.is_store == is_store]
-            if not group or not dyn:
-                continue
-            per_site = dyn / len(group)
-            for s in group:
-                name = bucket_of(s.kind)
-                if name is not None:
-                    buckets[name] += per_site
-        return HLSKernelProfile(
-            static_instrs=sum(1 for _ in kernel.instructions()),
-            has_atomics=any(ins.op in ATOMIC_OPS
-                            for ins in kernel.instructions()),
-            total_items=items,
-            branches_per_item=run.op_counts.get(Opcode.BR, 0) / items,
-            atomics_per_item=sum(run.op_counts.get(op, 0)
-                                 for op in ATOMIC_OPS) / items,
-            coalesced_words_per_item=buckets["coalesced"] / items,
-            strided_words_per_item=buckets["strided"] / items,
-            pipelined_words_per_item=buckets["pipelined"] / items,
-        )
-
-
-def screen_cycles(profile: HLSKernelProfile, total_items: int,
-                  params: HLSModelParams | None = None) -> float:
-    """Millisecond-path cycle prediction from a collected profile.
-
-    Same ``depth + max(issue, memory)`` shape as
-    :func:`estimate_cycles`, extrapolated to ``total_items`` work items
-    from the profile's per-item rates — no interpreter run, suitable
-    for screening thousands of design points.
-    """
-    p = params or DEFAULT_HLS_PARAMS
-    depth = p.base_depth + p.stages_per_instr * profile.static_instrs
-    ii = 1 + (p.atomic_ii_penalty if profile.has_atomics else 0)
-    iterations = total_items * (1.0 + profile.branches_per_item)
-    issue = iterations * ii * p.issue_scale
-    per_item_mem = (
-        profile.coalesced_words_per_item / p.coalesced_words_per_cycle
-        + profile.strided_words_per_item * p.strided_cycles_per_word
-        + profile.pipelined_words_per_item * p.pipelined_cycles_per_word
-        + profile.atomics_per_item * (p.strided_cycles_per_word
-                                      + p.atomic_ii_penalty)
-    )
-    memory = total_items * per_item_mem * p.memory_scale
-    return depth + max(issue, memory)
+    return STRIDED_CYCLES_PER_WORD
 
 
 def estimate_cycles(
@@ -215,24 +76,19 @@ def estimate_cycles(
     ndrange: NDRange,
     run: RunResult,
     profiler: Profiler | None = None,
-    params: HLSModelParams | None = None,
 ) -> PipelineEstimate:
     """Estimate the execution cycles of one launch from its dynamic
     profile (``run`` comes from the functional execution of the launch).
 
-    ``params`` supplies calibrated model constants (see
-    :mod:`repro.calibrate`); ``None`` keeps the hand-tuned defaults.
-
     When ``profiler`` is enabled, records II accounting, per-LSU-kind
     memory traffic, and pipeline stage occupancy on a modelled-cycle
     timeline."""
-    p = params or DEFAULT_HLS_PARAMS
     static_instrs = sum(1 for _ in kernel.instructions())
-    depth = p.base_depth + p.stages_per_instr * static_instrs
+    depth = BASE_DEPTH + STAGES_PER_INSTR * static_instrs
 
     ii = 1
     if any(ins.op in ATOMIC_OPS for ins in kernel.instructions()):
-        ii += p.atomic_ii_penalty
+        ii += ATOMIC_II_PENALTY
 
     # Iterations: every work item is one iteration, plus every dynamic
     # back-edge (loop trip) re-circulates the item through the pipeline.
@@ -247,15 +103,12 @@ def estimate_cycles(
     load_sites_all = [s for s in sites if not s.is_store]
     store_sites_all = [s for s in sites if s.is_store]
 
-    def site_cost(kind: LSUKind) -> float:
-        return _site_cost(kind, p)
-
     memory_cycles = 0.0
     #: per-LSU-kind (words, cycles) breakdown, kept for profiling.
     kind_traffic: dict[str, list[float]] = {}
 
     def account(kind: LSUKind, words: float) -> float:
-        cost = words * site_cost(kind)
+        cost = words * _site_cost(kind)
         entry = kind_traffic.setdefault(kind.value, [0.0, 0.0])
         entry[0] += words
         entry[1] += cost
@@ -270,8 +123,8 @@ def estimate_cycles(
         for s in store_sites_all:
             memory_cycles += account(s.kind, per_site)
     atomics_dyn = sum(run.op_counts.get(op, 0) for op in ATOMIC_OPS)
-    atomic_cycles = atomics_dyn * (p.strided_cycles_per_word
-                                   + p.atomic_ii_penalty)
+    atomic_cycles = atomics_dyn * (STRIDED_CYCLES_PER_WORD
+                                   + ATOMIC_II_PENALTY)
     memory_cycles += atomic_cycles
 
     cycles = depth + max(issue_cycles, int(memory_cycles))

@@ -121,12 +121,10 @@ class VortexModelParams:
     The defaults reproduce the historical hand-tuned model exactly, so
     every ``params=None`` call site behaves as before calibration
     existed. The three ``*_scale`` factors are pure fitting degrees of
-    freedom (multipliers on each closed-form bound); the rest are the
-    physically-named constants the bounds are built from.
+    freedom (multipliers on each closed-form bound); ``contention_alpha``
+    is the MSHR replay coefficient.
     """
 
-    wave_overhead_ops: float = _WAVE_OVERHEAD_OPS
-    service_cycles: float = _SERVICE
     contention_alpha: float = _CONTENTION_ALPHA
     issue_scale: float = 1.0
     memory_scale: float = 1.0
@@ -134,8 +132,6 @@ class VortexModelParams:
 
     def to_payload(self) -> dict:
         return {
-            "wave_overhead_ops": self.wave_overhead_ops,
-            "service_cycles": self.service_cycles,
             "contention_alpha": self.contention_alpha,
             "issue_scale": self.issue_scale,
             "memory_scale": self.memory_scale,
@@ -170,7 +166,7 @@ def predict(profile: KernelProfile, config: VortexConfig,
     # Per item: its share of the wave's instructions (ops/T) plus its
     # share of the wave-loop overhead, each issued in `beats` cycles.
     issue = n * (profile.ops_per_item / t) * beats / c \
-        + n * p.wave_overhead_ops * beats / (t * c)
+        + n * _WAVE_OVERHEAD_OPS * beats / (t * c)
 
     # --- memory bound ------------------------------------------------------
     line_words = 64 // _WORD
@@ -182,9 +178,9 @@ def predict(profile: KernelProfile, config: VortexConfig,
     store_lines = profile.stores_per_item * n / line_words  # write-combined
     lanes_per_line = min(t, line_words)
     concurrency = max(1.0, config.mshrs / lanes_per_line)
-    roundtrip = config.dram.latency + p.service_cycles
+    roundtrip = config.dram.latency + _SERVICE
     memory = (load_lines / c) * roundtrip / concurrency \
-        + (store_lines / c) * p.service_cycles / config.dram.banks
+        + (store_lines / c) * _SERVICE / config.dram.banks
 
     # --- latency bound ------------------------------------------------------
     # Each resident warp overlaps its waves' round trips with the others'.

@@ -44,6 +44,7 @@ import numpy as np
 
 from ... import durable
 from ...errors import CheckpointError
+from ...fingerprint import code_fingerprint
 from .cache import CacheStats
 from .core import CoreStats
 from .dram import DRAMStats
@@ -362,11 +363,8 @@ class CheckpointStore:
                  fingerprint: str | None = None,
                  sweep_age_s: float | None = durable.TMP_GC_AGE_S):
         self.root = Path(root)
-        if fingerprint is None:
-            # Lazy import: vortex must stay importable without harness.
-            from ...harness.result_cache import code_fingerprint
-            fingerprint = code_fingerprint()
-        self.fingerprint = fingerprint
+        self.fingerprint = (code_fingerprint() if fingerprint is None
+                            else fingerprint)
         self.corrupt_dropped = 0
         self.stale_dropped = 0
         self.root.mkdir(parents=True, exist_ok=True)

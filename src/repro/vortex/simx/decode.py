@@ -153,13 +153,29 @@ def _make_imm_op(m: str, imm: int):
     raise SimulationError(f"bad int immop {m}")  # pragma: no cover
 
 
+#: RISC-V's canonical NaN (quiet, positive, zero payload).
+_CANONICAL_NAN = np.array(0x7FC00000, dtype=np.int32).view(np.float32)
+
+
+def _fminmax(take_a):
+    """RISC-V ``fmin.s``/``fmax.s``: ``take_a(a, b)`` marks the lanes
+    where ``a`` wins on ordered operands (−0.0 orders below +0.0); one
+    NaN operand yields the other, two yield the canonical NaN. Unlike
+    ``np.fmin``/``np.fmax``, whose signed-zero pick differs between
+    numpy's 1-lane and SIMD loops, every path gets the same bits."""
+    def op(a, b):
+        out = np.where(take_a(a, b) | np.isnan(b), a, b)
+        return np.where(np.isnan(a) & np.isnan(b), _CANONICAL_NAN, out)
+    return op
+
+
 _FLOAT_BIN_OPS = {
     "fadd.s": lambda a, b: a + b,
     "fsub.s": lambda a, b: a - b,
     "fmul.s": lambda a, b: a * b,
     "fdiv.s": lambda a, b: a / b,
-    "fmin.s": np.fmin,
-    "fmax.s": np.fmax,
+    "fmin.s": _fminmax(lambda a, b: (a < b) | ((a == b) & np.signbit(a))),
+    "fmax.s": _fminmax(lambda a, b: (a > b) | ((a == b) & np.signbit(b))),
     "fpow.s": lambda a, b: np.power(a.astype(np.float64),
                                     b.astype(np.float64)).astype(np.float32),
     "fsgnj.s": lambda a, b: ((a.view(np.int32) & 0x7FFFFFFF)

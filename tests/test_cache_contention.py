@@ -22,7 +22,6 @@ import pytest
 from repro.calibrate.artifact import CalibrationArtifact
 from repro.harness import ResultCache
 from repro.harness.result_cache import MISS
-from repro.hls.perf import HLSModelParams
 from repro.service.journal import Journal
 from repro.vortex.analytical import VortexModelParams
 from repro.vortex.simx.checkpoint import CheckpointStore
@@ -167,8 +166,8 @@ def _journal_compact(root):
 
 def _calibration_save(root):
     def save(v):
-        CalibrationArtifact(fingerprint=str(v), vortex=VortexModelParams(),
-                            hls=HLSModelParams()).save(root / "cal.json")
+        CalibrationArtifact(fingerprint=str(v), vortex=VortexModelParams()
+                            ).save(root / "cal.json")
     return save, root / "cal.json"
 
 

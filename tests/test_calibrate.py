@@ -27,7 +27,6 @@ from repro.calibrate.fit import (
 from repro.errors import CalibrationError
 from repro.harness.result_cache import ResultCache, code_fingerprint
 from repro.harness.sweep import THREAD_SIZES, WARP_SIZES
-from repro.hls.perf import HLSModelParams
 from repro.vortex.analytical import VortexModelParams
 
 #: Calibration-set scale: large enough that the issue/memory/latency
@@ -87,9 +86,8 @@ class TestFitQuality:
         samples = _calibration_samples(grid_samples)
         remeasured = error_bounds(samples, vortex=artifact.vortex)
         for bench in BENCHMARKS:
-            stated = artifact.bound("vortex", bench)
-            assert remeasured["vortex"][bench]["max_rel_err"] \
-                <= stated + 1e-6
+            stated = artifact.bound(bench)
+            assert remeasured[bench]["max_rel_err"] <= stated + 1e-6
             # bounds are genuine fractions, not degenerate zeros/infs
             assert 0.0 <= stated < 1.0
 
@@ -111,13 +109,6 @@ class TestFitQuality:
                 f"{rel:.2f} exceeds the stated {FIG7_GRID_TOLERANCE}")
         assert set(worst) == set(BENCHMARKS)
 
-    def test_hls_screen_tracks_pipeline_model(self, artifact):
-        """The HLS screen predictor is fitted against the full pipeline
-        model across HLS_CALIBRATION_SIZES; its stated bound must be
-        tight — the screen and the model share their cost structure."""
-        for bench in BENCHMARKS:
-            assert artifact.bound("hls", bench) <= 0.05
-
 
 def test_unknown_benchmark_rejected_before_simulation():
     """No sweep workload exists for most Table I benchmarks: the
@@ -135,14 +126,12 @@ class TestArtifact:
         loaded = load_calibration(path)
         assert loaded.fingerprint == artifact.fingerprint
         assert loaded.vortex == artifact.vortex
-        assert loaded.hls == artifact.hls
         assert loaded.error_bounds == artifact.error_bounds
 
     def test_fingerprint_skew_rejected(self, artifact, tmp_path):
         stale = CalibrationArtifact(
             fingerprint="not-the-running-code",
-            vortex=artifact.vortex, hls=artifact.hls,
-            error_bounds=artifact.error_bounds)
+            vortex=artifact.vortex, error_bounds=artifact.error_bounds)
         path = stale.save(tmp_path / "stale.json")
         with pytest.raises(CalibrationError) as exc:
             load_calibration(path)
@@ -157,24 +146,28 @@ class TestArtifact:
         with pytest.raises(CalibrationError):
             load_calibration(bad)
         wrong_schema = tmp_path / "schema.json"
-        wrong_schema.write_text(json.dumps({"schema": 99}))
-        with pytest.raises(CalibrationError) as exc:
-            load_calibration(wrong_schema)
-        assert "schema" in str(exc.value)
+        # schema 1 carried an HLS half this build no longer reads.
+        for schema in (1, 99):
+            wrong_schema.write_text(json.dumps({"schema": schema}))
+            with pytest.raises(CalibrationError) as exc:
+                load_calibration(wrong_schema)
+            assert "schema" in str(exc.value)
 
     def test_bound_lookup(self):
         art = CalibrationArtifact(
             fingerprint=code_fingerprint(),
-            vortex=VortexModelParams(), hls=HLSModelParams(),
-            error_bounds={"vortex": {
+            vortex=VortexModelParams(),
+            error_bounds={
                 "vecadd": {"max_rel_err": 0.1, "mean_rel_err": 0.05,
                            "points": 6},
                 "transpose": {"max_rel_err": 0.3, "mean_rel_err": 0.2,
                               "points": 6},
-            }})
-        assert art.bound("vortex", "vecadd") == pytest.approx(0.1)
+            })
+        assert art.bound("vecadd") == pytest.approx(0.1)
         # unknown benchmark falls back to the worst stated bound
-        assert art.bound("vortex", "sgemm") == pytest.approx(0.3)
-        assert art.bound("vortex") == pytest.approx(0.3)
+        assert art.bound("sgemm") == pytest.approx(0.3)
+        assert art.bound() == pytest.approx(0.3)
+        empty = CalibrationArtifact(fingerprint=code_fingerprint(),
+                                    vortex=VortexModelParams())
         with pytest.raises(CalibrationError):
-            art.bound("hls")
+            empty.bound()

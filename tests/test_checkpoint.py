@@ -17,6 +17,9 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +30,7 @@ from repro.errors import (
     PointFailure,
     SimulationPreempted,
 )
+from repro.fingerprint import code_fingerprint
 from repro.harness.dse import run_dse
 from repro.harness.engine import ExperimentEngine
 from repro.harness.faults import corrupt_checkpoint
@@ -53,6 +57,8 @@ N = 1024
 EVERY = 1000
 
 _UNIQUE = itertools.count()
+
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _spec(tmp_path, point_id, **extra):
@@ -205,6 +211,21 @@ class TestStore:
         assert reader.load("p") is None
         assert reader.stale_dropped == 1
         assert not reader.path("p").exists()
+
+    def test_default_fingerprint_loads_no_harness(self, tmp_path):
+        """A store keys on the code fingerprint without importing the
+        harness, so the simulator stays below it in the layering."""
+        script = (
+            "import sys\n"
+            "from repro.vortex.simx.checkpoint import CheckpointStore\n"
+            f"print(CheckpointStore({str(tmp_path)!r}).fingerprint)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.harness')))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, text=True,
+            capture_output=True, env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        ).stdout.splitlines()
+        assert out == [code_fingerprint(), "[]"]
 
     def test_corrupt_payload_dropped_and_counted(self, tmp_path):
         store = CheckpointStore(tmp_path, fingerprint="f")

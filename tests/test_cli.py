@@ -218,6 +218,21 @@ def test_client_commands_report_unavailable(capsys, tmp_path):
     ["serve", "--point-timeout", "-3"],
     ["serve", "--checkpoint-every", "0"],
     ["status", "--service-retries", "-1"],
+    ["fig7", "--warp-sizes", "0"],
+    ["fig7", "--thread-sizes", "4,-2"],
+    ["fig7", "--warp-sizes", "2,x"],
+    ["dse", "vecadd", "--cores", "0,2"],
+    ["dse", "vecadd", "--warps", "-4"],
+    ["dse", "vecadd", "--threads", "0"],
+    ["dse", "vecadd", "--n", "0"],
+    ["calibrate", "--n", "0"],
+    ["profile", "vecadd", "--cores", "-1"],
+    ["profile", "vecadd", "--warps", "-1"],
+    ["profile", "vecadd", "--threads", "-1"],
+    ["profile", "vecadd", "--bucket", "0"],
+    ["profile", "vecadd", "--scale", "0"],
+    ["serve", "--port", "-5"],
+    ["serve", "--port", "65536"],
 ])
 def test_bad_numeric_flags_are_usage_errors(argv, capsys):
     """An out-of-range number is rejected by the parser (exit 2 with

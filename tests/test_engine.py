@@ -421,7 +421,7 @@ RUNNERS = {
     "collect_vortex_samples": lambda **kw: collect_vortex_samples(
         benchmarks=("vecadd",), **_CELL, **kw),
     "run_calibration": lambda **kw: run_calibration(
-        benchmarks=("vecadd",), hls_sizes=(64,), **_CELL, **kw),
+        benchmarks=("vecadd",), **_CELL, **kw),
     "run_profile_cached": lambda **kw: run_profile_cached(
         "vecadd", backend="interp", **kw),
 }

@@ -14,7 +14,7 @@ shared per-PC table.
 import os
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ocl import (
@@ -204,6 +204,11 @@ def test_scalar_vector_identical_int(program):
 
 
 @given(programs(float_ops=True))
+# fmax.s of -0.0 and +0.0: RISC-V orders -0.0 below +0.0 on every path.
+@example([("assign", 0, "add", 0, ("c", -2)),
+          ("if", "lt", 2, [("loop", 2, [("assign", 1, "max", 0, ("c", 0)),
+                                        ("assign", 0, "mul", 0, 1)])],
+           None)])
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
