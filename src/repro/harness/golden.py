@@ -1,4 +1,4 @@
-"""Golden-trace regression harness for the SimX cycle simulator.
+"""Golden-trace regression harness for SimX and the reference interpreter.
 
 The SimX hot loop is aggressively optimized (decode caching, lane
 vectorization, batched LSU/DRAM event handling, all-stalled
@@ -7,6 +7,12 @@ fast-forwarding), and every one of those optimizations is required to be
 count the same cycles, move the same cache/DRAM traffic and leave the
 same bytes in device memory as the straightforward cycle-by-cycle
 implementation. This module pins that contract.
+
+The reference interpreter gets the same treatment: its dynamic op mix
+is what the HLS pipeline model and the analytical Vortex screen price a
+kernel from, so a reference point (``<benchmark>_s1_ref``) pins each
+launch's dynamic instruction count, op counts per opcode and printf
+output, plus the output-buffer hashes.
 
 A **golden digest** is a small JSON document per benchmark/configuration
 point recording everything the optimized simulator must reproduce
@@ -39,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from ..benchmarks.suite import all_benchmarks, get_benchmark, run_benchmark
+from ..ocl.host import ReferenceBackend
 from ..vortex import VortexBackend, VortexConfig
 
 #: Digest schema version; bump when the digest *format* changes (which
@@ -59,9 +66,14 @@ class GoldenPoint:
     warps: int = 8
     threads: int = 8
     hbm: bool = False
+    #: ``"simx"`` or ``"reference"`` (the functional interpreter; the
+    #: geometry fields do not apply).
+    backend: str = "simx"
 
     @property
     def name(self) -> str:
+        if self.backend == "reference":
+            return f"{self.benchmark}_s{self.scale}_ref"
         tag = f"{self.benchmark}_s{self.scale}" \
               f"_{self.cores}c{self.warps}w{self.threads}t"
         return tag + ("_hbm" if self.hbm else "")
@@ -76,7 +88,9 @@ def golden_points() -> list[GoldenPoint]:
     """The committed golden suite: every Table-I benchmark at scale 1 on
     the default geometry, plus Fig. 7's pair at a larger scale and a few
     deliberately awkward geometries (multi-beat issue, tiny machine,
-    HBM timing) that exercise the fast-forward and dispatch corners."""
+    HBM timing) that exercise the fast-forward and dispatch corners;
+    then every Table-I benchmark at scale 1 on the reference
+    interpreter."""
     points = [GoldenPoint(b.name) for b in all_benchmarks()]
     points += [
         GoldenPoint("vecadd", scale=4),
@@ -89,6 +103,8 @@ def golden_points() -> list[GoldenPoint]:
         GoldenPoint("backprop", hbm=True),
         GoldenPoint("bfs", cores=2, warps=4, threads=4),
     ]
+    points += [GoldenPoint(b.name, backend="reference")
+               for b in all_benchmarks()]
     return points
 
 
@@ -96,8 +112,42 @@ def _sha256(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def _output_hashes(result) -> dict:
+    return {
+        key: _sha256(np.ascontiguousarray(np.asarray(val)).tobytes())
+        for key, val in sorted(result.outputs.items())
+    }
+
+
+def _reference_digest(point: GoldenPoint) -> dict:
+    result = run_benchmark(point.benchmark, ReferenceBackend(),
+                           scale=point.scale)
+    if not result.ok:
+        raise RuntimeError(
+            f"golden point {point.name} failed on the reference "
+            f"interpreter: {result.status}: {result.detail}"
+        )
+    launches = [{
+        "dynamic_instructions": stats.dynamic_instructions,
+        "op_counts": {op.value: n
+                      for op, n in stats.extra["op_counts"].items()},
+        "printf": list(stats.printf_output),
+    } for stats in result.launches]
+    return {
+        "version": DIGEST_VERSION,
+        "point": point.name,
+        "benchmark": point.benchmark,
+        "scale": point.scale,
+        "config": "reference",
+        "launches": launches,
+        "outputs": _output_hashes(result),
+    }
+
+
 def compute_digest(point: GoldenPoint) -> dict:
-    """Run one golden point on SimX and digest the machine state."""
+    """Run one golden point on its backend and digest the result."""
+    if point.backend == "reference":
+        return _reference_digest(point)
     launches: list[dict] = []
 
     def hook(machine, result) -> None:
@@ -138,10 +188,6 @@ def compute_digest(point: GoldenPoint) -> dict:
             f"golden point {point.name} failed on SimX: "
             f"{result.status}: {result.detail}"
         )
-    outputs = {
-        key: _sha256(np.ascontiguousarray(np.asarray(val)).tobytes())
-        for key, val in sorted(result.outputs.items())
-    }
     return {
         "version": DIGEST_VERSION,
         "point": point.name,
@@ -150,7 +196,7 @@ def compute_digest(point: GoldenPoint) -> dict:
         "config": point.config().label() + ("+hbm" if point.hbm else ""),
         "total_cycles": result.total_cycles,
         "launches": launches,
-        "outputs": outputs,
+        "outputs": _output_hashes(result),
     }
 
 

@@ -6,6 +6,13 @@ rounding after every operation), so its outputs can be compared both
 against each benchmark's numpy reference *and* against the Vortex
 cycle-level simulator, which executes the same kernels from machine code.
 
+Each call first decodes the kernel (:class:`_Program`): every value gets
+a slot in a per-item list, every other instruction a closure over its
+operands' slots applying its opcode's function from :data:`_SEMANTICS`,
+every block its closures split at each BARRIER, its successors (each
+with the parallel copy into their phis) and a static op histogram. Block
+visits, folded into ``RunResult.op_counts`` per work-group, give counts.
+
 Work-group barriers are honoured by running each work item as a Python
 generator that yields at BARRIER; the group scheduler advances all items
 in lock-step between barriers and raises on barrier divergence (which is
@@ -15,19 +22,21 @@ undefined behaviour in OpenCL, and a real bug in a benchmark).
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from functools import partial
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from ..errors import InterpreterError, RuntimeLaunchError
 from ..profiling import Profiler, ensure_profiler
-from .ir import Block, Const, Instr, Kernel, LocalArray, Opcode, Param, Value
+from .ir import (ATOMIC_OPS, FCMP_PREDS, ICMP_PREDS, WORKITEM_OPS, Block,
+                 Instr, Kernel, Opcode, Value)
 from .ndrange import NDRange
 from .types import BOOL, FLOAT32, INT32, AddressSpace, is_pointer
 
-_INT_MIN = -(2**31)
 _UINT_MASK = 0xFFFFFFFF
 
 
@@ -55,41 +64,373 @@ class RunResult:
         return sum(self.op_counts.values())
 
 
-class _ItemState:
-    """Per-work-item execution context."""
+# Semantic functions: operand values -> result. _bind binds the leading
+# context of those that can fail: the kernel name, or for memory ops
+# ``where = (kernel name, instruction)`` and the element conversion.
 
-    __slots__ = ("gid", "lid", "group", "env", "private_arrays")
 
-    def __init__(self, gid, lid, group):
-        self.gid = gid
-        self.lid = lid
-        self.group = group
-        self.env: dict[int, Any] = {}
-        self.private_arrays: dict[int, np.ndarray] = {}
+def _quotient(name: str, what: str, x: int, y: int) -> int:
+    """C's quotient, truncated toward zero; undefined for ``y == 0``."""
+    if y == 0:
+        raise InterpreterError(f"{name}: integer {what} by zero")
+    return int(math.trunc(x / y)) if (x < 0) != (y < 0) else x // y
+
+
+def _fdiv(x: float, y: float) -> float:
+    if y != 0.0:
+        return f32(x / y)
+    # IEEE 754: NaN or ±0 over ±0 is NaN; anything else is an infinity
+    # signed by the XOR of the operand signs.
+    return f32(math.nan if x != x or x == 0.0 else
+               math.copysign(math.inf, x) * math.copysign(1.0, y))
+
+
+def _fminmax(wins: Callable[[float, float], bool]):
+    """SimX's (RISC-V) ``fmin.s``/``fmax.s``: ``x`` if ``wins(x, y)`` (−0.0
+    orders below +0.0); one NaN operand yields the other, two yield NaN."""
+    def op(x: float, y: float) -> float:
+        if y != y:
+            return f32(math.nan) if x != x else f32(x)
+        return f32(x if wins(x, y) else y)
+    return op
+
+
+def _pow(x: float, y: float) -> float:
+    try:
+        return f32(math.pow(x, y))
+    except (ValueError, OverflowError):
+        return f32(math.nan)
+
+
+def _ftoi(name: str, x: float) -> int:
+    if math.isinf(x):
+        raise InterpreterError(
+            f"{name}: float-to-int conversion of {x} is undefined")
+    return 0 if math.isnan(x) else wrap32(int(math.trunc(x)))
+
+
+def _at(where: tuple[str, Instr], arr: np.ndarray, idx: int) -> int:
+    """``idx`` if it is in bounds of ``arr``."""
+    if not 0 <= idx < len(arr):
+        name, ins = where
+        raise InterpreterError(
+            f"kernel {name}: out-of-bounds access index {idx} "
+            f"(size {arr.shape[0]}) at '{ins.format()}'")
+    return idx
+
+
+def _atomic(update, where, conv, arr: np.ndarray, idx: int, *vals) -> Any:
+    """Store ``update(old, *vals)`` unless it is None; return ``old``."""
+    old = arr.item(_at(where, arr, idx))
+    new = update(old, *vals)
+    if new is not None:
+        arr[idx] = conv(new)
+    return old
+
+
+def _printf(name: str, fmt: str, out: list[str], *vals: Any) -> None:
+    try:
+        out.append(fmt % vals)
+    except (TypeError, ValueError) as exc:
+        raise InterpreterError(
+            f"{name}: bad printf format {fmt!r}: {exc}") from exc
+
+
+_SEMANTICS: dict[Opcode, Callable[..., Any]] = {
+    # Integer arithmetic with 32-bit wrap.
+    Opcode.ADD: lambda x, y: wrap32(x + y),
+    Opcode.SUB: lambda x, y: wrap32(x - y),
+    Opcode.MUL: lambda x, y: wrap32(x * y),
+    Opcode.DIV: lambda name, x, y: wrap32(_quotient(name, "division", x, y)),
+    Opcode.REM: lambda name, x, y: wrap32(
+        x - _quotient(name, "remainder", x, y) * y),
+    Opcode.AND: lambda x, y: wrap32(x & y),
+    Opcode.OR: lambda x, y: wrap32(x | y),
+    Opcode.XOR: lambda x, y: wrap32(x ^ y),
+    Opcode.SHL: lambda x, y: wrap32(x << (y & 31)),
+    Opcode.ASHR: lambda x, y: wrap32(x >> (y & 31)),
+    Opcode.LSHR: lambda x, y: wrap32((x & _UINT_MASK) >> (y & 31)),
+    Opcode.IMIN: min,
+    Opcode.IMAX: max,
+    Opcode.IABS: lambda x: wrap32(abs(x)),
+    # Float arithmetic, rounded to binary32 after each op.
+    Opcode.FADD: lambda x, y: f32(x + y),
+    Opcode.FSUB: lambda x, y: f32(x - y),
+    Opcode.FMUL: lambda x, y: f32(x * y),
+    Opcode.FDIV: _fdiv,
+    Opcode.FNEG: lambda x: f32(-x),
+    Opcode.SQRT: lambda x: f32(math.nan) if x < 0 else f32(math.sqrt(x)),
+    # exp(x > 709) overflows binary64 (binary32 from x > 88.8).
+    Opcode.EXP: lambda x: f32(math.inf) if x > 709 else f32(math.exp(x)),
+    Opcode.LOG: lambda x: (f32(math.nan) if x < 0 else f32(-math.inf)
+                           if x == 0 else f32(math.log(x))),
+    Opcode.SIN: lambda x: f32(math.sin(x)),
+    Opcode.COS: lambda x: f32(math.cos(x)),
+    Opcode.FABS: lambda x: f32(abs(x)),
+    Opcode.FLOOR: lambda x: f32(math.floor(x)),
+    Opcode.POW: _pow,
+    Opcode.FMIN: _fminmax(lambda x, y: x < y or (
+        x == y and math.copysign(1.0, x) < 0)),
+    Opcode.FMAX: _fminmax(lambda x, y: x > y or (
+        x == y and math.copysign(1.0, y) < 0)),
+    # Selection and conversions (comparisons are in _COMPARE).
+    Opcode.SELECT: lambda c, x, y: x if c else y,
+    Opcode.SITOFP: lambda x: f32(float(x)),
+    Opcode.FPTOSI: _ftoi,
+    Opcode.ZEXT: lambda x: 1 if x else 0,
+    # Memory and I/O.
+    Opcode.LOAD: lambda where, conv, arr, i: arr.item(_at(where, arr, i)),
+    Opcode.STORE: lambda where, conv, arr, i, val: operator.setitem(
+        arr, _at(where, arr, i), conv(val)),
+    Opcode.ATOMIC_ADD: partial(_atomic, operator.add),
+    Opcode.ATOMIC_MIN: partial(_atomic, min),
+    Opcode.ATOMIC_MAX: partial(_atomic, max),
+    Opcode.ATOMIC_XCHG: partial(_atomic, lambda old, val: val),
+    Opcode.ATOMIC_CAS: partial(_atomic, lambda old, expected, desired:
+                               desired if old == expected else None),
+    Opcode.PRINTF: _printf,
+}
+
+#: AND/OR/XOR on BOOL values are the logical operators.
+_LOGICAL = {
+    Opcode.AND: lambda x, y: bool(x) and bool(y),
+    Opcode.OR: lambda x, y: bool(x) or bool(y),
+    Opcode.XOR: lambda x, y: bool(x) != bool(y),
+}
+
+_COMPARE = dict(zip(ICMP_PREDS + FCMP_PREDS, 2 * (
+    operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+    operator.ge)))
+
+
+def _bind(ins: Instr, name: str, out: list[str]) -> Callable[..., Any]:
+    """The semantic function of one instruction, context bound."""
+    op = ins.op
+    if op is Opcode.ICMP or op is Opcode.FCMP:
+        return _COMPARE[ins.attrs["pred"]]
+    if ins.ty is BOOL and op in _LOGICAL:
+        return _LOGICAL[op]
+    fn = _SEMANTICS[op]
+    if op in (Opcode.DIV, Opcode.REM, Opcode.FPTOSI):
+        return partial(fn, name)
+    if op in ATOMIC_OPS or op is Opcode.LOAD or op is Opcode.STORE:
+        conv = wrap32 if ins.args[0].ty.element is INT32 else f32
+        return partial(fn, (name, ins), conv)
+    if op is Opcode.PRINTF:
+        return partial(fn, name, ins.attrs["fmt"], out)
+    return fn
+
+
+def _step(fn: Callable[..., Any], d: int, srcs: list[int]):
+    """The closure running one instruction: ``env[d] = fn(env[srcs])``."""
+    if len(srcs) == 1:
+        (a,) = srcs
+        def step(env):
+            env[d] = fn(env[a])
+    elif len(srcs) == 2:
+        a, b = srcs
+        def step(env):
+            env[d] = fn(env[a], env[b])
+    elif len(srcs) == 3:
+        a, b, c = srcs
+        def step(env):
+            env[d] = fn(env[a], env[b], env[c])
+    else:
+        def step(env):
+            env[d] = fn(*[env[s] for s in srcs])
+    return step
+
+
+def _fail(msg: str):
+    def fail(env):
+        raise InterpreterError(msg)
+    return fail
+
+
+class _Program:
+    """One kernel decoded for one launch (see the module docstring)."""
+
+    def __init__(self, kernel: Kernel, args: list[Any], ndr: NDRange,
+                 result: RunResult):
+        self.kernel, self.ndr, self.result = kernel, ndr, result
+        self.template, self.slots = [], {}  # id(value) -> template index
+        for param, arg in zip(kernel.params, args):
+            self.slot(param, arg if is_pointer(param.ty)
+                      else f32(arg) if param.ty is FLOAT32
+                      else bool(arg) if param.ty is BOOL else wrap32(arg))
+        #: (slot, size, dtype) of the arrays each group / item allocates
+        self.local_arrays, self.private_arrays = [], []
+        for arr in kernel.arrays:
+            dtype = np.int32 if arr.ty.element is INT32 else np.float32
+            (self.local_arrays if arr.space is AddressSpace.LOCAL else
+             self.private_arrays).append((self.slot(arr, None), arr.size,
+                                          dtype))
+        #: (slot, dim) of the ids each group / item fills in
+        ids = {Opcode.GROUP_ID: [], Opcode.GID: [], Opcode.LID: []}
+        sizes = {Opcode.LOCAL_SIZE: ndr.local_size, Opcode.NUM_GROUPS:
+                 ndr.num_groups, Opcode.GLOBAL_SIZE: ndr.global_size}
+        for ins in kernel.instructions():
+            s = self.slot(ins, None)
+            if ins.op in ids:
+                ids[ins.op].append((s, ins.attrs["dim"]))
+            elif ins.op in sizes:
+                self.template[s] = sizes[ins.op][ins.attrs["dim"]]
+        self.group_ids, self.global_ids, self.local_ids = ids.values()
+        self.index = {id(b): i for i, b in enumerate(kernel.blocks)}
+        self.entry = self._edge(None, kernel.entry)
+        #: per block: (segments, cond slot, edges); a segment is (count,
+        #: closures), a barrier ends all but the last; edges: see _edge
+        self.blocks, self.histograms = [], []
+        for block in kernel.blocks:
+            histogram = Counter(ins.op for ins in block.phis())
+            segments, steps, n = [], [], 0
+            cond = edges = None
+            for ins in block.non_phis():
+                n += 1
+                histogram[ins.op] += 1
+                if ins.op is Opcode.BARRIER:
+                    segments.append((n, tuple(steps)))
+                    steps, n = [], 0
+                elif ins.is_terminator:
+                    if ins.op is not Opcode.RET:
+                        edges = tuple(self._edge(block, t)
+                                      for t in ins.targets)
+                    if ins.op is Opcode.CBR:
+                        cond = self.slot(ins.args[0])
+                    break
+                elif ins.op not in WORKITEM_OPS:
+                    steps.append(_step(_bind(ins, kernel.name,
+                                             result.printf_output),
+                                       self.slot(ins),
+                                       [self.slot(a) for a in ins.args]))
+            else:  # pragma: no cover - validator guarantees a terminator
+                steps.append(_fail(f"block {block.name} fell through"))
+            segments.append((n, tuple(steps)))
+            self.blocks.append((tuple(segments), cond, edges))
+            self.histograms.append(tuple(histogram.items()))
+
+    def slot(self, value: Value, *init: Any) -> int:
+        """The env index of ``value``, added on first use with ``init``
+        or, for a constant, its value."""
+        idx = self.slots.get(id(value))
+        if idx is None:
+            idx = self.slots[id(value)] = len(self.template)
+            self.template.append(init[0] if init else f32(value.value)
+                                 if value.ty is FLOAT32 else value.value)
+        return idx
+
+    def _edge(self, pred: Block | None, block: Block):
+        """(``block``'s index, the copy into its phis from ``pred`` or None)."""
+        dsts, srcs = [], []
+        for phi in block.phis():
+            val = next((v for b, v in phi.attrs["incomings"] if b is pred),
+                       None)
+            if val is None:
+                return self.index[id(block)], _fail(
+                    f"{self.kernel.name}/{block.name}: phi %{phi.name} has "
+                    f"no incoming for predecessor "
+                    f"{pred.name if pred else '<entry>'}")
+            dsts.append(self.slot(phi))
+            srcs.append(self.slot(val))
+        if len(dsts) == 1:
+            (d,), (s,) = dsts, srcs
+            def move(env):
+                env[d] = env[s]
+        elif dsts:
+            get = operator.itemgetter(*srcs)
+            def move(env):
+                for d, v in zip(dsts, get(env)):
+                    env[d] = v
+        return self.index[id(block)], move if dsts else None
+
+    def run_group(self, group: tuple[int, int, int], max_steps: int) -> None:
+        ndr, result = self.ndr, self.result
+        group_env = self.template.copy()
+        for s, size, dtype in self.local_arrays:
+            group_env[s] = np.zeros(size, dtype=dtype)
+        for s, dim in self.group_ids:
+            group_env[s] = group[dim]
+        visits = [0] * len(self.blocks)
+        gens: list[Iterator[None]] = []
+        for local in ndr.local_items():
+            gid = ndr.global_id(group, local)
+            env = group_env.copy()
+            for s, dim in self.global_ids:
+                env[s] = gid[dim]
+            for s, dim in self.local_ids:
+                env[s] = local[dim]
+            for s, size, dtype in self.private_arrays:
+                env[s] = np.zeros(size, dtype=dtype)
+            gens.append(self._run_item(env, visits, max_steps, gid))
+            result.items_executed += 1
+
+        # Lock-step between barriers.
+        active = gens
+        while active:
+            at_barrier, done = [], []
+            for gen in active:
+                try:
+                    next(gen)
+                    at_barrier.append(gen)
+                except StopIteration:
+                    done.append(gen)
+            if at_barrier and done:
+                raise InterpreterError(
+                    f"kernel {self.kernel.name}: barrier divergence in group "
+                    f"{group} ({len(at_barrier)} items at a barrier, "
+                    f"{len(done)} returned)")
+            if at_barrier:
+                result.barriers_executed += 1
+            active = at_barrier
+
+        counts = result.op_counts
+        for n, histogram in zip(visits, self.histograms):
+            if n:
+                for op, k in histogram:
+                    counts[op] += n * k
+
+    def _run_item(self, env: list[Any], visits: list[int], max_steps: int,
+                  gid: tuple[int, int, int]) -> Iterator[None]:
+        blocks = self.blocks
+        steps = 0
+        bi, move = self.entry
+        while True:
+            if move is not None:
+                move(env)
+            segments, cond, edges = blocks[bi]
+            visits[bi] += 1
+            for k, (n, seg) in enumerate(segments):
+                if k:
+                    yield
+                steps += n
+                if steps > max_steps:
+                    raise InterpreterError(
+                        f"kernel {self.kernel.name}: work item {gid} "
+                        f"exceeded {max_steps} steps (runaway loop?)")
+                for step in seg:
+                    step(env)
+            if edges is None:
+                return
+            bi, move = edges[0] if cond is None or env[cond] else edges[1]
 
 
 def _check_args(kernel: Kernel, args: list[Any]) -> None:
     if len(args) != len(kernel.params):
         raise RuntimeLaunchError(
             f"kernel {kernel.name} expects {len(kernel.params)} args, "
-            f"got {len(args)}"
-        )
+            f"got {len(args)}")
     for param, arg in zip(kernel.params, args):
-        if is_pointer(param.ty):
-            if not isinstance(arg, np.ndarray) or arg.ndim != 1:
-                raise RuntimeLaunchError(
-                    f"arg {param.name!r} must be a 1-D numpy array"
-                )
-            want = np.int32 if param.ty.element is INT32 else np.float32
-            if arg.dtype != want:
-                raise RuntimeLaunchError(
-                    f"arg {param.name!r}: dtype {arg.dtype} != {np.dtype(want)}"
-                )
-        else:
+        if not is_pointer(param.ty):
             if isinstance(arg, np.ndarray):
                 raise RuntimeLaunchError(
-                    f"arg {param.name!r} is scalar but got an array"
-                )
+                    f"arg {param.name!r} is scalar but got an array")
+        elif not isinstance(arg, np.ndarray) or arg.ndim != 1:
+            raise RuntimeLaunchError(
+                f"arg {param.name!r} must be a 1-D numpy array")
+        elif arg.dtype != (want := np.int32 if param.ty.element is INT32
+                           else np.float32):
+            raise RuntimeLaunchError(
+                f"arg {param.name!r}: dtype {arg.dtype} != {np.dtype(want)}")
 
 
 def interpret(
@@ -108,31 +449,19 @@ def interpret(
     _check_args(kernel, args)
     result = RunResult()
     prof = ensure_profiler(profiler)
-
-    base_env: dict[int, Any] = {}
-    for param, arg in zip(kernel.params, args):
-        if is_pointer(param.ty):
-            base_env[id(param)] = arg
-        elif param.ty is FLOAT32:
-            base_env[id(param)] = f32(arg)
-        elif param.ty is BOOL:
-            base_env[id(param)] = bool(arg)
-        else:
-            base_env[id(param)] = wrap32(arg)
+    prog = _Program(kernel, args, ndrange, result)
 
     for group in ndrange.groups():
         if prof.enabled:
             steps_before = sum(result.op_counts.values())
             barriers_before = result.barriers_executed
-        _run_group(kernel, base_env, ndrange, group, result, max_steps_per_item)
+        prog.run_group(group, max_steps_per_item)
         if prof.enabled:
             steps_after = sum(result.op_counts.values())
             prof.complete(
-                f"group {group}", "interp.group",
-                ts=steps_before, dur=steps_after - steps_before,
-                pid=0, tid=0,
-                args={"barriers": result.barriers_executed - barriers_before},
-            )
+                f"group {group}", "interp.group", ts=steps_before,
+                dur=steps_after - steps_before, pid=0, tid=0,
+                args={"barriers": result.barriers_executed - barriers_before})
     if prof.enabled:
         _record_run(prof, kernel, ndrange, result)
     return result
@@ -152,332 +481,3 @@ def _record_run(prof: Profiler, kernel: Kernel, ndr: NDRange,
                    result.dynamic_instructions / result.items_executed)
     for op, n in result.op_counts.items():
         prof.count(f"interp.op.{op.value}", n)
-
-
-def _run_group(
-    kernel: Kernel,
-    base_env: dict[int, Any],
-    ndr: NDRange,
-    group: tuple[int, int, int],
-    result: RunResult,
-    max_steps: int,
-) -> None:
-    local_arrays: dict[int, np.ndarray] = {}
-    for arr in kernel.arrays:
-        dtype = np.int32 if arr.ty.element is INT32 else np.float32
-        if arr.space is AddressSpace.LOCAL:
-            local_arrays[id(arr)] = np.zeros(arr.size, dtype=dtype)
-
-    gens: list[Iterator[None]] = []
-    for local in ndr.local_items():
-        gid = ndr.global_id(group, local)
-        item = _ItemState(gid, local, group)
-        for arr in kernel.arrays:
-            if arr.space is AddressSpace.PRIVATE:
-                dtype = np.int32 if arr.ty.element is INT32 else np.float32
-                item.private_arrays[id(arr)] = np.zeros(arr.size, dtype=dtype)
-        gens.append(
-            _exec_item(kernel, base_env, local_arrays, item, ndr, result, max_steps)
-        )
-        result.items_executed += 1
-
-    # Lock-step between barriers.
-    active = list(range(len(gens)))
-    while active:
-        at_barrier: list[int] = []
-        done: list[int] = []
-        for idx in active:
-            try:
-                next(gens[idx])
-                at_barrier.append(idx)
-            except StopIteration:
-                done.append(idx)
-        if at_barrier and done:
-            raise InterpreterError(
-                f"kernel {kernel.name}: barrier divergence in group {group} "
-                f"({len(at_barrier)} items at a barrier, {len(done)} returned)"
-            )
-        if at_barrier:
-            result.barriers_executed += 1
-        active = at_barrier
-
-
-def _exec_item(
-    kernel: Kernel,
-    base_env: dict[int, Any],
-    local_arrays: dict[int, np.ndarray],
-    item: _ItemState,
-    ndr: NDRange,
-    result: RunResult,
-    max_steps: int,
-) -> Iterator[None]:
-    env = item.env
-    counts = result.op_counts
-    steps = 0
-    block: Block = kernel.entry
-    prev: Block | None = None
-
-    def value_of(v: Value) -> Any:
-        if isinstance(v, Const):
-            if v.ty is FLOAT32:
-                return f32(v.value)
-            return v.value
-        if isinstance(v, Instr):
-            return env[id(v)]
-        if isinstance(v, Param):
-            return base_env[id(v)]
-        if isinstance(v, LocalArray):
-            if v.space is AddressSpace.PRIVATE:
-                return item.private_arrays[id(v)]
-            return local_arrays[id(v)]
-        raise InterpreterError(f"unknown value kind: {v!r}")  # pragma: no cover
-
-    while True:
-        # Phis evaluate in parallel against the edge we arrived on.
-        phi_updates: list[tuple[Instr, Any]] = []
-        for phi in block.phis():
-            for pred, val in phi.attrs["incomings"]:
-                if pred is prev:
-                    phi_updates.append((phi, value_of(val)))
-                    break
-            else:
-                raise InterpreterError(
-                    f"{kernel.name}/{block.name}: phi %{phi.name} has no "
-                    f"incoming for predecessor "
-                    f"{prev.name if prev else '<entry>'}"
-                )
-        for phi, val in phi_updates:
-            env[id(phi)] = val
-            counts[Opcode.PHI] += 1
-
-        for ins in block.non_phis():
-            steps += 1
-            if steps > max_steps:
-                raise InterpreterError(
-                    f"kernel {kernel.name}: work item {item.gid} exceeded "
-                    f"{max_steps} steps (runaway loop?)"
-                )
-            op = ins.op
-            counts[op] += 1
-            if op is Opcode.BR:
-                prev, block = block, ins.targets[0]
-                break
-            if op is Opcode.CBR:
-                taken = bool(value_of(ins.args[0]))
-                prev, block = block, ins.targets[0 if taken else 1]
-                break
-            if op is Opcode.RET:
-                return
-            if op is Opcode.BARRIER:
-                yield
-                continue
-            env[id(ins)] = _eval(kernel, ins, value_of, item, ndr, result)
-        else:  # pragma: no cover - validator guarantees a terminator
-            raise InterpreterError(f"block {block.name} fell through")
-
-
-def _bounds(arr: np.ndarray, idx: int, ins: Instr, kernel: Kernel) -> int:
-    if not 0 <= idx < arr.shape[0]:
-        raise InterpreterError(
-            f"kernel {kernel.name}: out-of-bounds access index {idx} "
-            f"(size {arr.shape[0]}) at '{ins.format()}'"
-        )
-    return idx
-
-
-def _store_value(arr: np.ndarray, val: Any) -> Any:
-    if arr.dtype == np.int32:
-        return wrap32(val)
-    return f32(val)
-
-
-def _eval(
-    kernel: Kernel,
-    ins: Instr,
-    value_of,
-    item: _ItemState,
-    ndr: NDRange,
-    result: RunResult,
-) -> Any:
-    op = ins.op
-    a = ins.args
-
-    # Integer arithmetic with 32-bit wrap.
-    if op is Opcode.ADD:
-        return wrap32(value_of(a[0]) + value_of(a[1]))
-    if op is Opcode.SUB:
-        return wrap32(value_of(a[0]) - value_of(a[1]))
-    if op is Opcode.MUL:
-        return wrap32(value_of(a[0]) * value_of(a[1]))
-    if op is Opcode.DIV:
-        x, y = value_of(a[0]), value_of(a[1])
-        if y == 0:
-            raise InterpreterError(f"{kernel.name}: integer division by zero")
-        return wrap32(int(math.trunc(x / y)) if (x < 0) != (y < 0) else x // y)
-    if op is Opcode.REM:
-        x, y = value_of(a[0]), value_of(a[1])
-        if y == 0:
-            raise InterpreterError(f"{kernel.name}: integer remainder by zero")
-        q = int(math.trunc(x / y)) if (x < 0) != (y < 0) else x // y
-        return wrap32(x - q * y)
-    if op is Opcode.AND:
-        x, y = value_of(a[0]), value_of(a[1])
-        if ins.ty is BOOL:
-            return bool(x) and bool(y)
-        return wrap32(x & y)
-    if op is Opcode.OR:
-        x, y = value_of(a[0]), value_of(a[1])
-        if ins.ty is BOOL:
-            return bool(x) or bool(y)
-        return wrap32(x | y)
-    if op is Opcode.XOR:
-        x, y = value_of(a[0]), value_of(a[1])
-        if ins.ty is BOOL:
-            return bool(x) != bool(y)
-        return wrap32(x ^ y)
-    if op is Opcode.SHL:
-        return wrap32(value_of(a[0]) << (value_of(a[1]) & 31))
-    if op is Opcode.ASHR:
-        return wrap32(value_of(a[0]) >> (value_of(a[1]) & 31))
-    if op is Opcode.LSHR:
-        return wrap32((value_of(a[0]) & _UINT_MASK) >> (value_of(a[1]) & 31))
-    if op is Opcode.IMIN:
-        return min(value_of(a[0]), value_of(a[1]))
-    if op is Opcode.IMAX:
-        return max(value_of(a[0]), value_of(a[1]))
-    if op is Opcode.IABS:
-        return wrap32(abs(value_of(a[0])))
-
-    # Float arithmetic, rounded to binary32 after each op.
-    if op is Opcode.FADD:
-        return f32(value_of(a[0]) + value_of(a[1]))
-    if op is Opcode.FSUB:
-        return f32(value_of(a[0]) - value_of(a[1]))
-    if op is Opcode.FMUL:
-        return f32(value_of(a[0]) * value_of(a[1]))
-    if op is Opcode.FDIV:
-        y = value_of(a[1])
-        if y == 0.0:
-            return f32(math.inf if value_of(a[0]) > 0 else -math.inf) \
-                if value_of(a[0]) != 0 else f32(math.nan)
-        return f32(value_of(a[0]) / y)
-    if op is Opcode.FNEG:
-        return f32(-value_of(a[0]))
-    if op is Opcode.SQRT:
-        x = value_of(a[0])
-        return f32(math.nan) if x < 0 else f32(math.sqrt(x))
-    if op is Opcode.EXP:
-        try:
-            return f32(math.exp(value_of(a[0])))
-        except OverflowError:
-            return f32(math.inf)
-    if op is Opcode.LOG:
-        x = value_of(a[0])
-        if x < 0:
-            return f32(math.nan)
-        if x == 0:
-            return f32(-math.inf)
-        return f32(math.log(x))
-    if op is Opcode.SIN:
-        return f32(math.sin(value_of(a[0])))
-    if op is Opcode.COS:
-        return f32(math.cos(value_of(a[0])))
-    if op is Opcode.FABS:
-        return f32(abs(value_of(a[0])))
-    if op is Opcode.FLOOR:
-        return f32(math.floor(value_of(a[0])))
-    if op is Opcode.POW:
-        x, y = value_of(a[0]), value_of(a[1])
-        try:
-            return f32(math.pow(x, y))
-        except (ValueError, OverflowError):
-            return f32(math.nan)
-    if op is Opcode.FMIN:
-        return f32(min(value_of(a[0]), value_of(a[1])))
-    if op is Opcode.FMAX:
-        return f32(max(value_of(a[0]), value_of(a[1])))
-
-    # Comparisons / select / conversions.
-    if op is Opcode.ICMP or op is Opcode.FCMP:
-        x, y = value_of(a[0]), value_of(a[1])
-        pred = ins.attrs["pred"]
-        table = {
-            "eq": x == y, "ne": x != y, "slt": x < y, "sle": x <= y,
-            "sgt": x > y, "sge": x >= y,
-            "oeq": x == y, "one": x != y, "olt": x < y, "ole": x <= y,
-            "ogt": x > y, "oge": x >= y,
-        }
-        return bool(table[pred])
-    if op is Opcode.SELECT:
-        return value_of(a[1]) if bool(value_of(a[0])) else value_of(a[2])
-    if op is Opcode.SITOFP:
-        return f32(float(value_of(a[0])))
-    if op is Opcode.FPTOSI:
-        x = value_of(a[0])
-        if math.isnan(x):
-            return 0
-        return wrap32(int(math.trunc(x)))
-    if op is Opcode.ZEXT:
-        return 1 if value_of(a[0]) else 0
-
-    # Memory.
-    if op is Opcode.LOAD:
-        arr = value_of(a[0])
-        idx = _bounds(arr, value_of(a[1]), ins, kernel)
-        v = arr[idx]
-        return int(v) if arr.dtype == np.int32 else float(v)
-    if op is Opcode.STORE:
-        arr = value_of(a[0])
-        idx = _bounds(arr, value_of(a[1]), ins, kernel)
-        arr[idx] = _store_value(arr, value_of(a[2]))
-        return None
-    if op in (Opcode.ATOMIC_ADD, Opcode.ATOMIC_MIN, Opcode.ATOMIC_MAX,
-              Opcode.ATOMIC_XCHG):
-        arr = value_of(a[0])
-        idx = _bounds(arr, value_of(a[1]), ins, kernel)
-        old = int(arr[idx]) if arr.dtype == np.int32 else float(arr[idx])
-        val = value_of(a[2])
-        if op is Opcode.ATOMIC_ADD:
-            new = old + val
-        elif op is Opcode.ATOMIC_MIN:
-            new = min(old, val)
-        elif op is Opcode.ATOMIC_MAX:
-            new = max(old, val)
-        else:
-            new = val
-        arr[idx] = _store_value(arr, new)
-        return old
-    if op is Opcode.ATOMIC_CAS:
-        arr = value_of(a[0])
-        idx = _bounds(arr, value_of(a[1]), ins, kernel)
-        old = int(arr[idx]) if arr.dtype == np.int32 else float(arr[idx])
-        if old == value_of(a[2]):
-            arr[idx] = _store_value(arr, value_of(a[3]))
-        return old
-
-    # Work-item queries.
-    if op is Opcode.GID:
-        return item.gid[ins.attrs["dim"]]
-    if op is Opcode.LID:
-        return item.lid[ins.attrs["dim"]]
-    if op is Opcode.GROUP_ID:
-        return item.group[ins.attrs["dim"]]
-    if op is Opcode.LOCAL_SIZE:
-        return ndr.local_size[ins.attrs["dim"]]
-    if op is Opcode.GLOBAL_SIZE:
-        return ndr.global_size[ins.attrs["dim"]]
-    if op is Opcode.NUM_GROUPS:
-        return ndr.num_groups[ins.attrs["dim"]]
-
-    if op is Opcode.PRINTF:
-        vals = tuple(value_of(v) for v in a)
-        try:
-            text = ins.attrs["fmt"] % vals
-        except (TypeError, ValueError) as exc:
-            raise InterpreterError(
-                f"{kernel.name}: bad printf format {ins.attrs['fmt']!r}: {exc}"
-            ) from exc
-        result.printf_output.append(text)
-        return None
-
-    raise InterpreterError(f"interpreter cannot execute {op}")  # pragma: no cover

@@ -19,6 +19,7 @@ from repro.ocl import (
     interpret,
 )
 from repro.ocl.interp import f32, wrap32
+from repro.profiling import Profiler
 
 i32s = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 
@@ -222,6 +223,23 @@ class TestErrors:
             interpret(kernel, [np.zeros(4, dtype=np.int32),
                                np.zeros(1, dtype=np.int32)], NDRange.create(1))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_ftoi_of_infinity_is_typed(self, value):
+        b = KernelBuilder("ftoi_inf")
+        x = b.param("x", GLOBAL_FLOAT32)
+        out = b.param("out", GLOBAL_INT32)
+        b.store(out, 0, b.ftoi(b.load(x, 0)))
+        kernel = b.finish()
+        out_arr = np.zeros(1, dtype=np.int32)
+        with pytest.raises(InterpreterError, match="float-to-int"):
+            interpret(kernel, [np.array([value], dtype=np.float32), out_arr],
+                      NDRange.create(1))
+        # NaN still converts to 0 and finite values still wrap.
+        for x_val, want in ((math.nan, 0), (3e9, 3_000_000_000 - 2**32)):
+            interpret(kernel, [np.array([x_val], dtype=np.float32), out_arr],
+                      NDRange.create(1))
+            assert out_arr[0] == want
+
     def test_runaway_loop_detected(self):
         b = KernelBuilder("spin")
         with b.while_(lambda: b.const(True)):
@@ -243,6 +261,43 @@ class TestErrors:
         kernel = b.finish()
         with pytest.raises(RuntimeLaunchError, match="dtype"):
             interpret(kernel, [np.zeros(4, dtype=np.float32)], NDRange.create(1))
+
+
+class TestProfiledSpans:
+    def test_group_spans_tile_the_step_timeline(self):
+        # Group g loops g + 1 times, then all its items meet at a barrier:
+        # each group's span must hold exactly its own dynamic instructions.
+        b = KernelBuilder("spans")
+        out = b.param("out", GLOBAL_INT32)
+        lmem = b.local_array("lmem", INT32, 4)
+        lid = b.local_id(0)
+        acc = b.var("acc", INT32, init=0)
+        with b.for_range(0, b.add(b.group_id(0), 1)) as i:
+            acc.set(b.add(acc.get(), i))
+        b.store(lmem, lid, acc.get())
+        b.barrier()
+        b.store(out, b.global_id(0), b.load(lmem, b.sub(3, lid)))
+        kernel = b.finish()
+        prof = Profiler()
+        out_arr = np.zeros(16, dtype=np.int32)
+        result = interpret(kernel, [out_arr], NDRange.create(16, 4),
+                           profiler=prof)
+        np.testing.assert_array_equal(out_arr, np.repeat([0, 1, 3, 6], 4))
+        assert result.barriers_executed == 4
+
+        spans = [e for e in prof.events if e.cat == "interp.group"]
+        assert len(spans) == 4
+        end = 0
+        for span in spans:
+            assert span.ts == end
+            end = span.ts + span.dur
+        durs = [span.dur for span in spans]
+        assert all(a < b for a, b in zip(durs, durs[1:])), durs
+        assert sum(durs) == result.dynamic_instructions
+        ops = {name[len("interp.op."):]: n
+               for name, n in prof.counters.items()
+               if name.startswith("interp.op.")}
+        assert ops == {op.value: n for op, n in result.op_counts.items()}
 
 
 class TestPrintf:
