@@ -518,11 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "golden",
-        help="verify every committed SimX golden-trace digest "
-             "(tests/golden/), or regenerate them with --update",
+        help="verify every committed golden-trace digest (SimX and "
+             "reference interpreter, tests/golden/), or regenerate them "
+             "with --update",
     )
     p.add_argument("--update", action="store_true",
-                   help="rewrite the digests from the current simulator "
+                   help="rewrite the digests from the current executors "
                         "(an explicit behaviour-change assertion)")
     p.add_argument("--only", action="append", metavar="BENCH[,BENCH...]",
                    help="restrict to these benchmarks / point names")

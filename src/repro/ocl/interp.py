@@ -10,8 +10,8 @@ Each call first decodes the kernel (:class:`_Program`): every value gets
 a slot in a per-item list, every other instruction a closure over its
 operands' slots applying its opcode's function from :data:`_SEMANTICS`,
 every block its closures split at each BARRIER, its successors (each
-with the parallel copy into their phis) and a static op histogram. Block
-visits, folded into ``RunResult.op_counts`` per work-group, give counts.
+with the parallel copy into their phis) and a static op histogram.
+Block visits x histograms give ``RunResult.op_counts``, per work-group.
 
 Work-group barriers are honoured by running each work item as a Python
 generator that yields at BARRIER; the group scheduler advances all items
@@ -253,7 +253,7 @@ class _Program:
     def __init__(self, kernel: Kernel, args: list[Any], ndr: NDRange,
                  result: RunResult):
         self.kernel, self.ndr, self.result = kernel, ndr, result
-        self.template, self.slots = [], {}  # id(value) -> template index
+        self.template, self.slots = [], {}  # env list; id(value) -> index
         for param, arg in zip(kernel.params, args):
             self.slot(param, arg if is_pointer(param.ty)
                       else f32(arg) if param.ty is FLOAT32

@@ -1,5 +1,5 @@
-"""Golden-trace regression suite: the optimized SimX hot loop must be
-byte-identical to the committed pre-optimization digests.
+"""Golden-trace regression suite: the optimized SimX hot loop and the
+reference interpreter must be byte-identical to the committed digests.
 
 Every point under ``tests/golden/`` pins final device memory, cycle
 counts, retired instructions, cache/DRAM counter totals, stall totals
@@ -63,6 +63,6 @@ def test_golden_digest_matches(point):
     fresh = compute_digest(point)
     diffs = diff_digest(golden, fresh)
     assert not diffs, (
-        f"{point.name}: optimized simulator diverged from golden "
-        f"digest:\n  " + "\n  ".join(diffs)
+        f"{point.name}: diverged from golden digest:\n  "
+        + "\n  ".join(diffs)
     )
