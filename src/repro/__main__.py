@@ -68,15 +68,15 @@ def _engine(args: argparse.Namespace):
         keep_going=getattr(args, "keep_going", True))
 
 
-def _checkpoint(args: argparse.Namespace, point_id: str) -> dict | None:
-    """The checkpoint spec the ``--checkpoint-*`` flags ask for (its
-    ``point_id`` is replaced per simulation), or ``None``."""
+def _checkpoint(args: argparse.Namespace) -> dict | None:
+    """The checkpoint spec the ``--checkpoint-*`` flags ask for, or
+    ``None``."""
     if not getattr(args, "checkpoint_dir", ""):
         return None
     from .vortex.simx.checkpoint import checkpoint_spec
 
-    return checkpoint_spec(args.checkpoint_dir, point_id,
-                           args.checkpoint_every, args.point_timeout)
+    return checkpoint_spec(args.checkpoint_dir, args.checkpoint_every,
+                           args.point_timeout)
 
 
 def _bounded(convert, lo, strict: bool = False, hi=None):
@@ -159,7 +159,7 @@ def _fig7(args: argparse.Namespace) -> int:
 
     warp_sizes = getattr(args, "warp_sizes", ()) or WARP_SIZES
     thread_sizes = getattr(args, "thread_sizes", ()) or THREAD_SIZES
-    checkpoint = _checkpoint(args, "fig7")
+    checkpoint = _checkpoint(args)
     # One engine for both benchmarks: the run summary aggregates the
     # whole figure (32 points by default) and the worker pool is spun
     # up once, not per benchmark.
@@ -285,7 +285,7 @@ def _dse(args: argparse.Namespace) -> int:
                 calibration=calibration,
                 confirm=args.confirm,
                 frontier_cap=args.frontier_cap,
-                engine=engine, checkpoint=_checkpoint(args, "dse"))
+                engine=engine, checkpoint=_checkpoint(args))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

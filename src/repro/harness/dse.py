@@ -280,15 +280,10 @@ def dse_confirm_point(config: VortexConfig, benchmark: str, n: int,
     Delegates to :func:`~repro.harness.sweep.sweep_point`, returning its
     full payload so cached values are byte-identical to Figure 7 sweep
     cells (same content key, same value: the two campaigns dedupe
-    against each other). The checkpoint ``point_id`` is derived from the
-    configuration so every confirm point snapshots/resumes
-    independently.
+    against each other), and snapshots under the cell's name, so a cell
+    preempted under either campaign resumes under the other.
     """
-    ckpt = None
-    if checkpoint is not None:
-        ckpt = dict(checkpoint)
-        ckpt["point_id"] = f"dse-{benchmark}-{config.label()}-n{n}"
-    return sweep_point(benchmark, config, n, checkpoint=ckpt)
+    return sweep_point(benchmark, config, n, checkpoint=checkpoint)
 
 
 def explore_design_space(
@@ -439,9 +434,8 @@ def run_dse(
     Confirmations run :func:`dse_confirm_point` on ``engine`` (see
     :func:`~repro.harness.engine.default_engine`), memoised under the
     Figure 7 cells' content keys. ``checkpoint`` (a
-    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`, whose
-    ``point_id`` each confirmation replaces) makes them preemptible
-    exactly as in :func:`~repro.harness.sweep.run_sweep`.
+    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`) makes them
+    preemptible exactly as in :func:`~repro.harness.sweep.run_sweep`.
     """
     engine = default_engine(engine, cache)
     if confirm not in ("frontier", "none"):

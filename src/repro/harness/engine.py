@@ -50,7 +50,7 @@ same wrapper via :mod:`repro.harness.faults` (``REPRO_FAULT_PLAN``),
 which spawned workers inherit through the environment.
 
 Point functions must be **module-level callables with picklable
-arguments** — the engine uses the ``spawn`` start method by default so
+arguments** — the engine uses the ``spawn`` start method so
 workers import a fresh interpreter (fork-safety with numpy/BLAS thread
 pools is not assumed), which is also what CI runners and macOS default
 to. With ``jobs=1`` everything runs inline in the calling process and
@@ -248,9 +248,6 @@ class ExperimentEngine:
         Optional :class:`ResultCache`. Points that provide a cache key
         are looked up before execution and committed incrementally the
         moment they complete (failures are never cached).
-    start_method:
-        ``multiprocessing`` start method for the pool (default
-        ``"spawn"``; see module docstring).
     profiler:
         Optional profiler recording host-side spans and counters for
         the engine run itself.
@@ -272,7 +269,6 @@ class ExperimentEngine:
     """
 
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None,
-                 start_method: str = "spawn",
                  profiler: Profiler | None = None,
                  retries: int = 0,
                  point_timeout: float | None = None,
@@ -284,7 +280,6 @@ class ExperimentEngine:
             raise ValueError("point_timeout must be positive")
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.start_method = start_method
         self.profiler = ensure_profiler(profiler)
         self.retries = retries
         self.point_timeout = point_timeout
@@ -313,7 +308,7 @@ class ExperimentEngine:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                mp_context=get_context(self.start_method))
+                mp_context=get_context("spawn"))
             if self.point_timeout is not None:
                 # The watchdog deadline is armed at submit time, so boot
                 # every worker first: spawning an interpreter can cost a
@@ -366,8 +361,6 @@ class ExperimentEngine:
         points: Sequence[tuple],
         *,
         keys: Sequence[str | None] | None = None,
-        encode: Callable[[Any], Any] | None = None,
-        decode: Callable[[Any], Any] | None = None,
         label: str = "experiment",
         on_result: Callable[[int, Any], None] | None = None,
     ) -> list[Any]:
@@ -375,9 +368,8 @@ class ExperimentEngine:
 
         ``keys`` (parallel to ``points``) are cache keys from
         :meth:`ResultCache.key`; a ``None`` key skips the cache for
-        that point. ``encode``/``decode`` convert between the point
-        result and its JSON-serialisable cached form (identity by
-        default, for results that are already plain JSON values).
+        that point. A keyed point's value is cached as returned, so it
+        must be a plain JSON value.
 
         ``on_result(index, value)`` streams results back as they
         finalise — called exactly once per point (cache hits
@@ -419,7 +411,7 @@ class ExperimentEngine:
             if value is MISS:
                 pending.append(point)
             else:
-                point.value = value if decode is None else decode(value)
+                point.value = value
                 point.cached = True
                 notify(point)
         self.stats.cache_hits += len(work) - len(pending)
@@ -435,9 +427,7 @@ class ExperimentEngine:
             stream to ``on_result``)."""
             if (self.cache is not None and point.key is not None
                     and not point.failed):
-                stored = (point.value if encode is None
-                          else encode(point.value))
-                self.cache.put(point.key, stored)
+                self.cache.put(point.key, point.value)
                 self.stats.cache_stores += 1
             notify(point)
 

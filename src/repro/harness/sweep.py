@@ -166,6 +166,18 @@ def fig7_key(cache: ResultCache | None, benchmark: str,
                      n=n, seed=SWEEP_SEED)
 
 
+def fig7_snapshot_id(benchmark: str, config: VortexConfig, n: int) -> str:
+    """The name the cell's SimX snapshots are stored under.
+
+    It spells out every input that shapes the simulation — the
+    benchmark, ``n``, :data:`SWEEP_SEED` and every
+    :class:`~repro.vortex.VortexConfig` field — so a snapshot resumes
+    only its own cell, whichever runner of that cell (the sweep, a DSE
+    confirmation, a ``fig7-cell`` job) wrote it.
+    """
+    return f"fig7-{benchmark}-n{n}-s{SWEEP_SEED}-{config!r}"
+
+
 def fig7_profile(benchmark: str, n: int) -> KernelProfile:
     """The cell's configuration-independent :class:`KernelProfile` — the
     analytical model's input for calibration and DSE, collected on the
@@ -187,8 +199,9 @@ def sweep_point(benchmark: str, config: VortexConfig, n: int,
     collected traces are identical to a serial run's).
 
     ``checkpoint`` is the engine's picklable checkpoint spec (see
-    :meth:`~repro.vortex.simx.checkpoint.CheckpointPlan.from_spec`);
-    the point then snapshots/resumes mid-simulation and may raise
+    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`); the point
+    then snapshots/resumes mid-simulation under
+    :func:`fig7_snapshot_id` and may raise
     :class:`~repro.errors.SimulationPreempted` past its deadline. The
     result payload is unaffected — cache keys and cached values stay
     byte-identical to an uncheckpointed run. Profiled points ignore it
@@ -199,7 +212,8 @@ def sweep_point(benchmark: str, config: VortexConfig, n: int,
     plan = None
     if checkpoint is not None and not profile:
         from ..vortex.simx.checkpoint import CheckpointPlan
-        plan = CheckpointPlan.from_spec(checkpoint)
+        plan = CheckpointPlan.from_spec(
+            checkpoint, fig7_snapshot_id(benchmark, config, n))
     kernel, args = fig7_workload(benchmark, n)
     ctx = Context(VortexBackend(config, profiler=profiler, checkpoint=plan))
     prog = ctx.program([kernel])
@@ -242,12 +256,12 @@ def run_sweep(
     the traces are the point, and they must be regenerated.
 
     ``checkpoint`` (a
-    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`, whose
-    ``point_id`` each cell replaces) makes every non-profiled cell
-    preemptible: it snapshots on the spec's cadence, retries resume from
-    the latest snapshot, and a spec built with a ``point_timeout``
-    yields at 80% of that budget instead of waiting for the watchdog
-    kill. Cache keys and cached values are unchanged by checkpointing.
+    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`) makes every
+    non-profiled cell preemptible: it snapshots on the spec's cadence,
+    retries resume from the latest snapshot, and a spec built with a
+    ``point_timeout`` yields at 80% of that budget instead of waiting
+    for the watchdog kill. Cache keys and cached values are unchanged
+    by checkpointing.
     """
     engine = default_engine(engine, cache)
     if benchmark not in FIG7_BENCHMARKS:
@@ -268,11 +282,7 @@ def run_sweep(
     keys: list[str | None] = []
     for w, t in grid:
         config = base.with_geometry(cores=cores, warps=w, threads=t)
-        ckpt = None
-        if checkpoint is not None:
-            ckpt = {**checkpoint, "point_id":
-                    f"fig7-{benchmark}-c{cores}-w{w}-t{t}-n{n}"}
-        points.append((benchmark, config, n, profile, ckpt))
+        points.append((benchmark, config, n, profile, checkpoint))
         keys.append(None if profile
                     else fig7_key(engine.cache, benchmark, config, n))
     values = engine.run(sweep_point, points, keys=keys,

@@ -17,10 +17,10 @@ global store           150   Table II store residual
 kernel base            239   vecadd row residual
 ==================  ======  =====================================
 
-``tools/fit_calibration.py`` refits the ALUT/FF coefficients from the
-published rows by non-negative least squares given the benchmark IRs in
-this repository; the values below are its output, frozen for
-reproducibility.
+The ALUT/FF coefficients were fitted to the published rows by
+non-negative least squares over the benchmark IRs in this repository.
+The values below are frozen for reproducibility; the fitting script is
+not included.
 """
 
 from __future__ import annotations

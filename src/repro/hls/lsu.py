@@ -59,9 +59,6 @@ class LSUKind(enum.Enum):
     CONSTANT_CACHE = "constant_cache"
 
 
-#: Kinds synthesized as the expensive 32-unit burst-coalesced LSU.
-BURST_COALESCED_KINDS = frozenset({LSUKind.STRIDED, LSUKind.INDIRECT})
-
 #: Number of parallel load units inside one burst-coalesced LSU (§III-A).
 BURST_COALESCED_UNITS = 32
 
@@ -256,10 +253,6 @@ class LSUSite:
     kind: LSUKind
     is_store: bool
     space: AddressSpace
-
-    @property
-    def is_burst_coalesced(self) -> bool:
-        return self.kind in BURST_COALESCED_KINDS
 
 
 def classify_kernel(kernel: Kernel) -> list[LSUSite]:

@@ -164,10 +164,13 @@ _SEMANTICS: dict[Opcode, Callable[..., Any]] = {
     Opcode.EXP: lambda x: f32(math.inf) if x > 709 else f32(math.exp(x)),
     Opcode.LOG: lambda x: (f32(math.nan) if x < 0 else f32(-math.inf)
                            if x == 0 else f32(math.log(x))),
-    Opcode.SIN: lambda x: f32(math.sin(x)),
-    Opcode.COS: lambda x: f32(math.cos(x)),
+    # SimX's (numpy's) unary corners: sin/cos of ±inf are NaN, floor
+    # keeps ±inf, NaN and the sign of ±0.
+    Opcode.SIN: lambda x: f32(math.sin(x) if math.isfinite(x) else math.nan),
+    Opcode.COS: lambda x: f32(math.cos(x) if math.isfinite(x) else math.nan),
     Opcode.FABS: lambda x: f32(abs(x)),
-    Opcode.FLOOR: lambda x: f32(math.floor(x)),
+    Opcode.FLOOR: lambda x: f32(math.floor(x) if math.isfinite(x) and x
+                                else x),
     Opcode.POW: _pow,
     Opcode.FMIN: _fminmax(lambda x, y: x < y or (
         x == y and math.copysign(1.0, x) < 0)),

@@ -31,11 +31,9 @@ from .types import (
     BOOL,
     FLOAT32,
     INT32,
-    AddressSpace,
     PointerType,
     ScalarType,
     Type,
-    is_pointer,
     type_name,
 )
 
@@ -270,15 +268,6 @@ class Instr(Value):
     def has_side_effects(self) -> bool:
         return self.op in SIDE_EFFECTS
 
-    def replace_uses(self, old: Value, new: Value) -> None:
-        """Replace every operand equal to ``old`` with ``new``."""
-        self.args = [new if a is old else a for a in self.args]
-        if self.op is Opcode.PHI:
-            inc = self.attrs["incomings"]
-            self.attrs["incomings"] = [
-                (blk, new if val is old else val) for blk, val in inc
-            ]
-
     def format(self) -> str:
         """Render one line of textual IR."""
         parts = []
@@ -396,31 +385,11 @@ class Kernel:
         for block in self.blocks:
             yield from block.instrs
 
-    def param_by_name(self, name: str) -> Param:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def uses_atomics(self) -> bool:
         return any(ins.op in ATOMIC_OPS for ins in self.instructions())
 
     def uses_barrier(self) -> bool:
         return any(ins.op is Opcode.BARRIER for ins in self.instructions())
-
-    def uses_printf(self) -> bool:
-        return any(ins.op is Opcode.PRINTF for ins in self.instructions())
-
-    def global_accesses(self) -> Iterator[Instr]:
-        """Static LOAD/STORE/atomic sites touching GLOBAL/CONSTANT memory."""
-        for ins in self.instructions():
-            if ins.op in (MEMORY_READS | MEMORY_WRITES):
-                ptr = ins.args[0]
-                if is_pointer(ptr.ty) and ptr.ty.space in (
-                    AddressSpace.GLOBAL,
-                    AddressSpace.CONSTANT,
-                ):
-                    yield ins
 
     def format(self) -> str:
         """Textual IR dump (stable, used in golden tests)."""

@@ -103,10 +103,6 @@ def is_pointer(ty: Type) -> bool:
     return isinstance(ty, PointerType)
 
 
-def is_scalar(ty: Type) -> bool:
-    return isinstance(ty, ScalarType)
-
-
 def type_name(ty: Type) -> str:
     """Human-readable spelling used by the IR printer."""
     if isinstance(ty, PointerType):

@@ -36,9 +36,6 @@ class DomTree:
             node = None if parent is node else parent
         return False
 
-    def strictly_dominates(self, a: Block, b: Block) -> bool:
-        return a is not b and self.dominates(a, b)
-
     def children(self, block: Block) -> list[Block]:
         if not self._children:
             self._children[id(self.order[0])] = []

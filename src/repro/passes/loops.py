@@ -30,9 +30,6 @@ class Loop:
     #: Static trip count when derivable, else None.
     trip_count: int | None = None
 
-    def contains_block(self, block: Block) -> bool:
-        return id(block) in self.blocks
-
 
 @dataclass
 class LoopInfo:
@@ -42,10 +39,6 @@ class LoopInfo:
 
     def innermost(self, block: Block) -> Loop | None:
         return self.block_loop.get(id(block))
-
-    def loop_depth(self, block: Block) -> int:
-        loop = self.innermost(block)
-        return loop.depth if loop else 0
 
     def exit_branches(self, loop: Loop) -> list[Instr]:
         out = []

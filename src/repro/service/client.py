@@ -186,16 +186,6 @@ class ServiceClient:
             time.sleep(delay)
             delay = min(0.5, delay * 1.5)
 
-    def wait_all(self, job_ids: list[str],
-                 timeout: float = 600.0) -> dict[str, dict]:
-        """Wait for every job; returns ``{job_id: results-reply}``."""
-        deadline = time.monotonic() + timeout
-        replies: dict[str, dict] = {}
-        for job_id in job_ids:
-            remaining = max(0.1, deadline - time.monotonic())
-            replies[job_id] = self.wait(job_id, timeout=remaining)
-        return replies
-
     def wait_gone(self, timeout: float = 60.0) -> None:
         """Block until the daemon is unreachable (post-drain helper)."""
         deadline = time.monotonic() + timeout

@@ -341,20 +341,21 @@ class ExperimentDaemon:
 
     def _job_checkpoint(self, job: _Job) -> dict | None:
         """The per-job checkpoint spec shipped to the worker (see
-        :meth:`CheckpointPlan.from_spec`), or ``None``.
+        :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`), or ``None``.
 
-        The point id is derived from the job's *content key*, so a
-        coalesced resubmission — or the same job re-queued by
-        ``--resume`` after a crash — finds the snapshot of its earlier
-        incarnation. The simulation yields a snapshot before the engine
+        Snapshots are named by the simulated cell
+        (:func:`~repro.harness.sweep.fig7_snapshot_id`), so a coalesced
+        resubmission, the same job re-queued by ``--resume`` after a
+        crash, or a batch run of the same cell finds the snapshot of an
+        earlier run. The simulation yields a snapshot before the engine
         watchdog would have killed it without one, or as soon as a stop
         request drops the ``STOP`` file.
         """
         if (self.checkpoint_dir is None
                 or job.spec.get("kind") not in ("fig7-cell", "dse")):
             return None
-        return checkpoint_spec(self.checkpoint_dir, f"job-{job.key[:16]}",
-                               self.checkpoint_every, self.point_timeout,
+        return checkpoint_spec(self.checkpoint_dir, self.checkpoint_every,
+                               self.point_timeout,
                                stop_file=str(self._stop_file_path()))
 
     def _refuse_second_daemon(self) -> None:

@@ -240,7 +240,7 @@ def execute_job(spec: dict, checkpoint: dict | None = None,
     result cache).
 
     ``checkpoint`` (a snapshot spec, see
-    :meth:`~repro.vortex.simx.checkpoint.CheckpointPlan.from_spec`) and
+    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`) and
     ``cache`` (the daemon's result cache, which a ``dse`` job runs its
     SimX cells on) are scheduling inputs the daemon attaches per job.
     Neither changes the result, so neither is part of the job spec or

@@ -31,9 +31,6 @@ class Program:
     def size_bytes(self) -> int:
         return 4 * len(self.instructions)
 
-    def address_of(self, label: str) -> int:
-        return self.labels[label]
-
     def index_of_pc(self, pc: int) -> int:
         offset = pc - self.code_base
         if offset < 0 or offset % 4 or offset // 4 >= len(self.instructions):

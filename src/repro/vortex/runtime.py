@@ -149,30 +149,30 @@ class VortexCompiledKernel(CompiledKernel):
                 ndrange, max_cycles=self.backend.max_cycles
             )
         else:
-            ctl = plan.next_control()
-            state = ctl.store.load(ctl.launch_id)
+            launch_id = plan.next_launch()
+            state = plan.store.load(launch_id)
             if state is not None:
                 try:
                     result = machine.resume(
                         ndrange, state,
                         max_cycles=self.backend.max_cycles,
-                        checkpoint=ctl,
+                        checkpoint=plan,
                     )
                     plan.hits += 1
                 except CheckpointError:
                     # Mismatched snapshot (the store already dropped
                     # corrupt/stale files): degrade to a clean run.
-                    ctl.store.discard(ctl.launch_id)
+                    plan.store.discard(launch_id)
                     machine, buffers = assemble()
                     state = None
             if state is None:
                 result = machine.launch(
                     ndrange, max_cycles=self.backend.max_cycles,
-                    checkpoint=ctl,
+                    checkpoint=plan,
                 )
             # Completed: the snapshot is spent; a retry of this point
             # re-simulates this launch from scratch, deterministically.
-            ctl.store.discard(ctl.launch_id)
+            plan.store.discard(launch_id)
 
         # Copy buffers back (device-visible writes land in host arrays).
         for addr, arr in buffers:

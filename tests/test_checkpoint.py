@@ -19,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,11 +32,11 @@ from repro.errors import (
     SimulationPreempted,
 )
 from repro.fingerprint import code_fingerprint
-from repro.harness.dse import run_dse
+from repro.harness.dse import dse_confirm_point, run_dse
 from repro.harness.engine import ExperimentEngine
 from repro.harness.faults import corrupt_checkpoint
 from repro.harness.result_cache import ResultCache
-from repro.harness.sweep import run_sweep, sweep_point
+from repro.harness.sweep import fig7_snapshot_id, run_sweep, sweep_point
 from repro.vortex import VortexBackend, VortexConfig
 from repro.vortex.simx.checkpoint import (
     SNAPSHOT_VERSION,
@@ -61,9 +62,12 @@ _UNIQUE = itertools.count()
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _spec(tmp_path, point_id, **extra):
-    return {"dir": str(tmp_path), "point_id": point_id, "every": EVERY,
-            **extra}
+#: snapshot id of the vecadd cell's (only) launch on CONFIG.
+VECADD_L0 = fig7_snapshot_id("vecadd", CONFIG, N) + ".L0"
+
+
+def _spec(tmp_path, **extra):
+    return {"dir": str(tmp_path), "every": EVERY, **extra}
 
 
 def _machine_digest(machine, result):
@@ -125,20 +129,20 @@ def baseline():
 class TestRoundTrip:
     def test_preempt_writes_snapshot_and_resume_matches(
             self, tmp_path, baseline):
-        spec = _spec(tmp_path, "rt", preempt_at_cycle=5_000)
+        spec = _spec(tmp_path, preempt_at_cycle=5_000)
         with pytest.raises(SimulationPreempted) as exc_info:
             sweep_point("vecadd", CONFIG, N, checkpoint=spec)
         assert exc_info.value.cycle >= 5_000
         store = CheckpointStore(tmp_path)
-        assert store.path("rt.L0").exists()
+        assert store.path(VECADD_L0).exists()
         resumed = sweep_point("vecadd", CONFIG, N, checkpoint=spec)
         assert resumed == baseline["vecadd"]
         # the resume was recorded durably, and the spent snapshot gone.
         assert store.hit_count() == 1
-        assert not store.path("rt.L0").exists()
+        assert not store.path(VECADD_L0).exists()
 
     def test_transpose_roundtrip(self, tmp_path, baseline):
-        spec = _spec(tmp_path, "tr", preempt_at_cycle=3_000)
+        spec = _spec(tmp_path, preempt_at_cycle=3_000)
         with pytest.raises(SimulationPreempted):
             sweep_point("transpose", CONFIG, N, checkpoint=spec)
         assert (sweep_point("transpose", CONFIG, N, checkpoint=spec)
@@ -167,10 +171,9 @@ class TestRoundTrip:
         total = baseline["vecadd"]["cycles"]
         # clamp below the last snapshot boundary the run can reach.
         cycle = 1 + frac * max(1, total - 2 * EVERY) // 10_000
-        # fresh point id per example: replayed/shrunk examples must not
+        # fresh directory per example: replayed/shrunk examples must not
         # find the previous example's spent one-shot preempt marker.
-        spec = _spec(tmp_path, f"hy{next(_UNIQUE)}-{frac}",
-                     preempt_at_cycle=cycle)
+        spec = _spec(tmp_path / f"hy{next(_UNIQUE)}", preempt_at_cycle=cycle)
         with pytest.raises(SimulationPreempted) as exc_info:
             sweep_point("vecadd", CONFIG, N, checkpoint=spec)
         assert exc_info.value.cycle >= cycle
@@ -183,7 +186,7 @@ class TestRoundTrip:
             self, tmp_path, monkeypatch, env):
         monkeypatch.setenv(env, "1")
         ref = sweep_point("vecadd", CONFIG, N)
-        spec = _spec(tmp_path, f"alt-{env}", preempt_at_cycle=4_000)
+        spec = _spec(tmp_path, preempt_at_cycle=4_000)
         with pytest.raises(SimulationPreempted):
             sweep_point("vecadd", CONFIG, N, checkpoint=spec)
         assert sweep_point("vecadd", CONFIG, N, checkpoint=spec) == ref
@@ -243,28 +246,74 @@ class TestStore:
 
     def test_corrupt_snapshot_degrades_to_clean_run(self, tmp_path,
                                                     baseline):
-        spec = _spec(tmp_path, "cor", preempt_at_cycle=5_000)
+        spec = _spec(tmp_path, preempt_at_cycle=5_000)
         with pytest.raises(SimulationPreempted):
             sweep_point("vecadd", CONFIG, N, checkpoint=spec)
         store = CheckpointStore(tmp_path)
-        corrupt_checkpoint(store, "cor.L0")
+        corrupt_checkpoint(store, VECADD_L0)
         assert (sweep_point("vecadd", CONFIG, N, checkpoint=spec)
                 == baseline["vecadd"])
         assert store.hit_count() == 0  # clean re-run, not a resume
 
-    def test_config_mismatch_degrades_to_clean_run(self, tmp_path):
-        """A snapshot from another geometry fails resume verification
-        (CheckpointError) and the launch restarts from scratch."""
-        spec_a = _spec(tmp_path, "shared", preempt_at_cycle=5_000)
-        with pytest.raises(SimulationPreempted):
-            sweep_point("vecadd", CONFIG, N, checkpoint=spec_a)
-        other = VortexConfig(cores=1, warps=4, threads=4)
-        ref = sweep_point("vecadd", other, N)
-        spec_b = _spec(tmp_path, "shared")
-        assert sweep_point("vecadd", other, N, checkpoint=spec_b) == ref
+    @pytest.mark.parametrize("other", [
+        VortexConfig(cores=1, warps=4, threads=4),
+        replace(CONFIG, mshrs=4),
+    ], ids=["geometry", "mshrs"])
+    def test_config_mismatch_degrades_to_clean_run(self, tmp_path, other):
+        """A snapshot from another configuration — another geometry, or
+        the same (C, W, T) with fewer MSHRs — found under the same name
+        fails resume verification (CheckpointError) and the launch
+        restarts from scratch."""
         store = CheckpointStore(tmp_path)
+        with pytest.raises(SimulationPreempted):
+            _run_vecadd(CONFIG, N, checkpoint=CheckpointPlan(
+                store, "shared", every_cycles=EVERY, preempt_at_cycle=5_000))
+        ref_digest, ref_out = _run_vecadd(other, N)
+        plan = CheckpointPlan(store, "shared", every_cycles=EVERY)
+        digest, out = _run_vecadd(other, N, checkpoint=plan)
+        assert digest == ref_digest
+        assert (out == ref_out).all()
+        assert plan.hits == 0
         assert store.hit_count() == 0
         assert not store.path("shared.L0").exists()
+
+    def test_snapshot_resumes_only_its_own_cell(self, tmp_path, baseline):
+        """Snapshots are named by the whole cell: the default-config
+        snapshot of a (C, W, T) is not the mshrs=4 cell's to resume."""
+        with pytest.raises(SimulationPreempted):
+            sweep_point("vecadd", CONFIG, N,
+                        checkpoint=_spec(tmp_path, preempt_at_cycle=5_000))
+        store = CheckpointStore(tmp_path)
+        assert store.path(VECADD_L0).exists()
+        grid = dict(cores=2, n=N, warp_sizes=(2,), thread_sizes=(2,),
+                    base_config=VortexConfig(mshrs=4))
+        clean = run_sweep("vecadd", **grid)
+        assert clean.cycles[(2, 2)] != baseline["vecadd"]["cycles"]
+        resumed = run_sweep("vecadd", **grid, checkpoint=checkpoint_spec(
+            tmp_path, EVERY, None))
+        assert resumed.cycles == clean.cycles
+        assert store.hit_count() == 0
+
+    @pytest.mark.parametrize("runner", ["dse_confirm_point", "execute_job"])
+    def test_any_runner_resumes_the_cell(self, tmp_path, baseline, runner):
+        """A cell preempted under the sweep resumes as a DSE
+        confirmation or a service ``fig7-cell`` job, byte-identically."""
+        with pytest.raises(SimulationPreempted):
+            sweep_point("vecadd", CONFIG, N,
+                        checkpoint=_spec(tmp_path, preempt_at_cycle=5_000))
+        spec = checkpoint_spec(tmp_path, EVERY, None)
+        if runner == "dse_confirm_point":
+            value = dse_confirm_point(CONFIG, "vecadd", N, checkpoint=spec)
+        else:
+            from repro.service.jobs import execute_job, validate_job
+
+            job = validate_job({"kind": "fig7-cell", "benchmark": "vecadd",
+                                "cores": 2, "warps": 2, "threads": 2,
+                                "n": N})
+            value = execute_job(job, checkpoint=spec)
+        assert (json.dumps(value, sort_keys=True)
+                == json.dumps(baseline["vecadd"], sort_keys=True))
+        assert CheckpointStore(tmp_path).hit_count() == 1
 
     def test_orphan_tmp_files_swept_on_construction(self, tmp_path):
         old = tmp_path / "dead.tmp"
@@ -288,21 +337,20 @@ class TestStore:
         grid = dict(n=64, warp_sizes=(2,), thread_sizes=(2,))
         if entry == "run_sweep":
             run_sweep("vecadd", cores=1,
-                      checkpoint=checkpoint_spec(tmp_path, "fig7", None,
-                                                 None),
+                      checkpoint=checkpoint_spec(tmp_path, None, None),
                       **grid)
         else:
             run_dse("vecadd", core_counts=(1,),
-                    checkpoint=checkpoint_spec(tmp_path, "dse", None, None),
+                    checkpoint=checkpoint_spec(tmp_path, None, None),
                     **grid)
         assert live.exists()
 
     def test_resume_verification_runs_before_mutation(self, tmp_path):
-        spec = _spec(tmp_path, "ver", preempt_at_cycle=5_000)
+        spec = _spec(tmp_path, preempt_at_cycle=5_000)
         with pytest.raises(SimulationPreempted):
             sweep_point("vecadd", CONFIG, N, checkpoint=spec)
         store = CheckpointStore(tmp_path)
-        state = store.load("ver.L0")
+        state = store.load(VECADD_L0)
         state["ndrange"] = ((999, 1, 1), (1, 1, 1))
         from repro.ocl.ndrange import NDRange
         from repro.vortex.simx.checkpoint import verify_resume
@@ -317,7 +365,7 @@ class TestStore:
 
 class TestEnginePreemption:
     def test_serial_requeue_uncharged(self, tmp_path, baseline):
-        spec = _spec(tmp_path, "eng", preempt_at_cycle=5_000)
+        spec = _spec(tmp_path, preempt_at_cycle=5_000)
         engine = ExperimentEngine(jobs=1, keep_going=True, retries=0)
         values = engine.run(sweep_point,
                             [("vecadd", CONFIG, N, False, spec)])
@@ -383,7 +431,7 @@ class TestEnginePreemption:
         kwargs = dict(warp_sizes=(2,), thread_sizes=(2, 4), n=N)
         first = run_sweep("vecadd", cache=cache,
                           checkpoint=checkpoint_spec(tmp_path / "ck",
-                                                     "fig7", None, None),
+                                                     None, None),
                           **kwargs)
         engine = ExperimentEngine(cache=cache)
         second = run_sweep("vecadd", engine=engine, **kwargs)
@@ -410,7 +458,8 @@ class TestDaemonPreemption:
         fig7 = _Job(id="j1", key="k" * 40, seq=1,
                     spec={"kind": "fig7-cell"})
         spec = daemon._job_checkpoint(fig7)
-        assert spec["point_id"] == "job-" + "k" * 16
+        assert spec == checkpoint_spec(tmp_path / "ck", None, 10.0,
+                                       spec["stop_file"])
         assert spec["deadline_s"] == pytest.approx(8.0)
         assert spec["stop_file"].endswith("STOP")
         probe = _Job(id="j2", key="p", seq=2, spec={"kind": "probe"})
@@ -510,16 +559,6 @@ def test_snapshot_header_is_one_json_line(tmp_path):
     assert header["payload_len"] == len(raw) - raw.index(b"\n") - 1
 
 
-def test_store_save_roundtrips_at_any_compression_level(tmp_path):
-    """Hot-path snapshots use zlib level 0 (stored blocks); ``load``
-    must accept any level since the header never records one."""
-    state = {"now": 7, "blob": list(range(1000))}
-    for level in (0, 1, 9):
-        store = CheckpointStore(tmp_path / f"l{level}", fingerprint="f")
-        store.save("p", state, level=level)
-        assert store.load("p") == state
-
-
 # -- snapshot cost controls --------------------------------------------------
 
 
@@ -541,42 +580,3 @@ def test_delta_indices_matches_bytewise():
         assert np.array_equal(got, expect)
         assert np.array_equal(_delta_indices(base, base.copy()),
                               np.empty(0, dtype=np.intp))
-
-
-def test_adaptive_cadence_stretches_only_defaulted_plans(tmp_path):
-    from repro.vortex.simx.checkpoint import (
-        ADAPT_MAX_EVERY_CYCLES,
-        DEFAULT_EVERY_CYCLES,
-    )
-
-    store = CheckpointStore(tmp_path, fingerprint="f")
-    assert CheckpointPlan(store, "p", every_cycles=EVERY).adaptive is False
-    plan = CheckpointPlan(store, "p")
-    assert plan.adaptive is True
-    assert plan.every_cycles == DEFAULT_EVERY_CYCLES
-
-    # An expensive snapshot right after the previous one (zero elapsed
-    # interval makes any positive cost exceed the target fraction).
-    control = plan.next_control()
-    control._prev_save_end = float("inf")  # force since=0 via max(.,0)
-    before = control.every_cycles
-    import repro.vortex.simx.checkpoint as ck
-
-    real_capture = ck.capture_state
-    ck.capture_state = lambda machine, now: {"now": now}
-    try:
-        control.save(machine=None, now=123)
-    finally:
-        ck.capture_state = real_capture
-    assert control.every_cycles == 2 * before
-    # the stretch is reported back to the plan for later launches...
-    assert plan.every_cycles == 2 * before
-    assert plan.next_control().every_cycles == 2 * before
-    # ...and is capped.
-    control.every_cycles = ADAPT_MAX_EVERY_CYCLES
-    ck.capture_state = lambda machine, now: {"now": now}
-    try:
-        control.save(machine=None, now=124)
-    finally:
-        ck.capture_state = real_capture
-    assert control.every_cycles == ADAPT_MAX_EVERY_CYCLES

@@ -269,10 +269,8 @@ def test_checkpoint_flags_reach_the_runner(command, runner, monkeypatch,
     ckpt = str(tmp_path / "ck")
     assert main(command + ["--checkpoint-dir", ckpt, "--checkpoint-every",
                            "5000", "--point-timeout", "100"]) == 0
-    point_id = "fig7" if runner == "run_sweep" else "dse"
-    assert seen and all(
-        spec == checkpoint_spec(ckpt, point_id, 5000, 100.0)
-        for spec in seen)
+    assert seen and all(spec == checkpoint_spec(ckpt, 5000, 100.0)
+                        for spec in seen)
 
 
 def test_all_exits_with_the_worst_artifact_status(monkeypatch, capsys):

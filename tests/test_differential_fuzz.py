@@ -363,35 +363,48 @@ _CORNERS = np.array([np.nan, 0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 2.5],
                     dtype=np.float32)
 
 
-def test_float_corner_cases_match_simx():
-    """fmin, fmax and fdiv over every pair of IEEE corner operands. Where
-    SimX's result is a number the interpreter's must have the same bits;
-    where it is NaN only NaN-ness is compared, because numpy's 0/0 carries
-    the host's default NaN rather than RISC-V's canonical one."""
+def _assert_corners_match_simx(ops, operands):
+    """Run ``b.<op>(*loaded operands)`` for each op on the interpreter
+    and on SimX. Where SimX's result is a number the interpreter's must
+    have the same bits; where it is NaN only NaN-ness is compared,
+    because numpy's 0/0 carries the host's default NaN rather than
+    RISC-V's canonical one."""
     b = KernelBuilder("fcorner")
-    x = b.param("x", GLOBAL_FLOAT32)
-    y = b.param("y", GLOBAL_FLOAT32)
-    outs = [b.param(name, GLOBAL_FLOAT32) for name in ("fmin", "fmax", "fdiv")]
+    ins = [b.param(f"in{i}", GLOBAL_FLOAT32) for i in range(len(operands))]
+    outs = [b.param(op, GLOBAL_FLOAT32) for op in ops]
     gid = b.global_id(0)
-    xv, yv = b.load(x, gid), b.load(y, gid)
-    for out, op in zip(outs, ("min", "max", "div")):
-        b.store(out, gid, getattr(b, op)(xv, yv))
+    vals = [b.load(p, gid) for p in ins]
+    for out, op in zip(outs, ops):
+        b.store(out, gid, getattr(b, op)(*vals))
     kernel = b.finish()
-    xs, ys = np.repeat(_CORNERS, 8), np.tile(_CORNERS, 8)
-    n = len(xs)
+    n = len(operands[0])
 
     ref = [np.zeros(n, dtype=np.float32) for _ in outs]
-    interpret(kernel, [xs.copy(), ys.copy(), *ref], NDRange.create(n, 8))
+    interpret(kernel, [a.copy() for a in operands] + ref,
+              NDRange.create(n, 8))
 
     ctx = Context(VortexBackend(VortexConfig(cores=1, warps=2, threads=4)))
     prog = ctx.program([kernel])
     bufs = [ctx.alloc(n, np.float32) for _ in outs]
-    prog.launch("fcorner", [ctx.buffer(xs), ctx.buffer(ys), *bufs], n, 8)
+    prog.launch("fcorner", [ctx.buffer(a) for a in operands] + bufs, n, 8)
 
-    for name, r, buf in zip(("fmin", "fmax", "fdiv"), ref, bufs):
+    for op, r, buf in zip(ops, ref, bufs):
         sim = buf.read()
         nan = np.isnan(sim)
-        np.testing.assert_array_equal(np.isnan(r), nan, err_msg=name)
+        np.testing.assert_array_equal(np.isnan(r), nan, err_msg=op)
         np.testing.assert_array_equal(
             r[~nan].view(np.uint32), sim[~nan].view(np.uint32),
-            err_msg=f"{name}: x={xs[~nan]} y={ys[~nan]}")
+            err_msg=f"{op}: {[a[~nan] for a in operands]}")
+
+
+def test_float_corner_cases_match_simx():
+    """fmin, fmax and fdiv over every pair of IEEE corner operands."""
+    _assert_corners_match_simx(
+        ("min", "max", "div"),
+        [np.repeat(_CORNERS, 8), np.tile(_CORNERS, 8)])
+
+
+def test_unary_float_corner_cases_match_simx():
+    """sqrt, exp, log, sin, cos and floor of every IEEE corner operand."""
+    _assert_corners_match_simx(
+        ("sqrt", "exp", "log", "sin", "cos", "floor"), [_CORNERS])
