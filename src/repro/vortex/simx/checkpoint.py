@@ -58,7 +58,9 @@ SNAPSHOT_MAGIC = "repro-simx-snapshot"
 #: count the all-stalled jump.
 #: v4: an uncompressed pickle of every non-wiring attribute, with the
 #: whole ``VortexConfig``.
-SNAPSHOT_VERSION = 4
+#: v5: a core holds ``_mshr_at``; a warp's ``_iseq`` counts every issue
+#: of the launch (``instructions``/``cycles_active`` fold from it).
+SNAPSHOT_VERSION = 5
 
 #: Default snapshot cadence in simulated cycles.
 DEFAULT_EVERY_CYCLES = 2_000_000
@@ -100,11 +102,13 @@ def baseline_digest(mem: np.ndarray) -> str:
 # cycle).
 # ----------------------------------------------------------------------
 
-#: Attributes that wire the machine's objects together or hold the
-#: decoded program. Everything else a warp, core, data cache or the DRAM
-#: holds is state: captured, and restored into the live object.
+#: Attributes that wire the machine's objects together, hold the
+#: decoded program or view other state (a warp's register rows).
+#: Everything else a warp, core, data cache or the DRAM holds is state:
+#: captured, and restored into the live object.
 WIRING = frozenset({"machine", "config", "warps", "dcache", "_fetch",
-                    "_decoded", "_code_base", "_orders", "_trace"})
+                    "_decoded", "_code_base", "_orders", "_trace",
+                    "xr", "fr"})
 
 #: The machine's own state: dispatcher bookkeeping, idle-freeze horizons
 #: and counters (its memory, DRAM and cores are captured separately).
@@ -189,7 +193,8 @@ def restore_state(machine: Any, state: dict[str, Any]) -> None:
     """Apply a verified snapshot. The machine's memory must hold the
     baseline image (freshly loaded + marshalled) — ``verify_resume``
     checked that. Objects are updated in place, so the wiring between
-    them (a core's warp scan orders, its bound fetch) stays valid."""
+    them (a core's warp scan orders, its bound fetch) stays valid; each
+    warp's register rows are rebound to its restored files."""
     machine.memory.data[state["mem_idx"]] = state["mem_val"]
     for name, value in state["machine"].items():
         setattr(machine, name, value)
@@ -199,6 +204,7 @@ def restore_state(machine: Any, state: dict[str, Any]) -> None:
         vars(core.dcache).update(dcache)
         for warp, wfields in zip(core.warps, warps):
             vars(warp).update(wfields)
+            warp.bind_rows()
 
 
 # ----------------------------------------------------------------------

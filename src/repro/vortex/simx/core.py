@@ -13,12 +13,17 @@ immediately, numpy-vectorised across lanes) with timing imposed through
 the scoreboard (result-availability cycles) and the LSU/DRAM models.
 
 The per-issue work here is deliberately thin: instruction semantics live
-in statically-decoded handlers (:mod:`.decode`), LSU book-keeping
-structures are purged lazily (``_purge_at`` tracks the earliest expiry
-instead of rescanning every queue every cycle), and
-:meth:`Core.next_change_time` gives the machine a conservative bound on
-how long an idle core's stall classification stays constant, so
-:mod:`.machine` can book the frozen idle cycles without re-scanning.
+in statically-decoded handlers (:mod:`.decode`) that write registers in
+place through the warps' row views; an issue books no counter, because
+each occupies exactly ``_issue_beats`` cycles, so :meth:`Core.fold_counters`
+derives ``instructions`` and ``cycles_active`` from the warps' issue
+counts once per launch (and before each profiler sample); LSU
+book-keeping is purged lazily (``_purge_at`` tracks the earliest expiry,
+``_mshr_at`` the earliest MSHR fill, so the MSHR structures are rebuilt
+only when one expires); and :meth:`Core.next_change_time` gives the
+machine a conservative bound on how long an idle core's stall
+classification stays constant, so :mod:`.machine` can book the frozen
+idle cycles without re-scanning.
 """
 
 from __future__ import annotations
@@ -143,6 +148,9 @@ class Core:
         #: earliest expiry across lsu_inflight/mshrs/mshr_entries; the
         #: queues are only rescanned when the clock reaches it.
         self._purge_at = BLOCKED
+        #: earliest MSHR fill: every mshr_entries time is also an mshrs
+        #: value, so this one minimum covers both MSHR structures.
+        self._mshr_at = BLOCKED
         #: write-combining buffer: line -> insertion order stamp.
         self.wc_buffer: dict[int, int] = {}
         self._wc_stamp = 0
@@ -182,10 +190,11 @@ class Core:
         """Advance the issue stage one cycle.
 
         Returns True when an instruction issued, False when the core
-        idled (with ``_stall`` recording why). Exactly one of
-        ``cycles_active``/``idle_cycles`` is booked per call. The
-        machine never ticks a core inside a multi-beat issue window
-        (``now < issue_busy_until``); it books those cycles itself.
+        idled (with ``_stall`` recording why, and ``idle_cycles`` booked).
+        An issue books nothing here: :meth:`fold_counters` derives
+        ``instructions`` and ``cycles_active`` from the warps' issue
+        counts. The machine never ticks a core inside a multi-beat issue
+        window (``now < issue_busy_until``).
         """
         if now >= self._purge_at:
             self._purge(now)
@@ -233,16 +242,12 @@ class Core:
                     (now, self.cid, warp.wid, warp.pc,
                      format_instruction(d.ins), warp.tmask_bits())
                 )
-            warp.ready_at = now + self._issue_beats
+            self.issue_busy_until = warp.ready_at = now + self._issue_beats
             warp._iseq += 1
             d.handler(self, warp, d, now)
-            self.issue_busy_until = now + self._issue_beats
             self.rr = warp.wid
-            stats = self.stats
-            stats.instructions += 1
             if d.is_simt:
-                stats.simt_instructions += 1
-            stats.cycles_active += 1
+                self.stats.simt_instructions += 1
             return True
         stats = self.stats
         stats.idle_cycles += 1
@@ -257,26 +262,27 @@ class Core:
         return False
 
     def _purge(self, now: int) -> None:
-        """Drop expired LSU queue entries, outstanding fills and MSHR
-        occupancy, and recompute the next expiry time."""
-        self.lsu_inflight = [t for t in self.lsu_inflight if t > now]
-        if self.mshrs:
+        """Drop expired LSU queue entries, and outstanding fills and MSHR
+        occupancy once the earliest fill is reached; recompute the next
+        expiry time."""
+        inflight = [t for t in self.lsu_inflight if t > now]
+        self.lsu_inflight = inflight
+        if now >= self._mshr_at:
             self.mshrs = {ln: t for ln, t in self.mshrs.items() if t > now}
-        if self.mshr_entries:
             self.mshr_entries = [(t, n) for t, n in self.mshr_entries
                                  if t > now]
             self._mshr_occupancy = sum(n for _, n in self.mshr_entries)
-        nxt = BLOCKED
-        for t in self.lsu_inflight:
-            if t < nxt:
-                nxt = t
-        for t in self.mshrs.values():
-            if t < nxt:
-                nxt = t
-        for t, _ in self.mshr_entries:
-            if t < nxt:
-                nxt = t
-        self._purge_at = nxt
+            self._mshr_at = min(self.mshrs.values(), default=BLOCKED)
+        self._purge_at = min(min(inflight, default=BLOCKED), self._mshr_at)
+
+    def fold_counters(self, now: int) -> None:
+        """Derive ``instructions`` and ``cycles_active`` as of the start
+        of cycle ``now``: every issue occupies exactly ``_issue_beats``
+        cycles, less the part of the last window at or past ``now``."""
+        issued = sum(warp._iseq for warp in self.warps)
+        self.stats.instructions = issued
+        self.stats.cycles_active = issued * self._issue_beats - max(
+            0, self.issue_busy_until - now)
 
     def next_event_time(self, now: int) -> int:
         """Earliest future cycle at which this core might make progress."""
@@ -365,12 +371,13 @@ class Core:
         return int(active[0])
 
     def _read_csr(self, warp: Warp, csr: int) -> np.ndarray:
-        if csr == CSR.TMASK:
-            # The only CSR whose value changes while a group runs.
-            return np.full(self.config.threads, warp.tmask_bits(),
-                           dtype=np.int32)
         cached = warp.csr_cache.get(csr)
         if cached is None:
+            if csr == CSR.TMASK:
+                # The only CSR whose value changes while a group runs,
+                # so it is never cached.
+                return np.full(self.config.threads, warp.tmask_bits(),
+                               dtype=np.int32)
             cached = self._csr_value(warp, csr)
             warp.csr_cache[csr] = cached
         return cached
@@ -408,9 +415,10 @@ class Core:
                 and memo[1] == warp.pc:
             _, _, active_addrs, lanes, items = memo
         else:
-            row = warp.x[d.rs1]
-            # int32 row + int64 scalar upcasts in a single ufunc call.
-            active_addrs = (row if full else row[mask]) + d.imm64
+            row = warp.xr[d.rs1]
+            # int32 + int64 upcasts in a single ufunc call.
+            active_addrs = (np.add(row, d.row) if full
+                            else row[mask] + d.imm64)
             lanes = len(active_addrs)
             items = None
         completion, items = self._lsu_load_timing(active_addrs, lanes,
@@ -428,17 +436,17 @@ class Core:
         if d.aux:  # flw
             vals = mem.gather_f32(active_addrs)
             if full:
-                warp.f[d.rd] = vals
+                warp.fr[d.rd][...] = vals
             else:
-                warp.f[d.rd][mask] = vals
+                warp.fr[d.rd][mask] = vals
             warp.f_ready[d.rd] = completion
         else:
             vals = mem.gather_i32(active_addrs)
-            if d.wb_x >= 0:
+            if d.wb >= 0:
                 if full:
-                    warp.x[d.rd] = vals
+                    warp.xr[d.rd][...] = vals
                 else:
-                    warp.x[d.rd][mask] = vals
+                    warp.xr[d.rd][mask] = vals
                 warp.x_ready[d.rd] = completion
         warp.pc += 4
         self._lsu_book(lanes, completion, now)
@@ -446,15 +454,15 @@ class Core:
     def _exec_store(self, warp: Warp, d, now: int) -> None:
         full = warp._full
         mask = warp.tmask
-        row = warp.x[d.rs1]
-        active_addrs = (row if full else row[mask]) + d.imm64
+        row = warp.xr[d.rs1]
+        active_addrs = np.add(row, d.row) if full else row[mask] + d.imm64
         lanes = len(active_addrs)
         mem = self.machine.memory
         if d.aux:  # fsw
-            src = warp.f[d.rs2]
+            src = warp.fr[d.rs2]
             mem.scatter_f32(active_addrs, src if full else src[mask])
         else:
-            src = warp.x[d.rs2]
+            src = warp.xr[d.rs2]
             mem.scatter_i32(active_addrs, src if full else src[mask])
         completion = self._lsu_store_timing(active_addrs, lanes, now)
         warp.pc += 4
@@ -466,15 +474,14 @@ class Core:
         m = d.mnemonic
         mem = self.machine.memory
         mask = warp.tmask
-        base = warp.x[d.rs1].astype(np.int64)
-        addrs = base[mask]
+        addrs = warp.xr[d.rs1][mask].astype(np.int64)
         lanes = len(addrs)
         if (addrs & 3).any():
             raise TrapError(f"unaligned atomic at pc {warp.pc:#x}")
         completion = now + cfg.dcache_hit_latency
         results = np.zeros(lanes, dtype=np.int32)
-        src = warp.x[d.rs2][mask]
-        expected = warp.x[d.rd][mask] if m == "amocas.w" else None
+        src = warp.xr[d.rs2][mask]
+        expected = warp.xr[d.rd][mask] if m == "amocas.w" else None
         for i in range(lanes):
             addr = int(addrs[i])
             line = addr & ~(cfg.line_size - 1)
@@ -494,7 +501,7 @@ class Core:
                 new = val if old == int(expected[i]) else old
             mem.write_word(addr, new)
         if d.rd != 0:
-            warp.x[d.rd][mask] = results
+            warp.xr[d.rd][mask] = results
             warp.x_ready[d.rd] = completion
         warp.pc += 4
         self._lsu_book(lanes, completion, now)
@@ -565,8 +572,10 @@ class Core:
             for line, _ in new_misses:
                 t = dram_access(line, now + cfg.dcache_hit_latency)
                 mshrs[line] = t
-                if t < self._purge_at:
-                    self._purge_at = t
+                if t < self._mshr_at:
+                    self._mshr_at = t
+                    if t < self._purge_at:
+                        self._purge_at = t
                 self.dcache.fill(line)
                 if t > completion:
                     completion = t
@@ -576,8 +585,6 @@ class Core:
                 if t is not None:
                     self.mshr_entries.append((t, nlanes))
                     self._mshr_occupancy += nlanes
-                    if t < self._purge_at:
-                        self._purge_at = t
         unpack = max(1, -(-lanes // cfg.lsu_lanes_per_cycle))
         return completion + unpack, items
 
@@ -633,7 +640,12 @@ class Core:
                 )
             info = (branch.mnemonic == "beq", warp.pc + 4 + branch.imm)
         then_on_true, branch_target = info
-        pred = (warp.x[d.rs1] != 0) & warp.tmask
+        pred = (warp.xr[d.rs1] != 0) & warp.tmask
+        lanes = np.count_nonzero(pred)
+        if not lanes or lanes == np.count_nonzero(warp.tmask):
+            warp.push_uniform_marker()
+            warp.pc += 4  # branch executes normally next cycle
+            return
         if then_on_true:
             # Lanes with cond == 0 take the branch (the else side).
             else_mask = warp.tmask & ~pred
@@ -641,18 +653,15 @@ class Core:
         else:
             else_mask = pred
             then_mask = warp.tmask & ~pred
-        if not else_mask.any() or not then_mask.any():
-            warp.push_uniform_marker()
-            warp.pc += 4  # branch executes normally next cycle
-            return
         warp.push_divergence(warp.tmask, else_mask, branch_target)
         warp.tmask = then_mask
         warp._full = False  # both sides non-empty, so strictly partial
         warp.pc += 8  # branch is consumed by the split
 
     def _exec_bar(self, warp: Warp, d, now: int) -> None:
-        bar_id = int(warp.x[d.rs1][warp.first_active_lane()])
-        count = int(warp.x[d.rs2][warp.first_active_lane()])
+        lane = warp.first_active_lane()
+        bar_id = int(warp.xr[d.rs1][lane])
+        count = int(warp.xr[d.rs2][lane])
         warp.pc += 4
         waiting = self.barriers.setdefault(bar_id, [])
         waiting.append(warp.wid)
@@ -667,13 +676,16 @@ class Core:
             self.stats.barrier_waits += 1
 
     def _exec_wspawn(self, warp: Warp, d, now: int) -> None:
-        count = int(warp.x[d.rs1][warp.first_active_lane()])
-        target = int(warp.x[d.rs2][warp.first_active_lane()])
+        lane = warp.first_active_lane()
+        count = int(warp.xr[d.rs1][lane])
+        target = int(warp.xr[d.rs2][lane])
         warp.pc += 4
         spawned = 0
         for other in self.warps:
             if other is warp or other.active or spawned >= count - 1:
                 continue
+            if other.xr is None:
+                other.bind_rows()
             other.pc = target
             other.tmask = np.ones(self.config.threads, dtype=bool)
             other._full = True

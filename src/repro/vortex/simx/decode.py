@@ -2,28 +2,36 @@
 
 When a kernel image is loaded, every static instruction is compiled
 into a :class:`DecodedInstr` — a flat record holding the pre-resolved
-handler function, operand registers, immediate constants already cast
-to their numpy types, the absolute jump/branch target (PCs are static,
-so ``auipc``/``jal``/branch arithmetic folds away entirely) and the
-writeback latency for the machine configuration. The issue stage then
-costs one list index and one indirect call per dynamic instruction.
+handler function, operand registers and their register files, the
+immediate pre-broadcast to a T-lane row (T is fixed per machine), the
+absolute jump/branch target (PCs are static, so ``auipc``/``jal``/branch
+arithmetic folds away entirely) and the writeback latency for the
+machine configuration. The issue stage then costs one list index and
+one indirect call per dynamic instruction.
 
-Two handler tables implement the compute instructions:
+The compute instructions fold into three handlers by operand shape —
+reg–reg (int ALU, FPU binary, FP compare), reg–immediate-row and
+one-source (FPU unary, ``fcvt``/``fmv``) — each applying the
+instruction's op, which takes the ufunc calling form: ``op(*rows)``
+returns a fresh row, ``op(*rows, out=row)`` writes into ``row``. Plain
+ufuncs are used directly; composite kernels are wrapped once by
+:func:`_ufunc_form`. Two handler tables exist:
 
 * ``VECTOR_TABLE`` — production. Each handler executes the whole warp
-  row with numpy in one of two forms, chosen by ``Warp._full``: a
-  whole-row write while every lane is active, a masked
-  ``np.copyto(..., where=tmask)`` otherwise. No handler forks on warp
-  width.
-* ``SCALAR_TABLE`` — a per-lane Python reference, selected with
-  ``REPRO_SIMX_SCALAR=1`` and used only as a differential oracle.
+  row with numpy through the warp's row views in one of two forms,
+  chosen by ``Warp._full``: ``op(..., out=row)`` while every lane is
+  active, a masked ``np.copyto(..., where=tmask)`` otherwise. No
+  handler forks on warp width.
+* ``SCALAR_TABLE`` — a per-lane Python reference over ``warp.x``/
+  ``warp.f``, selected with ``REPRO_SIMX_SCALAR=1`` and used only as a
+  differential oracle.
 
 The property tests in ``tests/test_simx_vectorized.py`` drive random
-divergent kernels through both tables and require bit-identical
-memory, registers and timing. Each scalar handler loops over the active
-lanes applying the *same* arithmetic kernel to one-element slices, so
-any divergence isolates a masking/vectorization bug rather than a
-numerics difference.
+divergent kernels, and every compute handler on random warp states,
+through both tables and require bit-identical memory, registers and
+timing. Each scalar handler loops over the active lanes applying the
+*same* op to one-element slices, so any divergence isolates a
+masking/vectorization bug rather than a numerics difference.
 """
 
 from __future__ import annotations
@@ -57,10 +65,10 @@ class DecodedInstr:
 
     __slots__ = (
         "ins", "mnemonic", "pc",
-        "rs1", "rs2", "rd", "imm", "imm64",
+        "rs1", "rs2", "rd", "imm", "imm64", "row",
         "is_mem", "is_simt",
         "srcs_x", "srcs_f",
-        "wb_x", "wb_f", "latency",
+        "wb", "fsrc", "fdst", "latency",
         "handler", "op", "val", "target", "aux",
     )
 
@@ -73,15 +81,22 @@ class DecodedInstr:
         self.rs2 = ins.rs2
         self.rd = ins.rd
         self.imm = ins.imm
-        #: immediate as a numpy int64 scalar: ``int32_row + imm64``
-        #: upcasts to int64 in one ufunc call (the LSU address path).
+        #: immediate as a numpy int64 scalar: the masked LSU address add
+        #: (``int32_row[mask] + imm64``) upcasts in one ufunc call.
         self.imm64 = np.int64(ins.imm)
+        #: the immediate as a T-lane row, set by decode: int32 for the
+        #: reg-immediate ops, int64 for a full-mask LSU address add.
+        self.row = None
         self.is_mem = meta.is_mem
         self.is_simt = meta.kind == "simt"
         self.srcs_x = meta.srcs_x
         self.srcs_f = meta.srcs_f
-        self.wb_x = meta.dst[1] if meta.dst and meta.dst[0] == "x" else -1
-        self.wb_f = meta.dst[1] if meta.dst and meta.dst[0] == "f" else -1
+        #: register files: sources (``fsrc``) and destination (``fdst``)
+        #: are f registers; the destination register, -1 when nothing is
+        #: written (no destination, or rd = x0).
+        self.fsrc = bool(meta.srcs_f)
+        self.fdst = bool(meta.dst) and meta.dst[0] == "f"
+        self.wb = meta.dst[1] if meta.dst else -1
         self.latency = latency
         self.handler = None
         self.op = None
@@ -94,63 +109,70 @@ class DecodedInstr:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic kernels (shared by the vector and scalar paths; the RISC-V
+# Arithmetic ops (shared by the vector and scalar paths; the RISC-V
 # M-extension division corner cases live in ``core._sdiv``/``core._srem``).
 # ---------------------------------------------------------------------------
 
 
+def _ufunc_form(kernel):
+    """Give a composite kernel the ufunc calling form: ``op(*rows)``
+    returns ``kernel(*rows)``, ``op(*rows, out=row)`` writes it into
+    ``row`` in place."""
+    def op(*rows, out=None):
+        if out is None:
+            return kernel(*rows)
+        out[...] = kernel(*rows)
+        return out
+    return op
+
+
+#: Comparisons write 0/1 rows: a bool result assigned into an int32 row
+#: costs less than a ufunc casting into ``out=``.
+_slt = _ufunc_form(np.less)
+_sltu = _ufunc_form(lambda a, b: a.view(np.uint32) < b.view(np.uint32))
+
+
+def _srl_masked(a, s, out=None):
+    """Logical right shift by an already-masked amount (``srli``'s row)."""
+    return np.right_shift(a.view(np.uint32), s.view(np.uint32),
+                          out=None if out is None else out.view(np.uint32)
+                          ).view(np.int32)
+
+
 _INT_BIN_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "sll": lambda a, b: a << (b & 31),
-    "slt": lambda a, b: (a < b).astype(np.int32),
-    "sltu": lambda a, b: (a.view(np.uint32) < b.view(np.uint32)).astype(
-        np.int32),
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: (a.view(np.uint32)
-                         >> (b & 31).view(np.uint32)).view(np.int32),
-    "sra": lambda a, b: a >> (b & 31),
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "mul": lambda a, b: (a.astype(np.int64) * b.astype(np.int64)).astype(
-        np.int32),
-    "mulh": lambda a, b: ((a.astype(np.int64) * b.astype(np.int64))
-                          >> 32).astype(np.int32),
-    "div": _sdiv,
-    "rem": _srem,
+    "add": np.add,
+    "sub": np.subtract,
+    "sll": lambda a, b, out=None: np.left_shift(a, b & 31, out=out),
+    "slt": _slt,
+    "sltu": _sltu,
+    "xor": np.bitwise_xor,
+    "srl": lambda a, b, out=None: _srl_masked(a, b & 31, out=out),
+    "sra": lambda a, b, out=None: np.right_shift(a, b & 31, out=out),
+    "or": np.bitwise_or,
+    "and": np.bitwise_and,
+    # int32 products wrap to the low 32 bits, as RISC-V's mul.
+    "mul": np.multiply,
+    "mulh": _ufunc_form(lambda a, b: ((a.astype(np.int64)
+                                       * b.astype(np.int64))
+                                      >> 32).astype(np.int32)),
+    "div": _ufunc_form(_sdiv),
+    "rem": _ufunc_form(_srem),
 }
 
-
-def _make_imm_op(m: str, imm: int):
-    """One-argument closure with the immediate pre-cast to numpy."""
-    if m == "addi":
-        c = np.int32(imm)
-        return lambda a: a + c
-    if m == "slti":
-        c = np.int32(imm)
-        return lambda a: (a < c).astype(np.int32)
-    if m == "sltiu":
-        c = np.uint32(imm & 0xFFFFFFFF)
-        return lambda a: (a.view(np.uint32) < c).astype(np.int32)
-    if m == "xori":
-        c = np.int32(imm)
-        return lambda a: a ^ c
-    if m == "ori":
-        c = np.int32(imm)
-        return lambda a: a | c
-    if m == "andi":
-        c = np.int32(imm)
-        return lambda a: a & c
-    if m == "slli":
-        s = imm & 31
-        return lambda a: a << s
-    if m == "srli":
-        s = np.uint32(imm & 31)
-        return lambda a: (a.view(np.uint32) >> s).view(np.int32)
-    if m == "srai":
-        s = imm & 31
-        return lambda a: a >> s
-    raise SimulationError(f"bad int immop {m}")  # pragma: no cover
+#: reg-immediate ops: the reg-reg op on the immediate's lane row, except
+#: that a shift's row is masked to 5 bits at decode (``_SHIFT_IMMS``).
+_IMM_OPS = {
+    "addi": np.add,
+    "slti": _slt,
+    "sltiu": _sltu,
+    "xori": np.bitwise_xor,
+    "ori": np.bitwise_or,
+    "andi": np.bitwise_and,
+    "slli": np.left_shift,
+    "srli": _srl_masked,
+    "srai": np.right_shift,
+}
+_SHIFT_IMMS = ("slli", "srli", "srai")
 
 
 #: RISC-V's canonical NaN (quiet, positive, zero payload).
@@ -166,42 +188,39 @@ def _fminmax(take_a):
     def op(a, b):
         out = np.where(take_a(a, b) | np.isnan(b), a, b)
         return np.where(np.isnan(a) & np.isnan(b), _CANONICAL_NAN, out)
-    return op
+    return _ufunc_form(op)
+
+
+def _f64(fn):
+    """A binary32 op evaluated in binary64 and rounded once."""
+    return _ufunc_form(
+        lambda *rows: fn(*(r.astype(np.float64) for r in rows)).astype(
+            np.float32))
 
 
 _FLOAT_BIN_OPS = {
-    "fadd.s": lambda a, b: a + b,
-    "fsub.s": lambda a, b: a - b,
-    "fmul.s": lambda a, b: a * b,
-    "fdiv.s": lambda a, b: a / b,
+    "fadd.s": np.add,
+    "fsub.s": np.subtract,
+    "fmul.s": np.multiply,
+    "fdiv.s": np.divide,
     "fmin.s": _fminmax(lambda a, b: (a < b) | ((a == b) & np.signbit(a))),
     "fmax.s": _fminmax(lambda a, b: (a > b) | ((a == b) & np.signbit(b))),
-    "fpow.s": lambda a, b: np.power(a.astype(np.float64),
-                                    b.astype(np.float64)).astype(np.float32),
-    "fsgnj.s": lambda a, b: ((a.view(np.int32) & 0x7FFFFFFF)
-                             | (b.view(np.int32) & _SIGN_BIT)).view(
-                                 np.float32),
-    "fsgnjn.s": lambda a, b: ((a.view(np.int32) & 0x7FFFFFFF)
-                              | (~b.view(np.int32) & _SIGN_BIT)).view(
-                                  np.float32),
-    "fsgnjx.s": lambda a, b: (a.view(np.int32)
-                              ^ (b.view(np.int32) & _SIGN_BIT)).view(
-                                  np.float32),
-}
-
-_FLOAT_UN_OPS = {
-    "fsqrt.s": np.sqrt,
-    "fexp.s": lambda a: np.exp(a.astype(np.float64)).astype(np.float32),
-    "flog.s": lambda a: np.log(a.astype(np.float64)).astype(np.float32),
-    "fsin.s": lambda a: np.sin(a.astype(np.float64)).astype(np.float32),
-    "fcos.s": lambda a: np.cos(a.astype(np.float64)).astype(np.float32),
-    "ffloor.s": np.floor,
+    "fpow.s": _f64(np.power),
+    "fsgnj.s": _ufunc_form(lambda a, b: ((a.view(np.int32) & 0x7FFFFFFF)
+                                         | (b.view(np.int32) & _SIGN_BIT)
+                                         ).view(np.float32)),
+    "fsgnjn.s": _ufunc_form(lambda a, b: ((a.view(np.int32) & 0x7FFFFFFF)
+                                          | (~b.view(np.int32) & _SIGN_BIT)
+                                          ).view(np.float32)),
+    "fsgnjx.s": _ufunc_form(lambda a, b: (a.view(np.int32)
+                                          ^ (b.view(np.int32) & _SIGN_BIT)
+                                          ).view(np.float32)),
 }
 
 _FLOAT_CMP_OPS = {
-    "feq.s": lambda a, b: (a == b).astype(np.int32),
-    "flt.s": lambda a, b: (a < b).astype(np.int32),
-    "fle.s": lambda a, b: (a <= b).astype(np.int32),
+    "feq.s": _ufunc_form(np.equal),
+    "flt.s": _slt,
+    "fle.s": _ufunc_form(np.less_equal),
 }
 
 _BRANCH_OPS = {
@@ -215,90 +234,127 @@ _BRANCH_OPS = {
 
 
 def _fcvt_w_s(a: np.ndarray) -> np.ndarray:
-    v = a.astype(np.float64)
-    v = np.where(np.isnan(v), 0.0, v)
-    return np.trunc(v).astype(np.int64).astype(np.int32)
+    """``fcvt.w.s``: truncate toward zero; a finite value wraps modulo
+    2**32 (``np.fmod`` of the truncated binary64 is exact), as the
+    interpreter's ``wrap32`` does; ±inf saturates to ``INT32_MAX``/
+    ``INT32_MIN``, as RISC-V does; NaN gives 0. No host-dependent
+    out-of-range cast is left."""
+    v = np.trunc(a.astype(np.float64))
+    v = np.where(np.isinf(v), np.clip(v, -2.0**31, 2.0**31 - 1),
+                 np.fmod(v, 2.0**32))
+    return np.nan_to_num(v).astype(np.int64).astype(np.int32)
+
+
+#: one-source ops: FPU unary, conversions and moves between the files.
+_UN_OPS = {
+    "fsqrt.s": np.sqrt,
+    "fexp.s": _f64(np.exp),
+    "flog.s": _f64(np.log),
+    "fsin.s": _f64(np.sin),
+    "fcos.s": _f64(np.cos),
+    "ffloor.s": np.floor,
+    "fcvt.w.s": _ufunc_form(_fcvt_w_s),
+    "fmv.x.w": _ufunc_form(lambda a: a.view(np.int32)),
+    "fcvt.s.w": _ufunc_form(lambda a: a.astype(np.float32)),
+    "fmv.w.x": _ufunc_form(lambda a: a.view(np.float32)),
+}
+
+#: mnemonic -> (operand shape, op); decode picks the register files.
+_COMPUTE = {
+    **{m: ("rr", op) for m, op in _INT_BIN_OPS.items()},
+    **{m: ("rr", op) for m, op in _FLOAT_BIN_OPS.items()},
+    **{m: ("rr", op) for m, op in _FLOAT_CMP_OPS.items()},
+    **{m: ("ri", op) for m, op in _IMM_OPS.items()},
+    **{m: ("un", op) for m, op in _UN_OPS.items()},
+}
 
 
 # ---------------------------------------------------------------------------
 # Vectorized handlers. Signature: handler(core, warp, d, now).
 #
 # The issue stage (Core.tick) has already set ``warp.ready_at``; each
-# handler advances the PC, performs the masked register writes, and
-# books the scoreboard writeback. Writes to x0 are impossible by
-# construction (``wb_x``/masked-write guards), so the defensive
-# ``x[0] = 0`` of the old interpreter loop is gone from the hot path
-# (the property tests assert x0 stays zero).
+# handler advances the PC, performs the register writes — in place,
+# through the warp's row views — and books the scoreboard writeback.
+# Writes to x0 are impossible by construction (``d.wb`` is -1 for
+# rd = x0), so the defensive ``x[0] = 0`` of the old interpreter
+# loop is gone from the hot path (the property tests assert x0 stays
+# zero).
 # ---------------------------------------------------------------------------
 
 
-def _v_int_bin(core, warp, d, now):
-    if d.wb_x >= 0:
-        x = warp.x
+def _v_rr(core, warp, d, now):
+    """Reg-reg: int ALU, FPU binary and FP compare."""
+    if d.wb >= 0:
+        src = warp.fr if d.fsrc else warp.xr
+        dst = (warp.fr if d.fdst else warp.xr)[d.wb]
         if warp._full:
-            x[d.wb_x] = d.op(x[d.rs1], x[d.rs2])
+            d.op(src[d.rs1], src[d.rs2], out=dst)
         else:
-            np.copyto(x[d.wb_x], d.op(x[d.rs1], x[d.rs2]),
-                      where=warp.tmask)
-        warp.x_ready[d.wb_x] = now + d.latency
+            np.copyto(dst, d.op(src[d.rs1], src[d.rs2]), where=warp.tmask)
+        (warp.f_ready if d.fdst else warp.x_ready)[d.wb] = now + d.latency
     warp.pc += 4
 
 
-def _v_int_imm(core, warp, d, now):
-    if d.wb_x >= 0:
-        x = warp.x
+def _v_ri(core, warp, d, now):
+    """Reg-immediate: the immediate is decode's T-lane row."""
+    if d.wb >= 0:
+        xr = warp.xr
         if warp._full:
-            x[d.wb_x] = d.op(x[d.rs1])
+            d.op(xr[d.rs1], d.row, out=xr[d.wb])
         else:
-            np.copyto(x[d.wb_x], d.op(x[d.rs1]), where=warp.tmask)
-        warp.x_ready[d.wb_x] = now + d.latency
+            np.copyto(xr[d.wb], d.op(xr[d.rs1], d.row), where=warp.tmask)
+        warp.x_ready[d.wb] = now + d.latency
+    warp.pc += 4
+
+
+def _v_un(core, warp, d, now):
+    """One source: FPU unary, ``fcvt`` and ``fmv``."""
+    if d.wb >= 0:
+        src = (warp.fr if d.fsrc else warp.xr)[d.rs1]
+        dst = (warp.fr if d.fdst else warp.xr)[d.wb]
+        if warp._full:
+            d.op(src, out=dst)
+        else:
+            np.copyto(dst, d.op(src), where=warp.tmask)
+        (warp.f_ready if d.fdst else warp.x_ready)[d.wb] = now + d.latency
     warp.pc += 4
 
 
 def _v_const(core, warp, d, now):
     # lui / auipc / jal-link: the written value is static per PC.
-    if d.wb_x >= 0:
+    if d.wb >= 0:
         if warp._full:
-            warp.x[d.wb_x] = d.val
+            warp.xr[d.wb][...] = d.val
         else:
-            warp.x[d.wb_x][warp.tmask] = d.val
-        warp.x_ready[d.wb_x] = now + d.latency
+            warp.xr[d.wb][warp.tmask] = d.val
+        warp.x_ready[d.wb] = now + d.latency
     warp.pc += 4
 
 
 def _v_jal(core, warp, d, now):
-    if d.wb_x >= 0:
-        if warp._full:
-            warp.x[d.wb_x] = d.val
-        else:
-            warp.x[d.wb_x][warp.tmask] = d.val
-        warp.x_ready[d.wb_x] = now + d.latency
+    _v_const(core, warp, d, now)
     warp.pc = d.target
 
 
 def _v_jalr(core, warp, d, now):
-    x = warp.x
-    target = core._uniform_value(warp, x[d.rs1] + d.imm)
-    if d.wb_x >= 0:
-        if warp._full:
-            x[d.wb_x] = d.val
-        else:
-            x[d.wb_x][warp.tmask] = d.val
-        warp.x_ready[d.wb_x] = now + d.latency
+    target = core._uniform_value(warp, warp.xr[d.rs1] + d.imm)
+    _v_const(core, warp, d, now)
     warp.pc = int(target) & ~1
 
 
 def _v_branch(core, warp, d, now):
-    cond = d.op(warp.x[d.rs1], warp.x[d.rs2])
+    cond = d.op(warp.xr[d.rs1], warp.xr[d.rs2])
     active = cond if warp._full else cond[warp.tmask]
-    if len(active) == 0:
+    lanes = len(active)
+    if not lanes:
         raise SimulationError(
             f"core {core.cid} warp {warp.wid}: branch with empty mask "
             f"at pc {warp.pc:#x}"
         )
-    if active.all():
+    taken = np.count_nonzero(active)
+    if taken == lanes:
         warp.pc = d.target
-    elif not active.any():
+    elif not taken:
         warp.pc += 4
     else:
         raise SimulationError(
@@ -309,66 +365,12 @@ def _v_branch(core, warp, d, now):
 
 def _v_csr(core, warp, d, now):
     val = core._read_csr(warp, d.imm)
-    if d.wb_x >= 0:
+    if d.wb >= 0:
         if warp._full:
-            warp.x[d.wb_x] = val
+            warp.xr[d.wb][...] = val
         else:
-            np.copyto(warp.x[d.wb_x], val, where=warp.tmask)
-        warp.x_ready[d.wb_x] = now + d.latency
-    warp.pc += 4
-
-
-def _v_fpu_bin(core, warp, d, now):
-    f = warp.f
-    if warp._full:
-        f[d.wb_f] = d.op(f[d.rs1], f[d.rs2])
-    else:
-        np.copyto(f[d.wb_f], d.op(f[d.rs1], f[d.rs2]), where=warp.tmask)
-    warp.f_ready[d.wb_f] = now + d.latency
-    warp.pc += 4
-
-
-def _v_fpu_un(core, warp, d, now):
-    f = warp.f
-    if warp._full:
-        f[d.wb_f] = d.op(f[d.rs1])
-    else:
-        np.copyto(f[d.wb_f], d.op(f[d.rs1]), where=warp.tmask)
-    warp.f_ready[d.wb_f] = now + d.latency
-    warp.pc += 4
-
-
-def _v_fcmp(core, warp, d, now):
-    if d.wb_x >= 0:
-        f = warp.f
-        if warp._full:
-            warp.x[d.wb_x] = d.op(f[d.rs1], f[d.rs2])
-        else:
-            np.copyto(warp.x[d.wb_x], d.op(f[d.rs1], f[d.rs2]),
-                      where=warp.tmask)
-        warp.x_ready[d.wb_x] = now + d.latency
-    warp.pc += 4
-
-
-def _v_f2x(core, warp, d, now):
-    # fcvt.w.s / fmv.x.w: float register source, int register dest.
-    if d.wb_x >= 0:
-        if warp._full:
-            warp.x[d.wb_x] = d.op(warp.f[d.rs1])
-        else:
-            np.copyto(warp.x[d.wb_x], d.op(warp.f[d.rs1]),
-                      where=warp.tmask)
-        warp.x_ready[d.wb_x] = now + d.latency
-    warp.pc += 4
-
-
-def _v_x2f(core, warp, d, now):
-    # fcvt.s.w / fmv.w.x: int register source, float register dest.
-    if warp._full:
-        warp.f[d.wb_f] = d.op(warp.x[d.rs1])
-    else:
-        np.copyto(warp.f[d.wb_f], d.op(warp.x[d.rs1]), where=warp.tmask)
-    warp.f_ready[d.wb_f] = now + d.latency
+            np.copyto(warp.xr[d.wb], val, where=warp.tmask)
+        warp.x_ready[d.wb] = now + d.latency
     warp.pc += 4
 
 
@@ -376,33 +378,33 @@ def _h_join(core, warp, d, now):
     entry = warp.pop_join()
     if entry.uniform:
         warp.pc += 4
-    elif entry.pc is not None:
-        warp.tmask = entry.mask
-        warp._full = bool(entry.mask.all())
+        return
+    warp.tmask = entry.mask
+    warp._full = np.count_nonzero(entry.mask) == warp.num_threads
+    if entry.pc is not None:
         warp.pc = entry.pc
     else:
-        warp.tmask = entry.mask
-        warp._full = bool(entry.mask.all())
         warp.pc += 4
 
 
 def _h_pred(core, warp, d, now):
-    cont = (warp.x[d.rs1] != 0) & warp.tmask
-    if cont.any():
+    cont = (warp.xr[d.rs1] != 0) & warp.tmask
+    lanes = np.count_nonzero(cont)
+    if lanes:
         warp.tmask = cont
-        warp._full = bool(cont.all())
+        warp._full = lanes == warp.num_threads
         warp.pc += 8  # skip the loop-exit jump
     else:
-        bits = int(warp.x[d.rs2][warp.first_active_lane()])
+        bits = int(warp.xr[d.rs2][warp.first_active_lane()])
         warp.set_tmask_bits(bits)
         warp.pc += 4  # execute the loop-exit jump
 
 
 def _h_tmc(core, warp, d, now):
-    bits = int(warp.x[d.rs1][warp.first_active_lane()])
+    bits = int(warp.xr[d.rs1][warp.first_active_lane()])
     warp.set_tmask_bits(bits)
     warp.pc += 4
-    if not warp.tmask.any():
+    if not np.count_nonzero(warp.tmask):
         warp.halt()
         core.machine.on_warp_halt(core, warp, now)
 
@@ -419,92 +421,53 @@ def _h_printf(core, warp, d, now):
 
 
 # ---------------------------------------------------------------------------
-# Scalar reference handlers: per-lane Python loops over the active mask,
-# applying the same arithmetic kernel to one-element slices.
+# Scalar reference handlers: per-lane Python loops over the active mask
+# of ``warp.x``/``warp.f``, applying the same op to one-element slices.
 # ---------------------------------------------------------------------------
 
 
-def _s_int_bin(core, warp, d, now):
-    if d.wb_x >= 0:
-        x = warp.x
-        a, b, dst, op = x[d.rs1], x[d.rs2], x[d.wb_x], d.op
-        for lane in np.nonzero(warp.tmask)[0]:
-            dst[lane] = op(a[lane:lane + 1], b[lane:lane + 1])[0]
-        warp.x_ready[d.wb_x] = now + d.latency
+def _s_apply(warp, d, now, *srcs):
+    dst = (warp.f if d.fdst else warp.x)[d.wb]
+    for lane in np.nonzero(warp.tmask)[0]:
+        dst[lane] = d.op(*(s[lane:lane + 1] for s in srcs))[0]
+    (warp.f_ready if d.fdst else warp.x_ready)[d.wb] = now + d.latency
+
+
+def _s_rr(core, warp, d, now):
+    if d.wb >= 0:
+        src = warp.f if d.fsrc else warp.x
+        _s_apply(warp, d, now, src[d.rs1], src[d.rs2])
     warp.pc += 4
 
 
-def _s_int_imm(core, warp, d, now):
-    if d.wb_x >= 0:
-        x = warp.x
-        a, dst, op = x[d.rs1], x[d.wb_x], d.op
-        for lane in np.nonzero(warp.tmask)[0]:
-            dst[lane] = op(a[lane:lane + 1])[0]
-        warp.x_ready[d.wb_x] = now + d.latency
+def _s_ri(core, warp, d, now):
+    if d.wb >= 0:
+        _s_apply(warp, d, now, warp.x[d.rs1], d.row)
+    warp.pc += 4
+
+
+def _s_un(core, warp, d, now):
+    if d.wb >= 0:
+        _s_apply(warp, d, now, (warp.f if d.fsrc else warp.x)[d.rs1])
     warp.pc += 4
 
 
 def _s_const(core, warp, d, now):
-    if d.wb_x >= 0:
-        dst = warp.x[d.wb_x]
+    if d.wb >= 0:
+        dst = warp.x[d.wb]
         for lane in np.nonzero(warp.tmask)[0]:
             dst[lane] = d.val
-        warp.x_ready[d.wb_x] = now + d.latency
+        warp.x_ready[d.wb] = now + d.latency
     warp.pc += 4
 
 
 def _s_csr(core, warp, d, now):
     val = core._read_csr(warp, d.imm)
-    if d.wb_x >= 0:
-        dst = warp.x[d.wb_x]
+    if d.wb >= 0:
+        dst = warp.x[d.wb]
         for lane in np.nonzero(warp.tmask)[0]:
             dst[lane] = val[lane]
-        warp.x_ready[d.wb_x] = now + d.latency
-    warp.pc += 4
-
-
-def _s_fpu_bin(core, warp, d, now):
-    f = warp.f
-    a, b, dst, op = f[d.rs1], f[d.rs2], f[d.wb_f], d.op
-    for lane in np.nonzero(warp.tmask)[0]:
-        dst[lane] = op(a[lane:lane + 1], b[lane:lane + 1])[0]
-    warp.f_ready[d.wb_f] = now + d.latency
-    warp.pc += 4
-
-
-def _s_fpu_un(core, warp, d, now):
-    f = warp.f
-    a, dst, op = f[d.rs1], f[d.wb_f], d.op
-    for lane in np.nonzero(warp.tmask)[0]:
-        dst[lane] = op(a[lane:lane + 1])[0]
-    warp.f_ready[d.wb_f] = now + d.latency
-    warp.pc += 4
-
-
-def _s_fcmp(core, warp, d, now):
-    if d.wb_x >= 0:
-        f = warp.f
-        a, b, dst, op = f[d.rs1], f[d.rs2], warp.x[d.wb_x], d.op
-        for lane in np.nonzero(warp.tmask)[0]:
-            dst[lane] = op(a[lane:lane + 1], b[lane:lane + 1])[0]
-        warp.x_ready[d.wb_x] = now + d.latency
-    warp.pc += 4
-
-
-def _s_f2x(core, warp, d, now):
-    if d.wb_x >= 0:
-        a, dst, op = warp.f[d.rs1], warp.x[d.wb_x], d.op
-        for lane in np.nonzero(warp.tmask)[0]:
-            dst[lane] = op(a[lane:lane + 1])[0]
-        warp.x_ready[d.wb_x] = now + d.latency
-    warp.pc += 4
-
-
-def _s_x2f(core, warp, d, now):
-    a, dst, op = warp.x[d.rs1], warp.f[d.wb_f], d.op
-    for lane in np.nonzero(warp.tmask)[0]:
-        dst[lane] = op(a[lane:lane + 1])[0]
-    warp.f_ready[d.wb_f] = now + d.latency
+        warp.x_ready[d.wb] = now + d.latency
     warp.pc += 4
 
 
@@ -525,25 +488,11 @@ _SIMT_HANDLERS = {
     "printfx": _h_printf,
 }
 
-#: mnemonic -> vectorized compute handler (scalar table overrides these).
-_COMPUTE_KINDS = {
-    **{m: ("int_bin", op) for m, op in _INT_BIN_OPS.items()},
-    **{m: ("fpu_bin", op) for m, op in _FLOAT_BIN_OPS.items()},
-    **{m: ("fpu_un", op) for m, op in _FLOAT_UN_OPS.items()},
-    **{m: ("fcmp", op) for m, op in _FLOAT_CMP_OPS.items()},
-}
+VECTOR_TABLE = {"rr": _v_rr, "ri": _v_ri, "un": _v_un, "const": _v_const,
+                "csr": _v_csr}
 
-VECTOR_TABLE = {
-    "int_bin": _v_int_bin, "int_imm": _v_int_imm, "const": _v_const,
-    "csr": _v_csr, "fpu_bin": _v_fpu_bin, "fpu_un": _v_fpu_un,
-    "fcmp": _v_fcmp, "f2x": _v_f2x, "x2f": _v_x2f,
-}
-
-SCALAR_TABLE = {
-    "int_bin": _s_int_bin, "int_imm": _s_int_imm, "const": _s_const,
-    "csr": _s_csr, "fpu_bin": _s_fpu_bin, "fpu_un": _s_fpu_un,
-    "fcmp": _s_fcmp, "f2x": _s_f2x, "x2f": _s_x2f,
-}
+SCALAR_TABLE = {"rr": _s_rr, "ri": _s_ri, "un": _s_un, "const": _s_const,
+                "csr": _s_csr}
 
 
 def scalar_path_enabled() -> bool:
@@ -569,6 +518,7 @@ def decode_one(ins: Instruction, pc: int, config: VortexConfig,
     m = ins.mnemonic
 
     if meta.is_mem:
+        d.row = np.full(config.threads, ins.imm, dtype=np.int64)
         if m in ("lw", "flw"):
             d.handler = Core._exec_load
             d.aux = m == "flw"
@@ -579,14 +529,12 @@ def decode_one(ins: Instruction, pc: int, config: VortexConfig,
             d.handler = Core._exec_amo
     elif meta.kind == "simt":
         d.handler = _SIMT_HANDLERS[m]
-    elif m in _COMPUTE_KINDS and m not in ("jal",):
-        group, op = _COMPUTE_KINDS[m]
-        d.handler = table[group]
-        d.op = op
-    elif m in ("addi", "slti", "sltiu", "xori", "ori", "andi",
-               "slli", "srli", "srai"):
-        d.handler = table["int_imm"]
-        d.op = _make_imm_op(m, ins.imm)
+    elif m in _COMPUTE:
+        shape, d.op = _COMPUTE[m]
+        d.handler = table[shape]
+        if shape == "ri":
+            imm = ins.imm & 31 if m in _SHIFT_IMMS else ins.imm
+            d.row = np.full(config.threads, _i32(imm), dtype=np.int32)
     elif m == "lui":
         d.handler = table["const"]
         d.val = _i32(ins.imm << 12)
@@ -606,18 +554,6 @@ def decode_one(ins: Instruction, pc: int, config: VortexConfig,
         d.target = pc + ins.imm
     elif m == "csrrs":
         d.handler = table["csr"]
-    elif m == "fcvt.w.s":
-        d.handler = table["f2x"]
-        d.op = _fcvt_w_s
-    elif m == "fmv.x.w":
-        d.handler = table["f2x"]
-        d.op = lambda a: a.view(np.int32)
-    elif m == "fcvt.s.w":
-        d.handler = table["x2f"]
-        d.op = lambda a: a.astype(np.float32)
-    elif m == "fmv.w.x":
-        d.handler = table["x2f"]
-        d.op = lambda a: a.view(np.float32)
     else:  # pragma: no cover - closed mnemonic set
         raise SimulationError(f"cannot decode {m}")
     return d

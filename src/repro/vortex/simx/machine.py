@@ -9,8 +9,9 @@ immediately receive the next pending group.
 The main loop steps one cycle at a time while some core issues or is
 inside a multi-beat issue window. Within a step a core is only ticked
 when its outcome can change: cycles inside a known busy window are
-booked active, and an idle core stays frozen at its last stall
-classification until ``Core.next_change_time``.
+skipped (each issue's whole window is counted once per launch, by
+``Core.fold_counters``), and an idle core stays frozen at its last
+stall classification until ``Core.next_change_time``.
 
 When no core issued and none is mid-issue, the **all-stalled jump**
 moves the clock straight to the earliest scoreboard/LSU completion
@@ -127,6 +128,9 @@ class Machine:
         #: classification directly instead of re-scanning the core.
         #: Dispatching to a core clears its entry.
         self._frozen_until = [0] * config.cores
+        #: per-(core, warp) stack-pointer rows: static, built on first
+        #: dispatch.
+        self._sp_rows: dict[tuple[int, int], np.ndarray] = {}
         # Cores last: Core.__init__ captures bound machine methods.
         self.cores = [Core(c, config, self) for c in range(config.cores)]
 
@@ -272,9 +276,9 @@ class Machine:
         pending = self._pending
         frozen_until = self._frozen_until
         # Known multi-beat busy windows: while ``now`` is inside one the
-        # issue stage cannot change state, so the loop books the busy
-        # cycle directly instead of calling tick. (Deferring the lazy
-        # LSU purge is safe — its state is only read at issue time.)
+        # issue stage cannot change state, so the loop skips the core
+        # (fold_counters books the window). (Deferring the lazy LSU
+        # purge is safe — its state is only read at issue time.)
         # ``busy_until[i]`` tracks ``core.issue_busy_until`` exactly
         # (both start at 0 and only an issuing tick moves either),
         # which is what lets a restored snapshot rebuild it here.
@@ -296,7 +300,6 @@ class Machine:
                 active = False
                 for i, core in enumerate(cores):
                     if now < busy_until[i]:
-                        core.stats.cycles_active += 1
                         active = True
                         continue
                     if now < frozen_until[i]:
@@ -370,6 +373,8 @@ class Machine:
                     if preempt:
                         raise SimulationPreempted(ckpt.launch_id, now)
 
+        for core in cores:
+            core.fold_counters(now)
         if profiling:
             sampler.flush(now)
             self._profile_epilogue(now, total_groups)
@@ -569,7 +574,6 @@ class Machine:
         ndr = self._ndrange
         ipg = ndr.items_per_group
         warps_needed = self._warps_per_group(ndr)
-        wave_mode = self._image is not None and self._image.wave_mode
         ncores = cfg.cores
         stuck = 0
         while self._pending and stuck < ncores:
@@ -605,24 +609,18 @@ class Machine:
                     int(CSR.GROUP_WARPS): warps_needed,
                     int(CSR.LOCAL_BASE): local_base,
                 }
+                # The lanes of items k*T.. that exist (wave mode has one
+                # warp, k = 0: its first wave; the kernel's own wave
+                # loop re-masks the later waves).
                 tmask = np.zeros(cfg.threads, dtype=bool)
-                if wave_mode:
-                    # First wave: lanes 0..min(T, items)-1; the kernel's
-                    # own wave loop re-masks the later waves.
-                    tmask[: min(cfg.threads, ipg)] = True
-                else:
-                    for lane in range(cfg.threads):
-                        tmask[lane] = k * cfg.threads + lane < ipg
-                sp = np.array(
-                    [
-                        layout.stack_top(
-                            (core.cid * cfg.warps + warp.wid) * cfg.threads
-                            + lane
-                        )
-                        for lane in range(cfg.threads)
-                    ],
-                    dtype=np.int32,
-                )
+                tmask[:ipg - k * cfg.threads] = True
+                sp = self._sp_rows.get((core.cid, warp.wid))
+                if sp is None:
+                    first = (core.cid * cfg.warps + warp.wid) * cfg.threads
+                    sp = np.array([layout.stack_top(first + lane)
+                                   for lane in range(cfg.threads)],
+                                  dtype=np.int32)
+                    self._sp_rows[core.cid, warp.wid] = sp
                 warp.reset_for_group(entry_pc, tmask, csrs, sp)
                 warp.ready_at = now + 1
                 warp.group_key = key
@@ -695,10 +693,15 @@ class _BucketSampler:
 
     def maybe_sample(self, now: int) -> None:
         if now >= self.next_ts:
+            # Cycle ``now`` has been stepped: fold as of the next one.
+            for core in self.machine.cores:
+                core.fold_counters(now + 1)
             self._emit(now)
             self.next_ts = now - now % self.bucket + self.bucket
 
     def flush(self, now: int) -> None:
+        """Emit the last bucket (the launch end has folded the counters
+        as of ``now``)."""
         self._emit(now)
 
     def _emit(self, now: int) -> None:

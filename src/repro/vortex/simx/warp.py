@@ -14,6 +14,15 @@ indexing costs more than it saves at that access pattern.
 every thread-mask write, and the decoded handlers use it to choose
 between a whole-row numpy write and a masked one. Warps of every width
 take those same two forms.
+
+The register files ``x``/``f`` are (32, T) arrays; ``xr``/``fr`` list
+one row view per register, so a handler reads and writes a register
+without building a fresh numpy view per access. Writes go *into* a row
+(ufunc ``out=``, ``[...] =`` or ``np.copyto``) and never rebind it, so
+each row stays a view of its own register. The rows are bound when a
+warp first becomes active, by dispatch or ``wspawn`` (a warp that never
+runs pays nothing), and rebound whenever ``x``/``f`` are replaced
+(snapshot restore).
 """
 
 from __future__ import annotations
@@ -49,6 +58,9 @@ class Warp:
         self.num_threads = num_threads
         self.x = np.zeros((32, num_threads), dtype=np.int32)
         self.f = np.zeros((32, num_threads), dtype=np.float32)
+        #: per-register row views of ``x``/``f`` (see :meth:`bind_rows`).
+        self.xr: list[np.ndarray] | None = None
+        self.fr: list[np.ndarray] | None = None
         self.pc = 0
         self.tmask = np.zeros(num_threads, dtype=bool)
         self.active = False
@@ -71,8 +83,9 @@ class Warp:
         self.csr_cache: dict[int, np.ndarray] = {}
         #: the group this warp is working on (machine bookkeeping).
         self.group_key: object = None
-        #: issue sequence number (incremented by Core.tick per issue);
-        #: used to validate the LSU replay memo below.
+        #: instructions this warp has issued (incremented by Core.tick,
+        #: never reset): the source of the core's folded ``instructions``
+        #: counter, and what validates the LSU replay memo below.
         self._iseq = 0
         #: memoized address/line computation for a load being replayed:
         #: (iseq, pc, active_addrs, lanes, items). Valid only when the
@@ -81,14 +94,21 @@ class Warp:
         #: per-lane bit weights for tmask <-> integer conversions.
         self._lane_bits = 1 << np.arange(num_threads, dtype=np.int64)
 
+    def bind_rows(self) -> None:
+        """(Re)bind ``xr``/``fr`` to the rows of the current ``x``/``f``."""
+        self.xr = list(self.x)
+        self.fr = list(self.f)
+
     def reset_for_group(self, pc: int, tmask: np.ndarray, csrs: dict[int, int],
                         sp_values: np.ndarray) -> None:
+        if self.xr is None:
+            self.bind_rows()
         self.x.fill(0)
         self.f.fill(0)
         self.x[2] = sp_values  # stack pointers, one per lane
         self.pc = pc
         self.tmask = tmask.copy()
-        self._full = bool(tmask.all())
+        self._full = np.count_nonzero(tmask) == self.num_threads
         self.active = True
         self.at_barrier = False
         self.ready_at = 0
@@ -97,7 +117,6 @@ class Warp:
         self.ipdom.clear()
         self.csrs = dict(csrs)
         self.csr_cache = {}
-        self._iseq = 0
         self._lsu_replay = None
 
     def halt(self) -> None:
@@ -138,4 +157,4 @@ class Warp:
 
     def set_tmask_bits(self, bits: int) -> None:
         self.tmask = (bits & self._lane_bits) != 0
-        self._full = bool(self.tmask.all())
+        self._full = np.count_nonzero(self.tmask) == self.num_threads

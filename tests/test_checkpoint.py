@@ -141,6 +141,35 @@ class TestRoundTrip:
         assert store.hit_count() == 1
         assert not store.path(VECADD_L0).exists()
 
+    def test_restore_rebinds_register_rows(self, tmp_path, baseline,
+                                           monkeypatch):
+        """Restored ``x``/``f`` arrays replace the live ones, so every
+        warp's row views must be rebound to them: a stale row would
+        write into a dead array and the resumed run would diverge."""
+        import numpy as np
+
+        from repro.vortex.simx import checkpoint as ckpt_mod
+
+        restored = []
+        real_restore = ckpt_mod.restore_state
+
+        def checked_restore(machine, state):
+            real_restore(machine, state)
+            for core in machine.cores:
+                for warp in core.warps:
+                    for r in range(32):
+                        assert np.shares_memory(warp.xr[r], warp.x[r])
+                        assert np.shares_memory(warp.fr[r], warp.f[r])
+            restored.append(machine)
+
+        monkeypatch.setattr(ckpt_mod, "restore_state", checked_restore)
+        spec = _spec(tmp_path, preempt_at_cycle=6_000)
+        with pytest.raises(SimulationPreempted):
+            sweep_point("vecadd", CONFIG, N, checkpoint=spec)
+        assert sweep_point("vecadd", CONFIG, N,
+                           checkpoint=spec) == baseline["vecadd"]
+        assert len(restored) == 1
+
     def test_transpose_roundtrip(self, tmp_path, baseline):
         spec = _spec(tmp_path, preempt_at_cycle=3_000)
         with pytest.raises(SimulationPreempted):

@@ -408,3 +408,30 @@ def test_unary_float_corner_cases_match_simx():
     """sqrt, exp, log, sin, cos and floor of every IEEE corner operand."""
     _assert_corners_match_simx(
         ("sqrt", "exp", "log", "sin", "cos", "floor"), [_CORNERS])
+
+
+def test_float_to_int_corners():
+    """``ftoi`` (SimX's ``fcvt.w.s``) truncates, and a finite value out
+    of int32 range wraps modulo 2**32 on both executors, bit for bit;
+    NaN gives 0. On ±inf, where the interpreter raises, SimX saturates
+    to INT32_MAX/INT32_MIN as RISC-V does, on every host."""
+    b = KernelBuilder("ftoi")
+    src = b.param("src", GLOBAL_FLOAT32)
+    out = b.param("out", GLOBAL_INT32)
+    gid = b.global_id(0)
+    b.store(out, gid, b.ftoi(b.load(src, gid)))
+    kernel = b.finish()
+    finite = np.array([2.5, -2.5, 2**31, -2**31, 3e9, -3e9, 5e9, 1e20,
+                       -1e20, np.nan], dtype=np.float32)
+    values = np.concatenate([finite, [np.inf, -np.inf]]).astype(np.float32)
+
+    ref = np.zeros(len(finite), dtype=np.int32)
+    interpret(kernel, [finite.copy(), ref], NDRange.create(len(finite), 2))
+
+    ctx = Context(VortexBackend(VortexConfig(cores=1, warps=2, threads=4)))
+    prog = ctx.program([kernel])
+    buf = ctx.alloc(len(values), np.int32)
+    prog.launch("ftoi", [ctx.buffer(values), buf], len(values), 4)
+    sim = buf.read()
+    np.testing.assert_array_equal(sim[:len(finite)], ref)
+    assert sim[-2:].tolist() == [2**31 - 1, -2**31]

@@ -6,14 +6,17 @@ is kept behind ``REPRO_SIMX_SCALAR=1`` exactly for this check. Random
 kernels — arithmetic over int/float variables with divergent if/else
 regions and loops, i.e. the constructs that produce partial thread
 masks — must leave bit-identical device memory, register files and
-timing under both paths. The decode-once instruction cache is also
-property-checked: every static instruction must be fetchable from the
-shared per-PC table.
+timing under both paths. Below the program level, every compute
+handler is applied by both tables to copies of one random warp state.
+The decode-once instruction cache is also property-checked: every
+static instruction must be fetchable from the shared per-PC table.
 """
 
+import copy
 import os
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +30,17 @@ from repro.ocl import (
     NDRange,
 )
 from repro.vortex import VortexBackend, VortexConfig
-from repro.vortex.simx.decode import SCALAR_ENV, scalar_path_enabled
+from repro.vortex.isa import Instruction
+from repro.vortex.simx.decode import (
+    _COMPUTE,
+    SCALAR_ENV,
+    SCALAR_TABLE,
+    VECTOR_TABLE,
+    decode_one,
+    scalar_path_enabled,
+)
 from repro.vortex.simx.machine import Machine
+from repro.vortex.simx.warp import Warp
 
 N_ITEMS = 16
 LOCAL = 8
@@ -248,11 +260,12 @@ def test_decode_cache_covers_program(program):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 def test_scalar_vector_identical_narrow_warps(program):
-    """One- and two-lane warps run the same numpy handlers as wide ones;
-    a masked row of a single lane must still match the per-lane scalar
-    reference in memory, registers and timing."""
+    """One- and two-lane warps run the same numpy handlers as wide ones,
+    and so do the multi-beat 8- and 16-lane warps of Fig. 7; a masked
+    row of a single lane must still match the per-lane scalar reference
+    in memory, registers and timing."""
     kernel = build_kernel(program)
-    for threads in (1, 2):
+    for threads in (1, 2, 8, 16):
         _assert_identical(
             kernel, config=VortexConfig(cores=2, warps=2, threads=threads),
             local=2)
@@ -265,3 +278,70 @@ def test_scalar_env_parsing(monkeypatch):
     assert scalar_path_enabled() is False
     monkeypatch.setenv(SCALAR_ENV, "1")
     assert scalar_path_enabled() is True
+
+
+# -- handler level -----------------------------------------------------------
+
+#: int operands that hit the division, shift and overflow corners.
+_INT_EDGES = np.array([0, 1, -1, 2, 31, 32, 33, -2**31, 2**31 - 1],
+                      dtype=np.int32)
+#: float operands: signed zeros, infinities, NaN and inexact values.
+_FLOAT_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 3e9, -1e20,
+                         np.inf, -np.inf, np.nan], dtype=np.float32)
+
+
+def _random_warp(rng, threads):
+    warp = Warp(0, threads)
+    warp.x[:] = np.where(
+        rng.random(warp.x.shape) < 0.3,
+        rng.choice(_INT_EDGES, warp.x.shape),
+        rng.integers(-2**31, 2**31, warp.x.shape, dtype=np.int64))
+    warp.x[0] = 0
+    warp.f[:] = np.where(
+        rng.random(warp.f.shape) < 0.3,
+        rng.choice(_FLOAT_EDGES, warp.f.shape),
+        rng.standard_normal(warp.f.shape) * 1e3)
+    warp.tmask = (np.ones(threads, dtype=bool) if rng.random() < 0.5
+                  else rng.random(threads) < 0.5)
+    warp.tmask[rng.integers(threads)] = True  # a warp issues with a lane
+    warp._full = bool(warp.tmask.all())
+    warp.x_ready = rng.integers(0, 50, 32).tolist()
+    warp.f_ready = rng.integers(0, 50, 32).tolist()
+    warp.pc = 0x1000
+    warp.bind_rows()
+    return warp
+
+
+@pytest.mark.parametrize("mnemonic", sorted(_COMPUTE))
+def test_every_compute_handler_matches_scalar_reference(mnemonic):
+    """Reg-reg, reg-immediate and one-source handlers write the same
+    bits as the per-lane reference, masked or not, at every width,
+    including when rd aliases a source."""
+    rng = np.random.default_rng(sorted(_COMPUTE).index(mnemonic))
+    shape = _COMPUTE[mnemonic][0]
+    for threads in (1, 2, 4, 8, 16):
+        config = VortexConfig(cores=1, warps=1, threads=threads)
+        for _ in range(12):
+            rs1, rs2, rd = (int(r) for r in rng.integers(0, 32, 3))
+            if rng.random() < 0.3:
+                rd = rs1 if rng.random() < 0.5 else rs2
+            imm = (int(rng.integers(0, 32)) if mnemonic in (
+                "slli", "srli", "srai") else int(rng.integers(-2048, 2048)))
+            ins = Instruction(mnemonic, rd=rd, rs1=rs1, rs2=rs2,
+                              imm=imm if shape == "ri" else 0)
+            vec = _random_warp(rng, threads)
+            sca = copy.deepcopy(vec)
+            sca.bind_rows()
+            dv = decode_one(ins, 0x1000, config, VECTOR_TABLE)
+            ds = decode_one(ins, 0x1000, config, SCALAR_TABLE)
+            with np.errstate(all="ignore"):
+                dv.handler(None, vec, dv, 7)
+                ds.handler(None, sca, ds, 7)
+            where = f"{ins!r} T={threads} mask={vec.tmask}"
+            np.testing.assert_array_equal(vec.x, sca.x, err_msg=where)
+            np.testing.assert_array_equal(
+                vec.f.view(np.int32), sca.f.view(np.int32), err_msg=where)
+            assert vec.x_ready == sca.x_ready, where
+            assert vec.f_ready == sca.f_ready, where
+            assert vec.pc == sca.pc == 0x1004
+            assert (vec.x[0] == 0).all()
