@@ -79,8 +79,8 @@ def _measure(bench: str, scale: int) -> dict:
 
 
 def _measure_checkpointed(bench: str, scale: int, ckpt_dir) -> dict:
-    """Like :func:`_measure`, but with snapshotting enabled on every
-    launch — the *enabled-path* cost (the disabled path is what the
+    """Run one benchmark ``REPEATS`` times with snapshotting enabled on
+    every launch — the *enabled path* (the disabled path is what the
     committed baseline gates; it must stay free). Each
     ``CheckpointPlan.save`` call (state capture plus the fsynced store)
     is timed directly; ``ms_per_snapshot`` is their median."""
@@ -88,51 +88,26 @@ def _measure_checkpointed(bench: str, scale: int, ckpt_dir) -> dict:
 
     store = CheckpointStore(ckpt_dir)
     save_seconds: list[float] = []
-    saves = 0
 
     def timed_save(plan):
         def save(machine, now):
-            nonlocal saves
             start = time.perf_counter()
             CheckpointPlan.save(plan, machine, now)
             save_seconds.append(time.perf_counter() - start)
-            saves += 1
         return save
 
-    sim_wall = 0.0
-    original = Machine.launch
-
-    def timed(self, *args, **kwargs):
-        nonlocal sim_wall
-        start = time.perf_counter()
-        result = original(self, *args, **kwargs)
-        sim_wall += time.perf_counter() - start
-        return result
-
-    best = None
-    cycles = None
-    Machine.launch = timed
-    try:
-        for rep in range(REPEATS):
-            sim_wall = 0.0
-            saves = 0
-            plan = CheckpointPlan(store, f"bench-{bench}-r{rep}",
-                                  every_cycles=CHECKPOINT_EVERY)
-            plan.save = timed_save(plan)
-            result = run_benchmark(bench, VortexBackend(checkpoint=plan),
-                                   scale=scale)
-            assert result.ok, f"{bench} failed: {result.status}"
-            cycles = result.total_cycles
-            if best is None or sim_wall < best:
-                best = sim_wall
-    finally:
-        Machine.launch = original
+    for rep in range(REPEATS):
+        plan = CheckpointPlan(store, f"bench-{bench}-r{rep}",
+                              every_cycles=CHECKPOINT_EVERY)
+        plan.save = timed_save(plan)
+        saved_before = len(save_seconds)
+        result = run_benchmark(bench, VortexBackend(checkpoint=plan),
+                               scale=scale)
+        assert result.ok, f"{bench} failed: {result.status}"
     return {
-        "cycles": cycles,
-        "sim_seconds": round(best, 4),
-        "cycles_per_sec": round(cycles / best),
+        "cycles": result.total_cycles,
         "snapshot_every_cycles": CHECKPOINT_EVERY,
-        "snapshots_per_run": saves,
+        "snapshots_per_run": len(save_seconds) - saved_before,
         "ms_per_snapshot": round(statistics.median(save_seconds) * 1000, 1)
         if save_seconds else None,
     }
@@ -152,8 +127,6 @@ def checkpoint_overhead(measurements, tmp_path_factory):
     assert ckpt["cycles"] == base["cycles"], (
         f"checkpointing changed simulated work: {ckpt['cycles']} vs "
         f"{base['cycles']} cycles")
-    slowdown = (base["cycles_per_sec"] / ckpt["cycles_per_sec"]) - 1.0
-    ckpt["overhead_pct"] = round(max(0.0, slowdown) * 100, 1)
     return ckpt
 
 
@@ -188,11 +161,11 @@ def test_speed_vs_committed_baseline(measurements):
 
 def test_checkpoint_enabled_path_overhead(checkpoint_overhead):
     """Snapshotting never changes simulated work (asserted in the
-    fixture) and a single snapshot stays cheap. The cadence here is
-    deliberately ~250x shorter than the production default (2M cycles),
-    so the *ratio* is dominated by snapshot count and not gated — the
-    per-snapshot wall cost is, with a loose sanity ceiling that still
-    catches an accidental uncompressed or quadratic capture."""
+    fixture) and a single snapshot stays cheap: the directly timed
+    per-snapshot wall cost is gated by a loose sanity ceiling that still
+    catches an accidental uncompressed or quadratic capture. The cadence
+    here is deliberately ~250x shorter than the production default (2M
+    cycles), so that a short run takes several snapshots."""
     assert checkpoint_overhead["snapshots_per_run"] >= 2, (
         "overhead measurement took too few snapshots to mean anything")
     assert checkpoint_overhead["ms_per_snapshot"] <= 500.0, (
@@ -220,6 +193,5 @@ def test_writes_bench_json(measurements, checkpoint_overhead):
               f"in {m['sim_seconds']}s = {m['cycles_per_sec']:,} cyc/s")
     co = checkpoint_overhead
     print(f"  checkpointed vecadd (every {co['snapshot_every_cycles']:,} "
-          f"cycles, {co['snapshots_per_run']} snapshots): "
-          f"{co['cycles_per_sec']:,} cyc/s ({co['overhead_pct']}% overhead,"
-          f" {co['ms_per_snapshot']} ms per snapshot)")
+          f"cycles, {co['snapshots_per_run']} snapshots per run): "
+          f"{co['ms_per_snapshot']} ms per snapshot")

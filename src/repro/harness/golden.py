@@ -1,8 +1,9 @@
 """Golden-trace regression harness for SimX and the reference interpreter.
 
 The SimX hot loop is aggressively optimized (decode caching, lane
-vectorization, batched LSU/DRAM event handling, all-stalled
-fast-forwarding), and every one of those optimizations is required to be
+vectorization, batched LSU/DRAM event handling, per-core wake-up
+horizons that let the clock jump the cycles in which no core can
+change), and every one of those optimizations is required to be
 *behaviour-preserving*: the machine must retire the same instructions,
 count the same cycles, move the same cache/DRAM traffic and leave the
 same bytes in device memory as the straightforward cycle-by-cycle
@@ -88,7 +89,7 @@ def golden_points() -> list[GoldenPoint]:
     """The committed golden suite: every Table-I benchmark at scale 1 on
     the default geometry, plus Fig. 7's pair at a larger scale and a few
     deliberately awkward geometries (multi-beat issue, tiny machine,
-    HBM timing) that exercise the fast-forward and dispatch corners;
+    HBM timing) that exercise the wake-up horizon and dispatch corners;
     then every Table-I benchmark at scale 1 on the reference
     interpreter."""
     points = [GoldenPoint(b.name) for b in all_benchmarks()]

@@ -60,7 +60,10 @@ SNAPSHOT_MAGIC = "repro-simx-snapshot"
 #: whole ``VortexConfig``.
 #: v5: a core holds ``_mshr_at``; a warp's ``_iseq`` counts every issue
 #: of the launch (``instructions``/``cycles_active`` fold from it).
-SNAPSHOT_VERSION = 5
+#: v6: one wake-up horizon per core (``_due``) replaces
+#: ``_frozen_until``; a core holds its unbooked idle run (``_idle_from``);
+#: ``skip_stats`` holds only ``ff_cycles``.
+SNAPSHOT_VERSION = 6
 
 #: Default snapshot cadence in simulated cycles.
 DEFAULT_EVERY_CYCLES = 2_000_000
@@ -110,12 +113,13 @@ WIRING = frozenset({"machine", "config", "warps", "dcache", "_fetch",
                     "_decoded", "_code_base", "_orders", "_trace",
                     "xr", "fr"})
 
-#: The machine's own state: dispatcher bookkeeping, idle-freeze horizons
-#: and counters (its memory, DRAM and cores are captured separately).
+#: The machine's own state: dispatcher bookkeeping, the per-core
+#: wake-up horizons and counters (its memory, DRAM and cores are
+#: captured separately).
 MACHINE_STATE = ("printf_output", "skip_stats", "_group_remaining",
                  "_group_slot", "_slot_free", "_pending", "_next_group_key",
                  "_dispatch_cursor", "_groups_dispatched", "_active_warps",
-                 "_dispatch_blocked", "_frozen_until")
+                 "_dispatch_blocked", "_due")
 
 
 def _fields(obj: Any) -> dict[str, Any]:

@@ -22,8 +22,10 @@ book-keeping is purged lazily (``_purge_at`` tracks the earliest expiry,
 ``_mshr_at`` the earliest MSHR fill, so the MSHR structures are rebuilt
 only when one expires); and :meth:`Core.next_change_time` gives the
 machine a conservative bound on how long an idle core's stall
-classification stays constant, so :mod:`.machine` can book the frozen
-idle cycles without re-scanning.
+classification stays constant, so :mod:`.machine` does not tick the core
+before then. An idle run is booked once, at the stall class of the tick
+that started it, when it ends: at the core's next tick or in
+:meth:`Core.fold_counters`.
 """
 
 from __future__ import annotations
@@ -165,6 +167,9 @@ class Core:
         self.barriers: dict[int, list[int]] = {}
         #: why the last idle tick stalled (STALL_* constant).
         self._stall = STALL_NONE
+        #: first cycle of the open idle run (booked at ``_stall`` when the
+        #: run ends), or ``BLOCKED`` while no run is open.
+        self._idle_from = 0
         self._nwarps = config.warps
         self._lsu_depth = config.lsu_queue_depth
         self._fetch = machine.fetch
@@ -190,12 +195,17 @@ class Core:
         """Advance the issue stage one cycle.
 
         Returns True when an instruction issued, False when the core
-        idled (with ``_stall`` recording why, and ``idle_cycles`` booked).
+        idled: an idle run then starts at ``now``, with ``_stall``
+        recording why. A tick first books the idle run it ends, so a run
+        is booked once however many of its cycles the machine skipped.
         An issue books nothing here: :meth:`fold_counters` derives
         ``instructions`` and ``cycles_active`` from the warps' issue
         counts. The machine never ticks a core inside a multi-beat issue
         window (``now < issue_busy_until``).
         """
+        if now >= self._idle_from:
+            self._book_idle(now)
+            self._idle_from = BLOCKED
         if now >= self._purge_at:
             self._purge(now)
         saw_lsu_block = False
@@ -249,17 +259,25 @@ class Core:
             if d.is_simt:
                 self.stats.simt_instructions += 1
             return True
-        stats = self.stats
-        stats.idle_cycles += 1
+        self._idle_from = now
         if saw_lsu_block:
-            stats.lsu_stalls += 1
             self._stall = STALL_LSU
         elif saw_scoreboard_block:
-            stats.scoreboard_stalls += 1
             self._stall = STALL_SCOREBOARD
         else:
             self._stall = STALL_NONE
         return False
+
+    def _book_idle(self, now: int) -> None:
+        """Book the idle cycles from ``_idle_from`` up to ``now`` at the
+        stall class of the tick that started the run."""
+        k = now - self._idle_from
+        stats = self.stats
+        stats.idle_cycles += k
+        if self._stall == STALL_LSU:
+            stats.lsu_stalls += k
+        elif self._stall == STALL_SCOREBOARD:
+            stats.scoreboard_stalls += k
 
     def _purge(self, now: int) -> None:
         """Drop expired LSU queue entries, and outstanding fills and MSHR
@@ -276,56 +294,31 @@ class Core:
         self._purge_at = min(min(inflight, default=BLOCKED), self._mshr_at)
 
     def fold_counters(self, now: int) -> None:
-        """Derive ``instructions`` and ``cycles_active`` as of the start
-        of cycle ``now``: every issue occupies exactly ``_issue_beats``
-        cycles, less the part of the last window at or past ``now``."""
+        """Bring the counters up to the start of cycle ``now``: book the
+        open idle run, and derive ``instructions`` and ``cycles_active``
+        (every issue occupies exactly ``_issue_beats`` cycles, less the
+        part of the last window at or past ``now``)."""
+        if now > self._idle_from:
+            self._book_idle(now)
+            self._idle_from = now
         issued = sum(warp._iseq for warp in self.warps)
         self.stats.instructions = issued
         self.stats.cycles_active = issued * self._issue_beats - max(
             0, self.issue_busy_until - now)
 
-    def next_event_time(self, now: int) -> int:
-        """Earliest future cycle at which this core might make progress."""
-        if now >= self._purge_at:
-            self._purge(now)
-        best = BLOCKED
-        for warp in self.warps:
-            if not warp.active or warp.at_barrier:
-                continue
-            t = warp.ready_at
-            d = self._fetch(warp.pc)
-            for r in d.srcs_x:
-                rt = warp.x_ready[r]
-                if rt > t:
-                    t = rt
-            for r in d.srcs_f:
-                rt = warp.f_ready[r]
-                if rt > t:
-                    t = rt
-            if d.is_mem:
-                if len(self.lsu_inflight) >= self._lsu_depth:
-                    mt = min(self.lsu_inflight)
-                    if mt > t:
-                        t = mt
-                if self.lsu_busy_until > t:
-                    t = self.lsu_busy_until
-            if t < best:
-                best = t
-        return best
-
     def next_change_time(self, now: int) -> int:
         """Earliest future cycle at which this core's tick outcome
         (issue vs. idle, and the idle stall classification) could differ
-        from the one just computed at ``now``.
+        from the one just computed at ``now``; ``BLOCKED`` when no warp
+        waits on a cycle (the core is empty or parked at a barrier).
 
         Conservative by construction: the minimum over *every* pending
         threshold — each stalled warp's ``ready_at``, every
         not-yet-available source register, the LSU queue's earliest
         completion when full and the lane-sequencer's busy horizon. As
         long as the machine clock stays below this bound, re-running
-        :meth:`tick` would book exactly the same counters, which is what
-        licenses the machine's idle freeze to book them without calling
-        :meth:`tick`.
+        :meth:`tick` would start the same idle run, which is what
+        licenses the machine not to tick the core before then.
         """
         if now >= self._purge_at:
             self._purge(now)

@@ -6,23 +6,26 @@ T)`` warps on one core and one *slot*, which selects its barrier id and
 local-memory window). Warps halt when their kernel returns; freed warps
 immediately receive the next pending group.
 
-The main loop steps one cycle at a time while some core issues or is
-inside a multi-beat issue window. Within a step a core is only ticked
-when its outcome can change: cycles inside a known busy window are
-skipped (each issue's whole window is counted once per launch, by
-``Core.fold_counters``), and an idle core stays frozen at its last
-stall classification until ``Core.next_change_time``.
+The main loop keeps one wake-up horizon per core (``_due``): the
+earliest cycle at which ticking the core can change anything. After an
+issue it is the end of the issue window (``Core.issue_busy_until``);
+after an idle tick it is ``Core.next_change_time``, the earliest cycle
+at which the core's stall classification can change; a dispatch to the
+core pulls it to the next cycle, but never inside a running issue
+window. Each iteration ticks only the cores that are due, then moves the
+clock to the smallest horizon. A core books each idle run once, at its
+stall class, when the run ends (at its next tick or in
+``Core.fold_counters``), and ``instructions``/``cycles_active`` are
+folded from the warps' issue counts, so the counters are those of a
+cycle-by-cycle visit. ``skip_stats["ff_cycles"]`` counts the cycles the
+clock jumped over because no core was due.
 
-When no core issued and none is mid-issue, the **all-stalled jump**
-moves the clock straight to the earliest scoreboard/LSU completion
-(``Core.next_event_time``). Nothing changes before then, so each
-core's idle and stall counters are booked for the whole window at once
-and stay identical to a cycle-by-cycle visit. ``skip_stats`` counts
-the jumps (``ff_windows``) and the cycles they skipped (``ff_cycles``).
-
-Set ``REPRO_SIMX_NO_FASTFORWARD=1`` to visit every cycle instead. Cycle
-counts, every per-core, cache and DRAM counter, and results are
-identical; only wall-clock and ``skip_stats`` differ. The golden-trace
+Set ``REPRO_SIMX_NO_FASTFORWARD=1`` for the per-cycle oracle: the clock
+visits every cycle and ticks every idle core on each of them, whatever
+its horizon (a core inside an issue window still waits for its end).
+Cycle counts, every per-core, cache and DRAM counter, and results are
+identical; only wall-clock and ``skip_stats`` differ, so comparing the
+two checks the horizons, ``next_change_time`` included. The golden-trace
 suite and ``tests/test_simx_fastforward.py`` pin this.
 """
 
@@ -47,13 +50,13 @@ from ..codegen import VortexKernelImage
 from ..isa import CSR
 from .checkpoint import CHECK_INTERVAL as _CKPT_CHECK_INTERVAL
 from .config import VortexConfig
-from .core import Core, CoreStats, STALL_LSU, STALL_SCOREBOARD
+from .core import Core, CoreStats
 from .decode import DecodedInstr, decode_program
 from .dram import DRAM
 from .mem import Memory
 from .warp import BLOCKED
 
-#: Environment variable disabling the all-stalled jump.
+#: Environment variable selecting the per-cycle oracle loop.
 NO_FASTFORWARD_ENV = "REPRO_SIMX_NO_FASTFORWARD"
 
 #: `describe_warp_states` renders at most this many warp lines before
@@ -79,10 +82,6 @@ class LaunchResult:
         return self.cycles / (clock_mhz * 1e3)
 
 
-def _fresh_skip_stats() -> dict[str, int]:
-    return {"ff_windows": 0, "ff_cycles": 0}
-
-
 class Machine:
     def __init__(self, config: VortexConfig, trace: bool = False,
                  profiler: Profiler | None = None):
@@ -105,9 +104,8 @@ class Machine:
         self.program = None
         self._decoded: list[DecodedInstr] = []
         self._code_base = layout.CODE_BASE
-        #: all-stalled jumps and the cycles they skipped (reset per
-        #: launch).
-        self.skip_stats = _fresh_skip_stats()
+        #: cycles the main loop jumped over (reset per launch).
+        self.skip_stats = {"ff_cycles": 0}
         self._group_remaining: dict[int, int] = {}
         self._group_slot: dict[int, tuple[int, int]] = {}  # key -> (core, slot)
         self._slot_free: list[list[bool]] = [
@@ -122,12 +120,9 @@ class Machine:
         #: dispatch found no room on its last attempt; stays set until a
         #: warp halts (the only event that frees warps or slots).
         self._dispatch_blocked = False
-        #: per-core idle-freeze horizon: while ``now`` is below a core's
-        #: entry its tick outcome is provably unchanged (see
-        #: ``Core.next_change_time``), so the main loop books the frozen
-        #: classification directly instead of re-scanning the core.
-        #: Dispatching to a core clears its entry.
-        self._frozen_until = [0] * config.cores
+        #: per-core wake-up horizon: the main loop ticks a core only once
+        #: ``now`` reaches its entry (see the module docstring).
+        self._due = [0] * config.cores
         #: per-(core, warp) stack-pointer rows: static, built on first
         #: dispatch.
         self._sp_rows: dict[tuple[int, int], np.ndarray] = {}
@@ -192,13 +187,12 @@ class Machine:
         self._ndrange = ndrange
         self._groups_dispatched = 0
         self.printf_output.clear()
-        self.skip_stats = _fresh_skip_stats()
+        self.skip_stats = {"ff_cycles": 0}
         self._active_warps = sum(
             1 for core in self.cores for w in core.warps if w.active
         )
         self._dispatch_blocked = False
-        for i in range(len(self._frozen_until)):
-            self._frozen_until[i] = 0
+        self._due = [0] * len(self.cores)
         if self.profiler.enabled:
             self._profile_prologue(ndrange)
         if checkpoint is not None:
@@ -271,18 +265,10 @@ class Machine:
 
         ff = self.fast_forward
         cores = self.cores
-        # _try_dispatch pops this list in place, so the binding is
-        # loop-invariant even as its contents drain.
+        # _try_dispatch pops this list in place and writes ``due`` in
+        # place, so both bindings are loop-invariant.
         pending = self._pending
-        frozen_until = self._frozen_until
-        # Known multi-beat busy windows: while ``now`` is inside one the
-        # issue stage cannot change state, so the loop skips the core
-        # (fold_counters books the window). (Deferring the lazy LSU
-        # purge is safe — its state is only read at issue time.)
-        # ``busy_until[i]`` tracks ``core.issue_busy_until`` exactly
-        # (both start at 0 and only an issuing tick moves either),
-        # which is what lets a restored snapshot rebuild it here.
-        busy_until = [core.issue_busy_until for core in cores]
+        due = self._due
         run_start = now
         if ckpt is not None:
             ckpt_step = min(ckpt.every_cycles, _CKPT_CHECK_INTERVAL)
@@ -296,28 +282,14 @@ class Machine:
         # context manager (float div-by-zero etc. must stay silent).
         with np.errstate(all="ignore"):
             while True:
-                # Some core issued this cycle or is mid-issue.
-                active = False
                 for i, core in enumerate(cores):
-                    if now < busy_until[i]:
-                        active = True
-                        continue
-                    if now < frozen_until[i]:
-                        # Frozen idle: book the cached classification
-                        # without re-scanning the warp set.
-                        stats = core.stats
-                        stats.idle_cycles += 1
-                        st = core._stall
-                        if st == STALL_LSU:
-                            stats.lsu_stalls += 1
-                        elif st == STALL_SCOREBOARD:
-                            stats.scoreboard_stalls += 1
+                    # The oracle ticks an idle core before its horizon.
+                    if due[i] > now and (ff or now < core.issue_busy_until):
                         continue
                     if core.tick(now):
-                        active = True
-                        busy_until[i] = core.issue_busy_until
+                        due[i] = core.issue_busy_until
                     else:
-                        frozen_until[i] = core.next_change_time(now)
+                        due[i] = core.next_change_time(now)
                 if pending and not self._dispatch_blocked:
                     self._try_dispatch(now)
                 if profiling:
@@ -325,38 +297,17 @@ class Machine:
                 if not pending and self._active_warps == 0:
                     now += 1
                     break
-                if active:
-                    now += 1
+                nxt = min(due)
+                if nxt >= BLOCKED:
+                    raise self._stuck_error(
+                        "deadlock: all warps blocked (barrier mismatch?)",
+                        now,
+                    )
+                if ff:
+                    skip["ff_cycles"] += nxt - now - 1
+                    now = nxt
                 else:
-                    nxt = min(core.next_event_time(now) for core in cores)
-                    if nxt >= BLOCKED:
-                        raise self._stuck_error(
-                            "deadlock: all warps blocked "
-                            "(barrier mismatch?)",
-                            now,
-                        )
-                    if ff:
-                        jumped = max(now + 1, nxt)
-                        k = jumped - now - 1
-                        if k > 0:
-                            # Nothing changes before ``nxt`` (it is the
-                            # min over every pending threshold), so each
-                            # core would re-derive the same idle/stall
-                            # classification on every skipped cycle —
-                            # book the whole window at once to keep the
-                            # counters identical to a full visit.
-                            for core in cores:
-                                stats = core.stats
-                                stats.idle_cycles += k
-                                if core._stall == STALL_LSU:
-                                    stats.lsu_stalls += k
-                                elif core._stall == STALL_SCOREBOARD:
-                                    stats.scoreboard_stalls += k
-                            skip["ff_windows"] += 1
-                            skip["ff_cycles"] += k
-                        now = jumped
-                    else:
-                        now += 1
+                    now += 1
                 if now > max_cycles:
                     raise self._stuck_error(
                         f"simulation exceeded {max_cycles} cycles", now
@@ -393,7 +344,6 @@ class Machine:
             groups_dispatched=total_groups,
             extra={
                 "lsu_replays": sum(c.stats.lsu_replays for c in self.cores),
-                "ff_windows": skip["ff_windows"],
                 "ff_cycles": skip["ff_cycles"],
             },
         )
@@ -480,7 +430,6 @@ class Machine:
     def _profile_epilogue(self, now: int, total_groups: int) -> None:
         """Fold the end-of-launch counters into the profiler."""
         prof = self.profiler
-        skip = self.skip_stats
         totals = {
             "cycles": now,
             "groups_dispatched": total_groups,
@@ -501,8 +450,7 @@ class Machine:
             "dram.requests": self.dram.stats.requests,
             "dram.row_hits": self.dram.stats.row_hits,
             "dram.row_misses": self.dram.stats.row_misses,
-            "skip.ff_windows": skip["ff_windows"],
-            "skip.ff_cycles": skip["ff_cycles"],
+            "skip.ff_cycles": self.skip_stats["ff_cycles"],
         }
         prof.count_many(totals, prefix="simx.")
         hits, misses = totals["dcache.hits"], totals["dcache.misses"]
@@ -626,8 +574,8 @@ class Machine:
                 warp.group_key = key
             self._active_warps += warps_needed
             self._groups_dispatched += 1
-            # New warps invalidate the core's cached idle classification.
-            self._frozen_until[core.cid] = 0
+            # New warps wake the core next cycle, after any issue window.
+            self._due[core.cid] = max(now + 1, core.issue_busy_until)
         # Loop exited either because nothing is pending or because a
         # full scan found no room; in the latter case skip further
         # attempts until a warp halts (nothing else frees capacity).
@@ -664,12 +612,13 @@ class _BucketSampler:
     """Emits per-cycle-bucket issue/stall/idle breakdowns per core plus
     cache/DRAM counter snapshots as Chrome counter tracks.
 
-    The machine's fast-forwarding main loop does not visit every cycle,
-    so sampling is edge-triggered: whenever ``now`` crosses the next
-    bucket boundary the delta since the previous sample is emitted,
-    stamped at the current cycle. Cycles the clock jumped over are
-    surfaced explicitly as a device-track "skipped cycles" counter, so a
-    sparse region of the timeline is distinguishable from a quiet one.
+    The machine's main loop moves the clock from one core horizon to the
+    next, so sampling is edge-triggered: whenever ``now`` crosses the
+    next bucket boundary the counters are folded and the delta since the
+    previous sample is emitted, stamped at the current cycle. Cycles the
+    clock jumped over because no core was due surface as a device-track
+    "skipped cycles" counter, so a sparse region of the timeline is
+    distinguishable from a quiet one.
     """
 
     __slots__ = ("machine", "prof", "bucket", "next_ts", "core_prev",

@@ -1,16 +1,17 @@
 """Fast-forward correctness: jumping the cycle counter must be purely a
 wall-clock optimization.
 
-The machine's main loop skips the cycle range in which every warp waits
-on a future event (the all-stalled jump) and books the skipped cycles
-from cached per-core classifications instead of ticking through them.
-These tests pin the contract: with ``REPRO_SIMX_NO_FASTFORWARD=1`` the
-simulator visits every cycle, and everything observable (cycle counts,
-per-core counter sets, ``CacheStats``, DRAM counters, device results)
-is identical to the fast-forwarded run. A fast-forwarded machine must
-also still be subject to the experiment engine's ``point_timeout``
-watchdog — cycle jumps cannot smuggle a runaway point past the
-wall-clock limit.
+The machine's main loop ticks a core only at its wake-up horizon (the
+end of its issue window, or the earliest cycle its stall class can
+change), jumps the clock to the smallest horizon, and books each idle
+run once when it ends. These tests pin the contract: with
+``REPRO_SIMX_NO_FASTFORWARD=1`` the simulator visits every cycle and
+ticks every idle core on each of them, and everything observable (cycle
+counts, per-core counter sets, ``CacheStats``, DRAM counters, device
+results) is identical to the fast-forwarded run. A fast-forwarded
+machine must also still be subject to the experiment engine's
+``point_timeout`` watchdog — cycle jumps cannot smuggle a runaway point
+past the wall-clock limit.
 """
 
 import dataclasses
@@ -24,9 +25,12 @@ from repro.errors import PointFailure
 from repro.harness.engine import ExperimentEngine
 from repro.ocl import Context, GLOBAL_INT32, INT32, KernelBuilder
 from repro.vortex import VortexBackend, VortexConfig
+from repro.vortex.simx.core import Core
 from repro.vortex.simx.machine import NO_FASTFORWARD_ENV, Machine
 
 CONFIG = VortexConfig(cores=2, warps=4, threads=8)
+#: one LSU queue entry: warps queue behind each other's memory ops.
+LSU_BOUND = VortexConfig(cores=2, warps=4, threads=8, lsu_queue_depth=1)
 N = 64
 
 
@@ -66,17 +70,31 @@ def _divergent_kernel():
     return b.finish()
 
 
+def _div_store_kernel():
+    # A warp waits on the scoreboard for the 16-cycle ``div`` of its
+    # load, then on the LSU queue for its store, which other warps'
+    # loads hold: its stall class changes before it can issue.
+    b = KernelBuilder("divstore")
+    src = b.param("src", GLOBAL_INT32)
+    dst = b.param("dst", GLOBAL_INT32)
+    gid = b.global_id(0)
+    b.store(dst, gid, b.div(b.load(src, gid), b.const(7)))
+    return b.finish()
+
+
+#: name -> (kernel builder, local size, configuration)
 _KERNELS = {
-    "streaming": (_streaming_kernel, 16),
-    "barrier": (_barrier_kernel, 16),
-    "divergent": (_divergent_kernel, 16),
+    "streaming": (_streaming_kernel, 16, CONFIG),
+    "barrier": (_barrier_kernel, 16, CONFIG),
+    "divergent": (_divergent_kernel, 16, CONFIG),
+    "divstore": (_div_store_kernel, 16, LSU_BOUND),
 }
 
 
-def _run(build, local, fast_forward: bool):
+def _run(build, local, config, fast_forward: bool):
     captured = {}
     backend = VortexBackend(
-        CONFIG,
+        config,
         launch_hook=lambda m, r: captured.update(machine=m, result=r))
     old = os.environ.get(NO_FASTFORWARD_ENV)
     os.environ[NO_FASTFORWARD_ENV] = "0" if fast_forward else "1"
@@ -98,9 +116,11 @@ def _run(build, local, fast_forward: bool):
 
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_ff_on_off_identical(name):
-    build, local = _KERNELS[name]
-    ff_machine, ff_result, ff_outs = _run(build, local, fast_forward=True)
-    sl_machine, sl_result, sl_outs = _run(build, local, fast_forward=False)
+    build, local, config = _KERNELS[name]
+    ff_machine, ff_result, ff_outs = _run(build, local, config,
+                                          fast_forward=True)
+    sl_machine, sl_result, sl_outs = _run(build, local, config,
+                                          fast_forward=False)
 
     assert ff_result.cycles == sl_result.cycles
     assert ff_result.instructions == sl_result.instructions
@@ -126,11 +146,10 @@ def test_ff_on_off_identical(name):
         np.testing.assert_array_equal(f, s)
 
     # the slow path must not have skipped anything
-    for key in ("ff_windows", "ff_cycles"):
-        assert sl_result.extra[key] == 0
+    assert sl_result.extra["ff_cycles"] == 0
 
-    # skipped windows are booked in bulk, so each core accounts for
-    # every cycle of the machine clock in either mode
+    # idle runs are booked once when they end, so each core accounts
+    # for every cycle of the machine clock in either mode
     for result in (ff_result, sl_result):
         for s in result.core_stats:
             assert s.cycles_active + s.idle_cycles == result.cycles
@@ -141,6 +160,23 @@ def test_streaming_kernel_actually_fast_forwards():
     test_ff_on_off_identical would pass vacuously)."""
     _, result, _ = _run(*_KERNELS["streaming"], fast_forward=True)
     assert result.extra["ff_cycles"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_oracle_ticks_every_idle_cycle(name, monkeypatch):
+    """The per-cycle oracle ticks each core once per issue and once per
+    idle cycle, so its counters never rest on a wake-up horizon."""
+    ticks: dict[int, int] = {}
+    tick = Core.tick
+
+    def counting_tick(core, now):
+        ticks[core.cid] = ticks.get(core.cid, 0) + 1
+        return tick(core, now)
+
+    monkeypatch.setattr(Core, "tick", counting_tick)
+    _, result, _ = _run(*_KERNELS[name], fast_forward=False)
+    for cid, s in enumerate(result.core_stats):
+        assert ticks.get(cid, 0) == s.instructions + s.idle_cycles
 
 
 def test_env_flag_controls_fast_forward(monkeypatch):

@@ -24,6 +24,8 @@ from repro.vortex.simx.dram import DRAMStats
 from repro.vortex.simx.machine import LaunchResult, Machine
 
 CONFIG = VortexConfig(cores=2, warps=4, threads=4)
+#: one LSU queue entry: warps queue behind each other's memory ops.
+LSU_BOUND = VortexConfig(cores=2, warps=4, threads=8, lsu_queue_depth=1)
 
 
 # -- kernels exercising different machine paths ------------------------------
@@ -49,7 +51,18 @@ def _barrier_kernel():
     return b.finish()
 
 
-def _launch(kernel, local):
+def _div_store_kernel():
+    # Scoreboard-stalled on a 16-cycle div, then LSU-stalled on the
+    # store: the stall class changes while the warp waits.
+    b = KernelBuilder("divstore")
+    src = b.param("src", GLOBAL_INT32)
+    dst = b.param("dst", GLOBAL_INT32)
+    gid = b.global_id(0)
+    b.store(dst, gid, b.div(b.load(src, gid), b.const(7)))
+    return b.finish()
+
+
+def _launch(kernel, local, config=CONFIG):
     """Run on SimX capturing the machine-level LaunchResult and Machine."""
     captured = {}
 
@@ -64,7 +77,7 @@ def _launch(kernel, local):
     original = runtime.Machine
     runtime.Machine = _Capture
     try:
-        ctx = Context(VortexBackend(CONFIG))
+        ctx = Context(VortexBackend(config))
         prog = ctx.program([kernel])
         n = 64
         bufs = []
@@ -79,9 +92,11 @@ def _launch(kernel, local):
     return captured["machine"], captured["result"]
 
 
+#: name -> (kernel builder, local size, configuration)
 _KERNELS = {
-    "streaming": (_streaming_kernel, 16),
-    "barrier": (_barrier_kernel, 8),
+    "streaming": (_streaming_kernel, 16, CONFIG),
+    "barrier": (_barrier_kernel, 8, CONFIG),
+    "divstore": (_div_store_kernel, 16, LSU_BOUND),
 }
 
 
@@ -117,8 +132,8 @@ def test_hit_rate_divides_by_the_accesses_counter():
 
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_machine_counter_invariants(name):
-    build, local = _KERNELS[name]
-    machine, result = _launch(build(), local)
+    build, local, config = _KERNELS[name]
+    machine, result = _launch(build(), local, config)
 
     # cache accounting per core, and the machine-level aggregate rate
     for core in machine.cores:
@@ -136,8 +151,8 @@ def test_machine_counter_invariants(name):
     # the machine clock bounds every core's busy time
     assert result.cycles >= max(s.cycles_active for s in result.core_stats)
 
-    # every scheduler iteration ticks every core exactly once, and each
-    # tick books either an active or an idle cycle — so the per-core
+    # every cycle of a core is booked either active or idle, whether
+    # the scheduler ticked the core on it or not — so the per-core
     # totals agree across cores and never exceed the machine clock
     ticks = {s.cycles_active + s.idle_cycles for s in result.core_stats}
     assert len(ticks) == 1
@@ -151,7 +166,7 @@ def test_machine_counter_invariants(name):
 
 
 def test_barrier_kernel_waits():
-    build, local = _KERNELS["barrier"]
+    build, local, _ = _KERNELS["barrier"]
     _, result = _launch(build(), local)
     assert sum(s.barrier_waits for s in result.core_stats) > 0
 
@@ -173,8 +188,9 @@ def test_time_ms_linear_in_clock():
 
 # -- skipped-cycle ranges (fast-forward) -------------------------------------
 #
-# The machine's main loop does not visit every cycle: all-stalled waits
-# are booked in bulk and the clock jumps over them.
+# The machine's main loop does not visit every cycle: it ticks a core
+# only at its wake-up horizon, books each idle run once when it ends,
+# and the clock jumps over the cycles in which no core is due.
 # The counter identities must be *lossless* under that regime — per-core
 # accounting still covers the whole clock, and the profiler's
 # cycle-bucket sampler still sums to the final totals even when entire
@@ -186,10 +202,10 @@ from repro.profiling import Profiler
 from repro.vortex.simx.machine import NO_FASTFORWARD_ENV
 
 
-def _launch_ff(kernel, local, fast_forward, profiler=None):
+def _launch_ff(kernel, local, config, fast_forward, profiler=None):
     captured = {}
     backend = VortexBackend(
-        CONFIG, profiler=profiler,
+        config, profiler=profiler,
         launch_hook=lambda m, r: captured.update(machine=m, result=r))
     old = os.environ.get(NO_FASTFORWARD_ENV)
     os.environ[NO_FASTFORWARD_ENV] = "0" if fast_forward else "1"
@@ -210,23 +226,23 @@ def _launch_ff(kernel, local, fast_forward, profiler=None):
 @pytest.mark.parametrize("fast_forward", [True, False])
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_every_cycle_booked_even_when_skipped(name, fast_forward):
-    build, local = _KERNELS[name]
-    _, result = _launch_ff(build(), local, fast_forward)
-    # bulk-booked windows keep the per-core identity exact: every cycle
-    # of the machine clock is either active or idle on every core
+    build, local, config = _KERNELS[name]
+    _, result = _launch_ff(build(), local, config, fast_forward)
+    # idle runs booked when they end keep the per-core identity exact:
+    # every cycle of the machine clock is either active or idle on
+    # every core
     for s in result.core_stats:
         assert s.cycles_active + s.idle_cycles == result.cycles
         # stall classifications are a partition of idle time
         assert s.lsu_stalls + s.scoreboard_stalls <= s.idle_cycles
     if not fast_forward:
-        for key in ("ff_windows", "ff_cycles"):
-            assert result.extra[key] == 0
+        assert result.extra["ff_cycles"] == 0
 
 
 def test_sampler_sums_are_lossless_under_fast_forward():
-    build, local = _KERNELS["streaming"]
+    build, local, config = _KERNELS["streaming"]
     prof = Profiler(cycle_bucket=32)
-    machine, result = _launch_ff(build(), local, True, profiler=prof)
+    machine, result = _launch_ff(build(), local, config, True, profiler=prof)
     skipped = result.extra["ff_cycles"]
     assert skipped > 0, "kernel never fast-forwarded; test is vacuous"
 
@@ -261,9 +277,9 @@ def test_sampler_sums_are_lossless_under_fast_forward():
 def test_sampler_buckets_respect_noncontiguous_timestamps():
     """Sample timestamps must be monotonic and land at visited cycles
     even when whole buckets were jumped (edge-triggered sampling)."""
-    build, local = _KERNELS["streaming"]
+    build, local, config = _KERNELS["streaming"]
     prof = Profiler(cycle_bucket=16)
-    _, result = _launch_ff(build(), local, True, profiler=prof)
+    _, result = _launch_ff(build(), local, config, True, profiler=prof)
     ts = [ev.ts for ev in prof.events if ev.ph == "C"]
     assert ts == sorted(ts)
     assert all(0 <= t <= result.cycles for t in ts)
