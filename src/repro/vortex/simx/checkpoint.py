@@ -63,7 +63,11 @@ SNAPSHOT_MAGIC = "repro-simx-snapshot"
 #: v6: one wake-up horizon per core (``_due``) replaces
 #: ``_frozen_until``; a core holds its unbooked idle run (``_idle_from``);
 #: ``skip_stats`` holds only ``ff_cycles``.
-SNAPSHOT_VERSION = 6
+#: v7: a warp holds one 64-entry ``scoreboard`` in place of
+#: ``x_ready``/``f_ready``, and a replay memo without its lane count; a
+#: core holds ``free_warps``, and its write-combining buffer keeps its
+#: lines in write order (``_wc_stamp`` is gone).
+SNAPSHOT_VERSION = 7
 
 #: Default snapshot cadence in simulated cycles.
 DEFAULT_EVERY_CYCLES = 2_000_000
@@ -110,8 +114,7 @@ def baseline_digest(mem: np.ndarray) -> str:
 #: Everything else a warp, core, data cache or the DRAM holds is state:
 #: captured, and restored into the live object.
 WIRING = frozenset({"machine", "config", "warps", "dcache", "_fetch",
-                    "_decoded", "_code_base", "_orders", "_trace",
-                    "xr", "fr"})
+                    "_code", "_orders", "_trace", "xr", "fr"})
 
 #: The machine's own state: dispatcher bookkeeping, the per-core
 #: wake-up horizons and counters (its memory, DRAM and cores are

@@ -3,7 +3,7 @@
 The core issues at most one warp-instruction per cycle (Vortex is a
 single-issue in-order design). A warp is *ready* when it is active, not
 parked at a barrier, past its structural ``ready_at`` time, and all its
-source registers are available per the scoreboard. Memory instructions
+source registers are available per its scoreboard. Memory instructions
 additionally need a free LSU queue entry and the LSU lane-sequencer to be
 free; when the selected warp is blocked on the LSU, the core records an
 **LSU stall** — the counter behind the paper's Figure 7 discussion.
@@ -12,20 +12,28 @@ Execution is functional-at-issue (register values are computed
 immediately, numpy-vectorised across lanes) with timing imposed through
 the scoreboard (result-availability cycles) and the LSU/DRAM models.
 
-The per-issue work here is deliberately thin: instruction semantics live
-in statically-decoded handlers (:mod:`.decode`) that write registers in
-place through the warps' row views; an issue books no counter, because
-each occupies exactly ``_issue_beats`` cycles, so :meth:`Core.fold_counters`
-derives ``instructions`` and ``cycles_active`` from the warps' issue
-counts once per launch (and before each profiler sample); LSU
-book-keeping is purged lazily (``_purge_at`` tracks the earliest expiry,
-``_mshr_at`` the earliest MSHR fill, so the MSHR structures are rebuilt
-only when one expires); and :meth:`Core.next_change_time` gives the
-machine a conservative bound on how long an idle core's stall
-classification stays constant, so :mod:`.machine` does not tick the core
-before then. An idle run is booked once, at the stall class of the tick
-that started it, when it ends: at the core's next tick or in
-:meth:`Core.fold_counters`.
+The per-issue work here is deliberately thin:
+
+* :meth:`Core.tick` looks a warp's instruction up by PC in the decoded
+  program (:mod:`.decode`) and checks its one source tuple against the
+  warp's one 64-entry scoreboard; the handlers write registers in place
+  through the warps' row views. A tick returns the core's next wake-up
+  horizon: the end of the issue window after an issue, else
+  :meth:`Core.next_change_time`, a conservative bound on how long an
+  idle core's stall classification stays constant, so :mod:`.machine`
+  does not tick the core before then.
+* An issue books no counter: each occupies exactly ``_issue_beats``
+  cycles, so :meth:`Core.fold_counters` derives ``instructions`` and
+  ``cycles_active`` from the warps' issue counts once per launch (and
+  before each profiler sample). An idle run is booked once, at the stall
+  class of the tick that started it, when it ends: at the core's next
+  tick or in :meth:`Core.fold_counters`.
+* A load or store makes one pass over its lane addresses, checking them
+  and grouping them by line (:meth:`Core._lsu_lines`); a replayed load
+  reuses that pass. LSU book-keeping is purged lazily (``_purge_at``
+  tracks the earliest expiry, ``_mshr_at`` the earliest MSHR fill, so
+  the MSHR structures are rebuilt only when one expires), and the
+  write-combining buffer evicts its first key.
 """
 
 from __future__ import annotations
@@ -153,9 +161,10 @@ class Core:
         #: earliest MSHR fill: every mshr_entries time is also an mshrs
         #: value, so this one minimum covers both MSHR structures.
         self._mshr_at = BLOCKED
-        #: write-combining buffer: line -> insertion order stamp.
-        self.wc_buffer: dict[int, int] = {}
-        self._wc_stamp = 0
+        #: write-combining buffer: its lines, least recently written
+        #: first (a refresh moves a line to the end; the victim is the
+        #: first key).
+        self.wc_buffer: dict[int, None] = {}
         #: multi-beat issue: the issue stage is busy until this cycle.
         self.issue_busy_until = 0
         self._issue_beats = max(
@@ -176,9 +185,16 @@ class Core:
         self._trace = machine.trace
         #: incremental MSHR occupancy (sum of mshr_entries lane counts).
         self._mshr_occupancy = 0
-        #: decoded-program fast path; refreshed by Machine.load_image.
-        self._decoded: list = []
-        self._code_base = 0
+        #: warps running no group or spawn: the dispatcher's room on
+        #: this core, kept by the machine at dispatch, halt and wspawn.
+        self.free_warps = config.warps
+        #: the highest valid word address of device memory.
+        self._last_word = machine.memory.size - 4
+        #: a T-lane row of 2s: an address row shifts to word indices by
+        #: a row at half the cost of a shift by the Python int 2.
+        self._word_shift = np.full(config.threads, 2, dtype=np.int64)
+        #: decoded program keyed by PC; set by Machine.load_image.
+        self._code: dict = {}
         #: round-robin scan orders: _orders[rr] lists warps starting at
         #: rr+1, so the issue scan is a plain iteration.
         nw = config.warps
@@ -191,82 +207,66 @@ class Core:
     # Issue.
     # ------------------------------------------------------------------
 
-    def tick(self, now: int) -> bool:
-        """Advance the issue stage one cycle.
+    def tick(self, now: int) -> int:
+        """Advance the issue stage one cycle; return the core's next
+        wake-up horizon.
 
-        Returns True when an instruction issued, False when the core
-        idled: an idle run then starts at ``now``, with ``_stall``
-        recording why. A tick first books the idle run it ends, so a run
-        is booked once however many of its cycles the machine skipped.
-        An issue books nothing here: :meth:`fold_counters` derives
-        ``instructions`` and ``cycles_active`` from the warps' issue
-        counts. The machine never ticks a core inside a multi-beat issue
-        window (``now < issue_busy_until``).
+        An issue returns the end of its window (``issue_busy_until``).
+        An idle tick starts an idle run at ``now``, with ``_stall``
+        recording why (an LSU block outranks a scoreboard block), and
+        returns :meth:`next_change_time`. A tick first books the idle
+        run it ends, so a run is booked once however many of its cycles
+        the machine skipped. An issue books nothing here:
+        :meth:`fold_counters` derives ``instructions`` and
+        ``cycles_active`` from the warps' issue counts. The machine
+        never ticks a core inside a multi-beat issue window
+        (``now < issue_busy_until``).
         """
         if now >= self._idle_from:
             self._book_idle(now)
             self._idle_from = BLOCKED
         if now >= self._purge_at:
             self._purge(now)
-        saw_lsu_block = False
-        saw_scoreboard_block = False
-        dec = self._decoded
-        ndec = len(dec)
-        cb = self._code_base
+        stall = STALL_NONE
+        code = self._code
         for warp in self._orders[self.rr]:
             # ready_at is BLOCKED for halted/parked warps (invariant
             # kept by halt()/_exec_bar), so one compare gates the scan.
             if warp.ready_at > now:
                 continue
-            off = warp.pc - cb
-            idx = off >> 2
-            if not off & 3 and 0 <= idx < ndec:
-                d = dec[idx]
-            else:
+            try:
+                d = code[warp.pc]
+            except KeyError:
                 d = self._fetch(warp.pc)  # raises the canonical error
-            ready = True
-            xr = warp.x_ready
-            for r in d.srcs_x:
-                if xr[r] > now:
-                    ready = False
+            sb = warp.scoreboard
+            for r in d.srcs:
+                if sb[r] > now:
                     break
-            if ready:
-                fr = warp.f_ready
-                for r in d.srcs_f:
-                    if fr[r] > now:
-                        ready = False
-                        break
-            if not ready:
-                saw_scoreboard_block = True
-                continue
-            if d.is_mem and (
-                len(self.lsu_inflight) >= self._lsu_depth
-                or self.lsu_busy_until > now
-            ):
-                saw_lsu_block = True
-                continue
-            if self._trace is not None:
-                from ..isa import format_instruction
+            else:  # every source is ready
+                if d.is_mem and (len(self.lsu_inflight) >= self._lsu_depth
+                                 or self.lsu_busy_until > now):
+                    stall = STALL_LSU
+                    continue
+                if self._trace is not None:
+                    from ..isa import format_instruction
 
-                self._trace.append(
-                    (now, self.cid, warp.wid, warp.pc,
-                     format_instruction(d.ins), warp.tmask_bits())
-                )
-            self.issue_busy_until = warp.ready_at = now + self._issue_beats
-            warp._iseq += 1
-            d.handler(self, warp, d, now)
-            self.rr = warp.wid
-            if d.is_simt:
-                self.stats.simt_instructions += 1
-            return True
+                    self._trace.append(
+                        (now, self.cid, warp.wid, warp.pc,
+                         format_instruction(d.ins), warp.tmask_bits())
+                    )
+                busy = now + self._issue_beats
+                self.issue_busy_until = warp.ready_at = busy
+                warp._iseq += 1
+                d.handler(self, warp, d, now)
+                self.rr = warp.wid
+                if d.is_simt:
+                    self.stats.simt_instructions += 1
+                return busy
+            if not stall:
+                stall = STALL_SCOREBOARD
         self._idle_from = now
-        if saw_lsu_block:
-            self._stall = STALL_LSU
-        elif saw_scoreboard_block:
-            self._stall = STALL_SCOREBOARD
-        else:
-            self._stall = STALL_NONE
-        return False
+        self._stall = stall
+        return self.next_change_time(now)
 
     def _book_idle(self, now: int) -> None:
         """Book the idle cycles from ``_idle_from`` up to ``now`` at the
@@ -318,26 +318,23 @@ class Core:
         completion when full and the lane-sequencer's busy horizon. As
         long as the machine clock stays below this bound, re-running
         :meth:`tick` would start the same idle run, which is what
-        licenses the machine not to tick the core before then.
+        licenses the machine not to tick the core before then. Called
+        at the end of an idle tick, which has purged the LSU queues and
+        fetched every warp that could issue.
         """
-        if now >= self._purge_at:
-            self._purge(now)
         best = BLOCKED
+        code = self._code
         for warp in self.warps:
-            if not warp.active or warp.at_barrier:
-                continue
+            # A halted or parked warp's BLOCKED never lowers ``best``.
             rt = warp.ready_at
             if rt > now:
                 if rt < best:
                     best = rt
                 continue
-            d = self._fetch(warp.pc)
-            for r in d.srcs_x:
-                t = warp.x_ready[r]
-                if now < t < best:
-                    best = t
-            for r in d.srcs_f:
-                t = warp.f_ready[r]
+            d = code[warp.pc]
+            sb = warp.scoreboard
+            for r in d.srcs:
+                t = sb[r]
                 if now < t < best:
                     best = t
             if d.is_mem:
@@ -396,70 +393,76 @@ class Core:
     # -- memory --------------------------------------------------------------
 
     def _exec_load(self, warp: Warp, d, now: int) -> None:
-        cfg = self.config
-        mask = warp.tmask
         # Replay memo: a load bounced off full MSHRs re-issues with the
         # warp untouched (no writeback happened, no other instruction of
-        # this warp ran in between — _iseq proves it), so the address
-        # vector and line grouping are reusable verbatim.
-        full = warp._full
+        # this warp ran in between — _iseq proves it), so the checked
+        # address row and its line grouping are reusable verbatim.
         memo = warp._lsu_replay
         if memo is not None and memo[0] == warp._iseq - 1 \
                 and memo[1] == warp.pc:
-            _, _, active_addrs, lanes, items = memo
+            _, _, addrs, items = memo
         else:
             row = warp.xr[d.rs1]
             # int32 + int64 upcasts in a single ufunc call.
-            active_addrs = (np.add(row, d.row) if full
-                            else row[mask] + d.imm64)
-            lanes = len(active_addrs)
-            items = None
-        completion, items = self._lsu_load_timing(active_addrs, lanes,
-                                                  now, items)
+            addrs = (np.add(row, d.row) if warp._full
+                     else row[warp.tmask] + d.imm64)
+            items = self._lsu_lines(addrs)
+        lanes = len(addrs)
+        completion = self._lsu_load_timing(items, lanes, now)
         if completion is None:
             # All MSHRs busy: the load is replayed later; this issue
             # slot is wasted (an LSU stall in the paper's terms).
-            warp._lsu_replay = (warp._iseq, warp.pc, active_addrs,
-                                lanes, items)
-            warp.ready_at = now + cfg.replay_penalty
+            warp._lsu_replay = (warp._iseq, warp.pc, addrs, items)
+            warp.ready_at = now + self.config.replay_penalty
             self.stats.lsu_replays += 1
             return
         warp._lsu_replay = None
-        mem = self.machine.memory
-        if d.aux:  # flw
-            vals = mem.gather_f32(active_addrs)
-            if full:
-                warp.fr[d.rd][...] = vals
+        if d.wb >= 0:
+            mem = self.machine.memory
+            words = mem.floats if d.aux else mem.words  # aux: flw
+            vals = words[addrs >> self._word_shift[:lanes]]
+            dst = (warp.fr if d.aux else warp.xr)[d.rd]
+            if warp._full:
+                dst[...] = vals
             else:
-                warp.fr[d.rd][mask] = vals
-            warp.f_ready[d.rd] = completion
-        else:
-            vals = mem.gather_i32(active_addrs)
-            if d.wb >= 0:
-                if full:
-                    warp.xr[d.rd][...] = vals
-                else:
-                    warp.xr[d.rd][mask] = vals
-                warp.x_ready[d.rd] = completion
+                dst[warp.tmask] = vals
+            warp.scoreboard[d.wb] = completion
         warp.pc += 4
         self._lsu_book(lanes, completion, now)
 
     def _exec_store(self, warp: Warp, d, now: int) -> None:
         full = warp._full
-        mask = warp.tmask
         row = warp.xr[d.rs1]
-        active_addrs = np.add(row, d.row) if full else row[mask] + d.imm64
-        lanes = len(active_addrs)
+        addrs = np.add(row, d.row) if full else row[warp.tmask] + d.imm64
+        lanes = len(addrs)
+        items = self._lsu_lines(addrs)
         mem = self.machine.memory
-        if d.aux:  # fsw
-            src = warp.fr[d.rs2]
-            mem.scatter_f32(active_addrs, src if full else src[mask])
-        else:
-            src = warp.xr[d.rs2]
-            mem.scatter_i32(active_addrs, src if full else src[mask])
-        completion = self._lsu_store_timing(active_addrs, lanes, now)
+        words = mem.floats if d.aux else mem.words  # aux: fsw
+        src = (warp.fr if d.aux else warp.xr)[d.rs2]
+        words[addrs >> self._word_shift[:lanes]] = (src if full
+                                                    else src[warp.tmask])
+        completion = self._lsu_store_timing(items, lanes, now)
         warp.pc += 4
         self._lsu_book(lanes, completion, now)
+
+    def _lsu_lines(self, addrs: np.ndarray) -> list[tuple[int, int]]:
+        """Check a memory instruction's lane addresses and count its
+        lanes per line, in one pass over the row. Returns the
+        ``(line index, lanes)`` pairs in line order: DRAM bank state and
+        the deterministic row evictions depend on request order, so it
+        must stay canonical. A bad lane traps with exactly what
+        :meth:`Memory._check_word` raises for the row: the first
+        out-of-range lane, else the first unaligned one."""
+        counts: dict[int, int] = {}
+        get = counts.get
+        ls = self.config.line_size
+        last = self._last_word
+        for a in addrs.tolist():
+            if a < 0 or a > last or a & 3:
+                self.machine.memory._check_word(addrs)  # raises
+            ln = a // ls
+            counts[ln] = get(ln, 0) + 1
+        return sorted(counts.items())
 
     def _exec_amo(self, warp: Warp, d, now: int) -> None:
         # AMOs bypass the cache and serialise per lane through DRAM.
@@ -493,9 +496,9 @@ class Core:
             else:  # amocas.w
                 new = val if old == int(expected[i]) else old
             mem.write_word(addr, new)
-        if d.rd != 0:
+        if d.wb >= 0:
             warp.xr[d.rd][mask] = results
-            warp.x_ready[d.rd] = completion
+            warp.scoreboard[d.wb] = completion
         warp.pc += 4
         self._lsu_book(lanes, completion, now)
 
@@ -508,31 +511,17 @@ class Core:
         unpack = max(1, -(-lanes // self.config.lsu_lanes_per_cycle))
         self.lsu_busy_until = max(self.lsu_busy_until, now) + unpack
 
-    def _lsu_load_timing(self, addrs: np.ndarray, lanes: int, now: int,
-                         items: list[tuple[int, int]] | None = None,
-                         ) -> tuple[int | None, list[tuple[int, int]]]:
-        """Cache/MSHR/DRAM timing for one warp load.
+    def _lsu_load_timing(self, items: list[tuple[int, int]], lanes: int,
+                         now: int) -> int | None:
+        """Cache/MSHR/DRAM timing for one warp load of ``lanes`` lanes
+        over the ``(line index, lanes)`` pairs ``items``.
 
-        Returns ``(completion, items)`` where ``completion`` is the
-        data-ready cycle, or ``None`` when a new line miss found every
-        MSHR occupied (the load must be replayed). ``items`` is the
-        sorted per-line lane grouping — callers may pass it back in on
-        a replay to skip recomputing it.
+        Returns the data-ready cycle, or ``None`` when a new line miss
+        found every MSHR occupied (the load must be replayed).
         """
         cfg = self.config
         if lanes == 0:
-            return now + cfg.dcache_hit_latency, []
-        if items is None:
-            counts: dict[int, int] = {}
-            ls = cfg.line_size
-            get = counts.get
-            for a in addrs.tolist():
-                ln = a // ls
-                counts[ln] = get(ln, 0) + 1
-            # Sorted line order: DRAM bank state and the deterministic
-            # row evictions depend on request order, so it must stay
-            # canonical.
-            items = sorted(counts.items())
+            return now + cfg.dcache_hit_latency
         completion = now + cfg.dcache_hit_latency
         new_misses: list[tuple[int, int]] = []  # (line, lanes)
         waiting_lanes = 0
@@ -560,7 +549,7 @@ class Core:
             if waiting_lanes > free and not (
                 waiting_lanes > cfg.mshrs and occupancy == 0
             ):
-                return None, items
+                return None
             dram_access = self.machine.dram.access
             for line, _ in new_misses:
                 t = dram_access(line, now + cfg.dcache_hit_latency)
@@ -579,37 +568,31 @@ class Core:
                     self.mshr_entries.append((t, nlanes))
                     self._mshr_occupancy += nlanes
         unpack = max(1, -(-lanes // cfg.lsu_lanes_per_cycle))
-        return completion + unpack, items
+        return completion + unpack
 
-    def _lsu_store_timing(self, addrs: np.ndarray, lanes: int,
+    def _lsu_store_timing(self, items: list[tuple[int, int]], lanes: int,
                           now: int) -> int:
         """Write-through, no-allocate stores: pay DRAM bandwidth, hold an
         LSU entry, but never block on MSHRs and never wait the warp.
         Stores to a line still in the write-combining buffer merge (a
         partial-line store would otherwise hit DRAM once per wave)."""
         cfg = self.config
-        if len(addrs) == 0:
+        if lanes == 0:
             return now + cfg.dcache_hit_latency
-        seen: dict[int, None] = {}
-        ls = cfg.line_size
-        for a in addrs.tolist():
-            seen[a // ls] = None
         completion = now + cfg.dcache_hit_latency
         wc = self.wc_buffer
-        for ln in sorted(seen):
+        for ln, _ in items:
             line = ln * cfg.line_size
             if line in wc:
-                self._wc_stamp += 1
-                wc[line] = self._wc_stamp  # refresh LRU
+                del wc[line]  # refresh: the line moves to the end
+                wc[line] = None
                 continue
             t = self.machine.dram.access(line, now + cfg.dcache_hit_latency)
             if t > completion:
                 completion = t
-            self._wc_stamp += 1
-            wc[line] = self._wc_stamp
+            wc[line] = None
             if len(wc) > cfg.wc_entries:
-                victim = min(wc, key=wc.get)
-                del wc[victim]
+                del wc[next(iter(wc))]  # the least recently written line
         unpack = max(1, -(-lanes // cfg.lsu_lanes_per_cycle))
         return completion + unpack
 
@@ -633,9 +616,13 @@ class Core:
                 )
             info = (branch.mnemonic == "beq", warp.pc + 4 + branch.imm)
         then_on_true, branch_target = info
-        pred = (warp.xr[d.rs1] != 0) & warp.tmask
+        full = warp._full
+        pred = warp.xr[d.rs1] != 0
+        if not full:
+            pred &= warp.tmask
         lanes = np.count_nonzero(pred)
-        if not lanes or lanes == np.count_nonzero(warp.tmask):
+        if not lanes or lanes == (warp.num_threads if full
+                                  else np.count_nonzero(warp.tmask)):
             warp.push_uniform_marker()
             warp.pc += 4  # branch executes normally next cycle
             return

@@ -3,11 +3,13 @@
 When a kernel image is loaded, every static instruction is compiled
 into a :class:`DecodedInstr` — a flat record holding the pre-resolved
 handler function, operand registers and their register files, the
-immediate pre-broadcast to a T-lane row (T is fixed per machine), the
-absolute jump/branch target (PCs are static, so ``auipc``/``jal``/branch
-arithmetic folds away entirely) and the writeback latency for the
-machine configuration. The issue stage then costs one list index and
-one indirect call per dynamic instruction.
+scoreboard indices of its sources (one tuple) and of its writeback (one
+index; x0–x31 are 0–31, f0–f31 are 32–63), the immediate pre-broadcast
+to a T-lane row (T is fixed per machine), the absolute jump/branch
+target (PCs are static, so ``auipc``/``jal``/branch arithmetic folds
+away entirely) and the writeback latency for the machine configuration.
+:func:`decode_program` keys the records by PC, so the issue stage costs
+one dict lookup and one indirect call per dynamic instruction.
 
 The compute instructions fold into three handlers by operand shape —
 reg–reg (int ALU, FPU binary, FP compare), reg–immediate-row and
@@ -66,8 +68,7 @@ class DecodedInstr:
     __slots__ = (
         "ins", "mnemonic", "pc",
         "rs1", "rs2", "rd", "imm", "imm64", "row",
-        "is_mem", "is_simt",
-        "srcs_x", "srcs_f",
+        "is_mem", "is_simt", "srcs",
         "wb", "fsrc", "fdst", "latency",
         "handler", "op", "val", "target", "aux",
     )
@@ -89,14 +90,15 @@ class DecodedInstr:
         self.row = None
         self.is_mem = meta.is_mem
         self.is_simt = meta.kind == "simt"
-        self.srcs_x = meta.srcs_x
-        self.srcs_f = meta.srcs_f
         #: register files: sources (``fsrc``) and destination (``fdst``)
-        #: are f registers; the destination register, -1 when nothing is
-        #: written (no destination, or rd = x0).
+        #: are f registers, whose scoreboard indices are ``32 + r``.
         self.fsrc = bool(meta.srcs_f)
         self.fdst = bool(meta.dst) and meta.dst[0] == "f"
-        self.wb = meta.dst[1] if meta.dst else -1
+        #: scoreboard indices of the sources, and of the destination
+        #: (its register is ``rd``): -1 when nothing is written (no
+        #: destination, or rd = x0).
+        self.srcs = meta.srcs_x + tuple(32 + r for r in meta.srcs_f)
+        self.wb = meta.dst[1] + 32 * self.fdst if meta.dst else -1
         self.latency = latency
         self.handler = None
         self.op = None
@@ -273,12 +275,12 @@ _COMPUTE = {
 # Vectorized handlers. Signature: handler(core, warp, d, now).
 #
 # The issue stage (Core.tick) has already set ``warp.ready_at``; each
-# handler advances the PC, performs the register writes — in place,
-# through the warp's row views — and books the scoreboard writeback.
-# Writes to x0 are impossible by construction (``d.wb`` is -1 for
-# rd = x0), so the defensive ``x[0] = 0`` of the old interpreter
-# loop is gone from the hot path (the property tests assert x0 stays
-# zero).
+# handler advances the PC, performs the register writes to row ``d.rd``
+# — in place, through the warp's row views — and books the scoreboard
+# writeback at ``d.wb``. Writes to x0 are impossible by construction
+# (``d.wb`` is -1 for rd = x0), so the defensive ``x[0] = 0`` of the
+# old interpreter loop is gone from the hot path (the property tests
+# assert x0 stays zero).
 # ---------------------------------------------------------------------------
 
 
@@ -286,12 +288,12 @@ def _v_rr(core, warp, d, now):
     """Reg-reg: int ALU, FPU binary and FP compare."""
     if d.wb >= 0:
         src = warp.fr if d.fsrc else warp.xr
-        dst = (warp.fr if d.fdst else warp.xr)[d.wb]
+        dst = (warp.fr if d.fdst else warp.xr)[d.rd]
         if warp._full:
             d.op(src[d.rs1], src[d.rs2], out=dst)
         else:
             np.copyto(dst, d.op(src[d.rs1], src[d.rs2]), where=warp.tmask)
-        (warp.f_ready if d.fdst else warp.x_ready)[d.wb] = now + d.latency
+        warp.scoreboard[d.wb] = now + d.latency
     warp.pc += 4
 
 
@@ -300,10 +302,10 @@ def _v_ri(core, warp, d, now):
     if d.wb >= 0:
         xr = warp.xr
         if warp._full:
-            d.op(xr[d.rs1], d.row, out=xr[d.wb])
+            d.op(xr[d.rs1], d.row, out=xr[d.rd])
         else:
-            np.copyto(xr[d.wb], d.op(xr[d.rs1], d.row), where=warp.tmask)
-        warp.x_ready[d.wb] = now + d.latency
+            np.copyto(xr[d.rd], d.op(xr[d.rs1], d.row), where=warp.tmask)
+        warp.scoreboard[d.wb] = now + d.latency
     warp.pc += 4
 
 
@@ -311,12 +313,12 @@ def _v_un(core, warp, d, now):
     """One source: FPU unary, ``fcvt`` and ``fmv``."""
     if d.wb >= 0:
         src = (warp.fr if d.fsrc else warp.xr)[d.rs1]
-        dst = (warp.fr if d.fdst else warp.xr)[d.wb]
+        dst = (warp.fr if d.fdst else warp.xr)[d.rd]
         if warp._full:
             d.op(src, out=dst)
         else:
             np.copyto(dst, d.op(src), where=warp.tmask)
-        (warp.f_ready if d.fdst else warp.x_ready)[d.wb] = now + d.latency
+        warp.scoreboard[d.wb] = now + d.latency
     warp.pc += 4
 
 
@@ -324,10 +326,10 @@ def _v_const(core, warp, d, now):
     # lui / auipc / jal-link: the written value is static per PC.
     if d.wb >= 0:
         if warp._full:
-            warp.xr[d.wb][...] = d.val
+            warp.xr[d.rd][...] = d.val
         else:
-            warp.xr[d.wb][warp.tmask] = d.val
-        warp.x_ready[d.wb] = now + d.latency
+            warp.xr[d.rd][warp.tmask] = d.val
+        warp.scoreboard[d.wb] = now + d.latency
     warp.pc += 4
 
 
@@ -367,10 +369,10 @@ def _v_csr(core, warp, d, now):
     val = core._read_csr(warp, d.imm)
     if d.wb >= 0:
         if warp._full:
-            warp.xr[d.wb][...] = val
+            warp.xr[d.rd][...] = val
         else:
-            np.copyto(warp.xr[d.wb], val, where=warp.tmask)
-        warp.x_ready[d.wb] = now + d.latency
+            np.copyto(warp.xr[d.rd], val, where=warp.tmask)
+        warp.scoreboard[d.wb] = now + d.latency
     warp.pc += 4
 
 
@@ -388,7 +390,9 @@ def _h_join(core, warp, d, now):
 
 
 def _h_pred(core, warp, d, now):
-    cont = (warp.xr[d.rs1] != 0) & warp.tmask
+    cont = warp.xr[d.rs1] != 0
+    if not warp._full:
+        cont &= warp.tmask
     lanes = np.count_nonzero(cont)
     if lanes:
         warp.tmask = cont
@@ -427,10 +431,10 @@ def _h_printf(core, warp, d, now):
 
 
 def _s_apply(warp, d, now, *srcs):
-    dst = (warp.f if d.fdst else warp.x)[d.wb]
+    dst = (warp.f if d.fdst else warp.x)[d.rd]
     for lane in np.nonzero(warp.tmask)[0]:
         dst[lane] = d.op(*(s[lane:lane + 1] for s in srcs))[0]
-    (warp.f_ready if d.fdst else warp.x_ready)[d.wb] = now + d.latency
+    warp.scoreboard[d.wb] = now + d.latency
 
 
 def _s_rr(core, warp, d, now):
@@ -454,20 +458,20 @@ def _s_un(core, warp, d, now):
 
 def _s_const(core, warp, d, now):
     if d.wb >= 0:
-        dst = warp.x[d.wb]
+        dst = warp.x[d.rd]
         for lane in np.nonzero(warp.tmask)[0]:
             dst[lane] = d.val
-        warp.x_ready[d.wb] = now + d.latency
+        warp.scoreboard[d.wb] = now + d.latency
     warp.pc += 4
 
 
 def _s_csr(core, warp, d, now):
     val = core._read_csr(warp, d.imm)
     if d.wb >= 0:
-        dst = warp.x[d.wb]
+        dst = warp.x[d.rd]
         for lane in np.nonzero(warp.tmask)[0]:
             dst[lane] = val[lane]
-        warp.x_ready[d.wb] = now + d.latency
+        warp.scoreboard[d.wb] = now + d.latency
     warp.pc += 4
 
 
@@ -560,24 +564,24 @@ def decode_one(ins: Instruction, pc: int, config: VortexConfig,
 
 
 def decode_program(program: Program,
-                   config: VortexConfig) -> list[DecodedInstr]:
-    """Decode every static instruction once, indexed by PC."""
+                   config: VortexConfig) -> dict[int, DecodedInstr]:
+    """Decode every static instruction once, keyed by PC."""
     table = SCALAR_TABLE if scalar_path_enabled() else VECTOR_TABLE
     base = program.code_base
-    decoded = [
-        decode_one(ins, base + 4 * i, config, table)
+    code = {
+        base + 4 * i: decode_one(ins, base + 4 * i, config, table)
         for i, ins in enumerate(program.instructions)
-    ]
+    }
     # SPLIT fuses with the following branch; both are static, so the
     # direction sense and target resolve here. A malformed pair keeps
     # ``aux=None`` and the runtime fallback reproduces the original
     # diagnostics (including a split with no successor instruction).
-    for i, d in enumerate(decoded):
-        if d.mnemonic == "split" and i + 1 < len(decoded):
-            nxt = decoded[i + 1]
-            if nxt.mnemonic in ("beq", "bne") and nxt.rs2 == 0:
-                d.aux = (nxt.mnemonic == "beq", nxt.target)
-    return decoded
+    for pc, d in code.items():
+        nxt = code.get(pc + 4)
+        if d.mnemonic == "split" and nxt is not None \
+                and nxt.mnemonic in ("beq", "bne") and nxt.rs2 == 0:
+            d.aux = (nxt.mnemonic == "beq", nxt.target)
+    return code
 
 
 __all__ = [

@@ -4,21 +4,24 @@ The dispatcher models Vortex's work-group scheduling: work-groups are
 assigned to cores as warp-sets (one group occupies ``ceil(local_items /
 T)`` warps on one core and one *slot*, which selects its barrier id and
 local-memory window). Warps halt when their kernel returns; freed warps
-immediately receive the next pending group.
+immediately receive the next pending group. Each core counts its free
+warps (``Core.free_warps``), so a dispatch attempt on a full core costs
+one compare.
 
 The main loop keeps one wake-up horizon per core (``_due``): the
-earliest cycle at which ticking the core can change anything. After an
-issue it is the end of the issue window (``Core.issue_busy_until``);
-after an idle tick it is ``Core.next_change_time``, the earliest cycle
-at which the core's stall classification can change; a dispatch to the
-core pulls it to the next cycle, but never inside a running issue
-window. Each iteration ticks only the cores that are due, then moves the
-clock to the smallest horizon. A core books each idle run once, at its
-stall class, when the run ends (at its next tick or in
-``Core.fold_counters``), and ``instructions``/``cycles_active`` are
-folded from the warps' issue counts, so the counters are those of a
-cycle-by-cycle visit. ``skip_stats["ff_cycles"]`` counts the cycles the
-clock jumped over because no core was due.
+earliest cycle at which ticking the core can change anything, which
+``Core.tick`` returns. After an issue it is the end of the issue window
+(``Core.issue_busy_until``); after an idle tick it is
+``Core.next_change_time``, the earliest cycle at which the core's stall
+classification can change; a dispatch to the core pulls it to the next
+cycle, but never inside a running issue window. Each iteration ticks
+only the cores that are due, then moves the clock to the smallest
+horizon. A core books each idle run once, at its stall class, when the
+run ends (at its next tick or in ``Core.fold_counters``), and
+``instructions``/``cycles_active`` are folded from the warps' issue
+counts, so the counters are those of a cycle-by-cycle visit.
+``skip_stats["ff_cycles"]`` counts the cycles the clock jumped over
+because no core was due.
 
 Set ``REPRO_SIMX_NO_FASTFORWARD=1`` for the per-cycle oracle: the clock
 visits every cycle and ticks every idle core on each of them, whatever
@@ -58,6 +61,14 @@ from .warp import BLOCKED
 
 #: Environment variable selecting the per-cycle oracle loop.
 NO_FASTFORWARD_ENV = "REPRO_SIMX_NO_FASTFORWARD"
+
+#: The dispatcher's warp CSRs as plain ints: an ``int(CSR.X)`` per
+#: dispatched warp costs more than the dict it fills.
+(_GROUP_ID0, _GROUP_ID1, _GROUP_ID2, _LOCAL_OFFSET, _GROUP_SLOT,
+ _GROUP_WARPS, _LOCAL_BASE) = (
+    int(c) for c in (CSR.GROUP_ID0, CSR.GROUP_ID1, CSR.GROUP_ID2,
+                     CSR.LOCAL_OFFSET, CSR.GROUP_SLOT, CSR.GROUP_WARPS,
+                     CSR.LOCAL_BASE))
 
 #: `describe_warp_states` renders at most this many warp lines before
 #: truncating to a summary (huge (C, W) configs must not turn an
@@ -102,8 +113,8 @@ class Machine:
         )
         self.fast_forward = os.environ.get(NO_FASTFORWARD_ENV, "") in ("", "0")
         self.program = None
-        self._decoded: list[DecodedInstr] = []
-        self._code_base = layout.CODE_BASE
+        #: the decoded program keyed by PC (shared with every core).
+        self._code: dict[int, DecodedInstr] = {}
         #: cycles the main loop jumped over (reset per launch).
         self.skip_stats = {"ff_cycles": 0}
         self._group_remaining: dict[int, int] = {}
@@ -141,22 +152,18 @@ class Machine:
         for fmt, addr in image.fmt_table.items():
             raw = fmt.encode() + b"\x00"
             self.memory.write_bytes(addr, raw)
-        # Decode every static instruction once; the issue stage indexes
-        # this list instead of re-decoding per dynamic instruction.
-        self._decoded = decode_program(image.program, self.config)
-        self._code_base = image.program.code_base
+        # Decode every static instruction once; the issue stage looks
+        # each dynamic instruction up by PC instead of re-decoding it.
+        self._code = decode_program(image.program, self.config)
         for core in self.cores:
-            core._decoded = self._decoded
-            core._code_base = self._code_base
+            core._code = self._code
 
     def fetch(self, pc: int) -> DecodedInstr:
-        idx = pc - self._code_base
-        if not idx & 3:
-            idx >>= 2
-            if 0 <= idx < len(self._decoded):
-                return self._decoded[idx]
-        # Out-of-program PC: index_of_pc raises the canonical error.
-        return self._decoded[self.program.index_of_pc(pc)]
+        d = self._code.get(pc)
+        if d is None:
+            # Out-of-program PC: index_of_pc raises the canonical error.
+            self.program.index_of_pc(pc)
+        return d
 
     # ------------------------------------------------------------------
     # Launch.
@@ -175,22 +182,15 @@ class Machine:
                 f"warps (barrier kernel); the configuration has "
                 f"{cfg.warps} per core"
             )
-        # NDRange descriptor for get_*_size queries done via memory.
-        ndr_words = np.array(
-            list(ndrange.global_size) + list(ndrange.local_size)
-            + list(ndrange.num_groups),
-            dtype=np.int32,
-        )
-        self.memory.write_words(layout.NDR_BASE, ndr_words)
-
+        self._set_launch(ndrange)
         self._pending = self._partition_groups(ndrange)
-        self._ndrange = ndrange
         self._groups_dispatched = 0
         self.printf_output.clear()
         self.skip_stats = {"ff_cycles": 0}
-        self._active_warps = sum(
-            1 for core in self.cores for w in core.warps if w.active
-        )
+        for core in self.cores:
+            core.free_warps = sum(not w.active for w in core.warps)
+        self._active_warps = sum(cfg.warps - core.free_warps
+                                 for core in self.cores)
         self._dispatch_blocked = False
         self._due = [0] * len(self.cores)
         if self.profiler.enabled:
@@ -222,14 +222,8 @@ class Machine:
                 "cannot resume a snapshot with profiling or tracing "
                 "enabled (their state is not snapshotted)"
             )
-        ndr_words = np.array(
-            list(ndrange.global_size) + list(ndrange.local_size)
-            + list(ndrange.num_groups),
-            dtype=np.int32,
-        )
-        self.memory.write_words(layout.NDR_BASE, ndr_words)
+        self._set_launch(ndrange)
         verify_resume(self, ndrange, state)
-        self._ndrange = ndrange
         # The pre-restore memory *is* the baseline for further deltas.
         self._ckpt_baseline = self.memory.data.copy()
         self._ckpt_baseline_digest = state["baseline_digest"]
@@ -238,6 +232,28 @@ class Machine:
         if checkpoint is not None:
             checkpoint.note_resumed(int(state["now"]))
         return self._run(int(state["now"]), max_cycles, checkpoint)
+
+    def _set_launch(self, ndrange: NDRange) -> None:
+        """What a launch and a resume of ``ndrange`` share: the NDRange
+        descriptor the kernel's get_*_size queries read from memory,
+        and the dispatch constants — warps per group, the kernel entry
+        and the first-wave mask of each of a group's warps."""
+        ndr_words = np.array(
+            list(ndrange.global_size) + list(ndrange.local_size)
+            + list(ndrange.num_groups),
+            dtype=np.int32,
+        )
+        self.memory.write_words(layout.NDR_BASE, ndr_words)
+        self._ndrange = ndrange
+        self._warps_needed = self._warps_per_group(ndrange)
+        self._entry_pc = self.program.labels[self._image.kernel_name]
+        # The lanes of items k*T.. that exist (wave mode has one warp,
+        # k = 0: its first wave; the kernel's own wave loop re-masks the
+        # later waves).
+        T = self.config.threads
+        lanes = np.arange(T)
+        self._group_masks = [lanes < ndrange.items_per_group - k * T
+                             for k in range(self._warps_needed)]
 
     def _arm_checkpoint(self, ckpt) -> None:
         """Record the post-marshal baselines snapshots delta against."""
@@ -286,10 +302,7 @@ class Machine:
                     # The oracle ticks an idle core before its horizon.
                     if due[i] > now and (ff or now < core.issue_busy_until):
                         continue
-                    if core.tick(now):
-                        due[i] = core.issue_busy_until
-                    else:
-                        due[i] = core.next_change_time(now)
+                    due[i] = core.tick(now)
                 if pending and not self._dispatch_blocked:
                     self._try_dispatch(now)
                 if profiling:
@@ -519,49 +532,38 @@ class Machine:
 
     def _try_dispatch(self, now: int) -> None:
         cfg = self.config
-        ndr = self._ndrange
-        ipg = ndr.items_per_group
-        warps_needed = self._warps_per_group(ndr)
+        need = self._warps_needed
+        pending = self._pending
         ncores = cfg.cores
         stuck = 0
-        while self._pending and stuck < ncores:
+        while pending and stuck < ncores:
             core = self.cores[self._dispatch_cursor % ncores]
             self._dispatch_cursor += 1
-            free_warps = [w for w in core.warps if not w.active]
-            free_slots = [s for s, ok in enumerate(self._slot_free[core.cid])
-                          if ok]
-            if len(free_warps) < warps_needed or not free_slots:
+            # Room for ``need`` warps implies a free slot: every held
+            # slot's group still runs one of the core's other warps.
+            if core.free_warps < need:
                 stuck += 1
                 continue
             stuck = 0
-            group = self._pending.pop(0)
-            slot = free_slots[0]
-            self._slot_free[core.cid][slot] = False
+            group = pending.pop(0)
+            slots = self._slot_free[core.cid]
+            slot = slots.index(True)
+            slots[slot] = False
             key = self._next_group_key
             self._next_group_key += 1
-            self._group_remaining[key] = warps_needed
+            self._group_remaining[key] = need
             self._group_slot[key] = (core.cid, slot)
             if self.profiler.enabled:
-                self._profile_dispatch(now, key, group, core, slot,
-                                       warps_needed)
-            local_base = layout.local_window(core.cid, slot, cfg.warps)
-            entry_pc = self.program.labels[self._image.kernel_name]
-            for k in range(warps_needed):
-                warp = free_warps[k]
-                csrs = {
-                    int(CSR.GROUP_ID0): group[0],
-                    int(CSR.GROUP_ID1): group[1],
-                    int(CSR.GROUP_ID2): group[2],
-                    int(CSR.LOCAL_OFFSET): k * cfg.threads,
-                    int(CSR.GROUP_SLOT): slot,
-                    int(CSR.GROUP_WARPS): warps_needed,
-                    int(CSR.LOCAL_BASE): local_base,
-                }
-                # The lanes of items k*T.. that exist (wave mode has one
-                # warp, k = 0: its first wave; the kernel's own wave
-                # loop re-masks the later waves).
-                tmask = np.zeros(cfg.threads, dtype=bool)
-                tmask[:ipg - k * cfg.threads] = True
+                self._profile_dispatch(now, key, group, core, slot, need)
+            csrs = {_GROUP_ID0: group[0], _GROUP_ID1: group[1],
+                    _GROUP_ID2: group[2], _GROUP_SLOT: slot,
+                    _GROUP_WARPS: need,
+                    _LOCAL_BASE: layout.local_window(core.cid, slot,
+                                                     cfg.warps)}
+            free = (w for w in core.warps if not w.active)
+            for k, mask in enumerate(self._group_masks):
+                warp = next(free)
+                csrs[_LOCAL_OFFSET] = k * cfg.threads
                 sp = self._sp_rows.get((core.cid, warp.wid))
                 if sp is None:
                     first = (core.cid * cfg.warps + warp.wid) * cfg.threads
@@ -569,20 +571,22 @@ class Machine:
                                    for lane in range(cfg.threads)],
                                   dtype=np.int32)
                     self._sp_rows[core.cid, warp.wid] = sp
-                warp.reset_for_group(entry_pc, tmask, csrs, sp)
+                warp.reset_for_group(self._entry_pc, mask, csrs, sp)
                 warp.ready_at = now + 1
                 warp.group_key = key
-            self._active_warps += warps_needed
+            core.free_warps -= need
+            self._active_warps += need
             self._groups_dispatched += 1
             # New warps wake the core next cycle, after any issue window.
             self._due[core.cid] = max(now + 1, core.issue_busy_until)
         # Loop exited either because nothing is pending or because a
         # full scan found no room; in the latter case skip further
         # attempts until a warp halts (nothing else frees capacity).
-        self._dispatch_blocked = bool(self._pending)
+        self._dispatch_blocked = bool(pending)
 
     def on_warp_halt(self, core: Core, warp, now: int = 0) -> None:
         self._active_warps -= 1
+        core.free_warps += 1
         self._dispatch_blocked = False
         key = warp.group_key
         if key is None:
@@ -598,6 +602,7 @@ class Machine:
 
     def on_warp_spawn(self, core: Core, warp, now: int = 0) -> None:
         self._active_warps += 1
+        core.free_warps -= 1
 
 
 _DEVICE_PID = 0

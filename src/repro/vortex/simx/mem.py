@@ -2,8 +2,11 @@
 
 One :class:`Memory` instance backs the whole device (all cores share it,
 as on the real board). The runtime uses the byte-level helpers to load
-code, arguments and buffers; the cores use the word-vector gather/scatter
-paths, which are numpy-vectorised across warp lanes.
+code, arguments and buffers; atomics and ``printf`` use the scalar word
+helpers. A core's LSU checks a warp's lane addresses in the same pass
+that groups them by cache line (``Core._lsu_lines``, which defers to
+:meth:`Memory._check_word` for the diagnostics), then gathers and
+scatters whole lane rows through the ``words``/``floats`` views.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ class Memory:
     def __init__(self, size: int = layout.MEM_SIZE):
         self.size = size
         self.data = np.zeros(size, dtype=np.uint8)
-        self._words = self.data.view(np.int32)
-        self._floats = self.data.view(np.float32)
+        #: word views of ``data``, indexed by word (byte address >> 2).
+        self.words = self.data.view(np.int32)
+        self.floats = self.data.view(np.float32)
 
     # -- host/runtime byte access ---------------------------------------
 
@@ -41,12 +45,12 @@ class Memory:
         # Scalar fast path: skip the vector-check array allocation.
         if addr < 0 or addr + 4 > self.size or addr & 3:
             self._check_word(np.array([addr]))  # raises the right trap
-        return int(self._words[addr >> 2])
+        return int(self.words[addr >> 2])
 
     def write_word(self, addr: int, value: int) -> None:
         if addr < 0 or addr + 4 > self.size or addr & 3:
             self._check_word(np.array([addr]))
-        self._words[addr >> 2] = np.int32(value & 0xFFFFFFFF if value >= 0
+        self.words[addr >> 2] = np.int32(value & 0xFFFFFFFF if value >= 0
                                           else value)
 
     def read_cstring(self, addr: int, limit: int = 4096) -> str:
@@ -57,24 +61,6 @@ class Memory:
             raise TrapError(f"unterminated string at {addr:#x}")
         return chunk[: nul[0]].tobytes().decode("utf-8", errors="replace")
 
-    # -- lane-vector access ----------------------------------------------
-
-    def gather_i32(self, addrs: np.ndarray) -> np.ndarray:
-        self._check_lanes(addrs)
-        return self._words[addrs >> 2]
-
-    def gather_f32(self, addrs: np.ndarray) -> np.ndarray:
-        self._check_lanes(addrs)
-        return self._floats[addrs >> 2]
-
-    def scatter_i32(self, addrs: np.ndarray, values: np.ndarray) -> None:
-        self._check_lanes(addrs)
-        self._words[addrs >> 2] = values
-
-    def scatter_f32(self, addrs: np.ndarray, values: np.ndarray) -> None:
-        self._check_lanes(addrs)
-        self._floats[addrs >> 2] = values
-
     # -- checks -----------------------------------------------------------
 
     def _check_range(self, addr: int, length: int) -> None:
@@ -84,34 +70,17 @@ class Memory:
                 f"device memory of {self.size:#x} bytes"
             )
 
-    def _check_lanes(self, addrs: np.ndarray) -> None:
-        """Word-access check for lane vectors (at most 32 entries): a
-        plain Python pass beats three ufunc reductions at that size.
-        Same diagnostics as :meth:`_check_word` — range errors first,
-        first offending lane reported."""
-        if len(addrs) > 64:
-            self._check_word(addrs)
-            return
-        size = self.size
-        alist = addrs.tolist()
-        for a in alist:
-            if a < 0 or a + 4 > size:
-                raise TrapError(f"memory access at {a:#x} out of range")
-        for a in alist:
-            if a & 3:
-                raise TrapError(f"unaligned word access at {a:#x}")
-
     def _check_word(self, addrs: np.ndarray) -> None:
+        """Trap on the first bad lane of a word-address row, range
+        errors taking priority over alignment; return when every lane
+        is a valid word address."""
         addrs_u = addrs if addrs.dtype == np.int64 else addrs.astype(np.int64)
         if len(addrs_u) == 0:
             return
-        # Fast path: one min/max pass instead of three boolean reductions.
         lo = int(addrs_u.min())
         hi = int(addrs_u.max())
         if lo >= 0 and hi + 4 <= self.size and not (addrs_u & 3).any():
             return
-        # Slow path: reproduce the original diagnostics (range errors
-        # take priority over alignment, first offending lane reported).
         if lo < 0 or hi + 4 > self.size:
             bad = addrs_u[(addrs_u < 0) | (addrs_u + 4 > self.size)][0]
             raise TrapError(f"memory access at {int(bad):#x} out of range")

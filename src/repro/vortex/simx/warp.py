@@ -6,9 +6,12 @@ the not-taken side, JOIN pops — the taken path runs first, then the warp
 is redirected to the not-taken path, then the original mask is restored
 at the reconvergence point.
 
-The scoreboards (``x_ready``/``f_ready``) are plain Python lists: the
-issue stage reads a handful of entries per cycle and numpy scalar
-indexing costs more than it saves at that access pattern.
+The scoreboard is one plain Python list of 64 entries, x0–x31 then
+f0–f31 (decode numbers an f register ``32 + r``), so an instruction's
+sources are one index tuple and its writeback one index whichever
+files they name. The issue stage reads a handful of entries per cycle,
+and numpy scalar indexing costs more than it saves at that access
+pattern.
 
 ``Warp._full`` is the one execution-shape flag: it is kept in sync with
 every thread-mask write, and the decoded handlers use it to choose
@@ -69,9 +72,9 @@ class Warp:
         #: ``BLOCKED`` whenever the warp is inactive or parked at a
         #: barrier, so the issue scan needs only this one comparison.
         self.ready_at = BLOCKED
-        #: scoreboard: cycle each register's value becomes available.
-        self.x_ready = [0] * 32
-        self.f_ready = [0] * 32
+        #: scoreboard: cycle each register's value becomes available,
+        #: x0–x31 then f0–f31.
+        self.scoreboard = [0] * 64
         #: True while every lane is active — kept in sync at each tmask
         #: write so handlers can take unmasked (whole-row) fast paths.
         self._full = False
@@ -88,8 +91,8 @@ class Warp:
         #: counter, and what validates the LSU replay memo below.
         self._iseq = 0
         #: memoized address/line computation for a load being replayed:
-        #: (iseq, pc, active_addrs, lanes, items). Valid only when the
-        #: very next issue of this warp is the same load at the same pc.
+        #: (iseq, pc, addrs, items). Valid only when the very next issue
+        #: of this warp is the same load at the same pc.
         self._lsu_replay: tuple | None = None
         #: per-lane bit weights for tmask <-> integer conversions.
         self._lane_bits = 1 << np.arange(num_threads, dtype=np.int64)
@@ -112,8 +115,7 @@ class Warp:
         self.active = True
         self.at_barrier = False
         self.ready_at = 0
-        self.x_ready = [0] * 32
-        self.f_ready = [0] * 32
+        self.scoreboard = [0] * 64
         self.ipdom.clear()
         self.csrs = dict(csrs)
         self.csr_cache = {}

@@ -7,13 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError, TrapError
+from repro.vortex import layout
 from repro.vortex.isa import Instruction
 from repro.vortex.simx.cache import Cache
 from repro.vortex.simx.config import DDR4_DRAM, HBM2_DRAM, VortexConfig
 from repro.vortex.simx.core import instr_meta
+from repro.vortex.simx.decode import VECTOR_TABLE, decode_one
 from repro.vortex.simx.dram import DRAM
+from repro.vortex.simx.machine import Machine
 from repro.vortex.simx.mem import Memory
 from repro.vortex.simx.warp import Warp
+
+
+def _lsu_warp(threads, addrs, mask=None):
+    """Core 0 of a one-warp machine, and its warp issuing with lane
+    byte addresses ``addrs`` in x6 (``mask``: the active lanes)."""
+    machine = Machine(VortexConfig(cores=1, warps=1, threads=threads))
+    core = machine.cores[0]
+    warp = core.warps[0]
+    mask = np.ones(threads, dtype=bool) if mask is None else mask
+    warp.reset_for_group(0x1000, mask, {}, np.zeros(threads, np.int32))
+    warp.x[6] = addrs
+    return core, warp
+
+
+def _issue(core, warp, mnemonic, rd=5, rs2=7, imm=0):
+    """Run one LSU handler as the issue stage would."""
+    d = decode_one(Instruction(mnemonic, rd=rd, rs1=6, rs2=rs2, imm=imm),
+                   warp.pc, core.config, VECTOR_TABLE)
+    d.handler(core, warp, d, 0)
 
 
 class TestMemory:
@@ -23,29 +45,33 @@ class TestMemory:
         assert mem.read_word(128) == -42
 
     def test_gather_scatter_i32(self):
-        mem = Memory(size=4096)
-        addrs = np.array([0, 8, 16], dtype=np.int64)
-        mem.scatter_i32(addrs, np.array([1, 2, 3], dtype=np.int32))
-        np.testing.assert_array_equal(mem.gather_i32(addrs), [1, 2, 3])
+        core, warp = _lsu_warp(4, [0, 8, 16, 64])
+        warp.x[7] = [1, 2, 3, -4]
+        _issue(core, warp, "sw")
+        _issue(core, warp, "lw")
+        np.testing.assert_array_equal(warp.x[5], [1, 2, 3, -4])
 
     def test_gather_f32_bit_faithful(self):
-        mem = Memory(size=4096)
-        vals = np.array([1.5, -2.25, 3e-8], dtype=np.float32)
-        addrs = np.array([4, 8, 12], dtype=np.int64)
-        mem.scatter_f32(addrs, vals)
-        np.testing.assert_array_equal(mem.gather_f32(addrs), vals)
+        vals = np.array([1.5, -2.25, 3e-8, -0.0], dtype=np.float32)
+        core, warp = _lsu_warp(4, [4, 8, 12, 4096])
+        warp.f[7] = vals
+        _issue(core, warp, "fsw")
+        _issue(core, warp, "flw")
+        np.testing.assert_array_equal(warp.f[5].view(np.int32),
+                                      vals.view(np.int32))
 
     def test_unaligned_access_traps(self):
-        mem = Memory(size=4096)
+        core, warp = _lsu_warp(1, [2])
         with pytest.raises(TrapError, match="unaligned"):
-            mem.gather_i32(np.array([2], dtype=np.int64))
+            _issue(core, warp, "lw")
 
     def test_out_of_range_traps(self):
         mem = Memory(size=4096)
         with pytest.raises(TrapError, match="out of range"):
             mem.read_word(4096)
+        core, warp = _lsu_warp(1, [-4])
         with pytest.raises(TrapError):
-            mem.gather_i32(np.array([-4], dtype=np.int64))
+            _issue(core, warp, "lw")
 
     def test_cstring(self):
         mem = Memory(size=4096)
@@ -57,6 +83,68 @@ class TestMemory:
         mem.write_bytes(0, b"\x01" * 256)
         with pytest.raises(TrapError, match="unterminated"):
             mem.read_cstring(0)
+
+
+def _lsu_rows(threads, rng):
+    """Lane address rows: all valid, then out-of-range (negative, past
+    the end, straddling the end) and unaligned lanes at the first,
+    middle and last lane, alone, both kinds in one row in either order,
+    and at random; also the last valid word, alone."""
+    size = layout.MEM_SIZE
+    out_of_range = (-4, -1, size, size - 2, 2**31 - 4)
+    good = layout.HEAP_BASE + 4 * np.arange(threads)
+    rows = [good]
+    spots = sorted({0, threads // 2, threads - 1})
+    for p in spots:
+        for value in out_of_range + (good[p] + 1, good[p] + 2, size - 4):
+            row = good.copy()
+            row[p] = value
+            rows.append(row)
+    for p, q in ((0, threads - 1), (threads - 1, 0), (0, threads // 2)):
+        if p != q:
+            for first, second in ((size + 8, 6), (6, -8)):
+                row = good.copy()
+                row[p], row[q] = first, second
+                rows.append(row)
+    for _ in range(12):
+        row = good.copy()
+        for p in rng.choice(threads, rng.integers(1, threads + 1),
+                            replace=False):
+            row[p] = rng.choice([rng.choice(out_of_range),
+                                 good[p] + rng.integers(1, 4),
+                                 good[p]])
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("threads", [1, 4, 16])
+@pytest.mark.parametrize("mnemonic", ["lw", "flw", "sw", "fsw"])
+def test_lsu_trap_text_matches_check_word(mnemonic, threads):
+    """A load or store traps at issue with the text Memory._check_word
+    gives for the row of active lanes' addresses, full mask or partial,
+    and a row of valid lanes does not trap."""
+    rng = np.random.default_rng(threads)
+    for imm in (0, 4):
+        for row in _lsu_rows(threads, rng):
+            masks = [np.ones(threads, dtype=bool)]
+            if threads > 1:
+                masks += [np.arange(threads) % 2 == 0,
+                          rng.random(threads) < 0.5]
+            for mask in masks:
+                core, warp = _lsu_warp(threads, row - imm, mask)
+                active = warp.x[6][mask].astype(np.int64) + imm
+                try:
+                    core.machine.memory._check_word(active)
+                    expected = None
+                except TrapError as exc:
+                    expected = str(exc)
+                where = f"{mnemonic} T={threads} row={row} mask={mask}"
+                if expected is None:
+                    _issue(core, warp, mnemonic, imm=imm)
+                    continue
+                with pytest.raises(TrapError) as caught:
+                    _issue(core, warp, mnemonic, imm=imm)
+                assert str(caught.value) == expected, where
 
 
 class TestDRAM:

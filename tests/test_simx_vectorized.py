@@ -244,15 +244,15 @@ def test_decode_cache_covers_program(program):
     machine = Machine(CONFIG)
     machine.load_image(image)
     base = machine.program.code_base
-    assert len(machine._decoded) == len(machine.program.instructions)
-    for i, d in enumerate(machine._decoded):
+    assert len(machine._code) == len(machine.program.instructions)
+    for i in range(len(machine.program.instructions)):
         pc = base + 4 * i
+        d = machine._code[pc]
         assert machine.fetch(pc) is d
         assert machine.cores[0]._fetch(pc) is d
         assert d.pc == pc
     for core in machine.cores:
-        assert core._decoded is machine._decoded
-        assert core._code_base == base
+        assert core._code is machine._code
 
 
 @given(programs())
@@ -305,8 +305,7 @@ def _random_warp(rng, threads):
                   else rng.random(threads) < 0.5)
     warp.tmask[rng.integers(threads)] = True  # a warp issues with a lane
     warp._full = bool(warp.tmask.all())
-    warp.x_ready = rng.integers(0, 50, 32).tolist()
-    warp.f_ready = rng.integers(0, 50, 32).tolist()
+    warp.scoreboard = rng.integers(0, 50, 64).tolist()
     warp.pc = 0x1000
     warp.bind_rows()
     return warp
@@ -341,7 +340,8 @@ def test_every_compute_handler_matches_scalar_reference(mnemonic):
             np.testing.assert_array_equal(vec.x, sca.x, err_msg=where)
             np.testing.assert_array_equal(
                 vec.f.view(np.int32), sca.f.view(np.int32), err_msg=where)
-            assert vec.x_ready == sca.x_ready, where
-            assert vec.f_ready == sca.f_ready, where
+            assert vec.scoreboard == sca.scoreboard, where
+            if dv.wb >= 0:
+                assert vec.scoreboard[dv.wb] == 7 + dv.latency, where
             assert vec.pc == sca.pc == 0x1004
             assert (vec.x[0] == 0).all()
