@@ -9,7 +9,6 @@ from .suite import (
     Benchmark,
     BenchmarkResult,
     all_benchmarks,
-    coverage_row,
     get_benchmark,
     run_benchmark,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "Benchmark",
     "BenchmarkResult",
     "all_benchmarks",
-    "coverage_row",
     "get_benchmark",
     "run_benchmark",
 ]

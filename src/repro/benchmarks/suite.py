@@ -11,8 +11,7 @@ exposing the same contract:
 * ``reference(wl)`` — a numpy golden model.
 
 ``run_benchmark`` compiles and executes one benchmark on one backend and
-validates outputs against the reference; ``coverage_row`` reduces that to
-the pass/fail cell of Table I.
+validates outputs against the reference.
 """
 
 from __future__ import annotations
@@ -169,15 +168,3 @@ def run_benchmark(
             result.detail = failure
     return result
 
-
-def coverage_row(bench: Benchmark | str, backend: DeviceBackend,
-                 scale: int = 1) -> tuple[bool, str]:
-    """(passed, reason) — one cell of Table I."""
-    result = run_benchmark(bench, backend, scale=scale)
-    if result.ok:
-        return True, ""
-    if result.fail_reason == "bram":
-        return False, "Not enough BRAM"
-    if result.fail_reason == "atomics":
-        return False, "Atomics"
-    return False, result.detail or result.status

@@ -35,7 +35,6 @@ The flat "rank the grid, simulate the top K" baseline that
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -329,13 +328,13 @@ def explore_design_space(
 
     ``profiler`` (optional) records the exploration itself: counters for
     enumerated/feasible/rejected/frontier points and wall-clock spans
-    around the screen.
+    around the screen and the confirmation, which
+    :attr:`DSEResult.screen_seconds` and ``confirm_seconds`` read.
     """
     base = base or VortexConfig()
     prof = ensure_profiler(profiler)
     result = DSEResult(device=device)
-    screen_started = time.perf_counter()
-    with prof.span("dse: screen", cat="dse"):
+    with prof.span("dse: screen", cat="dse") as screen:
         for c in core_counts:
             for w in warp_sizes:
                 for t in thread_sizes:
@@ -365,7 +364,7 @@ def explore_design_space(
                                   prediction=prediction))
         for cand in pareto_frontier(result.candidates):
             cand.on_frontier = True
-    result.screen_seconds = time.perf_counter() - screen_started
+    result.screen_seconds = screen.seconds
     if prof.enabled:
         prof.count("dse.frontier", len(result.frontier))
 
@@ -386,21 +385,22 @@ def explore_design_space(
     if not to_confirm:
         return result
 
-    confirm_started = time.perf_counter()
-    if engine is None:
-        engine = ExperimentEngine(profiler=profiler)
-    keys = (None if simulate_key is None
-            else [simulate_key(cand.config) for cand in to_confirm])
-    values = engine.run(simulate, [(cand.config,) for cand in to_confirm],
-                        keys=keys, label="dse verify")
-    for cand, value in zip(to_confirm, values):
-        if isinstance(value, PointFailure):
-            cand.sim_error = f"ERROR({value.exc_type})"
-        else:
-            cand.simulated_cycles = value["cycles"]
-    if prof.enabled:
-        prof.count("dse.simulated", len(to_confirm))
-    result.confirm_seconds = time.perf_counter() - confirm_started
+    with prof.span("dse: confirm", cat="dse") as confirm:
+        if engine is None:
+            engine = ExperimentEngine(profiler=profiler)
+        keys = (None if simulate_key is None
+                else [simulate_key(cand.config) for cand in to_confirm])
+        values = engine.run(simulate,
+                            [(cand.config,) for cand in to_confirm],
+                            keys=keys, label="dse verify")
+        for cand, value in zip(to_confirm, values):
+            if isinstance(value, PointFailure):
+                cand.sim_error = f"ERROR({value.exc_type})"
+            else:
+                cand.simulated_cycles = value["cycles"]
+        if prof.enabled:
+            prof.count("dse.simulated", len(to_confirm))
+    result.confirm_seconds = confirm.seconds
     return result
 
 

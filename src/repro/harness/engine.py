@@ -42,25 +42,32 @@ mid-campaign. Fault tolerance is built in:
   died, not from zero (failures are never cached: a re-run retries
   them).
 
-Failure payloads are produced by the same wrapper
-(:func:`_call_point`) whether the point ran inline or in a worker, so a
-serial and a parallel run of the same fault plan yield **identical**
-``PointFailure`` payloads. Fault injection for tests hooks in at the
-same wrapper via :mod:`repro.harness.faults` (``REPRO_FAULT_PLAN``),
-which spawned workers inherit through the environment.
+One scheduling loop runs every point, and whether an attempt runs
+inline or on the pool only decides *where* it runs. Either way the
+attempt is made by the same wrapper (:func:`_call_point`) and its
+outcome settled by the same code — commit, uncharged preemption
+requeue, retry with backoff, or finalise — so an inline and a pooled
+run of the same fault plan yield **identical** results,
+``PointFailure`` payloads and :class:`EngineStats` counters. A retried
+or requeued point goes back to the head of the queue, so an inline run
+settles it before it starts the next point. Fault injection for tests
+hooks in at the same wrapper via :mod:`repro.harness.faults`
+(``REPRO_FAULT_PLAN``), which spawned workers inherit through the
+environment.
 
-Point functions must be **module-level callables with picklable
-arguments** — the engine uses the ``spawn`` start method so
-workers import a fresh interpreter (fork-safety with numpy/BLAS thread
-pools is not assumed), which is also what CI runners and macOS default
-to. With ``jobs=1`` everything runs inline in the calling process and
-no pickling is required, which keeps closures (e.g. test fakes) usable
-in the serial path. Inline execution cannot preempt a hung point, so
-there ``point_timeout`` is enforced *post hoc*: an overrunning point is
-recorded as the same ``PointTimeout`` failure, after it returns.
+Attempts run inline in the calling process under ``jobs=1``, and for a
+lone point without a watchdog; no pickling is required there, which
+keeps closures (e.g. test fakes) usable. Inline execution cannot
+preempt a hung point, so there ``point_timeout`` is enforced *post
+hoc*: an overrunning point is recorded as the same ``PointTimeout``
+failure, after it returns. Pooled point functions must be
+**module-level callables with picklable arguments** — the engine uses
+the ``spawn`` start method so workers import a fresh interpreter
+(fork-safety with numpy/BLAS thread pools is not assumed), which is
+also what CI runners and macOS default to.
 
 Execution policy lives only on the engine: every harness runner takes
-the caller's engine as ``engine=`` and otherwise runs on the serial,
+the caller's engine as ``engine=`` and otherwise runs on the inline,
 fail-fast engine of :func:`default_engine`.
 
 Profiling composes per point, not per engine: a profiled point function
@@ -125,7 +132,8 @@ def resolve_jobs(jobs: int | None) -> int:
 
 @dataclass
 class EngineStats:
-    """Bookkeeping summed over every run of one engine."""
+    """The engine's one record of its runs, summed over every run; the
+    profiler's ``engine.<label>.*`` counters are folded from it."""
 
     jobs: int = 1
     points: int = 0
@@ -140,6 +148,7 @@ class EngineStats:
     #: cooperative preemptions requeued for resume (never charged as
     #: retries: the point snapshotted its progress and yielded).
     preempted: int = 0
+    #: summed durations of the runs' ``engine:`` profiler spans.
     wall_s: float = 0.0
     cache_dir: str = ""
 
@@ -166,21 +175,22 @@ class _Point:
     args: tuple
     key: str | None = None
     value: Any = None
-    cached: bool = False
     #: fault-injection / diagnostics site name ("<label>#<index>").
     site: str = ""
-    #: attempts made so far (submissions, serial or parallel).
+    #: attempts made so far (inline or on the pool).
     attempts: int = 0
     #: True once the point was finalised as a PointFailure.
     failed: bool = False
-    #: True once the run's ``on_result`` hook saw this point.
-    notified: bool = False
     #: highest simulated cycle a preemption snapshot of this point
     #: reported; a requeue is only free while this strictly advances.
     last_preempt_cycle: int = -1
 
 
 _OK, _ERR = "ok", "err"
+
+#: the :class:`EngineStats` counters a live profiler mirrors, per run,
+#: as ``engine.<label>.<name>``.
+_MIRRORED = ("points", "cache_hits", "executed", "failed")
 
 
 def _failure_payload(exc: BaseException) -> dict:
@@ -221,10 +231,10 @@ def _noop() -> None:
 def _call_point(fn: Callable[..., Any], args: tuple, site: str):
     """One attempt at one point, with structured failure capture.
 
-    Runs in the worker process under ``jobs > 1`` and inline otherwise,
-    so a failing point serialises to the same ``("err", payload)``
-    either way — same exception type, message and traceback, which is
-    what makes serial and parallel failure results byte-identical.
+    Runs in a worker process or inline, so a failing point serialises
+    to the same ``("err", payload)`` either way — same exception type,
+    message and traceback, which is what makes inline and pooled
+    failure results byte-identical.
     """
     try:
         if os.environ.get(FAULT_PLAN_ENV):
@@ -242,8 +252,9 @@ class ExperimentEngine:
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` runs inline (no pool, no pickling),
-        ``0`` means one per CPU.
+        Worker processes; ``1`` runs every attempt inline (no pool, no
+        pickling), ``0`` means one per CPU. This only decides where an
+        attempt runs: one scheduling loop settles every attempt.
     cache:
         Optional :class:`ResultCache`. Points that provide a cache key
         are looked up before execution and committed incrementally the
@@ -387,38 +398,8 @@ class ExperimentEngine:
         """
         if keys is not None and len(keys) != len(points):
             raise ValueError("keys must parallel points")
-        started = time.perf_counter()
-        prof = self.profiler
-        work = [
-            _Point(index=i, args=tuple(p),
-                   key=None if keys is None else keys[i],
-                   site=f"{label}#{i}")
-            for i, p in enumerate(points)
-        ]
-        self.stats.points += len(work)
-
-        def notify(point: _Point) -> None:
-            """Stream a finalised point to ``on_result`` exactly once."""
-            if on_result is not None and not point.notified:
-                point.notified = True
-                on_result(point.index, point.value)
-
-        pending: list[_Point] = []
-        for point in work:
-            value = MISS
-            if self.cache is not None and point.key is not None:
-                value = self.cache.get(point.key)
-            if value is MISS:
-                pending.append(point)
-            else:
-                point.value = value
-                point.cached = True
-                notify(point)
-        self.stats.cache_hits += len(work) - len(pending)
-        if prof.enabled:
-            prof.count(f"engine.{label}.points", len(work))
-            prof.count(f"engine.{label}.cache_hits",
-                       len(work) - len(pending))
+        stats = self.stats
+        before = [getattr(stats, name) for name in _MIRRORED]
 
         def commit(point: _Point) -> None:
             """Incremental cache commit: store a completed point the
@@ -428,25 +409,43 @@ class ExperimentEngine:
             if (self.cache is not None and point.key is not None
                     and not point.failed):
                 self.cache.put(point.key, point.value)
-                self.stats.cache_stores += 1
-            notify(point)
+                stats.cache_stores += 1
+            if on_result is not None:
+                on_result(point.index, point.value)
 
-        failed_before = self.stats.failed
+        work: list[_Point] = []
         try:
-            with prof.span(
-                    f"engine: {label} ({len(pending)} of {len(work)})",
-                    cat="engine"):
-                if pending:
-                    self._execute(fn, pending, commit, label)
+            with self.profiler.span(f"engine: {label}",
+                                    cat="engine") as span:
+                work = [
+                    _Point(index=i, args=tuple(p),
+                           key=None if keys is None else keys[i],
+                           site=f"{label}#{i}")
+                    for i, p in enumerate(points)
+                ]
+                stats.points += len(work)
+                pending: list[_Point] = []
+                for point in work:
+                    value = MISS
+                    if self.cache is not None and point.key is not None:
+                        value = self.cache.get(point.key)
+                    if value is MISS:
+                        pending.append(point)
+                    else:
+                        point.value = value
+                        if on_result is not None:
+                            on_result(point.index, value)
+                stats.cache_hits += len(work) - len(pending)
+                span.name = f"engine: {label} ({len(pending)} of {len(work)})"
+                self._execute(fn, pending, commit, label)
         finally:
-            self.stats.executed += sum(
-                1 for p in pending if p.attempts > 0)
-            self.stats.wall_s += time.perf_counter() - started
-        if prof.enabled:
-            prof.count(f"engine.{label}.executed", len(pending))
-            failures = self.stats.failed - failed_before
-            if failures:
-                prof.count(f"engine.{label}.failed", failures)
+            stats.executed += sum(1 for p in work if p.attempts > 0)
+            stats.wall_s += span.seconds
+            prof = self.profiler
+            if prof.enabled:
+                for name, old in zip(_MIRRORED, before):
+                    prof.count(f"engine.{label}.{name}",
+                               getattr(stats, name) - old)
         return [point.value for point in work]
 
     # -- failure plumbing --------------------------------------------------
@@ -490,96 +489,67 @@ class ExperimentEngine:
         if not self.keep_going:
             raise ExperimentAborted(label, point.value)
 
-    def _handle_error(self, point: _Point, payload: dict,
-                      retry_queue: deque, label: str) -> None:
-        """Retry ``point`` (onto ``retry_queue``) if it has attempts
-        left, else finalise it as a failure. A forward-progress
-        preemption is requeued without charging an attempt — resuming
-        from a snapshot is scheduling, not failure recovery."""
-        if self._note_preempt(point, payload):
-            retry_queue.append(point)
-            return
-        if point.attempts > self.retries:
-            self._finalize_failure(point, payload, label)
-        else:
-            self.stats.retried += 1
-            retry_queue.append(point)
-
-    # -- execution backends ------------------------------------------------
+    # -- the scheduling loop -----------------------------------------------
 
     def _execute(self, fn: Callable[..., Any], pending: list[_Point],
                  commit: Callable[[_Point], None], label: str) -> None:
-        # A single point normally runs inline (no pool spin-up), but a
+        """Run ``pending`` to completion: ``submit`` decides where each
+        attempt runs and ``settle`` what its outcome does."""
+        timeout = self.point_timeout
+        # A lone point normally runs inline (no pool spin-up), but a
         # watchdog timeout needs a worker it can actually cancel.
-        if self.jobs <= 1 or (len(pending) <= 1
-                              and self.point_timeout is None):
-            self._execute_serial(fn, pending, commit, label)
-        else:
-            self._execute_parallel(fn, pending, commit, label)
-
-    def _execute_serial(self, fn: Callable[..., Any],
-                        pending: list[_Point],
-                        commit: Callable[[_Point], None],
-                        label: str) -> None:
-        for point in pending:
-            payload: dict | None = None
-            resumed = False
-            while True:
-                point.attempts += 1
-                if point.attempts > 1 and not resumed:
-                    self.stats.retried += 1
-                    self._sleep_backoff(point.attempts)
-                resumed = False
-                started = time.monotonic()
-                status, value = _call_point(fn, point.args, point.site)
-                elapsed = time.monotonic() - started
-                if status == _OK and (self.point_timeout is None
-                                      or elapsed <= self.point_timeout):
-                    point.value = value
-                    payload = None
-                    break
-                # inline timeouts are post hoc (no preemption without a
-                # pool) but record the same payload a parallel watchdog
-                # cancellation would.
-                payload = (value if status == _ERR
-                           else _timeout_payload(self.point_timeout))
-                if self._note_preempt(point, payload):
-                    # re-run immediately: the next attempt resumes from
-                    # the snapshot the preemption just wrote, uncharged.
-                    payload = None
-                    resumed = True
-                    continue
-                if point.attempts > self.retries:
-                    break
-            if payload is not None:
-                self._finalize_failure(point, payload, label)
-            commit(point)
-
-    def _execute_parallel(self, fn: Callable[..., Any],
-                          pending: list[_Point],
-                          commit: Callable[[_Point], None],
-                          label: str) -> None:
+        inline = self.jobs <= 1 or (len(pending) <= 1 and timeout is None)
         waiting: deque[_Point] = deque(pending)
         #: crash suspects, re-run one at a time to isolate the culprit.
         solo: deque[_Point] = deque()
         inflight: dict = {}
         deadlines: dict = {}
 
+        def settle(point: _Point, status: str, value: Any,
+                   queue: deque = waiting) -> None:
+            """Every attempt's outcome: commit a success; requeue a
+            forward-progress preemption uncharged, or a failure with
+            attempts left after its backoff, at the head of ``queue``;
+            else finalise the failure (which raises under fail-fast)."""
+            if status == _ERR:
+                if self._note_preempt(point, value):
+                    queue.appendleft(point)
+                    return
+                if point.attempts <= self.retries:
+                    self.stats.retried += 1
+                    self._sleep_backoff(point.attempts + 1)
+                    queue.appendleft(point)
+                    return
+                self._finalize_failure(point, value, label)
+            else:
+                point.value = value
+            commit(point)
+
         def submit(point: _Point) -> bool:
-            pool = self._get_pool()
+            """Start one attempt: inline it is settled before this
+            returns, so nothing goes in flight; on the pool it is
+            settled when its future completes."""
             point.attempts += 1
-            if point.attempts > 1:
-                self._sleep_backoff(point.attempts)
+            if inline:
+                started = time.monotonic()
+                status, value = _call_point(fn, point.args, point.site)
+                if (status == _OK and timeout is not None
+                        and time.monotonic() - started > timeout):
+                    # post hoc (no preemption without a pool), but the
+                    # payload a watchdog cancellation would record.
+                    status, value = _ERR, _timeout_payload(timeout)
+                settle(point, status, value)
+                return True
             try:
-                fut = pool.submit(_call_point, fn, point.args,
-                                  point.site)
+                fut = self._get_pool().submit(_call_point, fn, point.args,
+                                              point.site)
             except BrokenProcessPool:
                 point.attempts -= 1  # resubmission re-charges it
                 self._respawn_pool()
                 return False
             inflight[fut] = point
-            if self.point_timeout is not None:
-                deadlines[fut] = time.monotonic() + self.point_timeout
+            if timeout is not None:
+                deadlines[fut] = time.monotonic() + timeout
             return True
 
         try:
@@ -600,12 +570,12 @@ class ExperimentEngine:
                             break
                 if not inflight:
                     continue
-                timeout = None
+                wait_s = None
                 if deadlines:
-                    timeout = max(
+                    wait_s = max(
                         0.0, min(deadlines.values()) - time.monotonic()
                     ) + 0.02
-                done, _ = wait(set(inflight), timeout=timeout,
+                done, _ = wait(set(inflight), timeout=wait_s,
                                return_when=FIRST_COMPLETED)
                 crashed: list[_Point] = []
                 for fut in done:
@@ -618,13 +588,7 @@ class ExperimentEngine:
                         continue
                     except Exception as exc:  # submission/pickling faults
                         status, value = _ERR, _failure_payload(exc)
-                    if status == _OK:
-                        point.value = value
-                        commit(point)
-                    else:
-                        self._handle_error(point, value, waiting, label)
-                        if point.failed:
-                            commit(point)
+                    settle(point, status, value)
                 if crashed:
                     # the pool died; every in-flight future was lost.
                     crashed.extend(inflight.values())
@@ -633,40 +597,30 @@ class ExperimentEngine:
                     self._respawn_pool()
                     if len(crashed) == 1:
                         # ran solo: this point killed the worker.
-                        self._handle_error(crashed[0], _crash_payload(),
-                                           solo, label)
-                        if crashed[0].failed:
-                            commit(crashed[0])
+                        settle(crashed[0], _ERR, _crash_payload(), solo)
                     else:
                         # ambiguous: re-run each suspect solo, uncharged.
                         for point in crashed:
                             point.attempts -= 1
                             solo.append(point)
                     continue
-                if deadlines:
-                    now = time.monotonic()
-                    expired = [f for f, dl in deadlines.items()
-                               if dl <= now]
-                    if expired:
-                        for fut in expired:
-                            point = inflight.pop(fut)
-                            deadlines.pop(fut)
-                            self._handle_error(
-                                point,
-                                _timeout_payload(self.point_timeout),
-                                waiting, label)
-                            if point.failed:
-                                commit(point)
-                        # watchdog cancellation: a stuck worker cannot
-                        # be interrupted in-band — tear the pool down
-                        # (terminating its processes) and reschedule
-                        # the innocent in-flight points uncharged.
-                        for fut, point in list(inflight.items()):
-                            point.attempts -= 1
-                            waiting.append(point)
-                        inflight.clear()
-                        deadlines.clear()
-                        self._respawn_pool()
+                now = time.monotonic()
+                expired = [f for f, dl in deadlines.items() if dl <= now]
+                if expired:
+                    for fut in expired:
+                        del deadlines[fut]
+                        settle(inflight.pop(fut), _ERR,
+                               _timeout_payload(timeout))
+                    # watchdog cancellation: a stuck worker cannot be
+                    # interrupted in-band — tear the pool down
+                    # (terminating its processes) and reschedule the
+                    # innocent in-flight points uncharged.
+                    for point in inflight.values():
+                        point.attempts -= 1
+                        waiting.append(point)
+                    inflight.clear()
+                    deadlines.clear()
+                    self._respawn_pool()
         except ExperimentAborted:
             self.close()
             raise

@@ -37,6 +37,7 @@ __all__ = [
     "NULL_PROFILER",
     "NullProfiler",
     "Profiler",
+    "Span",
     "TraceEvent",
     "ensure_profiler",
 ]
@@ -71,6 +72,16 @@ class TraceEvent:
         if self.args is not None:
             ev["args"] = self.args
         return ev
+
+
+@dataclass
+class Span:
+    """What :meth:`Profiler.span` yields: ``seconds`` is the span's
+    wall-clock duration, set when it closes; ``name`` may be refined
+    while it is open."""
+
+    name: str
+    seconds: float = 0.0
 
 
 class Profiler:
@@ -150,13 +161,21 @@ class Profiler:
     @contextlib.contextmanager
     def span(self, name: str, cat: str = "host", pid: int = 0,
              tid: int = 0, args: dict[str, Any] | None = None
-             ) -> Iterator[None]:
-        """Wall-clock span for host/harness phases (DSE, sweeps)."""
+             ) -> Iterator[Span]:
+        """Wall-clock span for host/harness phases (DSE, engine runs).
+
+        The yielded :class:`Span` carries the duration once the span
+        closes. The null profiler times its spans too, so a caller reads
+        a phase's duration from its span whether or not anyone records.
+        """
+        handle = Span(name)
         start = self.wall_us()
         try:
-            yield
+            yield handle
         finally:
-            self.complete(name, cat, start, self.wall_us() - start,
+            dur = self.wall_us() - start
+            handle.seconds = dur / 1e6
+            self.complete(handle.name, cat, start, dur,
                           pid=pid, tid=tid, args=args)
 
     # -- reporting ---------------------------------------------------------

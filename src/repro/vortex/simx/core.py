@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...errors import SimulationError, TrapError
-from ..isa import CSR, FP_RD, FP_RS1, FP_RS2, Fmt, Instruction, SPECS
+from ..isa import CSR, FP_RD, FP_RS1, FP_RS2, Fmt, Instruction, SIMT_OPS, SPECS
 from .cache import Cache
 from .config import VortexConfig
 from .warp import BLOCKED, Warp
@@ -73,8 +73,6 @@ _FDIV_OPS = {"fdiv.s", "fsqrt.s"}
 _SFU_OPS = {"fexp.s", "flog.s", "fsin.s", "fcos.s", "ffloor.s", "fpow.s"}
 _MEM_OPS = {"lw", "sw", "flw", "fsw",
             "amoadd.w", "amoswap.w", "amomin.w", "amomax.w", "amocas.w"}
-_SIMT_OPS = {"tmc", "wspawn", "split", "join", "bar", "pred", "halt",
-             "printfx"}
 
 
 def instr_meta(ins: Instruction) -> InstrMeta:
@@ -90,7 +88,7 @@ def instr_meta(ins: Instruction) -> InstrMeta:
         srcs_x.append(ins.rd)  # rd carries the expected value
     dst: tuple[str, int] | None = None
     if spec.fmt in (Fmt.R, Fmt.I, Fmt.U, Fmt.J, Fmt.CSR, Fmt.AMO) and \
-            m not in ("sw", "fsw") and m not in _SIMT_OPS:
+            m not in ("sw", "fsw") and m not in SIMT_OPS:
         if m in FP_RD:
             dst = ("f", ins.rd)
         elif ins.rd != 0:
@@ -109,7 +107,7 @@ def instr_meta(ins: Instruction) -> InstrMeta:
         kind = "mem"
     elif m == "csrrs":
         kind = "csr"
-    elif m in _SIMT_OPS:
+    elif m in SIMT_OPS:
         kind = "simt"
     else:
         kind = "alu"

@@ -393,13 +393,19 @@ class TestStore:
 
 
 class TestEnginePreemption:
-    def test_serial_requeue_uncharged(self, tmp_path, baseline):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_requeue_uncharged(self, tmp_path, baseline, jobs):
+        """Inline (jobs=1) and on the pool (jobs=2: two points, so they
+        do not run inline) each cell yields once and resumes from its
+        snapshot without being charged a retry."""
         spec = _spec(tmp_path, preempt_at_cycle=5_000)
-        engine = ExperimentEngine(jobs=1, keep_going=True, retries=0)
-        values = engine.run(sweep_point,
-                            [("vecadd", CONFIG, N, False, spec)])
-        assert values[0] == baseline["vecadd"]
-        assert engine.stats.preempted == 1
+        with ExperimentEngine(jobs=jobs, keep_going=True,
+                              retries=0) as engine:
+            values = engine.run(sweep_point,
+                                [(name, CONFIG, N, False, spec)
+                                 for name in ("vecadd", "transpose")])
+        assert values == [baseline["vecadd"], baseline["transpose"]]
+        assert engine.stats.preempted == 2
         assert engine.stats.failed == 0
         assert engine.stats.retried == 0
 

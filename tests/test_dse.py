@@ -13,6 +13,7 @@ from repro.harness.dse import (
 )
 from repro.harness.sweep import fig7_profile
 from repro.hls import STRATIX10_MX2100, STRATIX10_SX2800
+from repro.profiling import Profiler
 from repro.vortex import VortexConfig
 from repro.vortex.analytical import Prediction
 from repro.vortex.area import VortexAreaReport
@@ -287,12 +288,20 @@ class TestHierarchicalExploration:
         assert len(simulated) == min(3, len(result.frontier))
 
     def test_screen_throughput_recorded(self, profile):
+        prof = Profiler()
         result = explore_design_space(profile, core_counts=(1, 2, 4, 8),
                                       warp_sizes=(2, 4, 8, 16),
-                                      thread_sizes=(2, 4, 8, 16))
+                                      thread_sizes=(2, 4, 8, 16),
+                                      simulate=_fake_simulate,
+                                      profiler=prof)
         assert result.screened == 64
         assert result.screen_seconds > 0.0
         assert result.screen_points_per_sec > 0.0
+        # both phase times are the durations of their profiler spans
+        spans = {e.name: e.dur / 1e6 for e in prof.events
+                 if e.cat == "dse"}
+        assert result.screen_seconds == spans["dse: screen"]
+        assert result.confirm_seconds == spans["dse: confirm"] > 0.0
 
     def test_payload_is_bounded_and_complete(self, profile):
         result = explore_design_space(

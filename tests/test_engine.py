@@ -20,6 +20,7 @@ from repro.harness import run_coverage, run_dse, run_profile_cached
 from repro.harness.engine import EngineStats, ExperimentEngine, resolve_jobs
 from repro.harness.result_cache import MISS, ResultCache, code_fingerprint
 from repro.harness.sweep import run_sweep
+from repro.profiling import Profiler
 
 
 def _add(a, b):
@@ -193,6 +194,23 @@ class TestEngine:
     def test_mismatched_keys_rejected(self):
         with pytest.raises(ValueError):
             ExperimentEngine(jobs=1).run(_add, [(1, 1)], keys=[])
+
+    def test_profiler_mirrors_the_stats_record(self, tmp_path):
+        """The run's one record: its ``engine:`` span is ``wall_s`` and
+        the profiler's counters are the run's stat deltas."""
+        cache = ResultCache(tmp_path, fingerprint="f")
+        keys = [cache.key(point=p) for p in range(3)]
+        cache.put(keys[0], 0)
+        prof = Profiler()
+        engine = ExperimentEngine(cache=cache, profiler=prof,
+                                  keep_going=True)
+        engine.run(_fail_on_two, [(0,), (1,), (2,)], keys=keys, label="t")
+        assert dict(prof.counters) == {
+            "engine.t.points": 3, "engine.t.cache_hits": 1,
+            "engine.t.executed": 2, "engine.t.failed": 1}
+        (span,) = prof.events
+        assert span.name == "engine: t (2 of 3)"
+        assert engine.stats.wall_s == span.dur / 1e6 > 0.0
 
     def test_stats_merge_and_summary(self):
         a = EngineStats(jobs=4, points=5, executed=2, cache_hits=3,

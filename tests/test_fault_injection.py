@@ -122,20 +122,40 @@ class TestEngineRecovery:
         assert "injected fault at experiment#1" in results[1].message
         assert engine.stats.failed == 1
 
-    def test_serial_and_parallel_runs_identical(self, arm):
-        arm("raise:experiment#2:99")
-        serial = ExperimentEngine(jobs=1, keep_going=True,
-                                  retries=1, retry_backoff=0.0)
-        serial_results = serial.run(_triple, POINTS)
-        arm("raise:experiment#2:99")  # fresh budget, same plan
-        with ExperimentEngine(jobs=4, keep_going=True, retries=1,
-                              retry_backoff=0.0) as parallel:
-            parallel_results = parallel.run(_triple, POINTS)
+    def test_serial_and_parallel_runs_identical(self, arm, tmp_path):
+        """One transient and one permanent fault, one warm cache entry:
+        inline (jobs=1) and pooled (jobs=4) runs agree on every value,
+        failure payload and stats counter."""
+        runs = {}
+        for jobs in (1, 4):
+            # fresh firing budget, same plan
+            arm("raise:experiment#1:1;raise:experiment#4:99")
+            cache = ResultCache(tmp_path / f"cache-{jobs}",
+                                fingerprint="f")
+            keys = [cache.key(point=p) for p in POINTS]
+            cache.put(keys[0], VALUES[0])
+            order = []
+            with ExperimentEngine(jobs=jobs, cache=cache, keep_going=True,
+                                  retries=1, retry_backoff=0.0) as engine:
+                results = engine.run(
+                    _triple, POINTS, keys=keys,
+                    on_result=lambda index, _: order.append(index))
+            runs[jobs] = (results, engine.stats, order)
         norm = lambda rs: [r.to_payload() if isinstance(r, PointFailure)
                            else r for r in rs]
-        assert norm(serial_results) == norm(parallel_results)
-        assert serial.stats.failed == parallel.stats.failed == 1
-        assert serial.stats.retried == parallel.stats.retried == 1
+        counters = ("points", "executed", "cache_hits", "cache_stores",
+                    "failed", "retried", "preempted")
+        serial, serial_stats, serial_order = runs[1]
+        parallel, parallel_stats, _ = runs[4]
+        assert norm(serial) == norm(parallel)
+        assert serial[:4] + serial[5:] == VALUES[:4] + VALUES[5:]
+        assert serial[4].exc_type == "FaultInjected"
+        assert serial[4].attempts == 2
+        assert ([getattr(serial_stats, c) for c in counters]
+                == [getattr(parallel_stats, c) for c in counters]
+                == [6, 5, 1, 4, 1, 2, 0])
+        # inline, a retried point settles before the next point starts
+        assert serial_order == [0, 1, 2, 3, 4, 5]
 
     def test_killed_worker_recovered_by_retry(self, arm):
         arm("kill:experiment#2:1")

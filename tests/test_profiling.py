@@ -66,6 +66,21 @@ def test_span_records_wall_clock():
     assert event.ts >= 0.0
 
 
+@pytest.mark.parametrize("profiler", [Profiler(), NullProfiler()],
+                         ids=["live", "null"])
+def test_span_handle_carries_its_duration(profiler):
+    """The yielded handle times the span on either profiler, so callers
+    read phase durations from spans whether or not anyone records."""
+    with profiler.span("phase") as span:
+        span.name = "phase (refined)"
+        time.sleep(0.01)
+    assert span.seconds >= 0.01
+    if profiler.enabled:
+        (event,) = profiler.events
+        assert event.name == "phase (refined)"
+        assert event.dur / 1e6 == span.seconds
+
+
 def test_cycle_bucket_validation():
     with pytest.raises(ValueError):
         Profiler(cycle_bucket=0)
