@@ -193,7 +193,6 @@ def _golden(args: argparse.Namespace) -> int:
 
 
 def _profile(args: argparse.Namespace) -> int:
-    from .errors import ReproError
     from .harness import run_profile_cached
     from .vortex import VortexConfig
 
@@ -205,20 +204,16 @@ def _profile(args: argparse.Namespace) -> int:
             warps=args.warps or base.warps,
             threads=args.threads or base.threads,
         )
-    try:
-        with _engine(args) as engine:
-            report, summary, cache_hit = run_profile_cached(
-                args.benchmark,
-                backend=args.backend,
-                scale=args.scale,
-                config=config,
-                cycle_bucket=args.bucket,
-                validate=not args.no_validate,
-                engine=engine,
-            )
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _engine(args) as engine:
+        report, summary, cache_hit = run_profile_cached(
+            args.benchmark,
+            backend=args.backend,
+            scale=args.scale,
+            config=config,
+            cycle_bucket=args.bucket,
+            validate=not args.no_validate,
+            engine=engine,
+        )
     print(report.render())
     trace_out = args.trace_out or (
         f"profile_{args.benchmark}_{args.backend}.trace.json")
@@ -237,18 +232,13 @@ def _profile(args: argparse.Namespace) -> int:
 
 def _calibrate(args: argparse.Namespace) -> int:
     from .calibrate import DEFAULT_ARTIFACT_PATH, run_calibration
-    from .errors import ReproError
 
     benchmarks = tuple(
         tok for tok in (args.benchmarks or "").split(",") if tok.strip()
     ) or ("vecadd", "transpose")
-    try:
-        with _engine(args) as engine:
-            artifact = run_calibration(benchmarks=benchmarks, n=args.n,
-                                       engine=engine)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _engine(args) as engine:
+        artifact = run_calibration(benchmarks=benchmarks, n=args.n,
+                                   engine=engine)
     path = artifact.save(args.out or DEFAULT_ARTIFACT_PATH)
     print(f"calibrated against SimX at n={args.n} "
           f"({', '.join(benchmarks)})")
@@ -265,30 +255,25 @@ def _calibrate(args: argparse.Namespace) -> int:
 def _dse(args: argparse.Namespace) -> int:
     from .calibrate import (DEFAULT_ARTIFACT_PATH, load_calibration,
                             run_calibration)
-    from .errors import ReproError
     from .harness import run_dse
 
-    try:
-        with _engine(args) as engine:
-            calibration = None
-            if args.calibrate:
-                calibration = run_calibration(
-                    benchmarks=(args.benchmark,), n=min(args.n, 1024),
-                    engine=engine)
-            elif args.calibration:
-                calibration = load_calibration(args.calibration)
-            result = run_dse(
-                args.benchmark, n=args.n,
-                core_counts=args.cores or (1, 2, 4, 8),
-                warp_sizes=args.warps or (2, 4, 8, 16),
-                thread_sizes=args.threads or (2, 4, 8, 16),
-                calibration=calibration,
-                confirm=args.confirm,
-                frontier_cap=args.frontier_cap,
-                engine=engine, checkpoint=_checkpoint(args))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _engine(args) as engine:
+        calibration = None
+        if args.calibrate:
+            calibration = run_calibration(
+                benchmarks=(args.benchmark,), n=min(args.n, 1024),
+                engine=engine)
+        elif args.calibration:
+            calibration = load_calibration(args.calibration)
+        result = run_dse(
+            args.benchmark, n=args.n,
+            core_counts=args.cores or (1, 2, 4, 8),
+            warp_sizes=args.warps or (2, 4, 8, 16),
+            thread_sizes=args.threads or (2, 4, 8, 16),
+            calibration=calibration,
+            confirm=args.confirm,
+            frontier_cap=args.frontier_cap,
+            engine=engine, checkpoint=_checkpoint(args))
     print(result.render())
     if calibration is None and args.confirm == "frontier":
         print("\n(uncalibrated screen: pass --calibrate or "
@@ -303,7 +288,6 @@ def _dse(args: argparse.Namespace) -> int:
 
 
 def _serve(args: argparse.Namespace) -> int:
-    from .errors import ServiceError
     from .service import ExperimentDaemon, resolve_state_dir
 
     daemon = ExperimentDaemon(
@@ -314,11 +298,7 @@ def _serve(args: argparse.Namespace) -> int:
         retries=args.retries, point_timeout=args.point_timeout,
         checkpoint_dir=args.checkpoint_dir or None,
         checkpoint_every=args.checkpoint_every)
-    try:
-        daemon.start()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    daemon.start()
     host, port = daemon.address
     print(f"experiment daemon pid {os.getpid()} serving {host}:{port} "
           f"(state: {daemon.state_dir})", flush=True)
@@ -349,17 +329,8 @@ def _print_reply(reply: dict) -> None:
 
 
 def _submit(args: argparse.Namespace) -> int:
-    from .errors import ServiceError
-
     client = _client(args)
-    jobs = _parse_job_specs(args.job)
-    replies = []
-    for job in jobs:
-        try:
-            replies.append(client.submit(job))
-        except ServiceError as exc:
-            print(f"error ({exc.code}): {exc}", file=sys.stderr)
-            return 1
+    replies = [client.submit(job) for job in _parse_job_specs(args.job)]
     if not args.wait:
         for reply in replies:
             note = " (coalesced)" if reply.get("coalesced") else ""
@@ -367,11 +338,7 @@ def _submit(args: argparse.Namespace) -> int:
         return 0
     failed = 0
     for reply in replies:
-        try:
-            result = client.wait(reply["job_id"], timeout=args.timeout)
-        except ServiceError as exc:
-            print(f"error ({exc.code}): {exc}", file=sys.stderr)
-            return 1
+        result = client.wait(reply["job_id"], timeout=args.timeout)
         _print_reply(result)
         if result.get("state") == "failed":
             failed += 1
@@ -379,31 +346,18 @@ def _submit(args: argparse.Namespace) -> int:
 
 
 def _status(args: argparse.Namespace) -> int:
-    from .errors import ServiceError
-
-    client = _client(args)
-    try:
-        _print_reply(client.status(args.job_id or None))
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 1
+    _print_reply(_client(args).status(args.job_id or None))
     return 0
 
 
 def _results(args: argparse.Namespace) -> int:
-    from .errors import ServiceError
-
     client = _client(args)
     failed = 0
     for job_id in args.job_id:
-        try:
-            if args.wait:
-                reply = client.wait(job_id, timeout=args.timeout)
-            else:
-                reply = client.results(job_id)
-        except ServiceError as exc:
-            print(f"error ({exc.code}): {exc}", file=sys.stderr)
-            return 1
+        if args.wait:
+            reply = client.wait(job_id, timeout=args.timeout)
+        else:
+            reply = client.results(job_id)
         _print_reply(reply)
         if reply.get("state") == "failed":
             failed += 1
@@ -411,18 +365,12 @@ def _results(args: argparse.Namespace) -> int:
 
 
 def _drain(args: argparse.Namespace) -> int:
-    from .errors import ServiceError
-
     client = _client(args)
-    try:
-        reply = client.drain()
-        print(f"draining: {reply.get('queued', 0)} job(s) queued")
-        if args.wait:
-            client.wait_gone(timeout=args.timeout)
-            print("daemon exited")
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 1
+    reply = client.drain()
+    print(f"draining: {reply.get('queued', 0)} job(s) queued")
+    if args.wait:
+        client.wait_gone(timeout=args.timeout)
+        print("daemon exited")
     return 0
 
 
@@ -720,7 +668,7 @@ def _install_terminate_handler():
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .errors import ExperimentAborted
+    from .errors import ExperimentAborted, ReproError, ServiceError
 
     args = _build_parser().parse_args(argv)
     previous_sigterm = _install_terminate_handler()
@@ -732,9 +680,12 @@ def main(argv: list[str] | None = None) -> int:
                 status = max(status, artifact(args))
             return status
         return args.func(args)
-    except ExperimentAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.failure.traceback:
+    except ReproError as exc:
+        # the one error exit: a typed failure, never a traceback (an
+        # aborted run also shows the failed point's own traceback).
+        code = f" ({exc.code})" if isinstance(exc, ServiceError) else ""
+        print(f"error{code}: {exc}", file=sys.stderr)
+        if isinstance(exc, ExperimentAborted) and exc.failure.traceback:
             print(exc.failure.traceback, file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -111,11 +111,12 @@ class CalibrationError(ReproError):
 class CheckpointError(ReproError):
     """A simulation snapshot could not be taken or used.
 
-    Raised when checkpointing is requested in an unsupported mode
-    (profiling/tracing) or when a snapshot fails its resume
-    verification — config/ndrange/program-fingerprint/memory-baseline
-    mismatch. A failed verification leaves the machine untouched, so
-    callers degrade to a clean from-scratch launch.
+    Raised when a launch asks for checkpointing in an unsupported mode
+    (a live profiler), before it touches any snapshot, and when a
+    snapshot fails its resume verification — config/ndrange/
+    program-fingerprint/memory-baseline mismatch. A failed verification
+    leaves the machine untouched, so the launch discards that snapshot
+    and runs from scratch.
     """
 
 

@@ -135,18 +135,14 @@ def _error_cell(failure: PointFailure) -> CoverageCell:
                         detail=failure.message, error=True)
 
 
-def coverage_point(bench_name: str, scale: int, validate: bool,
-                   vortex_config: VortexConfig | None) -> dict:
-    """One Table-I row (both flows) — the engine's unit of work."""
+def coverage_point(bench_name: str, validate: bool) -> dict:
+    """One Table-I row (both flows, the default Vortex configuration, at
+    the paper's scale) — the engine's unit of work."""
     bench = get_benchmark(bench_name)
-    vortex_result = run_benchmark(
-        bench, VortexBackend(vortex_config or VortexConfig()),
-        scale=scale, validate=validate,
-    )
-    hls_result = run_benchmark(
-        bench, HLSBackend(device=STRATIX10_MX2100),
-        scale=scale, validate=validate,
-    )
+    vortex_result = run_benchmark(bench, VortexBackend(VortexConfig()),
+                                  validate=validate)
+    hls_result = run_benchmark(bench, HLSBackend(device=STRATIX10_MX2100),
+                               validate=validate)
     return {
         "table_name": bench.table_name,
         "vortex": _cell_payload(_cell(vortex_result)),
@@ -155,8 +151,6 @@ def coverage_point(bench_name: str, scale: int, validate: bool,
 
 
 def run_coverage(
-    scale: int = 1,
-    vortex_config: VortexConfig | None = None,
     validate: bool = True,
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
@@ -172,13 +166,10 @@ def run_coverage(
     """
     engine = default_engine(engine, cache)
     benches = all_benchmarks()
-    points = [(bench.name, scale, validate, vortex_config)
-              for bench in benches]
+    points = [(bench.name, validate) for bench in benches]
     keys = [
         None if engine.cache is None else engine.cache.key(
-            kind="table1-row", benchmark=bench.name, scale=scale,
-            validate=validate, vortex_config=vortex_config,
-        )
+            kind="table1-row", benchmark=bench.name, validate=validate)
         for bench in benches
     ]
     values = engine.run(coverage_point, points, keys=keys, label="table1")

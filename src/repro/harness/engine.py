@@ -335,9 +335,9 @@ class ExperimentEngine:
     def close(self) -> None:
         """Shut the worker pool down (idempotent).
 
-        ``cancel_futures`` drops queued points immediately, so Ctrl-C
-        or a fail-fast abort does not block on a full submission queue
-        draining through the pool first.
+        ``cancel_futures`` drops queued points immediately, so closing
+        does not block on a full submission queue draining through the
+        pool first.
         """
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
@@ -622,7 +622,10 @@ class ExperimentEngine:
                     deadlines.clear()
                     self._respawn_pool()
         except ExperimentAborted:
-            self.close()
+            # terminate, do not wait for, the workers: one may be the
+            # hung point the watchdog just timed out, and the aborted
+            # run settles none of its in-flight points.
+            self._respawn_pool()
             raise
 
 

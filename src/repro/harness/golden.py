@@ -201,21 +201,19 @@ def compute_digest(point: GoldenPoint) -> dict:
     }
 
 
-def digest_path(point: GoldenPoint, directory: Path | None = None) -> Path:
-    return (directory or GOLDEN_DIR) / f"{point.name}.json"
+def digest_path(point: GoldenPoint) -> Path:
+    return GOLDEN_DIR / f"{point.name}.json"
 
 
-def load_digest(point: GoldenPoint,
-                directory: Path | None = None) -> dict | None:
-    path = digest_path(point, directory)
+def load_digest(point: GoldenPoint) -> dict | None:
+    path = digest_path(point)
     if not path.exists():
         return None
     return json.loads(path.read_text())
 
 
-def write_digest(point: GoldenPoint, digest: dict,
-                 directory: Path | None = None) -> Path:
-    path = digest_path(point, directory)
+def write_digest(point: GoldenPoint, digest: dict) -> Path:
+    path = digest_path(point)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n")
     return path
@@ -279,8 +277,8 @@ class GoldenReport:
         return "\n".join(lines)
 
 
-def run_golden(update: bool = False, only: list[str] | None = None,
-               directory: Path | None = None) -> GoldenReport:
+def run_golden(update: bool = False,
+               only: list[str] | None = None) -> GoldenReport:
     """Verify (or, with ``update=True``, regenerate) the golden suite."""
     report = GoldenReport()
     for point in golden_points():
@@ -291,10 +289,10 @@ def run_golden(update: bool = False, only: list[str] | None = None,
         fresh = compute_digest(point)
         report.checked += 1
         if update:
-            write_digest(point, fresh, directory)
+            write_digest(point, fresh)
             report.updated += 1
             continue
-        golden = load_digest(point, directory)
+        golden = load_digest(point)
         if golden is None:
             report.missing.append(point.name)
             continue

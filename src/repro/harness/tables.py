@@ -27,18 +27,18 @@ def render_table(
     return "\n".join(out)
 
 
+#: the heatmap's shade ramp, lightest (fewest cycles) first.
+_SHADES = " .:-=+*#%@"
+
+
 def render_heatmap(
-    values: dict[tuple[int, int], float],
-    row_label: str = "warps",
-    col_label: str = "threads",
-    title: str = "",
-    shades: str = " .:-=+*#%@",
+    values: dict[tuple[int, int], float], title: str = ""
 ) -> str:
     """Render a Figure 7-style normalized-cycles heatmap.
 
-    ``values`` maps (row, col) -> normalized cycles (1.0 = best). Light
-    characters mean fewer cycles, matching the paper's colour scale.
-    A grid hole (a cell whose point failed and was dropped from
+    ``values`` maps (warps, threads) -> normalized cycles (1.0 = best).
+    Light characters mean fewer cycles, matching the paper's colour
+    scale. A grid hole (a cell whose point failed and was dropped from
     ``values``) renders as ``ERROR``.
     """
     rows = sorted({r for r, _ in values})
@@ -47,11 +47,11 @@ def render_heatmap(
     lines = []
     if title:
         lines.append(title)
-    lines.append(f"{row_label} \\ {col_label}: " + ", ".join(map(str, cols)))
+    lines.append("warps \\ threads: " + ", ".join(map(str, cols)))
     header = [""] + [str(c) for c in cols]
     body = []
     for r in rows:
-        cells = [f"{row_label[0]}={r}"]
+        cells = [f"w={r}"]
         for c in cols:
             v = values.get((r, c))
             if v is None:
@@ -59,7 +59,8 @@ def render_heatmap(
                 continue
             # Normalise into the shade ramp (1.0 -> lightest).
             frac = 0.0 if vmax <= 1.0 else (v - 1.0) / (vmax - 1.0)
-            shade = shades[min(len(shades) - 1, int(frac * (len(shades) - 1)))]
+            shade = _SHADES[min(len(_SHADES) - 1,
+                                int(frac * (len(_SHADES) - 1)))]
             cells.append(f"{v:5.2f}{shade}")
         body.append(cells)
     lines.append(render_table(header, body))

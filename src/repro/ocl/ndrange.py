@@ -66,11 +66,6 @@ class NDRange:
         return g[0] * g[1] * g[2]
 
     @property
-    def group_count(self) -> int:
-        n = self.num_groups
-        return n[0] * n[1] * n[2]
-
-    @property
     def items_per_group(self) -> int:
         l = self.local_size
         return l[0] * l[1] * l[2]
@@ -90,14 +85,6 @@ class NDRange:
             for y in range(ly):
                 for x in range(lx):
                     yield (x, y, z)
-
-    def group_linear_id(self, group: tuple[int, int, int]) -> int:
-        nx, ny, _ = self.num_groups
-        return group[0] + nx * (group[1] + ny * group[2])
-
-    def local_linear_id(self, local: tuple[int, int, int]) -> int:
-        lx, ly, _ = self.local_size
-        return local[0] + lx * (local[1] + ly * local[2])
 
     def global_id(
         self, group: tuple[int, int, int], local: tuple[int, int, int]

@@ -92,8 +92,9 @@ def _pure_key(ins: Instr, repl: _Replacements) -> tuple:
     return (ins.op, tuple(ops), attrs)
 
 
-def run(kernel: Kernel, merge_loads: bool = True, cleanup: bool = True) -> int:
-    """CSE in place. Returns the number of instructions merged away.
+def run(kernel: Kernel, merge_loads: bool = True) -> int:
+    """CSE in place, then DCE of the merged-away instructions. Returns
+    the number of instructions merged away.
 
     ``merge_loads=False`` restricts the pass to pure ops (used by the
     ablation benchmarks to separate the two effects)."""
@@ -157,6 +158,6 @@ def run(kernel: Kernel, merge_loads: bool = True, cleanup: bool = True) -> int:
                     (b, repl.canon(v)) for b, v in ins.attrs["incomings"]
                 ]
     merged = len(repl.map)
-    if cleanup and merged:
+    if merged:
         dce.run(kernel)
     return merged

@@ -57,10 +57,15 @@ class ServiceClient:
     #: codes worth retrying: the daemon said "later", not "never".
     RETRYABLE_CODES = ("unavailable", "queue-full", "client-limit")
 
+    #: the longest pre-jitter retry backoff, in seconds.
+    BACKOFF_CAP_S = 2.0
+
+    #: :meth:`wait`'s first poll interval, in seconds.
+    POLL_S = 0.05
+
     def __init__(self, state_dir: str | Path | None = None,
                  client_id: str | None = None, retries: int = 5,
-                 backoff: float = 0.05, backoff_cap: float = 2.0,
-                 timeout: float = 60.0,
+                 backoff: float = 0.05, timeout: float = 60.0,
                  rng: random.Random | None = None):
         if retries < 0:
             raise ValueError("retries must be >= 0")
@@ -68,7 +73,6 @@ class ServiceClient:
         self.client_id = client_id or f"client-{uuid.uuid4().hex[:12]}"
         self.retries = retries
         self.backoff = backoff
-        self.backoff_cap = backoff_cap
         self.timeout = timeout
         self._rng = rng or random.Random()
 
@@ -128,7 +132,7 @@ class ServiceClient:
             raise exc
 
     def _sleep(self, attempt: int, retry_after: float | None) -> None:
-        delay = min(self.backoff_cap,
+        delay = min(self.BACKOFF_CAP_S,
                     self.backoff * (2 ** (attempt - 1)))
         delay *= 0.5 + self._rng.random()  # jitter: [0.5x, 1.5x)
         if retry_after:
@@ -167,13 +171,12 @@ class ServiceClient:
 
     # -- conveniences ------------------------------------------------------
 
-    def wait(self, job_id: str, timeout: float = 600.0,
-             poll_s: float = 0.05) -> dict:
+    def wait(self, job_id: str, timeout: float = 600.0) -> dict:
         """Poll until ``job_id`` finishes; returns its ``results``
         reply (state ``done`` or ``failed``). The poll interval backs
         off geometrically to 0.5s so long waits stay cheap."""
         deadline = time.monotonic() + timeout
-        delay = poll_s
+        delay = self.POLL_S
         while True:
             reply = self.results(job_id)
             if reply.get("state") in ("done", "failed"):

@@ -66,6 +66,10 @@ QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 
 _JOB_ID_RE = re.compile(r"^j(\d+)-[0-9a-f]+$")
 
+#: the scheduler compacts the journal once it holds this many appended
+#: records since the last compaction.
+COMPACT_EVERY = 4096
+
 
 @dataclass
 class _Job:
@@ -165,7 +169,6 @@ class ExperimentDaemon:
                  batch_max: int = 16, max_done: int = 4096,
                  resume: bool = False, retries: int = 1,
                  point_timeout: float | None = None,
-                 compact_every: int = 4096,
                  checkpoint_dir: str | Path | None = None,
                  checkpoint_every: int | None = None):
         if max_queue < 1 or per_client < 1 or batch_max < 1:
@@ -180,7 +183,6 @@ class ExperimentDaemon:
         self.batch_max = batch_max
         self.max_done = max_done
         self.resume = resume
-        self.compact_every = compact_every
         self.point_timeout = point_timeout
         self.checkpoint_dir = (Path(checkpoint_dir)
                                if checkpoint_dir is not None else None)
@@ -188,13 +190,15 @@ class ExperimentDaemon:
         #: store handle for health reporting; built in :meth:`start`.
         self._ckpt_store = None
 
+        #: the ``service.`` counters ``health`` reports. The engine gets
+        #: no profiler: it would keep one span per batch that nothing
+        #: reads, growing for the daemon's lifetime.
         self.profiler = Profiler()
         self.cache = ResultCache(self.state_dir / "cache", durable=True)
         self.journal = Journal(self.state_dir / "journal.jsonl")
         self.engine = ExperimentEngine(
             jobs=jobs, cache=self.cache, keep_going=True,
-            retries=retries, point_timeout=point_timeout,
-            profiler=self.profiler)
+            retries=retries, point_timeout=point_timeout)
 
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -689,7 +693,7 @@ class ExperimentDaemon:
                         batch.append(job)
                     self._running += len(batch)
                 self._run_batch(batch)
-                if self.journal.appended >= self.compact_every:
+                if self.journal.appended >= COMPACT_EVERY:
                     with self._lock:
                         self.journal.compact(self._live_records())
         finally:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hls.area import AreaReport
 from ..hls.device import FPGADevice, STRATIX10_SX2800
 from ..errors import SynthesisError
 from .simx.config import VortexConfig
@@ -100,15 +99,3 @@ def synthesize(
                 ),
             )
     return report
-
-
-def to_area_report(report: VortexAreaReport) -> AreaReport:
-    """Convert to the shared AreaReport shape for table rendering."""
-    out = AreaReport(
-        aluts=report.aluts, ffs=report.ffs, brams=report.brams,
-        dsps=report.dsps,
-    )
-    out.breakdown["vortex_total"] = (
-        report.aluts, report.ffs, report.brams, report.dsps
-    )
-    return out

@@ -120,11 +120,10 @@ class VortexKernelImage:
 
 class CodeGen:
     def __init__(self, kernel: Kernel, ndrange: NDRange,
-                 threads: int = 0, optimize: bool = True):
+                 threads: int = 0):
         validate(kernel)
         kernel = clone_kernel(kernel)
-        if optimize:
-            cse_pass.run(kernel, merge_loads=False)
+        cse_pass.run(kernel, merge_loads=False)
         self.kernel = kernel
         self.ndrange = ndrange
         #: Work-item-loop scheduling: barrier-free kernels are wrapped in
@@ -990,13 +989,11 @@ class CodeGen:
 
 
 def compile_kernel(
-    kernel: Kernel, ndrange: NDRange, threads: int = 0,
-    optimize: bool = True
+    kernel: Kernel, ndrange: NDRange, threads: int = 0
 ) -> VortexKernelImage:
     """Compile one kernel for one launch geometry.
 
     ``threads`` (the configuration's T) enables the wave-loop scheduling
     for barrier-free kernels; 0 forces warp-set dispatch.
     """
-    return CodeGen(kernel, ndrange, threads=threads,
-                   optimize=optimize).run()
+    return CodeGen(kernel, ndrange, threads=threads).run()

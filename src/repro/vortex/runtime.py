@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import CheckpointError, RuntimeLaunchError
+from ..errors import RuntimeLaunchError
 from ..ocl.host import CompiledKernel, DeviceBackend, LaunchStats
 from ..ocl.ir import Kernel
 from ..ocl.ndrange import NDRange
@@ -25,7 +25,7 @@ from ..ocl.validate import validate
 from . import layout
 from .codegen import VortexKernelImage, compile_kernel
 from .simx.config import VortexConfig
-from .simx.machine import LaunchResult, Machine
+from .simx.machine import Machine
 
 _HEAP_ALIGN = 64
 
@@ -37,15 +37,10 @@ class VortexBackend(DeviceBackend):
     name = "vortex"
 
     def __init__(self, config: VortexConfig | None = None,
-                 max_cycles: int = 200_000_000, optimize: bool = True,
-                 trace: bool = False, profiler=None, launch_hook=None,
-                 checkpoint=None):
+                 max_cycles: int = 200_000_000, profiler=None,
+                 launch_hook=None, checkpoint=None):
         self.config = config if config is not None else VortexConfig()
         self.max_cycles = max_cycles
-        self.optimize = optimize
-        #: keep a per-instruction execution trace on every launch
-        #: (debugging aid; surfaces in LaunchStats.extra["trace"]).
-        self.trace = trace
         #: optional :class:`repro.profiling.Profiler`; every launch on
         #: this backend records cycle-bucket samples and group spans.
         self.profiler = profiler
@@ -74,8 +69,7 @@ class VortexBackend(DeviceBackend):
         image = self._image_cache.get(key)
         if image is None:
             image = compile_kernel(kernel, ndrange,
-                                   threads=self.config.threads,
-                                   optimize=self.optimize)
+                                   threads=self.config.threads)
             self._image_cache[key] = image
         return image
 
@@ -93,86 +87,49 @@ class VortexCompiledKernel(CompiledKernel):
             )
         image = self.backend.compile_for(kernel, ndrange)
 
-        def assemble() -> tuple[Machine, list[tuple[int, np.ndarray]]]:
-            """Fresh machine with image loaded and arguments marshalled.
+        machine = Machine(self.backend.config,
+                          profiler=self.backend.profiler)
+        if machine.profiler.enabled:
+            machine.profiler.set_meta("kernel", kernel.name)
+        machine.load_image(image)
 
-            Deterministic given the same host arrays, so the
-            post-marshal memory is the reproducible baseline snapshots
-            delta-compress against — and reassembling after a failed
-            resume verification yields a clean machine to launch.
-            """
-            machine = Machine(self.backend.config,
-                              trace=self.backend.trace,
-                              profiler=self.backend.profiler)
-            if machine.profiler.enabled:
-                machine.profiler.set_meta("kernel", kernel.name)
-            machine.load_image(image)
-
-            # Marshal arguments: buffers into the heap, scalars by value.
-            heap = layout.HEAP_BASE
-            arg_words = np.zeros(max(1, len(kernel.params)), dtype=np.int32)
-            buffers: list[tuple[int, np.ndarray]] = []
-            for param, arg in zip(kernel.params, args):
-                if is_pointer(param.ty):
-                    if not isinstance(arg, np.ndarray) or arg.ndim != 1:
-                        raise RuntimeLaunchError(
-                            f"arg {param.name!r} must be a 1-D numpy array"
-                        )
-                    want = (np.int32 if param.ty.element is INT32
-                            else np.float32)
-                    if arg.dtype != want:
-                        raise RuntimeLaunchError(
-                            f"arg {param.name!r}: dtype {arg.dtype} != "
-                            f"{np.dtype(want)}"
-                        )
-                    nbytes = arg.nbytes
-                    if heap + nbytes > layout.HEAP_LIMIT:
-                        raise RuntimeLaunchError("device heap exhausted")
-                    machine.memory.write_bytes(heap, arg.view(np.uint8))
-                    buffers.append((heap, arg))
-                    arg_words[param.index] = np.int32(heap)
-                    heap += (nbytes + _HEAP_ALIGN - 1) & ~(_HEAP_ALIGN - 1)
-                elif param.ty is FLOAT32:
-                    arg_words[param.index] = np.float32(arg).view(np.int32)
-                else:
-                    arg_words[param.index] = np.int32(
-                        int(arg) & 0xFFFFFFFF if int(arg) >= 0 else int(arg)
+        # Marshal arguments: buffers into the heap, scalars by value.
+        heap = layout.HEAP_BASE
+        arg_words = np.zeros(max(1, len(kernel.params)), dtype=np.int32)
+        buffers: list[tuple[int, np.ndarray]] = []
+        for param, arg in zip(kernel.params, args):
+            if is_pointer(param.ty):
+                if not isinstance(arg, np.ndarray) or arg.ndim != 1:
+                    raise RuntimeLaunchError(
+                        f"arg {param.name!r} must be a 1-D numpy array"
                     )
-            if kernel.params:
-                machine.memory.write_words(layout.ARG_BASE, arg_words)
-            return machine, buffers
-
-        machine, buffers = assemble()
-        plan = self.backend.checkpoint
-        if plan is None:
-            result: LaunchResult = machine.launch(
-                ndrange, max_cycles=self.backend.max_cycles
-            )
-        else:
-            launch_id = plan.next_launch()
-            state = plan.store.load(launch_id)
-            if state is not None:
-                try:
-                    result = machine.resume(
-                        ndrange, state,
-                        max_cycles=self.backend.max_cycles,
-                        checkpoint=plan,
+                want = (np.int32 if param.ty.element is INT32
+                        else np.float32)
+                if arg.dtype != want:
+                    raise RuntimeLaunchError(
+                        f"arg {param.name!r}: dtype {arg.dtype} != "
+                        f"{np.dtype(want)}"
                     )
-                    plan.hits += 1
-                except CheckpointError:
-                    # Mismatched snapshot (the store already dropped
-                    # corrupt/stale files): degrade to a clean run.
-                    plan.store.discard(launch_id)
-                    machine, buffers = assemble()
-                    state = None
-            if state is None:
-                result = machine.launch(
-                    ndrange, max_cycles=self.backend.max_cycles,
-                    checkpoint=plan,
+                nbytes = arg.nbytes
+                if heap + nbytes > layout.HEAP_LIMIT:
+                    raise RuntimeLaunchError("device heap exhausted")
+                machine.memory.write_bytes(heap, arg.view(np.uint8))
+                buffers.append((heap, arg))
+                arg_words[param.index] = np.int32(heap)
+                heap += (nbytes + _HEAP_ALIGN - 1) & ~(_HEAP_ALIGN - 1)
+            elif param.ty is FLOAT32:
+                arg_words[param.index] = np.float32(arg).view(np.int32)
+            else:
+                arg_words[param.index] = np.int32(
+                    int(arg) & 0xFFFFFFFF if int(arg) >= 0 else int(arg)
                 )
-            # Completed: the snapshot is spent; a retry of this point
-            # re-simulates this launch from scratch, deterministically.
-            plan.store.discard(launch_id)
+        if kernel.params:
+            machine.memory.write_words(layout.ARG_BASE, arg_words)
+
+        # The post-marshal memory is deterministic given the host
+        # arrays: the baseline a snapshot of this launch deltas against.
+        result = machine.launch(ndrange, max_cycles=self.backend.max_cycles,
+                                checkpoint=self.backend.checkpoint)
 
         # Copy buffers back (device-visible writes land in host arrays).
         for addr, arr in buffers:
@@ -198,7 +155,5 @@ class VortexCompiledKernel(CompiledKernel):
                 "groups_dispatched": result.groups_dispatched,
                 "time_ms": result.time_ms(self.backend.config.clock_mhz),
                 "static_instructions": image.num_instructions,
-                **({"trace": machine.trace}
-                   if machine.trace is not None else {}),
             },
         )

@@ -76,9 +76,3 @@ class Cache:
             way = lru_row.index(min(lru_row))  # first-oldest, as argmin
             tag_row[way] = tag
         lru_row[way] = self._tick
-
-    def invalidate_all(self) -> None:
-        for row in self.tags:
-            row[:] = [-1] * self.ways
-        for row in self.lru:
-            row[:] = [0] * self.ways

@@ -98,9 +98,10 @@ def program_fingerprint(image: Any, config: Any) -> str:
 def baseline_digest(mem: np.ndarray) -> str:
     """Cheap identity of the post-marshal memory baseline a snapshot's
     delta applies to. This runs over the full device memory on *every*
-    checkpoint-armed launch (and again on resume), so speed matters:
-    it only has to catch two deterministic runs marshalling different
-    arguments, which crc32+length does at under half sha256's cost."""
+    checkpoint-armed launch (a resume verifies against that digest), so
+    speed matters: it only has to catch two deterministic runs
+    marshalling different arguments, which crc32+length does at under
+    half sha256's cost."""
     return f"crc32:{zlib.crc32(mem) & 0xFFFFFFFF:08x}:{len(mem)}"
 
 
@@ -114,7 +115,7 @@ def baseline_digest(mem: np.ndarray) -> str:
 #: Everything else a warp, core, data cache or the DRAM holds is state:
 #: captured, and restored into the live object.
 WIRING = frozenset({"machine", "config", "warps", "dcache", "_fetch",
-                    "_code", "_orders", "_trace", "xr", "fr"})
+                    "_code", "_orders", "xr", "fr"})
 
 #: The machine's own state: dispatcher bookkeeping, the per-core
 #: wake-up horizons and counters (its memory, DRAM and cores are
@@ -174,7 +175,9 @@ def capture_state(machine: Any, now: int) -> dict[str, Any]:
 
 def verify_resume(machine: Any, ndrange: Any, state: dict[str, Any]) -> None:
     """All resume preconditions, checked before any mutation so a
-    failed verification leaves the machine launchable from scratch."""
+    failed verification leaves the machine launchable from scratch.
+    The program and memory identities are the ones ``Machine.launch``
+    just recorded, so a resume hashes the device memory once."""
     if state.get("config") != machine.config:
         raise CheckpointError(
             f"snapshot was taken on {state.get('config')!r}, "
@@ -185,11 +188,10 @@ def verify_resume(machine: Any, ndrange: Any, state: dict[str, Any]) -> None:
         raise CheckpointError(
             f"snapshot ndrange {state.get('ndrange')} != launch {want}"
         )
-    sha = program_fingerprint(machine._image, machine.config)
-    if state.get("program_sha") != sha:
+    if state.get("program_sha") != machine._ckpt_program_sha:
         raise CheckpointError("snapshot program fingerprint mismatch "
                               "(kernel or decode changed)")
-    if state.get("baseline_digest") != baseline_digest(machine.memory.data):
+    if state.get("baseline_digest") != machine._ckpt_baseline_digest:
         raise CheckpointError("snapshot memory baseline mismatch "
                               "(marshalled arguments differ)")
     if len(state.get("cores", ())) != len(machine.cores):
@@ -342,10 +344,11 @@ class CheckpointPlan:
     point id, the snapshot cadence and the shared preemption budget.
 
     Each kernel launch of the point gets its own sequenced launch id
-    (``<point>.L<n>``, set by :meth:`next_launch`) so a multi-launch
+    (``<point>.L<n>``, set by :meth:`begin_launch`) so a multi-launch
     benchmark resumes exactly the launch it was preempted in — earlier
-    launches re-simulate deterministically. ``Machine.launch``/``resume``
-    poll the plan, save through it and report a resume to it."""
+    launches re-simulate deterministically. ``Machine.launch`` asks the
+    plan for its snapshot, polls it, saves through it and reports a
+    resume to it."""
 
     def __init__(self, store: CheckpointStore, point_id: str,
                  every_cycles: int | None = None,
@@ -360,7 +363,6 @@ class CheckpointPlan:
         self.stop_file = stop_file
         self.preempt_at_cycle = preempt_at_cycle
         self.launch_id: str | None = None
-        self.hits = 0
         self._seq = 0
 
     @classmethod
@@ -377,11 +379,22 @@ class CheckpointPlan:
             preempt_at_cycle=spec.get("preempt_at_cycle"),
         )
 
-    def next_launch(self) -> str:
-        """Advance to the point's next kernel launch; returns its id."""
+    def begin_launch(self, machine: Any, ndrange: Any
+                     ) -> dict[str, Any] | None:
+        """Advance to the point's next kernel launch and return its
+        snapshot if one verifies against ``machine`` (armed and about to
+        run ``ndrange``), else ``None``: run from scratch. A snapshot
+        that fails verification is discarded."""
         self.launch_id = f"{self.point_id}.L{self._seq}"
         self._seq += 1
-        return self.launch_id
+        state = self.store.load(self.launch_id)
+        if state is not None:
+            try:
+                verify_resume(machine, ndrange, state)
+            except CheckpointError:
+                self.store.discard(self.launch_id)
+                return None
+        return state
 
     def due_preempt(self, now: int, run_start: int) -> bool:
         """Polled at checkpoint boundaries; any True yields a snapshot

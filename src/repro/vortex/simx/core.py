@@ -180,7 +180,6 @@ class Core:
         self._nwarps = config.warps
         self._lsu_depth = config.lsu_queue_depth
         self._fetch = machine.fetch
-        self._trace = machine.trace
         #: incremental MSHR occupancy (sum of mshr_entries lane counts).
         self._mshr_occupancy = 0
         #: warps running no group or spawn: the dispatcher's room on
@@ -245,13 +244,6 @@ class Core:
                                  or self.lsu_busy_until > now):
                     stall = STALL_LSU
                     continue
-                if self._trace is not None:
-                    from ..isa import format_instruction
-
-                    self._trace.append(
-                        (now, self.cid, warp.wid, warp.pc,
-                         format_instruction(d.ins), warp.tmask_bits())
-                    )
                 busy = now + self._issue_beats
                 self.issue_busy_until = warp.ready_at = busy
                 warp._iseq += 1

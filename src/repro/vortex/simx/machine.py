@@ -51,7 +51,7 @@ from ...profiling import Profiler, ensure_profiler
 from .. import layout
 from ..codegen import VortexKernelImage
 from ..isa import CSR
-from .checkpoint import CHECK_INTERVAL as _CKPT_CHECK_INTERVAL
+from . import checkpoint as _ckpt
 from .config import VortexConfig
 from .core import Core, CoreStats
 from .decode import DecodedInstr, decode_program
@@ -94,7 +94,7 @@ class LaunchResult:
 
 
 class Machine:
-    def __init__(self, config: VortexConfig, trace: bool = False,
+    def __init__(self, config: VortexConfig,
                  profiler: Profiler | None = None):
         self.config = config
         self.memory = Memory()
@@ -105,12 +105,6 @@ class Machine:
         self.profiler = ensure_profiler(profiler)
         #: dispatch cycle and group coordinates per in-flight group key.
         self._group_start: dict[int, tuple[int, tuple[int, int, int]]] = {}
-        #: optional execution trace: (cycle, core, warp, pc, disasm, tmask)
-        #: per issued instruction. Enable only for debugging — it grows
-        #: with every instruction executed.
-        self.trace: list[tuple[int, int, int, int, str, int]] | None = (
-            [] if trace else None
-        )
         self.fast_forward = os.environ.get(NO_FASTFORWARD_ENV, "") in ("", "0")
         self.program = None
         #: the decoded program keyed by PC (shared with every core).
@@ -171,6 +165,17 @@ class Machine:
 
     def launch(self, ndrange: NDRange, max_cycles: int = 200_000_000,
                checkpoint=None) -> LaunchResult:
+        """Run ``ndrange`` to completion on the loaded image and the
+        marshalled arguments.
+
+        With a :class:`~.checkpoint.CheckpointPlan` the launch records
+        the post-marshal baselines, then asks the plan for this launch's
+        snapshot. One that verifies is restored and the run continues
+        from its cycle; otherwise (none, or refused and discarded by the
+        plan) the launch starts fresh on this same machine, since
+        verification mutates nothing. A completed launch discards its
+        snapshot: a retry re-simulates it from scratch.
+        """
         if self._image is None:
             raise RuntimeLaunchError("no kernel image loaded")
         cfg = self.config
@@ -182,96 +187,63 @@ class Machine:
                 f"warps (barrier kernel); the configuration has "
                 f"{cfg.warps} per core"
             )
-        self._set_launch(ndrange)
-        self._pending = self._partition_groups(ndrange)
-        self._groups_dispatched = 0
-        self.printf_output.clear()
-        self.skip_stats = {"ff_cycles": 0}
-        for core in self.cores:
-            core.free_warps = sum(not w.active for w in core.warps)
-        self._active_warps = sum(cfg.warps - core.free_warps
-                                 for core in self.cores)
-        self._dispatch_blocked = False
-        self._due = [0] * len(self.cores)
-        if self.profiler.enabled:
-            self._profile_prologue(ndrange)
-        if checkpoint is not None:
-            self._arm_checkpoint(checkpoint)
-        self._try_dispatch(0)
-        return self._run(0, max_cycles, checkpoint)
-
-    def resume(self, ndrange: NDRange, state: dict,
-               max_cycles: int = 200_000_000,
-               checkpoint=None) -> LaunchResult:
-        """Restore a verified snapshot and continue to completion.
-
-        The machine must be assembled exactly as for :meth:`launch` —
-        image loaded, kernel arguments marshalled — so its memory holds
-        the deterministic baseline the snapshot's delta was taken
-        against. Every precondition (config label, ndrange, program
-        fingerprint, memory baseline) is verified *before* any
-        mutation; on :class:`CheckpointError` the caller can fall back
-        to a clean :meth:`launch` on a fresh machine.
-        """
-        from .checkpoint import restore_state, verify_resume
-
-        if self._image is None:
-            raise RuntimeLaunchError("no kernel image loaded")
-        if self.profiler.enabled or self.trace is not None:
-            raise CheckpointError(
-                "cannot resume a snapshot with profiling or tracing "
-                "enabled (their state is not snapshotted)"
-            )
-        self._set_launch(ndrange)
-        verify_resume(self, ndrange, state)
-        # The pre-restore memory *is* the baseline for further deltas.
-        self._ckpt_baseline = self.memory.data.copy()
-        self._ckpt_baseline_digest = state["baseline_digest"]
-        self._ckpt_program_sha = state["program_sha"]
-        restore_state(self, state)
-        if checkpoint is not None:
-            checkpoint.note_resumed(int(state["now"]))
-        return self._run(int(state["now"]), max_cycles, checkpoint)
-
-    def _set_launch(self, ndrange: NDRange) -> None:
-        """What a launch and a resume of ``ndrange`` share: the NDRange
-        descriptor the kernel's get_*_size queries read from memory,
-        and the dispatch constants — warps per group, the kernel entry
-        and the first-wave mask of each of a group's warps."""
-        ndr_words = np.array(
+        # The NDRange descriptor the kernel's get_*_size queries read, and
+        # the dispatch constants: warps per group, the kernel entry and
+        # the lanes of items k*T.. that exist in each of a group's warps
+        # (wave mode has one warp, k = 0: its first wave; the kernel's
+        # own wave loop re-masks the later waves).
+        self.memory.write_words(layout.NDR_BASE, np.array(
             list(ndrange.global_size) + list(ndrange.local_size)
-            + list(ndrange.num_groups),
-            dtype=np.int32,
-        )
-        self.memory.write_words(layout.NDR_BASE, ndr_words)
+            + list(ndrange.num_groups), dtype=np.int32))
         self._ndrange = ndrange
-        self._warps_needed = self._warps_per_group(ndrange)
+        self._warps_needed = warps_needed
         self._entry_pc = self.program.labels[self._image.kernel_name]
-        # The lanes of items k*T.. that exist (wave mode has one warp,
-        # k = 0: its first wave; the kernel's own wave loop re-masks the
-        # later waves).
-        T = self.config.threads
+        T = cfg.threads
         lanes = np.arange(T)
-        self._group_masks = [lanes < ndrange.items_per_group - k * T
-                             for k in range(self._warps_needed)]
-
-    def _arm_checkpoint(self, ckpt) -> None:
-        """Record the post-marshal baselines snapshots delta against."""
-        from .checkpoint import baseline_digest, program_fingerprint
-
-        if self.profiler.enabled or self.trace is not None:
-            raise CheckpointError(
-                "checkpointing is incompatible with profiling or "
-                "tracing (sampler and trace state are not snapshotted)"
-            )
-        self._ckpt_baseline = self.memory.data.copy()
-        self._ckpt_baseline_digest = baseline_digest(self._ckpt_baseline)
-        self._ckpt_program_sha = program_fingerprint(self._image,
-                                                     self.config)
+        self._group_masks = [lanes < ipg - k * T
+                             for k in range(warps_needed)]
+        state = None
+        if checkpoint is not None:
+            if self.profiler.enabled:
+                raise CheckpointError(
+                    "checkpointing is incompatible with profiling "
+                    "(sampler state is not snapshotted)"
+                )
+            # The post-marshal baselines: snapshots delta against them,
+            # a resume verifies against them.
+            self._ckpt_baseline = self.memory.data.copy()
+            self._ckpt_baseline_digest = _ckpt.baseline_digest(
+                self._ckpt_baseline)
+            self._ckpt_program_sha = _ckpt.program_fingerprint(self._image,
+                                                               cfg)
+            state = checkpoint.begin_launch(self, ndrange)
+        if state is not None:
+            now = int(state["now"])
+            _ckpt.restore_state(self, state)
+            checkpoint.note_resumed(now)
+        else:
+            now = 0
+            self._pending = self._partition_groups(ndrange)
+            self._groups_dispatched = 0
+            self.printf_output.clear()
+            self.skip_stats = {"ff_cycles": 0}
+            for core in self.cores:
+                core.free_warps = sum(not w.active for w in core.warps)
+            self._active_warps = sum(cfg.warps - core.free_warps
+                                     for core in self.cores)
+            self._dispatch_blocked = False
+            self._due = [0] * len(self.cores)
+            if self.profiler.enabled:
+                self._profile_prologue(ndrange)
+            self._try_dispatch(0)
+        result = self._run(now, max_cycles, checkpoint)
+        if checkpoint is not None:
+            checkpoint.store.discard(checkpoint.launch_id)
+        return result
 
     def _run(self, now: int, max_cycles: int, ckpt=None) -> LaunchResult:
         """The main cycle loop, from ``now`` (0 for a fresh launch, the
-        snapshot cycle for a resume) to completion."""
+        snapshot cycle for a resumed one) to completion."""
         prof = self.profiler
         profiling = prof.enabled
         if profiling:
@@ -287,7 +259,7 @@ class Machine:
         due = self._due
         run_start = now
         if ckpt is not None:
-            ckpt_step = min(ckpt.every_cycles, _CKPT_CHECK_INTERVAL)
+            ckpt_step = min(ckpt.every_cycles, _ckpt.CHECK_INTERVAL)
             next_ckpt = now + ckpt_step
             next_snap = now + ckpt.every_cycles
         else:

@@ -91,7 +91,7 @@ def _machine_digest(machine, result):
     }
 
 
-def _run_vecadd(config, n, checkpoint=None):
+def _run_vecadd(config, n, checkpoint=None, profiler=None):
     """One vecadd launch capturing the final machine state digest."""
     import numpy as np
 
@@ -100,7 +100,7 @@ def _run_vecadd(config, n, checkpoint=None):
 
     captured = {}
     backend = VortexBackend(
-        config, checkpoint=checkpoint,
+        config, checkpoint=checkpoint, profiler=profiler,
         launch_hook=lambda m, r: captured.update(
             digest=_machine_digest(m, r)))
     ctx = Context(backend)
@@ -188,7 +188,7 @@ class TestRoundTrip:
             _run_vecadd(CONFIG, N, checkpoint=plan)
         plan2 = CheckpointPlan(store, "deep", every_cycles=EVERY)
         digest, out = _run_vecadd(CONFIG, N, checkpoint=plan2)
-        assert plan2.hits == 1
+        assert store.hit_count() == 1
         assert digest == ref_digest
         assert (out == ref_out).all()
 
@@ -302,7 +302,6 @@ class TestStore:
         digest, out = _run_vecadd(other, N, checkpoint=plan)
         assert digest == ref_digest
         assert (out == ref_out).all()
-        assert plan.hits == 0
         assert store.hit_count() == 0
         assert not store.path("shared.L0").exists()
 
@@ -373,6 +372,23 @@ class TestStore:
                     checkpoint=checkpoint_spec(tmp_path, None, None),
                     **grid)
         assert live.exists()
+
+    def test_profiled_launch_keeps_the_snapshot(self, tmp_path):
+        """A launch that cannot checkpoint (a live profiler) refuses
+        before it reads the plan's snapshot, so the snapshot survives
+        for the next checkpointed run."""
+        from repro.profiling import Profiler
+
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(SimulationPreempted):
+            _run_vecadd(CONFIG, N, checkpoint=CheckpointPlan(
+                store, "cell", every_cycles=EVERY, preempt_at_cycle=5_000))
+        with pytest.raises(CheckpointError):
+            _run_vecadd(CONFIG, N, profiler=Profiler(),
+                        checkpoint=CheckpointPlan(store, "cell"))
+        assert store.path("cell.L0").exists()
+        _run_vecadd(CONFIG, N, checkpoint=CheckpointPlan(store, "cell"))
+        assert store.hit_count() == 1
 
     def test_resume_verification_runs_before_mutation(self, tmp_path):
         spec = _spec(tmp_path, preempt_at_cycle=5_000)

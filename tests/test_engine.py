@@ -325,6 +325,18 @@ class TestEngineFailures:
         # the watchdog cancelled the 60s sleeper instead of waiting it out
         assert time.monotonic() - started < 30
 
+    def test_fail_fast_timeout_terminates_the_hung_worker(self):
+        """A fail-fast abort on a watchdog timeout tears the pool down
+        instead of waiting out the hung worker, and the engine runs
+        again afterwards on a fresh pool."""
+        with ExperimentEngine(jobs=2, point_timeout=1.0) as engine:
+            started = time.monotonic()
+            with pytest.raises(ExperimentAborted) as exc_info:
+                engine.run(_sleep_for, [(8.0, 1), (0.0, 2)])
+            assert time.monotonic() - started < 4.0
+            assert exc_info.value.failure.exc_type == "PointTimeout"
+            assert engine.run(_sleep_for, [(0.0, 3), (0.0, 4)]) == [3, 4]
+
     def test_timeout_then_retry_succeeds(self, tmp_path):
         marker = str(tmp_path / "marker")
         # pre-claim the fast point's marker so only the slow point can

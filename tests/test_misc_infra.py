@@ -162,29 +162,3 @@ class TestDisassemblyGolden:
         # 8 threads / 8-item groups: single full wave, no wave loop.
         assert "tmc" not in text
 
-
-class TestTrace:
-    def test_trace_capture(self):
-        ctx = Context(VortexBackend(
-            VortexConfig(cores=1, warps=2, threads=4), trace=True))
-        prog = ctx.program([_copy_kernel()])
-        src = ctx.buffer(np.arange(8, dtype=np.float32))
-        dst = ctx.alloc(8)
-        stats = prog.launch("copy", [src, dst, 8], 8, 4)
-        trace = stats.extra["trace"]
-        assert len(trace) == stats.dynamic_instructions
-        cycles = [t[0] for t in trace]
-        assert cycles == sorted(cycles)
-        disasms = {t[4].split()[0] for t in trace}
-        assert {"flw", "fsw", "halt"} <= disasms
-        # tmask column carries the active-lane bits.
-        assert all(0 < t[5] < 16 or t[5] == 15 for t in trace)
-
-    def test_trace_off_by_default(self):
-        ctx = Context(VortexBackend(VortexConfig(cores=1, warps=2,
-                                                 threads=4)))
-        prog = ctx.program([_copy_kernel()])
-        src = ctx.buffer(np.arange(8, dtype=np.float32))
-        dst = ctx.alloc(8)
-        stats = prog.launch("copy", [src, dst, 8], 8, 4)
-        assert "trace" not in stats.extra

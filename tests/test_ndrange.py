@@ -69,16 +69,3 @@ class TestInvariants:
             for local in ndr.local_items():
                 seen.add(ndr.global_id(group, local))
         assert len(seen) == ndr.total_items
-
-    @given(sizes, sizes, sizes)
-    def test_linear_ids_are_bijective(self, gx, gy, lx):
-        ndr = NDRange.create((gx * lx, gy), (lx, 1))
-        lin = [ndr.group_linear_id(g) for g in ndr.groups()]
-        assert sorted(lin) == list(range(ndr.group_count))
-        lin_local = [ndr.local_linear_id(l) for l in ndr.local_items()]
-        assert sorted(lin_local) == list(range(ndr.items_per_group))
-
-    @given(sizes, sizes)
-    def test_totals_consistent(self, gx, lx):
-        ndr = NDRange.create(gx * lx, lx)
-        assert ndr.group_count * ndr.items_per_group == ndr.total_items

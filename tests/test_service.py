@@ -334,6 +334,15 @@ class TestRoundtrip:
         assert health["pid"] == os.getpid()
         assert health["limits"]["max_queue"] == daemon.max_queue
 
+    def test_batches_leave_the_profiler_empty(self, tmp_path):
+        """The daemon's profiler keeps only the ``service.`` counters
+        health reports: engine batches add no events to it, so a
+        long-lived daemon does not grow with every batch."""
+        daemon = ExperimentDaemon(tmp_path / "state")
+        for i in range(20):
+            assert daemon.engine.run(abs, [(-i,)]) == [i]
+        assert daemon.profiler.events == []
+
     def test_status_without_id_is_health(self, daemon_factory):
         daemon = daemon_factory()
         reply = _client(daemon).status()

@@ -217,12 +217,6 @@ class TestCache:
         assert c.lookup(0)
         assert not c.lookup(128)
 
-    def test_invalidate_all(self):
-        c = Cache(size=1024, ways=2, line_size=64)
-        c.fill(0)
-        c.invalidate_all()
-        assert not c.lookup(0)
-
     def test_double_fill_does_not_duplicate_line(self):
         # Two outstanding misses on the same line both fill on return;
         # the second fill must refresh the resident way, not allocate

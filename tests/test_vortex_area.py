@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import SynthesisError
 from repro.hls import STRATIX10_MX2100, STRATIX10_SX2800
 from repro.vortex import VortexConfig
-from repro.vortex.area import estimate, synthesize, to_area_report
+from repro.vortex.area import estimate, synthesize
 
 geoms = st.tuples(
     st.sampled_from([1, 2, 4, 8]),
@@ -94,11 +94,3 @@ class TestSynthesize:
         small = max_cores(STRATIX10_MX2100)
         assert big >= small  # SX2800 is the larger part
         assert big >= 4  # the paper synthesized 4-core configs
-
-
-class TestConversion:
-    def test_to_area_report(self):
-        r = estimate(VortexConfig(cores=2, warps=4, threads=16))
-        shared = to_area_report(r)
-        assert shared.as_row()["ALUTs"] == r.aluts
-        assert "vortex_total" in shared.breakdown
