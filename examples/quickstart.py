@@ -64,7 +64,8 @@ def main():
                                      title="  HLS area on " +
                                      backend.device.name))
         if backend.name == "vortex":
-            print(f"  lsu stalls: {stats.extra['lsu_stalls']:,}, "
+            print(f"  lsu stall cycles: {stats.extra['lsu_stalls']:,}, "
+                  f"lsu replays: {stats.extra['lsu_replays']:,}, "
                   f"dcache hit rate: {stats.extra['dcache_hit_rate']:.1%}, "
                   f"dram row hit rate: "
                   f"{stats.extra['dram_row_hit_rate']:.1%}")

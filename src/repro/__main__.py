@@ -37,6 +37,10 @@ import os
 import signal
 import sys
 
+from .harness.dse import (CALIBRATION_MAX_N, CONFIRM_MODES, CORE_COUNTS,
+                          FRONTIER_CAP)
+from .harness.sweep import FIG7_BENCHMARKS, FIG7_N, THREAD_SIZES, WARP_SIZES
+
 
 def _make_cache(args: argparse.Namespace):
     """Build the result cache the flags (or REPRO_CACHE_DIR) ask for."""
@@ -155,7 +159,6 @@ def _table4(args: argparse.Namespace) -> int:
 
 def _fig7(args: argparse.Namespace) -> int:
     from .harness import render_comparison, run_sweep
-    from .harness.sweep import THREAD_SIZES, WARP_SIZES
 
     warp_sizes = getattr(args, "warp_sizes", ()) or WARP_SIZES
     thread_sizes = getattr(args, "thread_sizes", ()) or THREAD_SIZES
@@ -165,7 +168,7 @@ def _fig7(args: argparse.Namespace) -> int:
     # up once, not per benchmark.
     with _engine(args) as engine:
         results = []
-        for benchmark in ("vecadd", "transpose"):
+        for benchmark in FIG7_BENCHMARKS:
             result = run_sweep(benchmark, warp_sizes=warp_sizes,
                                thread_sizes=thread_sizes, engine=engine,
                                checkpoint=checkpoint)
@@ -235,7 +238,7 @@ def _calibrate(args: argparse.Namespace) -> int:
 
     benchmarks = tuple(
         tok for tok in (args.benchmarks or "").split(",") if tok.strip()
-    ) or ("vecadd", "transpose")
+    ) or FIG7_BENCHMARKS
     with _engine(args) as engine:
         artifact = run_calibration(benchmarks=benchmarks, n=args.n,
                                    engine=engine)
@@ -261,15 +264,15 @@ def _dse(args: argparse.Namespace) -> int:
         calibration = None
         if args.calibrate:
             calibration = run_calibration(
-                benchmarks=(args.benchmark,), n=min(args.n, 1024),
-                engine=engine)
+                benchmarks=(args.benchmark,),
+                n=min(args.n, CALIBRATION_MAX_N), engine=engine)
         elif args.calibration:
             calibration = load_calibration(args.calibration)
         result = run_dse(
             args.benchmark, n=args.n,
-            core_counts=args.cores or (1, 2, 4, 8),
-            warp_sizes=args.warps or (2, 4, 8, 16),
-            thread_sizes=args.threads or (2, 4, 8, 16),
+            core_counts=args.cores or CORE_COUNTS,
+            warp_sizes=args.warps or WARP_SIZES,
+            thread_sizes=args.threads or THREAD_SIZES,
             calibration=calibration,
             confirm=args.confirm,
             frontier_cap=args.frontier_cap,
@@ -383,6 +386,10 @@ _ARTIFACTS = {
 }
 
 
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -455,11 +462,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "fig7":
             p.add_argument(
                 "--warp-sizes", type=_sizes, default=(), metavar="W,W,...",
-                help="comma-separated warp counts (default 2,4,8,16)")
+                help=f"comma-separated warp counts "
+                     f"(default {_csv(WARP_SIZES)})")
             p.add_argument(
                 "--thread-sizes", type=_sizes, default=(),
                 metavar="T,T,...",
-                help="comma-separated thread counts (default 2,4,8,16)")
+                help=f"comma-separated thread counts "
+                     f"(default {_csv(THREAD_SIZES)})")
         p.set_defaults(func=fn)
     p_all = sub.add_parser("all", help="regenerate every table and figure")
     p_all.set_defaults(func=None)
@@ -516,11 +525,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="", metavar="PATH",
                    help="artifact path (default .repro-calibration.json)")
     p.add_argument("--benchmarks", default="", metavar="B,B,...",
-                   help="comma-separated benchmarks "
-                        "(default vecadd,transpose)")
-    p.add_argument("--n", type=_POSITIVE, default=4096,
-                   help="problem size of the SimX ground-truth cells "
-                        "(default 4096)")
+                   help=f"comma-separated benchmarks "
+                        f"(default {_csv(FIG7_BENCHMARKS)})")
+    p.add_argument("--n", type=_POSITIVE, default=FIG7_N,
+                   help=f"problem size of the SimX ground-truth cells "
+                        f"(default {FIG7_N})")
     p.set_defaults(func=_calibrate)
 
     p = sub.add_parser(
@@ -530,21 +539,25 @@ def _build_parser() -> argparse.ArgumentParser:
              "grid with the analytical model in milliseconds, then "
              "SimX-confirm only the Pareto frontier",
     )
-    p.add_argument("benchmark", help="sweep benchmark: vecadd or transpose")
-    p.add_argument("--n", type=_POSITIVE, default=4096,
-                   help="problem size (default 4096)")
+    p.add_argument("benchmark", help=f"sweep benchmark: "
+                                     f"{' or '.join(FIG7_BENCHMARKS)}")
+    p.add_argument("--n", type=_POSITIVE, default=FIG7_N,
+                   help=f"problem size (default {FIG7_N})")
     p.add_argument("--cores", type=_sizes, default=(), metavar="C,C,...",
-                   help="core counts to screen (default 1,2,4,8)")
+                   help=f"core counts to screen "
+                        f"(default {_csv(CORE_COUNTS)})")
     p.add_argument("--warps", type=_sizes, default=(), metavar="W,W,...",
-                   help="warp counts to screen (default 2,4,8,16)")
+                   help=f"warp counts to screen "
+                        f"(default {_csv(WARP_SIZES)})")
     p.add_argument("--threads", type=_sizes, default=(), metavar="T,T,...",
-                   help="thread counts to screen (default 2,4,8,16)")
-    p.add_argument("--confirm", choices=("frontier", "none"),
-                   default="frontier",
+                   help=f"thread counts to screen "
+                        f"(default {_csv(THREAD_SIZES)})")
+    p.add_argument("--confirm", choices=CONFIRM_MODES, default="frontier",
                    help="SimX-confirm the Pareto frontier (default) or "
                         "stop at the analytical screen")
-    p.add_argument("--frontier-cap", type=_POSITIVE, default=8,
-                   help="max frontier points to SimX-confirm (default 8)")
+    p.add_argument("--frontier-cap", type=_POSITIVE, default=FRONTIER_CAP,
+                   help=f"max frontier points to SimX-confirm "
+                        f"(default {FRONTIER_CAP})")
     p.add_argument("--calibration", default="", metavar="PATH",
                    help="load a saved calibration artifact (its error "
                         "bounds drive frontier pruning)")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ocl import FLOAT32, GLOBAL_FLOAT32, INT32, KernelBuilder
+from ..ocl import GLOBAL_FLOAT32, INT32, KernelBuilder
 from .suite import Benchmark, register
 
 HEIGHT = 16  # BLOCK_SIZE in Rodinia

@@ -88,6 +88,10 @@ def all_benchmarks() -> list[Benchmark]:
 
 
 def get_benchmark(name: str) -> Benchmark:
+    """The Table I benchmark ``name``; any other name raises
+    :class:`~repro.errors.ReproError`."""
+    if name not in _MODULES:
+        raise ReproError(f"unknown benchmark {name!r}")
     if name not in _REGISTRY:
         importlib.import_module(f"{__package__}.{name}")
     return _REGISTRY[name]

@@ -26,7 +26,8 @@ from ..errors import CalibrationError, PointFailure
 from ..fingerprint import code_fingerprint
 from ..harness.engine import ExperimentEngine, default_engine
 from ..harness.result_cache import ResultCache
-from ..harness.sweep import fig7_key, fig7_profile, sweep_point
+from ..harness.sweep import (FIG7_BENCHMARKS, FIG7_N, fig7_key,
+                             fig7_profile, sweep_point)
 from ..vortex.analytical import KernelProfile, VortexModelParams, predict
 from ..vortex.simx.config import VortexConfig
 from .artifact import CalibrationArtifact
@@ -67,8 +68,8 @@ class CalibrationSample:
 
 
 def collect_vortex_samples(
-    benchmarks: Sequence[str] = ("vecadd", "transpose"),
-    n: int = 4096,
+    benchmarks: Sequence[str] = FIG7_BENCHMARKS,
+    n: int = FIG7_N,
     cores: int = 4,
     cells: Sequence[tuple[int, int]] = VORTEX_CALIBRATION_CELLS,
     base: VortexConfig | None = None,
@@ -196,8 +197,8 @@ def error_bounds(samples: Sequence[CalibrationSample],
 
 
 def run_calibration(
-    benchmarks: Sequence[str] = ("vecadd", "transpose"),
-    n: int = 4096,
+    benchmarks: Sequence[str] = FIG7_BENCHMARKS,
+    n: int = FIG7_N,
     cores: int = 4,
     cells: Sequence[tuple[int, int]] = VORTEX_CALIBRATION_CELLS,
     base: VortexConfig | None = None,

@@ -52,8 +52,20 @@ from ..vortex.area import VortexAreaReport, synthesize
 from ..vortex.simx.config import VortexConfig
 from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
-from .sweep import fig7_geometry, fig7_key, fig7_profile, sweep_point
+from .sweep import (FIG7_N, THREAD_SIZES, WARP_SIZES, fig7_geometry,
+                    fig7_key, fig7_profile, sweep_point)
 from .tables import render_table
+
+#: the default screen: one to eight cores over Figure 7's (W, T) axes.
+CORE_COUNTS = (1, 2, 4, 8)
+#: :func:`run_dse`'s ``confirm`` modes: SimX-confirm the frontier, or
+#: stop at the screen.
+CONFIRM_MODES = ("frontier", "none")
+#: the most frontier points :func:`run_dse` SimX-confirms by default.
+FRONTIER_CAP = 8
+#: a DSE that fits its own calibration does so at ``min(n, this)``: the
+#: fitted constants transfer across n, and the sims stay cheap.
+CALIBRATION_MAX_N = 1024
 
 
 @dataclass
@@ -75,6 +87,12 @@ class Candidate:
         return (c.cores, c.warps, c.threads)
 
 
+def _predicted_rank(cand: Candidate) -> tuple:
+    """Fastest predicted first; ties go to the smaller configuration,
+    then to the lower config label."""
+    return (cand.prediction.cycles, cand.area.aluts, cand.config.label())
+
+
 def pareto_frontier(candidates: list[Candidate]) -> list[Candidate]:
     """The (predicted cycles, ALUT area) Pareto frontier, fastest first.
 
@@ -83,13 +101,9 @@ def pareto_frontier(candidates: list[Candidate]) -> list[Candidate]:
     a single deterministic representative (smallest config label), so
     the confirmation set never wastes simulations on duplicates.
     """
-    ordered = sorted(
-        candidates,
-        key=lambda c: (c.prediction.cycles, c.area.aluts,
-                       c.config.label()))
     frontier: list[Candidate] = []
     best_area = None
-    for cand in ordered:
+    for cand in sorted(candidates, key=_predicted_rank):
         if best_area is None or cand.area.aluts < best_area:
             frontier.append(cand)
             best_area = cand.area.aluts
@@ -114,8 +128,7 @@ class DSEResult:
     def frontier(self) -> list[Candidate]:
         """Frontier candidates, fastest-predicted first."""
         return sorted((c for c in self.candidates if c.on_frontier),
-                      key=lambda c: (c.prediction.cycles, c.area.aluts,
-                                     c.config.label()))
+                      key=_predicted_rank)
 
     @property
     def screen_points_per_sec(self) -> float:
@@ -145,9 +158,7 @@ class DSEResult:
             return min(simulated,
                        key=lambda c: (c.simulated_cycles, c.area.aluts,
                                       c.config.label()))
-        return min(self.candidates,
-                   key=lambda c: (c.prediction.cycles, c.area.aluts,
-                                  c.config.label()))
+        return min(self.candidates, key=_predicted_rank)
 
     def to_payload(self) -> dict:
         """JSON-serialisable summary (the service's `dse` job result).
@@ -174,11 +185,10 @@ class DSEResult:
                 "on_frontier": cand.on_frontier,
             }
 
-        interesting = [c for c in self.candidates
-                       if c.on_frontier or c.simulated_cycles is not None
-                       or c.sim_error is not None]
-        interesting.sort(key=lambda c: (c.prediction.cycles,
-                                        c.area.aluts, c.config.label()))
+        interesting = sorted(
+            (c for c in self.candidates if c.on_frontier
+             or c.simulated_cycles is not None or c.sim_error is not None),
+            key=_predicted_rank)
         try:
             best = row(self.best)
         except ExplorationError:
@@ -288,9 +298,9 @@ def dse_confirm_point(config: VortexConfig, benchmark: str, n: int,
 def explore_design_space(
     profile: KernelProfile,
     device: FPGADevice = STRATIX10_SX2800,
-    core_counts: tuple[int, ...] = (1, 2, 4, 8),
-    warp_sizes: tuple[int, ...] = (2, 4, 8, 16),
-    thread_sizes: tuple[int, ...] = (2, 4, 8, 16),
+    core_counts: tuple[int, ...] = CORE_COUNTS,
+    warp_sizes: tuple[int, ...] = WARP_SIZES,
+    thread_sizes: tuple[int, ...] = THREAD_SIZES,
     base: VortexConfig | None = None,
     simulate=None,
     params: VortexModelParams | None = None,
@@ -406,15 +416,15 @@ def explore_design_space(
 
 def run_dse(
     benchmark: str,
-    n: int = 4096,
+    n: int = FIG7_N,
     device: FPGADevice = STRATIX10_SX2800,
-    core_counts: tuple[int, ...] = (1, 2, 4, 8),
-    warp_sizes: tuple[int, ...] = (2, 4, 8, 16),
-    thread_sizes: tuple[int, ...] = (2, 4, 8, 16),
+    core_counts: tuple[int, ...] = CORE_COUNTS,
+    warp_sizes: tuple[int, ...] = WARP_SIZES,
+    thread_sizes: tuple[int, ...] = THREAD_SIZES,
     base: VortexConfig | None = None,
     calibration=None,
     confirm: str = "frontier",
-    frontier_cap: int | None = 8,
+    frontier_cap: int | None = FRONTIER_CAP,
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
     profiler: Profiler | None = None,
@@ -438,7 +448,7 @@ def run_dse(
     preemptible exactly as in :func:`~repro.harness.sweep.run_sweep`.
     """
     engine = default_engine(engine, cache)
-    if confirm not in ("frontier", "none"):
+    if confirm not in CONFIRM_MODES:
         raise ValueError("confirm must be 'frontier' or 'none'")
     profile = fig7_profile(benchmark, n)
 

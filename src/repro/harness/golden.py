@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..benchmarks.suite import all_benchmarks, get_benchmark, run_benchmark
+from ..benchmarks.suite import all_benchmarks, run_benchmark
+from ..durable import atomic_write
+from ..errors import ReproError
 from ..ocl.host import ReferenceBackend
 from ..vortex import VortexBackend, VortexConfig
 
@@ -152,33 +154,23 @@ def compute_digest(point: GoldenPoint) -> dict:
     launches: list[dict] = []
 
     def hook(machine, result) -> None:
+        totals = result.counters
         launches.append({
             "cycles": result.cycles,
             "instructions": result.instructions,
-            "groups_dispatched": result.groups_dispatched,
+            "groups_dispatched": totals["groups_dispatched"],
             "memory_sha256": _sha256(machine.memory.data.tobytes()),
-            "dcache": {
-                "accesses": sum(c.dcache.stats.accesses
-                                for c in machine.cores),
-                "hits": sum(c.dcache.stats.hits for c in machine.cores),
-                "misses": sum(c.dcache.stats.misses for c in machine.cores),
-            },
-            "dram": {
-                "requests": machine.dram.stats.requests,
-                "row_hits": machine.dram.stats.row_hits,
-                "row_misses": machine.dram.stats.row_misses,
-            },
+            "dcache": {name: totals[f"dcache.{name}"]
+                       for name in ("accesses", "hits", "misses")},
+            "dram": {name: totals[f"dram.{name}"]
+                     for name in ("requests", "row_hits", "row_misses")},
             "stalls": {
-                "lsu": sum(c.stats.lsu_stalls for c in machine.cores),
-                "lsu_replays": sum(c.stats.lsu_replays
-                                   for c in machine.cores),
-                "scoreboard": sum(c.stats.scoreboard_stalls
-                                  for c in machine.cores),
-                "barrier_waits": sum(c.stats.barrier_waits
-                                     for c in machine.cores),
+                "lsu": totals["lsu_stalls"],
+                "lsu_replays": totals["lsu_replays"],
+                "scoreboard": totals["scoreboard_stalls"],
+                "barrier_waits": totals["barrier_waits"],
             },
-            "simt_instructions": sum(c.stats.simt_instructions
-                                     for c in machine.cores),
+            "simt_instructions": totals["simt_instructions"],
             "printf": list(result.printf_output),
         })
 
@@ -214,8 +206,8 @@ def load_digest(point: GoldenPoint) -> dict | None:
 
 def write_digest(point: GoldenPoint, digest: dict) -> Path:
     path = digest_path(point)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(digest, indent=1, sort_keys=True)
+                        + "\n").encode(), fsync=False)
     return path
 
 
@@ -250,12 +242,8 @@ def diff_digest(golden: dict, fresh: dict) -> list[str]:
 class GoldenReport:
     checked: int = 0
     updated: int = 0
-    missing: list[str] = None  # type: ignore[assignment]
-    mismatched: dict = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.missing = [] if self.missing is None else self.missing
-        self.mismatched = {} if self.mismatched is None else self.mismatched
+    missing: list[str] = field(default_factory=list)
+    mismatched: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -279,13 +267,19 @@ class GoldenReport:
 
 def run_golden(update: bool = False,
                only: list[str] | None = None) -> GoldenReport:
-    """Verify (or, with ``update=True``, regenerate) the golden suite."""
+    """Verify (or, with ``update=True``, regenerate) the golden suite.
+    ``only`` names benchmarks or points; a name that matches no point
+    raises :class:`~repro.errors.ReproError` (a typo must not pass)."""
+    points = golden_points()
+    if only:
+        unknown = set(only).difference(*({p.benchmark, p.name}
+                                         for p in points))
+        if unknown:
+            raise ReproError(f"unknown golden point(s): "
+                             f"{', '.join(sorted(unknown))}")
+        points = [p for p in points if {p.benchmark, p.name} & set(only)]
     report = GoldenReport()
-    for point in golden_points():
-        if only and point.benchmark not in only and point.name not in only:
-            continue
-        # Touch the registry early so a typo in ``only`` fails loudly.
-        get_benchmark(point.benchmark)
+    for point in points:
         fresh = compute_digest(point)
         report.checked += 1
         if update:

@@ -47,11 +47,10 @@ def run_profile(
     cycle_bucket: int = Profiler.DEFAULT_CYCLE_BUCKET,
     validate: bool = True,
 ) -> tuple[ProfileReport, BenchmarkResult]:
-    """Run ``benchmark`` once on ``backend`` with profiling enabled."""
-    try:
-        bench = get_benchmark(benchmark)
-    except (ImportError, KeyError) as exc:
-        raise ReproError(f"unknown benchmark {benchmark!r}") from exc
+    """Run ``benchmark`` once on ``backend`` with profiling enabled; a
+    failed run raises :class:`~repro.errors.ReproError` with its status
+    and detail."""
+    bench = get_benchmark(benchmark)
     profiler = Profiler(cycle_bucket=cycle_bucket)
     profiler.set_meta("benchmark", bench.table_name)
     profiler.set_meta("scale", scale)
@@ -62,10 +61,7 @@ def run_profile(
         )
     profiler.name_process(1000, "harness (wall-clock, us)")
     if not result.ok:
-        raise ReproError(
-            f"profiling {benchmark} on {backend} failed: "
-            f"{result.status} {result.detail}"
-        )
+        raise ReproError(f"{result.status} {result.detail}")
     report = profiler.report(
         title=f"{bench.name} [{backend}]", backend=backend)
     return report, result
@@ -99,7 +95,8 @@ def run_profile_cached(
     """:func:`profile_point` on ``engine`` (see
     :func:`~repro.harness.engine.default_engine`), whose cache and
     retries apply; a failed profile raises
-    :class:`~repro.errors.ReproError` under any ``keep_going`` policy.
+    :class:`~repro.errors.ReproError` under any ``keep_going`` policy,
+    and an unknown benchmark raises one before any point runs.
 
     Returns ``(report, summary, cache_hit)``. The report round-trips
     losslessly through :meth:`~repro.profiling.ProfileReport.to_payload`,
@@ -110,6 +107,7 @@ def run_profile_cached(
     replays the originally measured wall time rather than remeasuring a
     run that never happened.
     """
+    get_benchmark(benchmark)
     engine = default_engine(engine, cache)
     key = None
     if engine.cache is not None:
@@ -125,6 +123,6 @@ def run_profile_cached(
         keys=[key], label="profile")
     if isinstance(value, PointFailure):
         raise ReproError(f"profiling {benchmark} on {backend} failed: "
-                         f"{value.brief()}")
+                         f"{value.message}")
     return (ProfileReport.from_payload(value["report"]), value["summary"],
             engine.stats.cache_hits > hits)

@@ -39,6 +39,8 @@ from .tables import render_heatmap, render_table
 
 WARP_SIZES = (2, 4, 8, 16)
 THREAD_SIZES = (2, 4, 8, 16)
+#: the default problem size of a Figure 7 cell, a DSE and a calibration.
+FIG7_N = 4096
 
 #: the deterministic workload seed every cell uses.
 SWEEP_SEED = 0
@@ -232,7 +234,7 @@ def sweep_point(benchmark: str, config: VortexConfig, n: int,
 def run_sweep(
     benchmark: str = "vecadd",
     cores: int = 4,
-    n: int = 4096,
+    n: int = FIG7_N,
     warp_sizes: tuple[int, ...] = WARP_SIZES,
     thread_sizes: tuple[int, ...] = THREAD_SIZES,
     base_config: VortexConfig | None = None,

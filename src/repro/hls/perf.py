@@ -80,9 +80,9 @@ def estimate_cycles(
     """Estimate the execution cycles of one launch from its dynamic
     profile (``run`` comes from the functional execution of the launch).
 
-    When ``profiler`` is enabled, records II accounting, per-LSU-kind
-    memory traffic, and pipeline stage occupancy on a modelled-cycle
-    timeline."""
+    When ``profiler`` is enabled, records the issue and memory counts,
+    per-LSU-kind memory traffic, and the pipeline stages on a
+    modelled-cycle timeline."""
     static_instrs = sum(1 for _ in kernel.instructions())
     depth = BASE_DEPTH + STAGES_PER_INSTR * static_instrs
 
@@ -153,11 +153,11 @@ def _record_estimate(
 ) -> None:
     """Fold one pipeline estimate into profiler counters and a modelled
     timeline: fill, steady-state issue, and the memory interface as
-    overlapping spans, stage occupancy as derived counters."""
+    overlapping spans. The report derives II and stage occupancy from
+    the counts (:data:`repro.profiling.RATIOS`)."""
     prof.set_meta("timeline", "modelled pipeline cycles")
     prof.count_many({
         "depth": est.depth,
-        "initiation_interval": est.initiation_interval,
         "iterations": iterations,
         "issue_cycles": est.issue_cycles,
         "memory_cycles": est.memory_cycles,
@@ -168,11 +168,6 @@ def _record_estimate(
     for kind, (words, cost) in sorted(kind_traffic.items()):
         prof.count(f"hls.lsu.{kind}.words", words)
         prof.count(f"hls.lsu.{kind}.cycles", cost)
-    # Occupancy: the fraction of the modelled runtime each bound keeps
-    # its stage busy; the larger one is the reported bottleneck.
-    if est.cycles:
-        prof.count("hls.occupancy.issue", est.issue_cycles / est.cycles)
-        prof.count("hls.occupancy.memory", est.memory_cycles / est.cycles)
     pid = 0
     prof.name_process(pid, f"hls pipeline: {kernel.name}")
     prof.name_thread(pid, 0, "wavefront")

@@ -36,7 +36,6 @@ from .ir import (
     Opcode,
     Param,
     Value,
-    iter_operands,
     predecessors,
     reachable_blocks,
 )
@@ -45,7 +44,6 @@ from .types import (
     FLOAT32,
     INT32,
     AddressSpace,
-    PointerType,
     ScalarType,
     Type,
     is_pointer,

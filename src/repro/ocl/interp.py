@@ -479,8 +479,5 @@ def _record_run(prof: Profiler, kernel: Kernel, ndr: NDRange,
     prof.count("interp.barriers_executed", result.barriers_executed)
     prof.count("interp.dynamic_instructions", result.dynamic_instructions)
     prof.count("interp.groups", len(list(ndr.groups())))
-    if result.items_executed:
-        prof.count("interp.steps_per_item",
-                   result.dynamic_instructions / result.items_executed)
     for op, n in result.op_counts.items():
         prof.count(f"interp.op.{op.value}", n)

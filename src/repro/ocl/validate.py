@@ -23,15 +23,10 @@ from .ir import (
     ATOMIC_OPS,
     FCMP_PREDS,
     ICMP_PREDS,
-    Block,
     Const,
-    Instr,
     Kernel,
-    LocalArray,
     Opcode,
-    Param,
     Value,
-    iter_operands,
     predecessors,
     reachable_blocks,
 )

@@ -35,7 +35,6 @@ from ..ocl.ir import (
     Kernel,
     Opcode,
     Value,
-    predecessors,
 )
 from .cfg import postdominators
 

@@ -10,6 +10,7 @@ JSON artifacts. See ``python -m repro profile --help`` for the CLI.
 from .profiler import (
     NULL_PROFILER,
     NullProfiler,
+    RATIOS,
     Profiler,
     TraceEvent,
     ensure_profiler,
@@ -21,6 +22,7 @@ __all__ = [
     "NullProfiler",
     "ProfileReport",
     "Profiler",
+    "RATIOS",
     "TraceEvent",
     "ensure_profiler",
 ]

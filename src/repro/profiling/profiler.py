@@ -30,17 +30,32 @@ from __future__ import annotations
 import contextlib
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 __all__ = [
     "NULL_PROFILER",
     "NullProfiler",
     "Profiler",
+    "RATIOS",
     "Span",
     "TraceEvent",
     "ensure_profiler",
 ]
+
+#: Every ratio a report derives: name -> (numerator, denominator).
+#: Executors book only counts, so a run of several launches reports the
+#: ratio of its summed counts, not a sum of per-launch ratios.
+RATIOS = {
+    "simx.dcache.hit_rate": ("simx.dcache.hits", "simx.dcache.accesses"),
+    "simx.dram.row_hit_rate": ("simx.dram.row_hits", "simx.dram.requests"),
+    # exact per launch: issue_cycles = iterations x II
+    "hls.initiation_interval": ("hls.issue_cycles", "hls.iterations"),
+    "hls.occupancy.issue": ("hls.issue_cycles", "hls.cycles"),
+    "hls.occupancy.memory": ("hls.memory_cycles", "hls.cycles"),
+    "interp.steps_per_item": ("interp.dynamic_instructions",
+                              "interp.items_executed"),
+}
 
 
 @dataclass
@@ -181,12 +196,18 @@ class Profiler:
     # -- reporting ---------------------------------------------------------
 
     def report(self, title: str = "profile", backend: str = "") -> Any:
+        """Snapshot the run, adding each :data:`RATIOS` entry whose
+        denominator is nonzero."""
         from .report import ProfileReport
 
+        counters = dict(self.counters)
+        for name, (num, den) in RATIOS.items():
+            if counters.get(den):
+                counters[name] = counters.get(num, 0) / counters[den]
         return ProfileReport(
             title=title,
             backend=backend or str(self.meta.get("backend", "")),
-            counters=dict(self.counters),
+            counters=counters,
             events=list(self.events),
             meta=dict(self.meta),
             process_names=dict(self.process_names),

@@ -32,7 +32,6 @@ import socket
 import time
 import uuid
 from pathlib import Path
-from typing import Any
 
 from ..errors import ServiceError
 from . import protocol

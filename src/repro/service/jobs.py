@@ -46,7 +46,14 @@ import numbers
 import time
 from typing import Any
 
+from ..calibrate import run_calibration
 from ..errors import ServiceError
+from ..harness.dse import (CALIBRATION_MAX_N, CONFIRM_MODES, CORE_COUNTS,
+                           FRONTIER_CAP, run_dse)
+from ..harness.engine import ExperimentEngine
+from ..harness.sweep import (FIG7_BENCHMARKS, FIG7_N, THREAD_SIZES,
+                             WARP_SIZES, fig7_key, sweep_point)
+from ..vortex import VortexConfig
 
 __all__ = ["JOB_KINDS", "execute_job", "job_key", "validate_job"]
 
@@ -60,15 +67,12 @@ MIN_N, MAX_N = 16, 1 << 20
 #: service; an unbounded sleep would be a self-inflicted hang).
 MAX_PROBE_SLEEP_S = 600.0
 
-SWEEP_BENCHMARKS = ("vecadd", "transpose")
-
 #: admission bounds for dse jobs: SimX caps threads at 32 per warp, a
 #: grid bigger than this screens in well under a second but signals a
 #: typo, and the confirmation budget bounds the expensive part.
 MAX_DSE_THREADS = 32
 MAX_DSE_POINTS = 4096
 MAX_DSE_CONFIRM = 64
-DSE_CONFIRM_MODES = ("frontier", "none")
 
 JOB_KINDS = ("fig7-cell", "dse", "probe")
 
@@ -92,7 +96,7 @@ def _require_int(spec: dict, field: str, lo: int, hi: int,
 
 
 def _require_int_list(spec: dict, field: str, lo: int, hi: int,
-                      default: list[int]) -> list[int]:
+                      default: tuple[int, ...]) -> list[int]:
     """A non-empty list of bounded integers, canonicalised to sorted
     unique values (so logically-equal grids share one content key)."""
     value = spec.get(field, default)
@@ -131,52 +135,52 @@ def validate_job(spec: Any) -> dict:
         _check_fields(spec, {"benchmark", "warps", "threads", "cores",
                              "n"})
         benchmark = spec.get("benchmark")
-        if benchmark not in SWEEP_BENCHMARKS:
+        if benchmark not in FIG7_BENCHMARKS:
             raise _bad(f"fig7-cell benchmark must be one of "
-                       f"{list(SWEEP_BENCHMARKS)}, got {benchmark!r}")
+                       f"{list(FIG7_BENCHMARKS)}, got {benchmark!r}")
         return {
             "kind": "fig7-cell",
             "benchmark": benchmark,
             "warps": _require_int(spec, "warps", 1, MAX_GEOMETRY),
             "threads": _require_int(spec, "threads", 1, MAX_GEOMETRY),
             "cores": _require_int(spec, "cores", 1, MAX_GEOMETRY, 4),
-            "n": _require_int(spec, "n", MIN_N, MAX_N, 4096),
+            "n": _require_int(spec, "n", MIN_N, MAX_N, FIG7_N),
         }
     if kind == "dse":
         _check_fields(spec, {"benchmark", "n", "cores", "warps",
                              "threads", "confirm", "frontier_cap",
                              "calibrated"})
         benchmark = spec.get("benchmark")
-        if benchmark not in SWEEP_BENCHMARKS:
+        if benchmark not in FIG7_BENCHMARKS:
             raise _bad(f"dse benchmark must be one of "
-                       f"{list(SWEEP_BENCHMARKS)}, got {benchmark!r}")
+                       f"{list(FIG7_BENCHMARKS)}, got {benchmark!r}")
         cores = _require_int_list(spec, "cores", 1, MAX_GEOMETRY,
-                                  [1, 2, 4, 8])
+                                  CORE_COUNTS)
         warps = _require_int_list(spec, "warps", 1, MAX_GEOMETRY,
-                                  [2, 4, 8, 16])
+                                  WARP_SIZES)
         threads = _require_int_list(spec, "threads", 1, MAX_DSE_THREADS,
-                                    [2, 4, 8, 16])
+                                    THREAD_SIZES)
         points = len(cores) * len(warps) * len(threads)
         if points > MAX_DSE_POINTS:
             raise _bad(f"dse grid has {points} points "
                        f"(cap: {MAX_DSE_POINTS})")
         confirm = spec.get("confirm", "frontier")
-        if confirm not in DSE_CONFIRM_MODES:
+        if confirm not in CONFIRM_MODES:
             raise _bad(f"dse confirm must be one of "
-                       f"{list(DSE_CONFIRM_MODES)}, got {confirm!r}")
+                       f"{list(CONFIRM_MODES)}, got {confirm!r}")
         calibrated = spec.get("calibrated", True)
         if not isinstance(calibrated, bool):
             raise _bad("dse calibrated must be a boolean")
         return {
             "kind": "dse",
             "benchmark": benchmark,
-            "n": _require_int(spec, "n", MIN_N, MAX_N, 4096),
+            "n": _require_int(spec, "n", MIN_N, MAX_N, FIG7_N),
             "cores": cores,
             "warps": warps,
             "threads": threads,
             "confirm": confirm,
             "frontier_cap": _require_int(spec, "frontier_cap", 1,
-                                         MAX_DSE_CONFIRM, 8),
+                                         MAX_DSE_CONFIRM, FRONTIER_CAP),
             "calibrated": calibrated,
         }
     # probe
@@ -215,8 +219,6 @@ def job_key(cache, spec: dict) -> str:
     grid lists, so equal requests collide.
     """
     if spec["kind"] == "fig7-cell":
-        from ..harness.sweep import fig7_key
-
         return fig7_key(cache, spec["benchmark"], _cell_config(spec),
                         spec["n"])
     return cache.key(**spec)
@@ -224,8 +226,6 @@ def job_key(cache, spec: dict) -> str:
 
 def _cell_config(spec: dict):
     """The :class:`~repro.vortex.VortexConfig` of a ``fig7-cell`` spec."""
-    from ..vortex import VortexConfig
-
     return VortexConfig().with_geometry(
         cores=spec["cores"], warps=spec["warps"], threads=spec["threads"])
 
@@ -254,25 +254,15 @@ def execute_job(spec: dict, checkpoint: dict | None = None,
             raise RuntimeError("probe boom requested")
         return {"value": spec["value"]}
     if kind == "fig7-cell":
-        from ..harness.sweep import sweep_point
-
         return sweep_point(spec["benchmark"], _cell_config(spec),
                            spec["n"], checkpoint=checkpoint)
     if kind == "dse":
-        from ..harness.dse import run_dse
-        from ..harness.engine import ExperimentEngine
-
         engine = ExperimentEngine(cache=cache)  # serial: one daemon point
         calibration = None
         if spec["calibrated"]:
-            from ..calibrate import run_calibration
-
-            # a small-n fit keeps the calibration sims a fraction of
-            # the job; the fitted constants transfer across n (the
-            # regression tests bound the held-out error).
             calibration = run_calibration(
                 benchmarks=(spec["benchmark"],),
-                n=min(spec["n"], 1024), engine=engine)
+                n=min(spec["n"], CALIBRATION_MAX_N), engine=engine)
         result = run_dse(
             spec["benchmark"], n=spec["n"],
             core_counts=tuple(spec["cores"]),

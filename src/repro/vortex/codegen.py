@@ -45,9 +45,7 @@ from ..ocl.ir import (
     Const,
     Instr,
     Kernel,
-    LocalArray,
     Opcode,
-    Param,
     Value,
     clone_kernel,
     predecessors,
@@ -72,7 +70,6 @@ from .isa import (
     SP,
     WAVE_REG,
     ZERO,
-    Instruction,
 )
 from .regalloc import Allocation, allocate
 

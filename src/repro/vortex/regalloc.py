@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ocl.ir import Instr, Kernel, Value
+from ..ocl.ir import Kernel, Value
 from ..ocl.types import FLOAT32
 from ..passes import cfg as cfg_pass
 from ..passes import liveness as liveness_pass

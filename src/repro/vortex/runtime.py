@@ -139,6 +139,7 @@ class VortexCompiledKernel(CompiledKernel):
         if self.backend.launch_hook is not None:
             self.backend.launch_hook(machine, result)
 
+        counters = result.counters
         return LaunchStats(
             kernel_name=kernel.name,
             backend=self.backend.name,
@@ -146,14 +147,17 @@ class VortexCompiledKernel(CompiledKernel):
             dynamic_instructions=result.instructions,
             printf_output=result.printf_output,
             extra={
+                **counters,
                 "config": self.backend.config.label(),
-                "lsu_replays": result.extra.get("lsu_replays", 0),
-                "lsu_stalls": result.lsu_stalls,
-                "idle_cycles": result.idle_cycles,
-                "dcache_hit_rate": result.dcache_hit_rate,
-                "dram_row_hit_rate": result.dram_row_hit_rate,
-                "groups_dispatched": result.groups_dispatched,
                 "time_ms": result.time_ms(self.backend.config.clock_mhz),
                 "static_instructions": image.num_instructions,
+                "dcache_hit_rate": _rate(counters["dcache.hits"],
+                                         counters["dcache.accesses"]),
+                "dram_row_hit_rate": _rate(counters["dram.row_hits"],
+                                           counters["dram.requests"]),
             },
         )
+
+
+def _rate(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0

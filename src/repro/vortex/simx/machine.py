@@ -35,8 +35,7 @@ suite and ``tests/test_simx_fastforward.py`` pin this.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,18 +75,21 @@ NO_FASTFORWARD_ENV = "REPRO_SIMX_NO_FASTFORWARD"
 WARP_DUMP_MAX = 32
 
 
+#: The per-core counters a launch total sums over the cores, in the
+#: order the launch's ``counters`` lists them.
+_CORE_TOTALS = ("instructions", "simt_instructions", "cycles_active",
+                "idle_cycles", "lsu_stalls", "lsu_replays",
+                "scoreboard_stalls", "barrier_waits")
+
+
 @dataclass
 class LaunchResult:
     cycles: int
     instructions: int
     printf_output: list[str]
     core_stats: list[CoreStats]
-    dram_row_hit_rate: float
-    dcache_hit_rate: float
-    lsu_stalls: int
-    idle_cycles: int
-    groups_dispatched: int
-    extra: dict[str, Any] = field(default_factory=dict)
+    #: the launch's device-wide totals (see :meth:`Machine._fold_totals`).
+    counters: dict[str, int]
 
     def time_ms(self, clock_mhz: float) -> float:
         return self.cycles / (clock_mhz * 1e3)
@@ -311,27 +313,33 @@ class Machine:
 
         for core in cores:
             core.fold_counters(now)
+        counters = self._fold_totals(now, total_groups)
         if profiling:
             sampler.flush(now)
-            self._profile_epilogue(now, total_groups)
-        hits = sum(c.dcache.stats.hits for c in self.cores)
-        misses = sum(c.dcache.stats.misses for c in self.cores)
+            prof.count_many(counters, prefix="simx.")
         return LaunchResult(
             cycles=now,
-            instructions=sum(c.stats.instructions for c in self.cores),
+            instructions=counters["instructions"],
             printf_output=list(self.printf_output),
-            core_stats=[c.stats for c in self.cores],
-            dram_row_hit_rate=self.dram.stats.row_hit_rate,
-            dcache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-            lsu_stalls=sum(c.stats.lsu_stalls + c.stats.lsu_replays
-                           for c in self.cores),
-            idle_cycles=sum(c.stats.idle_cycles for c in self.cores),
-            groups_dispatched=total_groups,
-            extra={
-                "lsu_replays": sum(c.stats.lsu_replays for c in self.cores),
-                "ff_cycles": skip["ff_cycles"],
-            },
+            core_stats=[c.stats for c in cores],
+            counters=counters,
         )
+
+    def _fold_totals(self, now: int, groups: int) -> dict[str, int]:
+        """The finished launch's device-wide totals, the one place its
+        counters are summed over the cores. The profiler books them
+        under ``simx.``, ``LaunchStats.extra`` and the golden digests
+        read them as they are."""
+        totals = {"cycles": now, "groups_dispatched": groups}
+        for name in _CORE_TOTALS:
+            totals[name] = sum(getattr(c.stats, name) for c in self.cores)
+        for name in ("accesses", "hits", "misses"):
+            totals[f"dcache.{name}"] = sum(getattr(c.dcache.stats, name)
+                                           for c in self.cores)
+        for name in ("requests", "row_hits", "row_misses"):
+            totals[f"dram.{name}"] = getattr(self.dram.stats, name)
+        totals["skip.ff_cycles"] = self.skip_stats["ff_cycles"]
+        return totals
 
     def describe_warp_states(self, now: int,
                              max_warps: int = WARP_DUMP_MAX) -> str:
@@ -411,39 +419,6 @@ class Machine:
             for slot in range(cfg.warps):
                 prof.name_thread(pid, slot, f"slot {slot} (work-groups)")
         self._group_start.clear()
-
-    def _profile_epilogue(self, now: int, total_groups: int) -> None:
-        """Fold the end-of-launch counters into the profiler."""
-        prof = self.profiler
-        totals = {
-            "cycles": now,
-            "groups_dispatched": total_groups,
-            "instructions": sum(c.stats.instructions for c in self.cores),
-            "simt_instructions": sum(c.stats.simt_instructions
-                                     for c in self.cores),
-            "cycles_active": sum(c.stats.cycles_active for c in self.cores),
-            "idle_cycles": sum(c.stats.idle_cycles for c in self.cores),
-            "lsu_stalls": sum(c.stats.lsu_stalls for c in self.cores),
-            "lsu_replays": sum(c.stats.lsu_replays for c in self.cores),
-            "scoreboard_stalls": sum(c.stats.scoreboard_stalls
-                                     for c in self.cores),
-            "barrier_waits": sum(c.stats.barrier_waits for c in self.cores),
-            "dcache.accesses": sum(c.dcache.stats.accesses
-                                   for c in self.cores),
-            "dcache.hits": sum(c.dcache.stats.hits for c in self.cores),
-            "dcache.misses": sum(c.dcache.stats.misses for c in self.cores),
-            "dram.requests": self.dram.stats.requests,
-            "dram.row_hits": self.dram.stats.row_hits,
-            "dram.row_misses": self.dram.stats.row_misses,
-            "skip.ff_cycles": self.skip_stats["ff_cycles"],
-        }
-        prof.count_many(totals, prefix="simx.")
-        hits, misses = totals["dcache.hits"], totals["dcache.misses"]
-        if hits + misses:
-            prof.count("simx.dcache.hit_rate", hits / (hits + misses))
-        if self.dram.stats.requests:
-            prof.count("simx.dram.row_hit_rate",
-                       self.dram.stats.row_hit_rate)
 
     def _profile_dispatch(self, now: int, key: int,
                           group: tuple[int, int, int], core: Core,

@@ -95,10 +95,35 @@ def test_profile_geometry_flags(capsys, tmp_path):
 
 
 def test_profile_unknown_benchmark(capsys, tmp_path):
+    """A profile failure is reported once, and an unknown name before
+    any point runs."""
+    from repro.errors import ReproError
+    from repro.harness import ExperimentEngine, run_profile_cached
+
     assert main(["profile", "no-such-benchmark",
                  "--trace-out", str(tmp_path / "x.json")]) == 1
     err = capsys.readouterr().err
-    assert "error" in err.lower()
+    assert err == "error: unknown benchmark 'no-such-benchmark'\n"
+    engine = ExperimentEngine()
+    with pytest.raises(ReproError, match="^unknown benchmark"):
+        run_profile_cached("no-such-benchmark", engine=engine)
+    assert engine.stats.points == 0
+
+    assert main(["profile", "hybridsort", "--backend", "hls",
+                 "--trace-out", str(tmp_path / "y.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: profiling hybridsort on hls failed: "
+                          "compile_failed kernel 'bucket_histogram' uses "
+                          "atomic functions")
+    assert err.count("profiling") == 1 and "ERROR(" not in err
+
+
+def test_golden_only_typo_is_an_error(capsys):
+    """``golden --only`` with a name that matches no point checks
+    nothing, so it must fail instead of reporting a clean suite."""
+    assert main(["golden", "--only", "vecadd,no-such-point"]) == 1
+    assert capsys.readouterr().err == \
+        "error: unknown golden point(s): no-such-point\n"
 
 
 def test_profile_unknown_backend_rejected(capsys):

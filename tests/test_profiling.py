@@ -21,6 +21,7 @@ import pytest
 from repro.ocl import Context, GLOBAL_INT32, INT32, KernelBuilder
 from repro.profiling import (
     NULL_PROFILER,
+    RATIOS,
     NullProfiler,
     ProfileReport,
     Profiler,
@@ -158,6 +159,35 @@ def test_report_detached_from_profiler():
     report = p.report()
     p.count("x", 41)
     assert report.counters["x"] == 1
+
+
+def test_report_ratio_is_the_ratio_of_summed_counts():
+    p = Profiler()
+    p.count_many({"dcache.accesses": 10, "dcache.hits": 9}, prefix="simx.")
+    p.count_many({"dcache.accesses": 30, "dcache.hits": 3}, prefix="simx.")
+    counters = p.report().counters
+    assert counters["simx.dcache.hit_rate"] == 12 / 40
+    # derived when reported, never booked; absent without a denominator
+    assert "simx.dcache.hit_rate" not in p.counters
+    assert "simx.dram.row_hit_rate" not in counters
+
+
+@pytest.mark.parametrize("backend", ["interp", "simx", "hls"])
+def test_report_ratios_come_from_summed_counts(backend):
+    """bfs runs 12 launches: each derived ratio in its report is the
+    ratio of the summed counts, so no rate exceeds 1."""
+    from repro.harness import run_profile
+
+    report, result = run_profile("bfs", backend=backend)
+    assert len(result.launches) > 1
+    counters = report.counters
+    derived = [name for name in RATIOS if name.startswith(f"{backend}.")]
+    assert derived and all(name in counters for name in derived)
+    for name in derived:
+        num, den = RATIOS[name]
+        assert counters[name] == counters[num] / counters[den]
+        if name.endswith("hit_rate") or ".occupancy." in name:
+            assert 0.0 <= counters[name] <= 1.0
 
 
 # -- disabled-profiler contract ----------------------------------------------

@@ -135,18 +135,21 @@ def test_machine_counter_invariants(name):
     build, local, config = _KERNELS[name]
     machine, result = _launch(build(), local, config)
 
-    # cache accounting per core, and the machine-level aggregate rate
+    # cache accounting per core, and in the machine-level totals
     for core in machine.cores:
         s = core.dcache.stats
         assert s.hits + s.misses == s.accesses
         assert 0.0 <= s.hit_rate <= 1.0
-    assert 0.0 <= result.dcache_hit_rate <= 1.0
+    totals = result.counters
+    assert totals["dcache.hits"] + totals["dcache.misses"] \
+        == totals["dcache.accesses"]
 
     # DRAM accounting
     d = machine.dram.stats
     assert d.row_hits + d.row_misses == d.requests
     assert 0.0 <= d.row_hit_rate <= 1.0
-    assert 0.0 <= result.dram_row_hit_rate <= 1.0
+    assert totals["dram.row_hits"] + totals["dram.row_misses"] \
+        == totals["dram.requests"] == d.requests
 
     # the machine clock bounds every core's busy time
     assert result.cycles >= max(s.cycles_active for s in result.core_stats)
@@ -159,10 +162,10 @@ def test_machine_counter_invariants(name):
     assert ticks.pop() <= result.cycles
 
     # the aggregate idle count is exactly the per-core sum
-    assert result.idle_cycles == sum(s.idle_cycles
-                                     for s in result.core_stats)
-    assert result.instructions == sum(s.instructions
-                                      for s in result.core_stats)
+    assert totals["idle_cycles"] == sum(s.idle_cycles
+                                        for s in result.core_stats)
+    assert result.instructions == totals["instructions"] == sum(
+        s.instructions for s in result.core_stats)
 
 
 def test_barrier_kernel_waits():
@@ -176,8 +179,7 @@ def test_barrier_kernel_waits():
 def test_time_ms_linear_in_clock():
     result = LaunchResult(
         cycles=123_456, instructions=0, printf_output=[], core_stats=[],
-        dram_row_hit_rate=0.0, dcache_hit_rate=0.0, lsu_stalls=0,
-        idle_cycles=0, groups_dispatched=0,
+        counters={},
     )
     assert result.time_ms(200.0) == pytest.approx(2 * result.time_ms(400.0))
     # product clock * time is invariant (pure cycles / clock)
@@ -236,15 +238,19 @@ def test_every_cycle_booked_even_when_skipped(name, fast_forward):
         # stall classifications are a partition of idle time
         assert s.lsu_stalls + s.scoreboard_stalls <= s.idle_cycles
     if not fast_forward:
-        assert result.extra["ff_cycles"] == 0
+        assert result.counters["skip.ff_cycles"] == 0
 
 
 def test_sampler_sums_are_lossless_under_fast_forward():
     build, local, config = _KERNELS["streaming"]
     prof = Profiler(cycle_bucket=32)
     machine, result = _launch_ff(build(), local, config, True, profiler=prof)
-    skipped = result.extra["ff_cycles"]
+    skipped = result.counters["skip.ff_cycles"]
     assert skipped > 0, "kernel never fast-forwarded; test is vacuous"
+    # the profiler books the launch's one set of totals
+    assert {name: value for name, value in prof.counters.items()
+            if name.startswith("simx.")} == {
+        f"simx.{name}": value for name, value in result.counters.items()}
 
     per_core: dict[int, dict[str, float]] = {}
     skip_total = 0.0
