@@ -58,6 +58,8 @@ PAPER_FIG7 = {
 @dataclass
 class SweepResult:
     benchmark: str
+    #: the sweep's core count (every cell has it).
+    cores: int = 4
     cycles: dict[tuple[int, int], int] = field(default_factory=dict)
     #: LSU stalls: loads bounced off full MSHRs (replays).
     lsu_stalls: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -95,7 +97,7 @@ class SweepResult:
             body = render_heatmap(
                 self.normalized(),
                 title=(f"Figure 7 ({self.benchmark}): normalized cycles, "
-                       f"4 cores (best = {self.best})"),
+                       f"{self.cores} cores (best = {self.best})"),
             )
         else:
             body = (f"Figure 7 ({self.benchmark}): all "
@@ -290,7 +292,7 @@ def run_sweep(
     values = engine.run(sweep_point, points, keys=keys,
                         label=f"fig7 {benchmark}")
 
-    result = SweepResult(benchmark=benchmark)
+    result = SweepResult(benchmark=benchmark, cores=cores)
     for (w, t), value in zip(grid, values):
         if isinstance(value, PointFailure):
             result.failures[(w, t)] = value

@@ -5,6 +5,11 @@ a miss goes to DRAM and fills the line (no-allocate on stores would be
 an option; Vortex's cache allocates on both, which we follow). LRU
 replacement via per-way timestamps.
 
+A load first probes its lines (:meth:`Cache.probe`), which changes
+nothing, and books them with :meth:`Cache.lookup` only once the MSHRs
+accept it: a load turned away leaves no access, hit, miss or LRU
+refresh behind.
+
 The tag and LRU arrays are plain Python lists-of-lists: a lookup touches
 one set of (typically) a few ways, where ``list.index`` beats a numpy
 comparison-plus-nonzero round trip by an order of magnitude.
@@ -42,8 +47,15 @@ class Cache:
         self._tick = 0
         self.stats = CacheStats()
 
+    def probe(self, line_addr: int) -> bool:
+        """True when the line is resident. Books nothing and leaves the
+        LRU as it is."""
+        line = line_addr // self.line_size
+        return line // self.sets in self.tags[line % self.sets]
+
     def lookup(self, line_addr: int) -> bool:
-        """True on hit; updates LRU. Does not fill."""
+        """True on hit; books the access and its hit or miss, and
+        refreshes a hit's LRU. Does not fill."""
         line = line_addr // self.line_size
         set_idx = line % self.sets
         tag = line // self.sets

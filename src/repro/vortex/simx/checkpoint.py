@@ -67,7 +67,11 @@ SNAPSHOT_MAGIC = "repro-simx-snapshot"
 #: ``x_ready``/``f_ready``, and a replay memo without its lane count; a
 #: core holds ``free_warps``, and its write-combining buffer keeps its
 #: lines in write order (``_wc_stamp`` is gone).
-SNAPSHOT_VERSION = 7
+#: v8: a core's ``lsu_inflight`` and ``mshr_entries`` are heaps, an MSHR
+#: entry carries its line, ``_mshr_at`` is gone and ``_mshr_epoch``
+#: counts MSHR releases; a warp's replay memo holds the epoch it was
+#: turned away at.
+SNAPSHOT_VERSION = 8
 
 #: Default snapshot cadence in simulated cycles.
 DEFAULT_EVERY_CYCLES = 2_000_000

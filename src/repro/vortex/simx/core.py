@@ -30,15 +30,18 @@ The per-issue work here is deliberately thin:
   tick or in :meth:`Core.fold_counters`.
 * A load or store makes one pass over its lane addresses, checking them
   and grouping them by line (:meth:`Core._lsu_lines`); a replayed load
-  reuses that pass. LSU book-keeping is purged lazily (``_purge_at``
-  tracks the earliest expiry, ``_mshr_at`` the earliest MSHR fill, so
-  the MSHR structures are rebuilt only when one expires), and the
-  write-combining buffer evicts its first key.
+  reuses that pass. A load the MSHRs turn away costs only its issue
+  slot: it probes the D-cache without booking anything, and until an
+  MSHR is released (``_mshr_epoch``) its replays are turned away without
+  a probe. The LSU queue and the MSHR entries are heaps, so a purge
+  (due at ``_purge_at``, the earliest expiry) pops only what expired,
+  and the write-combining buffer evicts its first key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -122,7 +125,7 @@ def instr_meta(ins: Instruction) -> InstrMeta:
 
 @dataclass
 class CoreStats:
-    instructions: int = 0
+    instructions: int = 0  # retired: issues less lsu_replays
     cycles_active: int = 0
     idle_cycles: int = 0
     lsu_stalls: int = 0
@@ -146,19 +149,25 @@ class Core:
         self.warps = [Warp(w, config.threads) for w in range(config.warps)]
         self.dcache = Cache(config.dcache_size, config.dcache_ways,
                             config.line_size)
+        #: completion cycles of the LSU queue's entries (a heap).
         self.lsu_inflight: list[int] = []
         self.lsu_busy_until = 0
         #: outstanding missed lines: line address -> fill-completion cycle
         #: (DRAM fetches merge per line).
         self.mshrs: dict[int, int] = {}
-        #: per-lane MSHR occupancy: (release_cycle, entries).
-        self.mshr_entries: list[tuple[int, int]] = []
-        #: earliest expiry across lsu_inflight/mshrs/mshr_entries; the
-        #: queues are only rescanned when the clock reaches it.
+        #: per-lane MSHR occupancy, a heap of (release cycle, line
+        #: address, lanes). Every line of ``mshrs`` has an entry here
+        #: with its fill cycle, so popping the entries frees the lines.
+        self.mshr_entries: list[tuple[int, int, int]] = []
+        #: earliest expiry across lsu_inflight/mshr_entries; the heaps
+        #: are only popped when the clock reaches it.
         self._purge_at = BLOCKED
-        #: earliest MSHR fill: every mshr_entries time is also an mshrs
-        #: value, so this one minimum covers both MSHR structures.
-        self._mshr_at = BLOCKED
+        #: bumped whenever a purge releases MSHR entries. A load turned
+        #: away at an epoch that is still current is turned away again:
+        #: until a release, other loads can only add pending lines and
+        #: occupancy or evict lines, so its waiting lanes only grow and
+        #: the free entries only shrink.
+        self._mshr_epoch = 0
         #: write-combining buffer: its lines, least recently written
         #: first (a refresh moves a line to the end; the victim is the
         #: first key).
@@ -270,30 +279,36 @@ class Core:
             stats.scoreboard_stalls += k
 
     def _purge(self, now: int) -> None:
-        """Drop expired LSU queue entries, and outstanding fills and MSHR
-        occupancy once the earliest fill is reached; recompute the next
-        expiry time."""
-        inflight = [t for t in self.lsu_inflight if t > now]
-        self.lsu_inflight = inflight
-        if now >= self._mshr_at:
-            self.mshrs = {ln: t for ln, t in self.mshrs.items() if t > now}
-            self.mshr_entries = [(t, n) for t, n in self.mshr_entries
-                                 if t > now]
-            self._mshr_occupancy = sum(n for _, n in self.mshr_entries)
-            self._mshr_at = min(self.mshrs.values(), default=BLOCKED)
-        self._purge_at = min(min(inflight, default=BLOCKED), self._mshr_at)
+        """Pop the expired LSU queue entries and MSHR entries (freeing
+        their lines' outstanding fills, and bumping ``_mshr_epoch``);
+        recompute the next expiry time."""
+        inflight = self.lsu_inflight
+        while inflight and inflight[0] <= now:
+            heappop(inflight)
+        entries = self.mshr_entries
+        if entries and entries[0][0] <= now:
+            mshrs = self.mshrs
+            while entries and entries[0][0] <= now:
+                _, line, nlanes = heappop(entries)
+                mshrs.pop(line, None)  # a line's later entries find it gone
+                self._mshr_occupancy -= nlanes
+            self._mshr_epoch += 1
+        self._purge_at = min(inflight[0] if inflight else BLOCKED,
+                             entries[0][0] if entries else BLOCKED)
 
     def fold_counters(self, now: int) -> None:
         """Bring the counters up to the start of cycle ``now``: book the
-        open idle run, and derive ``instructions`` and ``cycles_active``
-        (every issue occupies exactly ``_issue_beats`` cycles, less the
-        part of the last window at or past ``now``)."""
+        open idle run, and derive ``instructions`` (the retired ones:
+        issues less replayed loads) and ``cycles_active`` (every issue,
+        replays included, occupies exactly ``_issue_beats`` cycles, less
+        the part of the last window at or past ``now``)."""
         if now > self._idle_from:
             self._book_idle(now)
             self._idle_from = now
         issued = sum(warp._iseq for warp in self.warps)
-        self.stats.instructions = issued
-        self.stats.cycles_active = issued * self._issue_beats - max(
+        stats = self.stats
+        stats.instructions = issued - stats.lsu_replays
+        stats.cycles_active = issued * self._issue_beats - max(
             0, self.issue_busy_until - now)
 
     def next_change_time(self, now: int) -> int:
@@ -329,7 +344,7 @@ class Core:
                     best = t
             if d.is_mem:
                 if len(self.lsu_inflight) >= self._lsu_depth:
-                    t = min(self.lsu_inflight)
+                    t = self.lsu_inflight[0]
                     if now < t < best:
                         best = t
                 t = self.lsu_busy_until
@@ -386,23 +401,28 @@ class Core:
         # Replay memo: a load bounced off full MSHRs re-issues with the
         # warp untouched (no writeback happened, no other instruction of
         # this warp ran in between — _iseq proves it), so the checked
-        # address row and its line grouping are reusable verbatim.
+        # address row and its line grouping are reusable verbatim, and
+        # while no MSHR was released since, so is the rejection.
         memo = warp._lsu_replay
         if memo is not None and memo[0] == warp._iseq - 1 \
                 and memo[1] == warp.pc:
-            _, _, addrs, items = memo
+            _, _, epoch, addrs, items = memo
+            rejected = epoch == self._mshr_epoch
         else:
             row = warp.xr[d.rs1]
             # int32 + int64 upcasts in a single ufunc call.
             addrs = (np.add(row, d.row) if warp._full
                      else row[warp.tmask] + d.imm64)
             items = self._lsu_lines(addrs)
+            rejected = False
         lanes = len(addrs)
-        completion = self._lsu_load_timing(items, lanes, now)
+        completion = (None if rejected
+                      else self._lsu_load_timing(items, lanes, now))
         if completion is None:
             # All MSHRs busy: the load is replayed later; this issue
             # slot is wasted (an LSU stall in the paper's terms).
-            warp._lsu_replay = (warp._iseq, warp.pc, addrs, items)
+            warp._lsu_replay = (warp._iseq, warp.pc, self._mshr_epoch,
+                                addrs, items)
             warp.ready_at = now + self.config.replay_penalty
             self.stats.lsu_replays += 1
             return
@@ -495,7 +515,7 @@ class Core:
     def _lsu_book(self, lanes: int, completion: int, now: int) -> None:
         """Common LSU tail: occupy a queue entry until ``completion`` and
         hold the lane-sequencer for the unpack beats."""
-        self.lsu_inflight.append(completion)
+        heappush(self.lsu_inflight, completion)
         if completion < self._purge_at:
             self._purge_at = completion
         unpack = max(1, -(-lanes // self.config.lsu_lanes_per_cycle))
@@ -507,15 +527,20 @@ class Core:
         over the ``(line index, lanes)`` pairs ``items``.
 
         Returns the data-ready cycle, or ``None`` when a new line miss
-        found every MSHR occupied (the load must be replayed).
+        found every MSHR occupied (the load must be replayed). The
+        D-cache is only probed until the load is accepted, so a rejected
+        load changes nothing; an accepted one then books its lookups in
+        line order, before its fills.
         """
         cfg = self.config
         if lanes == 0:
             return now + cfg.dcache_hit_latency
         completion = now + cfg.dcache_hit_latency
-        new_misses: list[tuple[int, int]] = []  # (line, lanes)
+        looked_up: list[int] = []  # lines with no fill in flight
+        new_misses: list[int] = []
         waiting_lanes = 0
         mshrs = self.mshrs
+        probe = self.dcache.probe
         for ln, nlanes in items:
             line = ln * cfg.line_size
             pending = mshrs.get(line)
@@ -525,10 +550,10 @@ class Core:
                 if pending > completion:
                     completion = pending
                 waiting_lanes += nlanes
-            elif self.dcache.lookup(line):
                 continue
-            else:
-                new_misses.append((line, nlanes))
+            looked_up.append(line)
+            if not probe(line):
+                new_misses.append(line)
                 waiting_lanes += nlanes
         if waiting_lanes:
             occupancy = self._mshr_occupancy
@@ -540,22 +565,26 @@ class Core:
                 waiting_lanes > cfg.mshrs and occupancy == 0
             ):
                 return None
+        lookup = self.dcache.lookup
+        for line in looked_up:
+            lookup(line)
+        if waiting_lanes:
             dram_access = self.machine.dram.access
-            for line, _ in new_misses:
+            for line in new_misses:
                 t = dram_access(line, now + cfg.dcache_hit_latency)
                 mshrs[line] = t
-                if t < self._mshr_at:
-                    self._mshr_at = t
-                    if t < self._purge_at:
-                        self._purge_at = t
+                if t < self._purge_at:
+                    self._purge_at = t
                 self.dcache.fill(line)
                 if t > completion:
                     completion = t
             # Lanes of each line release when their fill returns.
+            entries = self.mshr_entries
             for ln, nlanes in items:
-                t = mshrs.get(ln * cfg.line_size)
+                line = ln * cfg.line_size
+                t = mshrs.get(line)
                 if t is not None:
-                    self.mshr_entries.append((t, nlanes))
+                    heappush(entries, (t, line, nlanes))
                     self._mshr_occupancy += nlanes
         unpack = max(1, -(-lanes // cfg.lsu_lanes_per_cycle))
         return completion + unpack

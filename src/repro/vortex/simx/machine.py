@@ -588,8 +588,10 @@ class _BucketSampler:
     @staticmethod
     def _core_snapshot(core: Core) -> tuple[int, int, int, int, int, int]:
         s = core.stats
-        return (s.instructions, s.cycles_active, s.idle_cycles,
-                s.lsu_stalls, s.scoreboard_stalls,
+        # The issue track counts issue slots, replayed loads included,
+        # so issue, stall and idle cover every cycle of the core.
+        return (s.instructions + s.lsu_replays, s.cycles_active,
+                s.idle_cycles, s.lsu_stalls, s.scoreboard_stalls,
                 core.dcache.stats.hits + core.dcache.stats.misses)
 
     def maybe_sample(self, now: int) -> None:

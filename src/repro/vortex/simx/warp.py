@@ -91,8 +91,8 @@ class Warp:
         #: counter, and what validates the LSU replay memo below.
         self._iseq = 0
         #: memoized address/line computation for a load being replayed:
-        #: (iseq, pc, addrs, items). Valid only when the very next issue
-        #: of this warp is the same load at the same pc.
+        #: (iseq, pc, core MSHR epoch, addrs, items). Valid only when the
+        #: very next issue of this warp is the same load at the same pc.
         self._lsu_replay: tuple | None = None
         #: per-lane bit weights for tmask <-> integer conversions.
         self._lane_bits = 1 << np.arange(num_threads, dtype=np.int64)

@@ -88,6 +88,13 @@ class TestSweepSmoke:
         norm = result.normalized()
         assert min(norm.values()) == 1.0
 
+    def test_render_names_the_sweeps_core_count(self):
+        result = run_sweep("vecadd", cores=2, n=256, warp_sizes=(2,),
+                           thread_sizes=(2,))
+        assert result.cores == 2
+        assert "normalized cycles, 2 cores (best = (2, 2))" \
+            in result.render()
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError):
             run_sweep("sgemm")

@@ -162,8 +162,9 @@ def test_streaming_kernel_actually_fast_forwards():
 
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_oracle_ticks_every_idle_cycle(name, monkeypatch):
-    """The per-cycle oracle ticks each core once per issue and once per
-    idle cycle, so its counters never rest on a wake-up horizon."""
+    """The per-cycle oracle ticks each core once per issue (retired or
+    replayed) and once per idle cycle, so its counters never rest on a
+    wake-up horizon."""
     ticks: dict[int, int] = {}
     tick = Core.tick
 
@@ -174,7 +175,8 @@ def test_oracle_ticks_every_idle_cycle(name, monkeypatch):
     monkeypatch.setattr(Core, "tick", counting_tick)
     _, result, _ = _run(*_KERNELS[name], fast_forward=False)
     for cid, s in enumerate(result.core_stats):
-        assert ticks.get(cid, 0) == s.instructions + s.idle_cycles
+        assert ticks.get(cid, 0) == (s.instructions + s.lsu_replays
+                                     + s.idle_cycles)
 
 
 def test_env_flag_controls_fast_forward(monkeypatch):
