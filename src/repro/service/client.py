@@ -13,10 +13,9 @@ The robustness posture mirrors the daemon's:
   ``retries`` times, honouring the server's ``retry_after`` hint and
   jittering the delay so a thundering herd of rejected clients does not
   re-arrive in lockstep;
-* **idempotency keys** — :meth:`submit` attaches one (auto-generated
-  per call, stable across that call's retries), so a retried
-  submission whose first attempt actually landed maps onto the same
-  job instead of enqueueing twice;
+* **safe retries** — a retried submission whose first attempt
+  actually landed coalesces onto the same job by content key, as any
+  identical submission does, instead of enqueueing twice;
 * **typed failures** — error replies surface as the exceptions their
   codes pin (:class:`~repro.errors.QueueFull`,
   :class:`~repro.errors.JobNotFound`, :class:`~repro.errors.ServiceError`
@@ -50,8 +49,7 @@ def resolve_state_dir(state_dir: str | Path | None = None) -> Path:
 
 class ServiceClient:
     """Talks to one daemon. Safe to share across threads (no mutable
-    per-request state beyond the RNG, which is lock-free and only
-    feeds jitter)."""
+    per-request state)."""
 
     #: codes worth retrying: the daemon said "later", not "never".
     RETRYABLE_CODES = ("unavailable", "queue-full", "client-limit")
@@ -64,8 +62,7 @@ class ServiceClient:
 
     def __init__(self, state_dir: str | Path | None = None,
                  client_id: str | None = None, retries: int = 5,
-                 backoff: float = 0.05, timeout: float = 60.0,
-                 rng: random.Random | None = None):
+                 backoff: float = 0.05, timeout: float = 60.0):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.state_dir = resolve_state_dir(state_dir)
@@ -73,7 +70,6 @@ class ServiceClient:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self._rng = rng or random.Random()
 
     # -- transport ---------------------------------------------------------
 
@@ -133,26 +129,18 @@ class ServiceClient:
     def _sleep(self, attempt: int, retry_after: float | None) -> None:
         delay = min(self.BACKOFF_CAP_S,
                     self.backoff * (2 ** (attempt - 1)))
-        delay *= 0.5 + self._rng.random()  # jitter: [0.5x, 1.5x)
+        delay *= 0.5 + random.random()  # jitter: [0.5x, 1.5x)
         if retry_after:
             delay = max(delay, retry_after)
         time.sleep(delay)
 
     # -- operations --------------------------------------------------------
 
-    def submit(self, job: dict,
-               idempotency_key: str | None = None) -> dict:
+    def submit(self, job: dict) -> dict:
         """Submit one job; returns the ``{"job_id", "state",
-        "coalesced"}`` reply. An idempotency key is auto-generated per
-        call (stable across this call's internal retries) unless the
-        caller pins one."""
-        payload = {
-            "op": "submit",
-            "client": self.client_id,
-            "job": job,
-            "idempotency_key": idempotency_key or uuid.uuid4().hex,
-        }
-        return self.request(payload)
+        "coalesced"}`` reply."""
+        return self.request({"op": "submit", "client": self.client_id,
+                             "job": job})
 
     def status(self, job_id: str | None = None) -> dict:
         if job_id is None:

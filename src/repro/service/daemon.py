@@ -12,8 +12,9 @@ stable-coded error replies and the daemon keeps serving.
 bounded queue (``queue-full`` rejections with a ``retry_after`` hint),
 a per-client in-flight cap (``client-limit``), a framing-level line
 cap, and an LRU bound on retained finished jobs. Identical requests
-(by content key) coalesce onto one execution, and idempotency keys
-make client-side retries safe, so a retry storm cannot multiply work.
+(by content key) coalesce onto one execution, and so does a client's
+retry of a submission that landed, so a retry storm cannot multiply
+work.
 
 **Worker crashes and hangs** — jobs run through
 :class:`~repro.harness.engine.ExperimentEngine` with ``keep_going``
@@ -24,10 +25,10 @@ inheritance as batch runs (sites ``service#<index>``).
 
 **Daemon death** — a write-ahead journal (append + ``fsync`` *before*
 the client's ``ok``) plus the durable result cache make ``kill -9``
-recoverable: ``serve --resume`` replays the journal, re-queues every
-job without a ``done`` record, and the content-addressed cache
-short-circuits any point whose result already committed — only
-genuinely unfinished points re-execute.
+recoverable. A job's completion *is* its cache entry, which the engine
+fsyncs before it reports the job: ``serve --resume`` replays the
+journal, marks every accepted job whose cache entry exists done, and
+re-queues the rest — only genuinely unfinished points re-execute.
 
 **Operator shutdown** — SIGINT/SIGTERM stop admissions, let the
 in-flight batch checkpoint through the engine's incremental commits,
@@ -82,7 +83,6 @@ class _Job:
     state: str = QUEUED
     #: every client coalesced onto this execution.
     clients: set[str] = field(default_factory=set)
-    idem: str | None = None
     result: Any = None
     failure: dict | None = None
 
@@ -205,14 +205,10 @@ class ExperimentDaemon:
         self._jobs: dict[str, _Job] = {}
         self._queue: deque[_Job] = deque()
         self._by_key: dict[str, str] = {}
-        self._idem: dict[str, str] = {}
         self._inflight: dict[str, int] = {}
         self._done_order: deque[str] = deque()
         self._seq = 0
         self._running = 0
-        self._accepted_total = 0
-        self._done_total = 0
-        self._failed_total = 0
         self._draining = False
         self._stop_now = False
         self._stopped = threading.Event()
@@ -314,8 +310,8 @@ class ExperimentDaemon:
         *finish*: dropping the ``STOP`` file makes running simulations
         snapshot and yield at their next poll, the engine finalises the
         preemptions (requeueing is switched off), and the yielded jobs
-        go back to the queue — journalled accepted-without-done, so
-        ``serve --resume`` resumes them mid-flight."""
+        go back to the queue — journalled accepted with no cache entry,
+        so ``serve --resume`` resumes them mid-flight."""
         if self.checkpoint_dir is not None:
             self.engine.stop_preempting()
             try:
@@ -386,15 +382,17 @@ class ExperimentDaemon:
     def _recover(self) -> None:
         """Rebuild job state from the journal (``--resume``).
 
-        Jobs without a ``done``/``failed`` record re-queue; ``done``
-        jobs whose cache entry vanished (source change re-keyed the
-        cache, or the cache was cleared) re-queue too — the journal
+        An accepted job with no ``failed`` record is done when its
+        content key hits the cache (the engine commits a value before
+        it reports the job) and re-queues otherwise — the journal
         promises *at-least-once* execution, the cache provides the
         at-most-once half. Content keys are recomputed against the
-        current code fingerprint, never trusted from disk. A journalled
-        spec the current code no longer accepts (an upgrade removed one
-        of its fields) recovers as a ``failed`` job naming the
-        validation error — never run, never silently dropped.
+        current code fingerprint, never trusted from disk, so a source
+        change re-runs the job. A journalled spec the current code no
+        longer accepts (an upgrade removed one of its fields) recovers
+        as a ``failed`` job naming the validation error — never run,
+        never silently dropped. Records of other kinds (the ``done``
+        records older daemons wrote) are ignored.
         """
         records = self.journal.replay()
         order: list[str] = []
@@ -405,11 +403,9 @@ class ExperimentDaemon:
                 if not isinstance(job_id, str) or job_id in self._jobs:
                     continue
                 client = str(record.get("client") or "recovered")
-                idem = record.get("idem")
                 job = _Job(id=job_id, spec=record.get("spec"), key="",
                            seq=self._parse_seq(job_id),
-                           clients={client},
-                           idem=idem if isinstance(idem, str) else None)
+                           clients={client})
                 try:
                     job.spec = validate_job(job.spec)
                     job.key = job_key(self.cache, job.spec)
@@ -421,43 +417,34 @@ class ExperimentDaemon:
                         attempts=0).to_payload()
                 self._jobs[job_id] = job
                 order.append(job_id)
-            elif tag in ("done", "failed"):
+            elif tag == "failed":
                 job = self._jobs.get(record.get("id"))
-                # failed is terminal: a spec that no longer validates
-                # stays failed even when a done record follows.
+                # a spec that no longer validates keeps its own failure.
                 if job is None or job.state == FAILED:
                     continue
-                if tag == "done":
-                    job.state = DONE
-                else:
-                    job.state = FAILED
-                    failure = record.get("failure")
-                    job.failure = (failure if isinstance(failure, dict)
-                                   else {"exc_type": "Unknown",
-                                         "message": "journalled failure "
-                                                    "without payload"})
+                job.state = FAILED
+                failure = record.get("failure")
+                job.failure = (failure if isinstance(failure, dict)
+                               else {"exc_type": "Unknown",
+                                     "message": "journalled failure "
+                                                "without payload"})
         for job_id in order:
             job = self._jobs[job_id]
             self._seq = max(self._seq, job.seq)
-            if job.state == DONE and self.cache.get(job.key) is MISS:
-                job.state = QUEUED  # result lost: run it again
-            if job.idem:
-                self._idem[job.idem] = job.id
             if job.state == FAILED:
                 # failed specs must not swallow fresh identical
                 # submissions, so they stay out of the dedup index.
-                self._failed_total += 1
                 continue
             self._by_key.setdefault(job.key, job.id)
-            if job.state == QUEUED:
+            value = self.cache.get(job.key)
+            if value is MISS:
                 self._queue.append(job)
                 for client in job.clients:
                     self._inflight[client] = (
                         self._inflight.get(client, 0) + 1)
-            else:  # DONE with an intact cache entry
+            else:
+                job.state, job.result = DONE, value
                 self._done_order.append(job.id)
-                self._done_total += 1
-        self._accepted_total = len(order)
         self.journal.compact(self._live_records())
         if self.journal.skipped:
             self.profiler.count("service.journal.torn_lines",
@@ -479,8 +466,6 @@ class ExperimentDaemon:
             if op == "submit":
                 return self._op_submit(message)
             if op == "status":
-                if message.get("job_id") is None:
-                    return self._op_health()
                 return self._op_status(message)
             if op == "results":
                 return self._op_results(message)
@@ -504,10 +489,6 @@ class ExperimentDaemon:
         if not isinstance(client, str) or not client:
             raise ServiceError("client must be a non-empty string",
                                code="bad-request")
-        idem = message.get("idempotency_key")
-        if idem is not None and not isinstance(idem, str):
-            raise ServiceError("idempotency_key must be a string",
-                               code="bad-request")
         spec = validate_job(message.get("job"))
         key = job_key(self.cache, spec)
         with self._cond:
@@ -516,31 +497,14 @@ class ExperimentDaemon:
                 raise ServiceError(
                     "daemon is shutting down; not admitting jobs",
                     code="shutting-down")
-            # idempotent replay: the same submission (retried by a
-            # client that never saw our first reply) maps to the same
-            # job, and a *different* job under a reused key is a bug
-            # worth a loud typed error.
-            if idem is not None and idem in self._idem:
-                job = self._jobs.get(self._idem[idem])
-                if job is not None:
-                    if job.key != key:
-                        raise ServiceError(
-                            f"idempotency key {idem!r} was already used "
-                            f"for a different job", code="bad-request")
-                    job.clients.add(client)
-                    self.profiler.count("service.idempotent_replays")
-                    return protocol.ok_reply(job_id=job.id,
-                                             state=job.state,
-                                             coalesced=True)
-            # content dedup: identical work coalesces onto one
-            # execution (or straight onto its finished result).
+            # content dedup: identical work — including a client's retry
+            # of a submission whose reply it never saw — coalesces onto
+            # one execution (or straight onto its finished result).
             existing = self._by_key.get(key)
             if existing is not None and existing in self._jobs:
                 job = self._jobs[existing]
                 if job.state in (QUEUED, RUNNING):
                     job.clients.add(client)
-                if idem is not None:
-                    self._idem[idem] = job.id
                 self.profiler.count("service.coalesced")
                 return protocol.ok_reply(job_id=job.id, state=job.state,
                                          coalesced=True)
@@ -560,20 +524,16 @@ class ExperimentDaemon:
                     retry_after=self._retry_after_hint())
             self._seq += 1
             job = _Job(id=f"j{self._seq:06d}-{key[:10]}", spec=spec,
-                       key=key, seq=self._seq, clients={client},
-                       idem=idem)
+                       key=key, seq=self._seq, clients={client})
             # WAL discipline: the accepted record hits disk before the
             # client ever hears "ok".
             self.journal.append({"t": "accepted", "id": job.id,
                                  "spec": spec, "key": key,
-                                 "client": client, "idem": idem})
+                                 "client": client})
             self._jobs[job.id] = job
             self._by_key[key] = job.id
-            if idem is not None:
-                self._idem[idem] = job.id
             self._queue.append(job)
             self._inflight[client] = self._inflight.get(client, 0) + 1
-            self._accepted_total += 1
             self.profiler.count("service.accepted")
             self._cond.notify_all()
             return protocol.ok_reply(job_id=job.id, state=QUEUED,
@@ -607,24 +567,13 @@ class ExperimentDaemon:
     def _op_results(self, message: dict) -> dict:
         job = self._get_job(message)
         with self._lock:
-            state, result, failure = job.state, job.result, job.failure
-            key = job.key
-        if state == FAILED:
-            return protocol.ok_reply(job_id=job.id, state=FAILED,
-                                     failure=failure)
-        if state != DONE:
-            return protocol.ok_reply(job_id=job.id, state=state)
-        if result is None:
-            result = self.cache.get(key)  # recovered jobs load lazily
-            if result is MISS:
-                raise ServiceError(
-                    f"job {job.id} is done but its cached result was "
-                    f"evicted; resubmit the job to recompute",
-                    code="result-unavailable")
-            with self._lock:
-                job.result = result
-        return protocol.ok_reply(job_id=job.id, state=DONE,
-                                 value=result)
+            if job.state == FAILED:
+                return protocol.ok_reply(job_id=job.id, state=FAILED,
+                                         failure=job.failure)
+            if job.state != DONE:
+                return protocol.ok_reply(job_id=job.id, state=job.state)
+            return protocol.ok_reply(job_id=job.id, state=DONE,
+                                     value=job.result)
 
     def _op_health(self) -> dict:
         with self._lock:
@@ -637,9 +586,6 @@ class ExperimentDaemon:
                 queue_depth=len(self._queue),
                 running=self._running,
                 jobs_tracked=len(self._jobs),
-                accepted_total=self._accepted_total,
-                done_total=self._done_total,
-                failed_total=self._failed_total,
                 limits={"max_queue": self.max_queue,
                         "per_client": self.per_client,
                         "batch_max": self.batch_max,
@@ -703,8 +649,9 @@ class ExperimentDaemon:
         """One engine campaign over a mixed batch of queued jobs.
 
         Results stream back through ``on_result`` as each point
-        finalises — a job is journalled done and visible to clients
-        the moment *it* finishes, not when its batch does.
+        finalises — a value has already been committed to the durable
+        cache — so a job is visible to clients the moment *it*
+        finishes, not when its batch does.
         """
         def on_result(index: int, value: Any) -> None:
             self._job_finished(batch[index], value)
@@ -734,9 +681,10 @@ class ExperimentDaemon:
                     and value.exc_type == "SimulationPreempted"):
                 # Cooperative yield (shutdown stop file): the job's
                 # snapshot is on disk, so put it back at the head of
-                # the queue. No journal record — it stays accepted-
-                # without-done, exactly what ``--resume`` re-queues —
-                # and its clients keep their in-flight slots.
+                # the queue. No journal record — it stays accepted
+                # with no cache entry, exactly what ``--resume``
+                # re-queues — and its clients keep their in-flight
+                # slots.
                 job.state = QUEUED
                 job.failure = None
                 self._running -= 1
@@ -754,7 +702,6 @@ class ExperimentDaemon:
             if isinstance(value, PointFailure):
                 job.state = FAILED
                 job.failure = value.to_payload()
-                self._failed_total += 1
                 # a failed spec must be resubmittable as a fresh run.
                 if self._by_key.get(job.key) == job.id:
                     del self._by_key[job.key]
@@ -764,8 +711,6 @@ class ExperimentDaemon:
             else:
                 job.state = DONE
                 job.result = value
-                self._done_total += 1
-                self.journal.append({"t": "done", "id": job.id})
                 self._done_order.append(job.id)
                 self.profiler.count("service.jobs_done")
                 self._evict_done()
@@ -781,21 +726,17 @@ class ExperimentDaemon:
                 continue
             if self._by_key.get(job.key) == job_id:
                 del self._by_key[job.key]
-            if job.idem and self._idem.get(job.idem) == job_id:
-                del self._idem[job.idem]
             self.profiler.count("service.jobs_evicted")
 
     def _live_records(self) -> list[dict]:
-        """The compacted journal image of the current job table."""
+        """The compacted journal image of the current job table (a done
+        job's completion is its cache entry)."""
         records: list[dict] = []
         for job in sorted(self._jobs.values(), key=lambda j: j.seq):
             records.append({"t": "accepted", "id": job.id,
                             "spec": job.spec, "key": job.key,
-                            "client": next(iter(job.clients), ""),
-                            "idem": job.idem})
-            if job.state == DONE:
-                records.append({"t": "done", "id": job.id})
-            elif job.state == FAILED:
+                            "client": next(iter(job.clients), "")})
+            if job.state == FAILED:
                 records.append({"t": "failed", "id": job.id,
                                 "failure": job.failure})
         return records

@@ -2,18 +2,18 @@
 
 An append-only file of JSON lines under the daemon's state directory.
 Every accepted job is journalled (append + flush + ``fsync``) *before*
-the client sees its ``ok`` reply, and every completion/failure is
-journalled the moment the engine streams it back — so a ``kill -9`` at
-any instant loses at most work, never bookkeeping: ``serve --resume``
-replays the journal and re-runs exactly the jobs with no ``done``
-record (and of those, the result cache short-circuits any whose value
-was already committed, so only genuinely unfinished points execute).
+the client sees its ``ok`` reply, and every failure the moment the
+engine streams it back. A completion is not journalled: it is the
+job's durable result-cache entry, which the engine fsyncs before it
+reports the job. So a ``kill -9`` at any instant loses at most work,
+never bookkeeping: ``serve --resume`` replays the journal, serves every
+accepted job whose value is in the cache, and re-runs exactly the
+others.
 
 Records are small dicts with a ``t`` tag::
 
     {"t": "accepted", "id": ..., "spec": {...}, "key": ...,
-     "client": ..., "idem": ...}
-    {"t": "done",   "id": ...}          # value lives in the ResultCache
+     "client": ...}
     {"t": "failed", "id": ..., "failure": {...PointFailure payload...}}
 
 Torn tails are expected: a crash mid-append leaves a partial last line,

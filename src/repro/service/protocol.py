@@ -17,16 +17,20 @@ lives in the *handling*:
 
 Requests::
 
-    {"op": "submit", "client": "...", "job": {...},
-     "idempotency_key": "..."}        -> {"ok": true, "job_id": ...,
+    {"op": "submit", "client": "...", "job": {...}}
+                                      -> {"ok": true, "job_id": ...,
                                           "state": ..., "coalesced": ...}
     {"op": "status", "job_id": "..."} -> {"ok": true, "state": ...}
-    {"op": "status"}                  -> health payload
     {"op": "results", "job_id": ...}  -> {"ok": true, "state": "done",
                                           "value": ...} (or "failed"
                                           with a PointFailure payload)
     {"op": "health"}                  -> queue/worker/cache statistics
     {"op": "drain"}                   -> finish queued jobs, then exit
+
+A request field its op does not read is ignored. An identical
+``submit`` (a client's retry included) coalesces onto the first one's
+job by content key, so a retry never enqueues twice; once that job has
+failed or been evicted, an identical ``submit`` starts a fresh run.
 
 Error replies::
 
@@ -80,7 +84,6 @@ CODES = (
     "client-limit",     # this client's in-flight cap reached
     "job-not-found",    # unknown or evicted job id
     "shutting-down",    # daemon is draining; no new admissions
-    "result-unavailable",  # job recorded done but its cache entry is gone
     "unavailable",      # client-side: daemon unreachable
     "internal",         # unexpected daemon-side failure (bug)
 )

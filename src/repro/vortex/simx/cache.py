@@ -28,14 +28,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        # Divide by the independent ``accesses`` counter, not the
-        # hits+misses sum: the two are meant to be identical, and using
-        # ``accesses`` means the rate cannot silently mask a broken
-        # split (the invariant tests pin them equal).
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class Cache:
     def __init__(self, size: int, ways: int, line_size: int):

@@ -34,10 +34,6 @@ class DRAMStats:
     row_hits: int = 0
     row_misses: int = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        return self.row_hits / self.requests if self.requests else 0.0
-
 
 class DRAM:
     def __init__(self, config: DRAMConfig, line_size: int):

@@ -1,9 +1,11 @@
 """Tests for the hardened experiment service.
 
 Covers the wire protocol (typed errors for every malformed input), job
-validation, the daemon's submit/status/results lifecycle, dedup and
-idempotency, admission control under injected overload, graceful
-drain, journal-driven resume — and the acceptance criterion: a daemon
+validation, the daemon's submit/status/results lifecycle, content-key
+dedup (which also absorbs a client's retried submission), admission
+control under injected overload, graceful drain, journal-driven resume
+with completion read from the result cache (older journals with
+``done`` records included) — and the acceptance criterion: a daemon
 killed with ``SIGKILL`` mid-campaign resumes and produces results
 byte-identical to a serial run of the same points.
 """
@@ -22,7 +24,7 @@ import pytest
 
 from repro.errors import JobNotFound, QueueFull, ServiceError
 from repro.harness import FAULT_PLAN_ENV, FAULT_STATE_ENV
-from repro.harness.result_cache import MISS
+from repro.harness.result_cache import MISS, ResultCache
 from repro.service import (
     ExperimentDaemon,
     Journal,
@@ -133,6 +135,7 @@ class TestMalformedOverTcp:
         b'{"no_op_at_all": 1}\n',
         b'{"op": "submit", "job": {"kind": "nope"}}\n',
         b'{"op": "results", "job_id": 42}\n',
+        b'{"op": "status"}\n',
     ])
     def test_bad_bytes_get_bad_request(self, daemon_factory, payload):
         daemon = daemon_factory()
@@ -304,21 +307,24 @@ class TestRoundtrip:
         health = client.health()
         assert health["counters"].get("service.coalesced", 0) == 1
 
-    def test_idempotent_replay(self, daemon_factory):
+    def test_lost_reply_retry_coalesces(self, daemon_factory, tmp_path):
+        """A client that never saw its submit reply sends the same
+        message again (an older client's ``idempotency_key`` field is
+        ignored): the retry lands on the first job by content key, and
+        the journal records one accepted job and nothing for its
+        completion."""
         daemon = daemon_factory()
-        client = _client(daemon)
-        a = client.submit(_probe(1), idempotency_key="idem-1")
-        replay = client.submit(_probe(1), idempotency_key="idem-1")
-        assert replay["job_id"] == a["job_id"]
-        assert replay["coalesced"] is True
-
-    def test_idempotency_key_reuse_is_an_error(self, daemon_factory):
-        daemon = daemon_factory()
-        client = _client(daemon)
-        client.submit(_probe(1), idempotency_key="idem-x")
-        with pytest.raises(ServiceError) as exc:
-            client.submit(_probe(2), idempotency_key="idem-x")
-        assert exc.value.code == "bad-request"
+        message = {"op": "submit", "client": "retrier", "job": _probe(1),
+                   "idempotency_key": "lost-reply"}
+        first = daemon.handle_request(dict(message))
+        retry = daemon.handle_request(dict(message))
+        assert first["ok"] and first["coalesced"] is False
+        assert retry["job_id"] == first["job_id"]
+        assert retry["coalesced"] is True
+        _client(daemon).wait(first["job_id"], timeout=30)
+        records = Journal(tmp_path / "state" / "journal.jsonl").replay()
+        assert [(r["t"], r["id"]) for r in records] == [
+            ("accepted", first["job_id"])]
 
     def test_job_not_found(self, daemon_factory):
         daemon = daemon_factory()
@@ -588,13 +594,39 @@ class TestResume:
             client.wait(client.submit(_probe(i))["job_id"], timeout=30)
         daemon.request_stop()
         assert daemon.wait(30)
-        # after the shutdown compaction every accepted job has its
-        # done record and no temp file lingers
+        # the shutdown compaction keeps one accepted record per job (a
+        # completion is its cache entry) and no temp file lingers
         records = Journal(state / "journal.jsonl").replay()
-        accepted = {r["id"] for r in records if r["t"] == "accepted"}
-        done = {r["id"] for r in records if r["t"] == "done"}
-        assert accepted == done and len(accepted) == 5
+        assert [r["t"] for r in records] == ["accepted"] * 5
+        assert len({r["id"] for r in records}) == 5
         assert not list(state.glob("*.tmp"))
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_resume_of_done_record_journal(self, daemon_factory,
+                                           tmp_path, cached):
+        """A journal from a daemon that still wrote ``done`` records and
+        ``idem`` fields resumes: the job is done from the cache with
+        nothing executed, and runs exactly once when its cache entry is
+        gone."""
+        state = tmp_path / "state"
+        spec = validate_job(_probe(5))
+        cache = ResultCache(state / "cache")
+        key = job_key(cache, spec)
+        if cached:
+            cache.put(key, {"value": 5})
+        job_id = f"j000001-{key[:10]}"
+        journal = Journal(state / "journal.jsonl")
+        journal.append({"t": "accepted", "id": job_id, "spec": spec,
+                        "key": key, "client": "old", "idem": "abc"})
+        journal.append({"t": "done", "id": job_id})
+        journal.close()
+        daemon = daemon_factory(state_dir=state, resume=True)
+        result = _client(daemon).wait(job_id, timeout=30)
+        assert result["state"] == "done"
+        assert result["value"] == {"value": 5}
+        daemon.request_drain()
+        assert daemon.wait(30)
+        assert daemon.engine.stats.executed == (0 if cached else 1)
 
     @pytest.mark.parametrize("with_done", [False, True])
     def test_unvalidatable_journal_record_recovers_failed(

@@ -247,7 +247,6 @@ class TestCache:
             if not c.lookup(ln * 64):
                 c.fill(ln * 64)
         assert c.stats.hits + c.stats.misses == len(lines)
-        assert 0.0 <= c.stats.hit_rate <= 1.0
 
 
 class TestWarp:

@@ -2,8 +2,8 @@
 
 These don't pin absolute numbers (those shift when the timing model is
 tuned); they pin the *accounting identities* every model must keep:
-hit/miss splits summing to totals, rates staying in [0, 1] (including
-the zero-access corner), per-core busy/idle bookkeeping being
+hit/miss splits summing to totals, a launch's hit rate reading 0 (not
+NaN) when it made no access, per-core busy/idle bookkeeping being
 consistent with the machine clock, and derived times scaling linearly
 with the clock.
 """
@@ -19,8 +19,7 @@ from repro.ocl import (
     NDRange,
 )
 from repro.vortex import VortexBackend, VortexConfig
-from repro.vortex.simx.cache import Cache, CacheStats
-from repro.vortex.simx.dram import DRAMStats
+from repro.vortex.simx.cache import Cache
 from repro.vortex.simx.machine import LaunchResult, Machine
 
 CONFIG = VortexConfig(cores=2, warps=4, threads=4)
@@ -112,20 +111,19 @@ def test_cache_accesses_split_into_hits_and_misses():
     stats = cache.stats
     assert stats.accesses == 500
     assert stats.hits + stats.misses == stats.accesses
-    assert 0.0 <= stats.hit_rate <= 1.0
 
 
-def test_zero_access_rates_are_zero_not_nan():
-    assert CacheStats().hit_rate == 0.0
-    assert DRAMStats().row_hit_rate == 0.0
-
-
-def test_hit_rate_divides_by_the_accesses_counter():
-    # hit_rate is defined against the independent ``accesses`` counter,
-    # not the hits+misses sum, so the rate and the split invariant
-    # (hits + misses == accesses) can never disagree silently.
-    assert CacheStats(accesses=10, hits=4, misses=6).hit_rate == 0.4
-    assert CacheStats(accesses=10, hits=5, misses=0).hit_rate == 0.5
+def test_launch_without_loads_reads_zero_hit_rates():
+    # a kernel with no parameters loads nothing (not even its argument
+    # block), so the launch makes no D-cache or DRAM access: its rates
+    # read 0, not NaN.
+    b = KernelBuilder("idle")
+    b.add(b.global_id(0), 1)
+    stats = Context(VortexBackend(CONFIG)).program([b.finish()]).launch(
+        "idle", [], 64, 16)
+    assert stats.extra["dcache.accesses"] == stats.extra["dram.requests"] == 0
+    assert stats.extra["dcache_hit_rate"] == 0.0
+    assert stats.extra["dram_row_hit_rate"] == 0.0
 
 
 # -- machine-level invariants ------------------------------------------------
@@ -139,7 +137,6 @@ def test_machine_counter_invariants(name):
     for core in machine.cores:
         s = core.dcache.stats
         assert s.hits + s.misses == s.accesses
-        assert 0.0 <= s.hit_rate <= 1.0
     totals = result.counters
     assert totals["dcache.hits"] + totals["dcache.misses"] \
         == totals["dcache.accesses"]
@@ -147,7 +144,6 @@ def test_machine_counter_invariants(name):
     # DRAM accounting
     d = machine.dram.stats
     assert d.row_hits + d.row_misses == d.requests
-    assert 0.0 <= d.row_hit_rate <= 1.0
     assert totals["dram.row_hits"] + totals["dram.row_misses"] \
         == totals["dram.requests"] == d.requests
 
