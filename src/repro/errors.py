@@ -113,8 +113,9 @@ class CheckpointError(ReproError):
 
     Raised when a launch asks for checkpointing in an unsupported mode
     (a live profiler), before it touches any snapshot, and when a
-    snapshot fails its resume verification — config/ndrange/
-    program-fingerprint/memory-baseline mismatch. A failed verification
+    snapshot fails its resume verification: another configuration, or
+    another launch identity (the crc32 of the host's writes: program,
+    NDRange descriptor, arguments and buffers). A failed verification
     leaves the machine untouched, so the launch discards that snapshot
     and runs from scratch.
     """

@@ -126,8 +126,9 @@ class VortexCompiledKernel(CompiledKernel):
         if kernel.params:
             machine.memory.write_words(layout.ARG_BASE, arg_words)
 
-        # The post-marshal memory is deterministic given the host
-        # arrays: the baseline a snapshot of this launch deltas against.
+        # Every host write above went through Memory.write_bytes, so
+        # memory.host_crc now identifies this launch's program and
+        # inputs: a snapshot resumes only onto the same identity.
         result = machine.launch(ndrange, max_cycles=self.backend.max_cycles,
                                 checkpoint=self.backend.checkpoint)
 

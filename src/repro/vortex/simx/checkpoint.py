@@ -4,15 +4,18 @@ A snapshot captures the *complete* mutable state of a mid-flight
 :class:`~.machine.Machine`: every attribute of each warp, core, data
 cache and the DRAM except the wiring between them (:data:`WIRING`), the
 machine's own dispatcher and counter state (:data:`MACHINE_STATE`), and
-the memory image, delta-compressed against the deterministic
-post-marshal baseline. A field added to a warp, core, cache or the
-DRAM is thus captured without a change here; one added to the machine
-itself must join :data:`MACHINE_STATE`. Restoring a snapshot and
-running to completion is byte-identical to a never-checkpointed run —
-the golden-trace suite and the hypothesis round-trip property in
-``tests/test_checkpoint.py`` pin this. A snapshot restores only onto
-the configuration, launch, program and marshalled memory it was taken
-on.
+the memory image itself, as the nonzero 8-byte words of device memory.
+A field added to a warp, core, cache or the DRAM is thus captured
+without a change here; one added to the machine itself must join
+:data:`MACHINE_STATE`. Restoring a snapshot and running to completion
+is byte-identical to a never-checkpointed run — the golden-trace suite
+and the round-trip tests in ``tests/test_checkpoint.py`` pin this.
+
+A snapshot restores only onto its configuration and its launch. The
+launch identity is :attr:`~.mem.Memory.host_crc`, the running crc32 of
+every host write into device memory: the program, the ``printf``
+strings, the NDRange descriptor, the argument block and the buffers.
+Arming a launch therefore records nothing and copies nothing.
 
 Snapshot files are a single JSON header line (magic, format version,
 source fingerprint, point id, cycle, payload length + sha256) followed
@@ -38,7 +41,6 @@ import os
 import pickle
 import re
 import time
-import zlib
 from pathlib import Path
 from typing import Any
 
@@ -47,6 +49,7 @@ import numpy as np
 from ... import durable
 from ...errors import CheckpointError
 from ...fingerprint import code_fingerprint
+from .mem import Memory
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = "repro-simx-snapshot"
@@ -71,7 +74,11 @@ SNAPSHOT_MAGIC = "repro-simx-snapshot"
 #: entry carries its line, ``_mshr_at`` is gone and ``_mshr_epoch``
 #: counts MSHR releases; a warp's replay memo holds the epoch it was
 #: turned away at.
-SNAPSHOT_VERSION = 8
+#: v9: the memory image is the nonzero 8-byte words of device memory,
+#: not a delta against a post-marshal copy; the launch identity
+#: ``host_crc`` replaces ``ndrange``, ``program_sha`` and
+#: ``baseline_digest``.
+SNAPSHOT_VERSION = 9
 
 #: Default snapshot cadence in simulated cycles.
 DEFAULT_EVERY_CYCLES = 2_000_000
@@ -86,27 +93,6 @@ def _slug(point_id: str) -> str:
     safe = re.sub(r"[^\w.+-]", "_", point_id)[:80]
     digest = hashlib.sha256(point_id.encode()).hexdigest()[:8]
     return f"{safe}-{digest}"
-
-
-def program_fingerprint(image: Any, config: Any) -> str:
-    """Identity of the decoded-instruction table a snapshot depends on:
-    the program words plus the config label (decode specialises on
-    geometry). A snapshot never restores onto a different program."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(image.program.words).tobytes())
-    h.update(image.kernel_name.encode())
-    h.update(config.label().encode())
-    return h.hexdigest()
-
-
-def baseline_digest(mem: np.ndarray) -> str:
-    """Cheap identity of the post-marshal memory baseline a snapshot's
-    delta applies to. This runs over the full device memory on *every*
-    checkpoint-armed launch (a resume verifies against that digest), so
-    speed matters: it only has to catch two deterministic runs
-    marshalling different arguments, which crc32+length does at under
-    half sha256's cost."""
-    return f"crc32:{zlib.crc32(mem) & 0xFFFFFFFF:08x}:{len(mem)}"
 
 
 # ----------------------------------------------------------------------
@@ -134,41 +120,23 @@ def _fields(obj: Any) -> dict[str, Any]:
     return {k: v for k, v in vars(obj).items() if k not in WIRING}
 
 
-def _delta_indices(mem: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Byte indices where ``mem`` differs from ``base``.
-
-    This scan dominates snapshot cost: a byte-wise compare of the 64 MiB
-    device memory runs ~50 ms. Comparing as uint64 words first is ~3x
-    cheaper (8x fewer comparisons; the per-element index extraction then
-    touches only the handful of dirty words)."""
-    if len(mem) % 8:
-        return np.flatnonzero(mem != base)
-    words = np.flatnonzero(mem.view(np.uint64) != base.view(np.uint64))
-    if not len(words):
-        return words
-    cand = (words[:, None] * 8 + np.arange(8)).ravel()
-    return cand[mem[cand] != base[cand]]
-
-
 def capture_state(machine: Any, now: int) -> dict[str, Any]:
     """Snapshot the machine at a main-loop cycle boundary.
 
-    ``now`` must be the next cycle the main loop would execute; the
-    machine must have been launched with checkpointing armed (so the
-    post-marshal memory baseline exists). The tree references the live
-    state, so it must be pickled before the machine runs on.
+    ``now`` must be the next cycle the main loop would execute. The
+    memory image is the nonzero 8-byte words of device memory, so a
+    snapshot grows with what the host and the kernel wrote, not with
+    the 64 MiB device. The tree references the live state, so it must
+    be pickled before the machine runs on.
     """
-    mem = machine.memory.data
-    idx = _delta_indices(mem, machine._ckpt_baseline)
+    words = machine.memory.data.view(np.uint64)
+    idx = np.flatnonzero(words != 0)
     return {
         "now": int(now),
         "config": machine.config,
-        "ndrange": (tuple(machine._ndrange.global_size),
-                    tuple(machine._ndrange.local_size)),
-        "program_sha": machine._ckpt_program_sha,
-        "baseline_digest": machine._ckpt_baseline_digest,
+        "host_crc": machine.memory.host_crc,
         "mem_idx": idx,
-        "mem_val": mem[idx],
+        "mem_val": words[idx],
         "machine": {name: getattr(machine, name) for name in MACHINE_STATE},
         "dram": _fields(machine.dram),
         "cores": [(_fields(core), _fields(core.dcache),
@@ -177,38 +145,34 @@ def capture_state(machine: Any, now: int) -> dict[str, Any]:
     }
 
 
-def verify_resume(machine: Any, ndrange: Any, state: dict[str, Any]) -> None:
+def verify_resume(machine: Any, state: dict[str, Any]) -> None:
     """All resume preconditions, checked before any mutation so a
-    failed verification leaves the machine launchable from scratch.
-    The program and memory identities are the ones ``Machine.launch``
-    just recorded, so a resume hashes the device memory once."""
+    failed verification leaves the machine launchable from scratch:
+    the same configuration, and the same launch identity, which
+    ``Machine.launch`` has completed with the NDRange descriptor."""
     if state.get("config") != machine.config:
         raise CheckpointError(
             f"snapshot was taken on {state.get('config')!r}, "
             f"machine is {machine.config!r}"
         )
-    want = (tuple(ndrange.global_size), tuple(ndrange.local_size))
-    if tuple(map(tuple, state.get("ndrange", ()))) != want:
+    if state.get("host_crc") != machine.memory.host_crc:
         raise CheckpointError(
-            f"snapshot ndrange {state.get('ndrange')} != launch {want}"
-        )
-    if state.get("program_sha") != machine._ckpt_program_sha:
-        raise CheckpointError("snapshot program fingerprint mismatch "
-                              "(kernel or decode changed)")
-    if state.get("baseline_digest") != machine._ckpt_baseline_digest:
-        raise CheckpointError("snapshot memory baseline mismatch "
-                              "(marshalled arguments differ)")
-    if len(state.get("cores", ())) != len(machine.cores):
-        raise CheckpointError("snapshot core count mismatch")
+            "snapshot launch identity mismatch (program, launch "
+            "geometry or marshalled inputs differ)")
 
 
 def restore_state(machine: Any, state: dict[str, Any]) -> None:
-    """Apply a verified snapshot. The machine's memory must hold the
-    baseline image (freshly loaded + marshalled) — ``verify_resume``
-    checked that. Objects are updated in place, so the wiring between
-    them (a core's warp scan orders, its bound fetch) stays valid; each
+    """Apply a verified snapshot. The memory image goes into a fresh
+    :class:`~.mem.Memory` (its untouched pages are never mapped) that
+    keeps the snapshot's identity and replaces ``machine.memory``;
+    every reader looks the memory up on the machine at each access.
+    The other objects are updated in place, so the wiring between them
+    (a core's warp scan orders, its bound fetch) stays valid; each
     warp's register rows are rebound to its restored files."""
-    machine.memory.data[state["mem_idx"]] = state["mem_val"]
+    memory = Memory(machine.memory.size)
+    memory.data.view(np.uint64)[state["mem_idx"]] = state["mem_val"]
+    memory.host_crc = state["host_crc"]
+    machine.memory = memory
     for name, value in state["machine"].items():
         setattr(machine, name, value)
     vars(machine.dram).update(state["dram"])
@@ -383,18 +347,17 @@ class CheckpointPlan:
             preempt_at_cycle=spec.get("preempt_at_cycle"),
         )
 
-    def begin_launch(self, machine: Any, ndrange: Any
-                     ) -> dict[str, Any] | None:
+    def begin_launch(self, machine: Any) -> dict[str, Any] | None:
         """Advance to the point's next kernel launch and return its
-        snapshot if one verifies against ``machine`` (armed and about to
-        run ``ndrange``), else ``None``: run from scratch. A snapshot
+        snapshot if one verifies against ``machine`` (loaded, marshalled
+        and about to run), else ``None``: run from scratch. A snapshot
         that fails verification is discarded."""
         self.launch_id = f"{self.point_id}.L{self._seq}"
         self._seq += 1
         state = self.store.load(self.launch_id)
         if state is not None:
             try:
-                verify_resume(machine, ndrange, state)
+                verify_resume(machine, state)
             except CheckpointError:
                 self.store.discard(self.launch_id)
                 return None

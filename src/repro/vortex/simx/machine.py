@@ -170,8 +170,9 @@ class Machine:
         """Run ``ndrange`` to completion on the loaded image and the
         marshalled arguments.
 
-        With a :class:`~.checkpoint.CheckpointPlan` the launch records
-        the post-marshal baselines, then asks the plan for this launch's
+        With a :class:`~.checkpoint.CheckpointPlan` the launch writes
+        its NDRange descriptor, the last host write of its identity
+        (``memory.host_crc``), then asks the plan for this launch's
         snapshot. One that verifies is restored and the run continues
         from its cycle; otherwise (none, or refused and discarded by the
         plan) the launch starts fresh on this same machine, since
@@ -211,14 +212,7 @@ class Machine:
                     "checkpointing is incompatible with profiling "
                     "(sampler state is not snapshotted)"
                 )
-            # The post-marshal baselines: snapshots delta against them,
-            # a resume verifies against them.
-            self._ckpt_baseline = self.memory.data.copy()
-            self._ckpt_baseline_digest = _ckpt.baseline_digest(
-                self._ckpt_baseline)
-            self._ckpt_program_sha = _ckpt.program_fingerprint(self._image,
-                                                               cfg)
-            state = checkpoint.begin_launch(self, ndrange)
+            state = checkpoint.begin_launch(self)
         if state is not None:
             now = int(state["now"])
             _ckpt.restore_state(self, state)

@@ -7,9 +7,20 @@ helpers. A core's LSU checks a warp's lane addresses in the same pass
 that groups them by cache line (``Core._lsu_lines``, which defers to
 :meth:`Memory._check_word` for the diagnostics), then gathers and
 scatters whole lane rows through the ``words``/``floats`` views.
+
+Host code writes device memory only through :meth:`Memory.write_bytes`
+(``write_words`` defers to it): the image load, the ``printf`` format
+strings, the NDRange descriptor, the argument block and the buffers.
+Each write folds into :attr:`Memory.host_crc`, the launch identity a
+snapshot resumes against (:mod:`.checkpoint`); a host write that went
+around ``write_bytes`` would let a snapshot restore onto a launch it
+was not taken on.
 """
 
 from __future__ import annotations
+
+import struct
+import zlib
 
 import numpy as np
 
@@ -24,14 +35,21 @@ class Memory:
         #: word views of ``data``, indexed by word (byte address >> 2).
         self.words = self.data.view(np.int32)
         self.floats = self.data.view(np.float32)
+        #: running crc32 of every host write, in order (see
+        #: :meth:`write_bytes`).
+        self.host_crc = 0
 
     # -- host/runtime byte access ---------------------------------------
 
     def write_bytes(self, addr: int, data: bytes | np.ndarray) -> None:
+        """The one host write path: store ``data`` at ``addr`` and fold
+        ``(addr, length, data)`` into :attr:`host_crc`."""
         raw = np.frombuffer(bytes(data), dtype=np.uint8) \
             if isinstance(data, (bytes, bytearray)) else data.view(np.uint8)
         self._check_range(addr, len(raw))
         self.data[addr: addr + len(raw)] = raw
+        self.host_crc = zlib.crc32(raw, zlib.crc32(
+            struct.pack("<qq", addr, len(raw)), self.host_crc))
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         self._check_range(addr, length)

@@ -5,9 +5,11 @@ resuming it later is **invisible** — the resumed run's result payload,
 device memory, per-core counters and DRAM statistics are byte-identical
 to a run that was never interrupted, at *any* snapshot cycle
 (hypothesis-drawn), on the vectorized, scalar and no-fast-forward
-execution paths alike. Around that core sit the failure-mode tests:
-corrupt or version-skewed snapshots are dropped (and counted) in favour
-of a clean re-run, the engine requeues a preempted point without
+execution paths alike, and on every Table I benchmark. Around that core
+sit the failure-mode tests: corrupt, version-skewed or mismatched
+snapshots (another configuration, or another launch identity) are
+dropped (and counted) in favour of a clean re-run, arming a launch
+copies nothing, the engine requeues a preempted point without
 charging a retry only while its snapshot cycle advances, orphaned
 snapshot temp files are swept at startup, and the daemon puts a
 preempted job back on its queue without journalling it done.
@@ -17,6 +19,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -26,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.benchmarks import all_benchmarks, run_benchmark
 from repro.errors import (
     CheckpointError,
     PointFailure,
@@ -91,8 +95,10 @@ def _machine_digest(machine, result):
     }
 
 
-def _run_vecadd(config, n, checkpoint=None, profiler=None):
-    """One vecadd launch capturing the final machine state digest."""
+def _run_vecadd(config, n, checkpoint=None, profiler=None, seed=0,
+                local=None):
+    """One vecadd launch capturing the final machine state digest.
+    ``seed`` draws the inputs; ``local`` is the work-group size."""
     import numpy as np
 
     from repro.benchmarks import get_benchmark
@@ -105,11 +111,12 @@ def _run_vecadd(config, n, checkpoint=None, profiler=None):
             digest=_machine_digest(m, r)))
     ctx = Context(backend)
     prog = ctx.program(get_benchmark("vecadd").build())
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     a = ctx.buffer(rng.random(n, dtype=np.float32))
     b = ctx.buffer(rng.random(n, dtype=np.float32))
     c = ctx.alloc(n)
-    local = min(16, config.warps * config.threads)
+    if local is None:
+        local = min(16, config.warps * config.threads)
     prog.launch("vecadd", [a, b, c, n], n, local)
     return captured["digest"], c.host.copy()
 
@@ -209,6 +216,24 @@ class TestRoundTrip:
         assert (sweep_point("vecadd", CONFIG, N, checkpoint=spec)
                 == baseline["vecadd"])
 
+    def test_resumed_launch_resumes_again(self, tmp_path, baseline):
+        """A resumed launch snapshots under the identity it restored:
+        preempted at a cycle, resumed, preempted by the stop file and
+        resumed again, it counts two hits and ends as a straight run."""
+        with pytest.raises(SimulationPreempted) as first:
+            sweep_point("vecadd", CONFIG, N,
+                        checkpoint=_spec(tmp_path, preempt_at_cycle=5_000))
+        stop = tmp_path / "STOP"
+        stop.touch()
+        with pytest.raises(SimulationPreempted) as second:
+            sweep_point("vecadd", CONFIG, N,
+                        checkpoint=_spec(tmp_path, stop_file=str(stop)))
+        assert second.value.cycle > first.value.cycle
+        stop.unlink()
+        assert (sweep_point("vecadd", CONFIG, N, checkpoint=_spec(tmp_path))
+                == baseline["vecadd"])
+        assert CheckpointStore(tmp_path).hit_count() == 2
+
     @pytest.mark.parametrize("env", ["REPRO_SIMX_SCALAR",
                                      NO_FASTFORWARD_ENV])
     def test_roundtrip_on_alternate_execution_paths(
@@ -285,21 +310,25 @@ class TestStore:
         assert store.hit_count() == 0  # clean re-run, not a resume
 
     @pytest.mark.parametrize("other", [
-        VortexConfig(cores=1, warps=4, threads=4),
-        replace(CONFIG, mshrs=4),
-    ], ids=["geometry", "mshrs"])
+        {"config": VortexConfig(cores=1, warps=4, threads=4)},
+        {"config": replace(CONFIG, mshrs=4)},
+        {"seed": 1},
+        {"local": 2},
+    ], ids=["geometry", "mshrs", "inputs", "ndrange"])
     def test_config_mismatch_degrades_to_clean_run(self, tmp_path, other):
         """A snapshot from another configuration — another geometry, or
-        the same (C, W, T) with fewer MSHRs — found under the same name
-        fails resume verification (CheckpointError) and the launch
-        restarts from scratch."""
+        the same (C, W, T) with fewer MSHRs — or from another launch on
+        the same configuration — other inputs, or another work-group
+        size — found under the same name fails resume verification
+        (CheckpointError) and the launch restarts from scratch."""
         store = CheckpointStore(tmp_path)
         with pytest.raises(SimulationPreempted):
             _run_vecadd(CONFIG, N, checkpoint=CheckpointPlan(
                 store, "shared", every_cycles=EVERY, preempt_at_cycle=5_000))
-        ref_digest, ref_out = _run_vecadd(other, N)
+        launch = {"config": CONFIG, "n": N, **other}
+        ref_digest, ref_out = _run_vecadd(**launch)
         plan = CheckpointPlan(store, "shared", every_cycles=EVERY)
-        digest, out = _run_vecadd(other, N, checkpoint=plan)
+        digest, out = _run_vecadd(**launch, checkpoint=plan)
         assert digest == ref_digest
         assert (out == ref_out).all()
         assert store.hit_count() == 0
@@ -396,13 +425,14 @@ class TestStore:
             sweep_point("vecadd", CONFIG, N, checkpoint=spec)
         store = CheckpointStore(tmp_path)
         state = store.load(VECADD_L0)
-        state["ndrange"] = ((999, 1, 1), (1, 1, 1))
-        from repro.ocl.ndrange import NDRange
         from repro.vortex.simx.checkpoint import verify_resume
 
         machine = Machine(CONFIG)
+        machine.memory.host_crc = state["host_crc"]
+        verify_resume(machine, state)
+        state["host_crc"] ^= 1
         with pytest.raises(CheckpointError):
-            verify_resume(machine, NDRange.create(N, 8), state)
+            verify_resume(machine, state)
 
 
 # -- engine scheduling -------------------------------------------------------
@@ -610,24 +640,122 @@ def test_snapshot_header_is_one_json_line(tmp_path):
     assert header["payload_len"] == len(raw) - raw.index(b"\n") - 1
 
 
-# -- snapshot cost controls --------------------------------------------------
+# -- the snapshot's memory image ---------------------------------------------
 
 
-def test_delta_indices_matches_bytewise():
+def test_memory_image_round_trip(tmp_path):
+    """A snapshot holds device memory itself, not a delta against what
+    the host wrote: an 8-byte word the host marshalled and the kernel
+    zeroed comes back zero, and a word in the last 8 bytes of device
+    memory comes back, through capture, the store's pickle and a
+    restore onto a fresh machine that the host loaded the same way."""
     import numpy as np
 
-    from repro.vortex.simx.checkpoint import _delta_indices
+    from repro.vortex import layout
+    from repro.vortex.simx.checkpoint import (
+        capture_state,
+        restore_state,
+        verify_resume,
+    )
 
-    rng = np.random.default_rng(42)
-    for size in (0, 8, 64, 4096, 4096 + 3):  # incl. non-multiple-of-8
-        base = rng.integers(0, 256, size, dtype=np.uint8)
-        mem = base.copy()
-        if size:
-            dirty = rng.integers(0, size, size // 7 + 1)
-            mem[dirty] ^= rng.integers(1, 256, len(dirty),
-                                       dtype=np.uint8)
-        expect = np.flatnonzero(mem != base)
-        got = _delta_indices(mem, base)
-        assert np.array_equal(got, expect)
-        assert np.array_equal(_delta_indices(base, base.copy()),
-                              np.empty(0, dtype=np.intp))
+    heap = layout.HEAP_BASE
+
+    def marshalled():
+        machine = Machine(CONFIG)
+        machine.memory.write_words(heap, np.array([7, 7, 9],
+                                                  dtype=np.int32))
+        return machine
+
+    machine = marshalled()
+    mem = machine.memory
+    mem.write_word(heap, 0)  # as kernel stores would
+    mem.write_word(heap + 4, 0)
+    mem.data[-8:] = np.arange(1, 9, dtype=np.uint8)
+    store = CheckpointStore(tmp_path, fingerprint="f")
+    store.save("image", capture_state(machine, 5))
+    state = store.load("image")
+
+    fresh = marshalled()
+    verify_resume(fresh, state)
+    restore_state(fresh, state)
+    assert fresh.memory.read_bytes(heap, 12) == mem.read_bytes(heap, 12)
+    assert not any(fresh.memory.read_bytes(heap, 8))
+    assert fresh.memory.read_bytes(mem.size - 8, 8) == bytes(range(1, 9))
+    assert np.array_equal(fresh.memory.data, mem.data)
+    assert fresh.memory.host_crc == mem.host_crc
+
+
+def test_arming_allocates_nothing_proportional_to_memory(tmp_path):
+    """An armed launch with no snapshot due copies nothing: its
+    tracemalloc peak is within 1 MiB of the plain launch's (the device
+    memory alone is 64 MiB)."""
+    import tracemalloc
+
+    config = VortexConfig(cores=4, warps=4, threads=4)
+    store = CheckpointStore(tmp_path)
+    _run_vecadd(config, 256)  # imports and first-use caches
+
+    def peak(checkpoint):
+        tracemalloc.start()
+        try:
+            _run_vecadd(config, 256, checkpoint=checkpoint)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain = peak(None)
+    armed = peak(CheckpointPlan(store, "armed"))
+    assert armed - plain <= 1 << 20, (plain, armed)
+    assert not store.path("armed.L0").exists()
+
+
+# -- every benchmark resumes byte-identically --------------------------------
+
+#: the benchmarks the tier-1 run round-trips: printf, atomics, barriers
+#: with local memory, and four launches. The other 24 are ``slow``.
+ROUNDTRIP_TIER1 = ("oclprintf", "hybridsort", "dotproduct", "lud")
+
+
+class _PreemptOneLaunch(CheckpointPlan):
+    """Snapshots every 64 cycles; yields only in launch ``launch``, at
+    the first boundary at or past ``cycle`` (never when ``launch`` is
+    ``None``)."""
+
+    def __init__(self, store, launch=None, cycle=None):
+        super().__init__(store, "bench", every_cycles=64)
+        self.target = None if launch is None else f"bench.L{launch}"
+        self.cycle = cycle
+
+    def due_preempt(self, now, run_start):
+        return (self.launch_id == self.target
+                and run_start < self.cycle <= now)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(b.name, marks=() if b.name in ROUNDTRIP_TIER1
+                 else pytest.mark.slow)
+    for b in all_benchmarks()])
+def test_benchmark_resumes_byte_identically(tmp_path, name):
+    """Preempt one seeded launch of the benchmark at a seeded cycle and
+    resume: every launch's cycles, its counters and its device memory
+    equal the straight run's, with exactly one hit."""
+    config = VortexConfig().with_geometry(cores=2, warps=4, threads=4)
+
+    def run(plan):
+        launches = []
+        backend = VortexBackend(
+            config, checkpoint=plan,
+            launch_hook=lambda m, r: launches.append(
+                (r.counters, hashlib.sha256(m.memory.data).hexdigest())))
+        assert run_benchmark(name, backend).ok
+        return launches
+
+    straight = run(None)
+    rng = random.Random(name)
+    launch = rng.randrange(len(straight))
+    cycle = rng.randrange(1, straight[launch][0]["cycles"] // 2)
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(SimulationPreempted):
+        run(_PreemptOneLaunch(store, launch, cycle))
+    assert run(_PreemptOneLaunch(store)) == straight
+    assert store.hit_count() == 1
