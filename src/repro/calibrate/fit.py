@@ -27,7 +27,7 @@ from ..fingerprint import code_fingerprint
 from ..harness.engine import ExperimentEngine, default_engine
 from ..harness.result_cache import ResultCache
 from ..harness.sweep import (FIG7_BENCHMARKS, FIG7_N, fig7_key,
-                             fig7_profile, sweep_point)
+                             fig7_problem, fig7_profile, sweep_point)
 from ..vortex.analytical import KernelProfile, VortexModelParams, predict
 from ..vortex.simx.config import VortexConfig
 from .artifact import CalibrationArtifact
@@ -91,7 +91,9 @@ def collect_vortex_samples(
               for benchmark in benchmarks for (w, t) in cells]
     values = engine.run(
         sweep_point, points,
-        keys=[fig7_key(engine.cache, *point) for point in points],
+        keys=[fig7_key(engine.cache, benchmark, config,
+                       fig7_problem(benchmark, n))
+              for benchmark, config, n in points],
         label="calibrate vortex")
 
     samples = []

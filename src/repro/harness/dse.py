@@ -53,7 +53,7 @@ from ..vortex.simx.config import VortexConfig
 from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
 from .sweep import (FIG7_N, THREAD_SIZES, WARP_SIZES, fig7_geometry,
-                    fig7_key, fig7_profile, sweep_point)
+                    fig7_key, fig7_problem, fig7_profile, sweep_point)
 from .tables import render_table
 
 #: the default screen: one to eight cores over Figure 7's (W, T) axes.
@@ -272,8 +272,10 @@ def workload_rejection(benchmark: str, n: int):
     to fail with a launch error. The check is plain integer modulo: it
     runs on every screened point that fits the device.
     """
+    problem = fig7_problem(benchmark, n)
+
     def reject(config: VortexConfig) -> str | None:
-        sizes, local = fig7_geometry(benchmark, n,
+        sizes, local = fig7_geometry(benchmark, problem,
                                      config.warps * config.threads)
         for size, group in zip(sizes, local):
             if size % group:
@@ -466,7 +468,8 @@ def run_dse(
             CheckpointStore(checkpoint["dir"])
         simulate = partial(dse_confirm_point, benchmark=benchmark, n=n,
                            checkpoint=checkpoint)
-        simulate_key = partial(fig7_key, engine.cache, benchmark, n=n)
+        simulate_key = partial(fig7_key, engine.cache, benchmark,
+                               problem=fig7_problem(benchmark, n))
 
     return explore_design_space(
         profile, device=device, core_counts=core_counts,

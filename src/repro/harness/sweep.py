@@ -14,14 +14,21 @@ loses ~44% at 4/4 and ~17% at 8 warps / 4 threads.
 The grid is embarrassingly parallel: each cell is an independent SimX
 run, so ``run_sweep(engine=ExperimentEngine(jobs=N, cache=...))`` fans
 the cells across worker processes and memoises each on disk. A cell's
-inputs, launch geometry and content key are defined here once
-(:func:`fig7_workload`, :func:`fig7_geometry`, :func:`fig7_key`): DSE
-confirmations, the calibration and the service's ``fig7-cell`` jobs
-run the same cell.
+problem, inputs, launch geometry and content key are defined here once
+(:func:`fig7_problem`, :func:`fig7_workload`, :func:`fig7_geometry`,
+:func:`fig7_key`): DSE confirmations, the calibration and the service's
+``fig7-cell`` jobs run the same cell. A requested ``n`` reaches the
+simulation only through its problem, the launch's global size, so two
+requests that build the same launch share one cache entry and one
+snapshot (transpose rounds ``n`` to a square side: n = 16 … 992 all
+run the same 16x16 matrix). Each benchmark's kernel is built once per
+process and shared by its cells; code generation clones it before any
+pass, and the Vortex runtime caches its compiled images.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,9 +124,10 @@ def _transpose_side(n: int) -> int:
     return max(dim - dim % 16, 16)
 
 
-def fig7_workload(benchmark: str, n: int) -> tuple[Kernel, list]:
-    """The cell's kernel and host arguments: :data:`SWEEP_SEED` inputs
-    as numpy arrays (buffers) and ints (scalars).
+def fig7_problem(benchmark: str, n: int) -> tuple[int, ...]:
+    """The cell's problem for a request of ``n`` elements: the launch's
+    global size, from which its inputs and geometry follow — vecadd's
+    ``(n,)``, transpose's ``(side, side)`` (:func:`_transpose_side`).
 
     Raises :class:`~repro.errors.CalibrationError` for a benchmark with
     no Figure 7 cell — the analytical model has no calibration workload
@@ -129,66 +137,93 @@ def fig7_workload(benchmark: str, n: int) -> tuple[Kernel, list]:
         raise CalibrationError(
             f"no calibration workload for benchmark {benchmark!r} "
             f"(supported: {', '.join(FIG7_BENCHMARKS)})")
-    kernel = get_benchmark(benchmark).build()[0]
+    if benchmark == "vecadd":
+        return (n,)
+    side = _transpose_side(n)
+    return (side, side)
+
+
+@functools.cache
+def _fig7_kernel(benchmark: str) -> Kernel:
+    """The benchmark's kernel, built once per process: code generation
+    clones it before its passes, so every cell shares it unchanged."""
+    return get_benchmark(benchmark).build()[0]
+
+
+def fig7_workload(benchmark: str, problem: tuple[int, ...]
+                  ) -> tuple[Kernel, list]:
+    """The kernel and host arguments of a cell with ``problem``
+    (:func:`fig7_problem`): :data:`SWEEP_SEED` inputs as fresh numpy
+    arrays (buffers, which a launch writes into) and ints (scalars)."""
+    kernel = _fig7_kernel(benchmark)
     rng = np.random.default_rng(SWEEP_SEED)
     if benchmark == "vecadd":
+        (n,) = problem
         return kernel, [rng.random(n, dtype=np.float32),
                         rng.random(n, dtype=np.float32),
                         np.zeros(n, dtype=np.float32), n]
-    dim = _transpose_side(n)
-    return kernel, [rng.random(dim * dim, dtype=np.float32),
-                    np.zeros(dim * dim, dtype=np.float32), dim, dim]
+    width, height = problem
+    return kernel, [rng.random(width * height, dtype=np.float32),
+                    np.zeros(width * height, dtype=np.float32),
+                    width, height]
 
 
-def fig7_geometry(benchmark: str, n: int, lanes: int
+def fig7_geometry(benchmark: str, problem: tuple[int, ...], lanes: int
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(global, local)`` sizes of the cell's launch on a configuration
-    with ``lanes`` = warps x threads.
+    """``(global, local)`` sizes of the launch of a cell with
+    ``problem`` on a configuration with ``lanes`` = warps x threads.
 
     PoCL clamps the work-group to what the device runs at once: up to
     16 items for vecadd, up to a 4x4 tile for transpose — so every
     ``lanes >= 16`` launches the same geometry.
     """
     if benchmark == "vecadd":
-        return (n,), (min(16, lanes),)
-    dim = _transpose_side(n)
+        return problem, (min(16, lanes),)
     lx = min(4, lanes)
-    return (dim, dim), (lx, max(1, min(4, lanes // lx)))
+    return problem, (lx, max(1, min(4, lanes // lx)))
 
 
 def fig7_key(cache: ResultCache | None, benchmark: str,
-             config: VortexConfig, n: int) -> str | None:
-    """The cell's content key in ``cache`` (``None`` without a cache).
+             config: VortexConfig, problem: tuple[int, ...]) -> str | None:
+    """The content key in ``cache`` of the cell that runs ``problem``
+    (:func:`fig7_problem`) on ``config`` (``None`` without a cache).
 
     The sweep, DSE confirmations, calibration ground truth and the
     service's ``fig7-cell`` jobs all key cells here, so each dedupes
-    against the others in one :class:`ResultCache`.
+    against the others in one :class:`ResultCache`, and requests whose
+    ``n`` builds the same launch share one entry. The key is cheap: it
+    builds no workload.
     """
     if cache is None:
         return None
     return cache.key(kind="fig7-cell", benchmark=benchmark, config=config,
-                     n=n, seed=SWEEP_SEED)
+                     problem=problem, seed=SWEEP_SEED)
 
 
-def fig7_snapshot_id(benchmark: str, config: VortexConfig, n: int) -> str:
-    """The name the cell's SimX snapshots are stored under.
+def fig7_snapshot_id(benchmark: str, config: VortexConfig,
+                     problem: tuple[int, ...]) -> str:
+    """The name the SimX snapshots of the cell that runs ``problem`` on
+    ``config`` are stored under.
 
     It spells out every input that shapes the simulation — the
-    benchmark, ``n``, :data:`SWEEP_SEED` and every
-    :class:`~repro.vortex.VortexConfig` field — so a snapshot resumes
-    only its own cell, whichever runner of that cell (the sweep, a DSE
-    confirmation, a ``fig7-cell`` job) wrote it.
+    benchmark, the problem (:func:`fig7_problem`), :data:`SWEEP_SEED`
+    and every :class:`~repro.vortex.VortexConfig` field — so a snapshot
+    resumes only its own cell, whichever runner of that cell (the sweep,
+    a DSE confirmation, a ``fig7-cell`` job) and whichever ``n`` that
+    builds the same launch wrote it.
     """
-    return f"fig7-{benchmark}-n{n}-s{SWEEP_SEED}-{config!r}"
+    size = "x".join(map(str, problem))
+    return f"fig7-{benchmark}-p{size}-s{SWEEP_SEED}-{config!r}"
 
 
 def fig7_profile(benchmark: str, n: int) -> KernelProfile:
     """The cell's configuration-independent :class:`KernelProfile` — the
     analytical model's input for calibration and DSE, collected on the
     clamped (``lanes=16``) work-group."""
-    kernel, args = fig7_workload(benchmark, n)
+    problem = fig7_problem(benchmark, n)
+    kernel, args = fig7_workload(benchmark, problem)
     return KernelProfile.collect(
-        kernel, args, NDRange.create(*fig7_geometry(benchmark, n, 16)))
+        kernel, args, NDRange.create(*fig7_geometry(benchmark, problem, 16)))
 
 
 def sweep_point(benchmark: str, config: VortexConfig, n: int,
@@ -196,7 +231,8 @@ def sweep_point(benchmark: str, config: VortexConfig, n: int,
                 ) -> dict:
     """One grid cell — the engine's (picklable, module-level) unit of work.
 
-    Returns ``{"cycles", "lsu_stalls"}`` plus, when ``profile`` is set, a
+    ``n`` reaches the launch only through :func:`fig7_problem`. Returns
+    ``{"cycles", "lsu_stalls"}`` plus, when ``profile`` is set, a
     ``"report"`` :class:`~repro.profiling.ProfileReport` recorded by a
     profiler private to this point (per-worker profiling: each parallel
     worker builds its own profiler and ships the report back, so the
@@ -212,18 +248,19 @@ def sweep_point(benchmark: str, config: VortexConfig, n: int,
     (sampler state is not snapshotted; profiled runs bypass the cache
     anyway).
     """
+    problem = fig7_problem(benchmark, n)
     profiler = Profiler() if profile else NULL_PROFILER
     plan = None
     if checkpoint is not None and not profile:
         from ..vortex.simx.checkpoint import CheckpointPlan
         plan = CheckpointPlan.from_spec(
-            checkpoint, fig7_snapshot_id(benchmark, config, n))
-    kernel, args = fig7_workload(benchmark, n)
+            checkpoint, fig7_snapshot_id(benchmark, config, problem))
+    kernel, args = fig7_workload(benchmark, problem)
     ctx = Context(VortexBackend(config, profiler=profiler, checkpoint=plan))
     prog = ctx.program([kernel])
     args = [ctx.buffer(a) if isinstance(a, np.ndarray) else a for a in args]
     stats = prog.launch(kernel.name, args, *fig7_geometry(
-        benchmark, n, config.warps * config.threads))
+        benchmark, problem, config.warps * config.threads))
     result = {"cycles": stats.cycles,
               "lsu_stalls": stats.extra.get("lsu_replays", 0)}
     if profile:
@@ -282,13 +319,14 @@ def run_sweep(
         CheckpointStore(checkpoint["dir"])
 
     grid = [(w, t) for w in warp_sizes for t in thread_sizes]
+    problem = fig7_problem(benchmark, n)
     points = []
     keys: list[str | None] = []
     for w, t in grid:
         config = base.with_geometry(cores=cores, warps=w, threads=t)
         points.append((benchmark, config, n, profile, checkpoint))
         keys.append(None if profile
-                    else fig7_key(engine.cache, benchmark, config, n))
+                    else fig7_key(engine.cache, benchmark, config, problem))
     values = engine.run(sweep_point, points, keys=keys,
                         label=f"fig7 {benchmark}")
 

@@ -17,6 +17,9 @@ Kinds
     (:func:`repro.harness.sweep.fig7_key`), so service results,
     batch-CLI results, and resumed campaigns all deduplicate against
     the same :class:`~repro.harness.result_cache.ResultCache` entries.
+    It names the launch ``n`` builds, so requests whose ``n`` builds the
+    same launch coalesce (transpose runs a 16x16 matrix for every ``n``
+    from 16 to 992).
 
 ``dse``
     One hierarchical design-space exploration (see
@@ -52,7 +55,8 @@ from ..harness.dse import (CALIBRATION_MAX_N, CONFIRM_MODES, CORE_COUNTS,
                            FRONTIER_CAP, run_dse)
 from ..harness.engine import ExperimentEngine
 from ..harness.sweep import (FIG7_BENCHMARKS, FIG7_N, THREAD_SIZES,
-                             WARP_SIZES, fig7_key, sweep_point)
+                             WARP_SIZES, fig7_key, fig7_problem,
+                             sweep_point)
 from ..vortex import VortexConfig
 
 __all__ = ["JOB_KINDS", "execute_job", "job_key", "validate_job"]
@@ -219,8 +223,9 @@ def job_key(cache, spec: dict) -> str:
     grid lists, so equal requests collide.
     """
     if spec["kind"] == "fig7-cell":
-        return fig7_key(cache, spec["benchmark"], _cell_config(spec),
-                        spec["n"])
+        benchmark = spec["benchmark"]
+        return fig7_key(cache, benchmark, _cell_config(spec),
+                        fig7_problem(benchmark, spec["n"]))
     return cache.key(**spec)
 
 

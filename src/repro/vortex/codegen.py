@@ -110,6 +110,9 @@ class VortexKernelImage:
     #: dispatch.
     wave_mode: bool = False
     threads: int = 0
+    #: SimX's decoded programs of this image, per decode input (see
+    #: :meth:`repro.vortex.simx.machine.Machine.load_image`).
+    decoded: dict = field(default_factory=dict, repr=False, compare=False)
 
     def disassembly(self) -> str:
         return disassemble(self.program)

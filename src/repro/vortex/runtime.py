@@ -6,12 +6,18 @@ also specializes work-group sizes), loads the image into a fresh
 simulated device, marshals buffers into the device heap, runs the
 cycle-level simulator and copies buffers back.
 
-Compiled images are cached per (kernel, geometry), mirroring PoCL's
-program cache.
+Compiled images are cached once per process, per (kernel, global size,
+local size, T), mirroring PoCL's program cache: every backend and job of
+a process that launches the same kernel object on the same geometry
+shares one image (and the decoded program SimX keeps with it). The
+cache holds up to :data:`IMAGE_CACHE_SIZE` images and evicts the least
+recently used one past that.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Any
 
 import numpy as np
@@ -28,6 +34,16 @@ from .simx.config import VortexConfig
 from .simx.machine import Machine
 
 _HEAP_ALIGN = 64
+
+#: Most compiled images the process keeps (Table I compiles 41).
+IMAGE_CACHE_SIZE = 64
+
+#: (kernel, global size, local size, T) -> image, least recently used
+#: first. Keyed by the kernel object, not id(kernel): the key keeps the
+#: kernel alive, so a later kernel can never reuse its id and be handed
+#: this image.
+_images: OrderedDict[tuple, VortexKernelImage] = OrderedDict()
+_images_lock = threading.Lock()
 
 
 class VortexBackend(DeviceBackend):
@@ -54,7 +70,6 @@ class VortexBackend(DeviceBackend):
         #: :class:`~repro.errors.SimulationPreempted` past the plan's
         #: deadline instead of being killed by the engine watchdog.
         self.checkpoint = checkpoint
-        self._image_cache: dict[tuple, VortexKernelImage] = {}
 
     def build(self, kernel: Kernel) -> "VortexCompiledKernel":
         validate(kernel)
@@ -62,15 +77,19 @@ class VortexBackend(DeviceBackend):
 
     def compile_for(self, kernel: Kernel, ndrange: NDRange
                     ) -> VortexKernelImage:
-        # Keyed by the kernel object, not id(kernel): the key keeps the
-        # kernel alive, so a later kernel can never reuse its id and be
-        # handed this image.
-        key = (kernel, ndrange.global_size, ndrange.local_size)
-        image = self._image_cache.get(key)
-        if image is None:
-            image = compile_kernel(kernel, ndrange,
-                                   threads=self.config.threads)
-            self._image_cache[key] = image
+        """The process's image of ``kernel`` for ``ndrange`` on this
+        backend's T, compiled on first use."""
+        threads = self.config.threads
+        key = (kernel, ndrange.global_size, ndrange.local_size, threads)
+        with _images_lock:
+            image = _images.get(key)
+            if image is not None:
+                _images.move_to_end(key)
+                return image
+            image = compile_kernel(kernel, ndrange, threads=threads)
+            _images[key] = image
+            if len(_images) > IMAGE_CACHE_SIZE:
+                _images.popitem(last=False)
         return image
 
 

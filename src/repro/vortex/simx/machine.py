@@ -53,7 +53,7 @@ from ..isa import CSR
 from . import checkpoint as _ckpt
 from .config import VortexConfig
 from .core import Core, CoreStats
-from .decode import DecodedInstr, decode_program
+from .decode import DecodedInstr, decode_program, scalar_path_enabled
 from .dram import DRAM
 from .mem import Memory
 from .warp import BLOCKED
@@ -73,6 +73,13 @@ NO_FASTFORWARD_ENV = "REPRO_SIMX_NO_FASTFORWARD"
 #: truncating to a summary (huge (C, W) configs must not turn an
 #: exception payload into megabytes of journal/PointFailure text).
 WARP_DUMP_MAX = 32
+
+
+#: The :class:`VortexConfig` fields ``decode_one`` reads: T for its
+#: immediate rows, and the writeback latency of each instruction kind.
+_DECODE_FIELDS = ("threads", "alu_latency", "mul_latency", "div_latency",
+                  "fpu_latency", "fdiv_latency", "sfu_latency",
+                  "csr_latency")
 
 
 #: The per-core counters a launch total sums over the cores, in the
@@ -141,6 +148,17 @@ class Machine:
     # ------------------------------------------------------------------
 
     def load_image(self, image: VortexKernelImage) -> None:
+        """Write ``image`` into device memory and fetch its decoded
+        program, which the issue stage looks each dynamic instruction up
+        in by PC instead of re-decoding it.
+
+        An image is decoded once per decode input: the handler table
+        ``REPRO_SIMX_SCALAR`` selects and the config fields
+        ``decode_one`` reads (:data:`_DECODE_FIELDS`). The program is
+        kept with the image. Only ``decode_one`` and ``decode_program``
+        assign a record's fields, so every machine that loads the image
+        with that input shares the records.
+        """
         self._image = image
         self.program = image.program
         self.memory.write_words(layout.CODE_BASE,
@@ -148,11 +166,15 @@ class Machine:
         for fmt, addr in image.fmt_table.items():
             raw = fmt.encode() + b"\x00"
             self.memory.write_bytes(addr, raw)
-        # Decode every static instruction once; the issue stage looks
-        # each dynamic instruction up by PC instead of re-decoding it.
-        self._code = decode_program(image.program, self.config)
+        key = (scalar_path_enabled(),
+               *(getattr(self.config, name) for name in _DECODE_FIELDS))
+        code = image.decoded.get(key)
+        if code is None:
+            code = image.decoded[key] = decode_program(image.program,
+                                                       self.config)
+        self._code = code
         for core in self.cores:
-            core._code = self._code
+            core._code = code
 
     def fetch(self, pc: int) -> DecodedInstr:
         d = self._code.get(pc)

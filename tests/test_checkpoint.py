@@ -40,7 +40,12 @@ from repro.harness.dse import dse_confirm_point, run_dse
 from repro.harness.engine import ExperimentEngine
 from repro.harness.faults import corrupt_checkpoint
 from repro.harness.result_cache import ResultCache
-from repro.harness.sweep import fig7_snapshot_id, run_sweep, sweep_point
+from repro.harness.sweep import (
+    fig7_problem,
+    fig7_snapshot_id,
+    run_sweep,
+    sweep_point,
+)
 from repro.vortex import VortexBackend, VortexConfig
 from repro.vortex.simx.checkpoint import (
     SNAPSHOT_VERSION,
@@ -67,7 +72,8 @@ REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 #: snapshot id of the vecadd cell's (only) launch on CONFIG.
-VECADD_L0 = fig7_snapshot_id("vecadd", CONFIG, N) + ".L0"
+VECADD_L0 = fig7_snapshot_id("vecadd", CONFIG,
+                             fig7_problem("vecadd", N)) + ".L0"
 
 
 def _spec(tmp_path, **extra):
@@ -350,6 +356,18 @@ class TestStore:
             tmp_path, EVERY, None))
         assert resumed.cycles == clean.cycles
         assert store.hit_count() == 0
+
+    def test_cell_resumes_under_any_n_of_its_launch(self, tmp_path):
+        """transpose builds one 16x16 launch for n=64 and for n=512, so
+        a cell preempted at one resumes at the other."""
+        straight = sweep_point("transpose", CONFIG, 512)
+        with pytest.raises(SimulationPreempted):
+            sweep_point("transpose", CONFIG, 64,
+                        checkpoint=_spec(tmp_path, preempt_at_cycle=1_000))
+        resumed = sweep_point("transpose", CONFIG, 512,
+                              checkpoint=_spec(tmp_path))
+        assert resumed == straight
+        assert CheckpointStore(tmp_path).hit_count() == 1
 
     @pytest.mark.parametrize("runner", ["dse_confirm_point", "execute_job"])
     def test_any_runner_resumes_the_cell(self, tmp_path, baseline, runner):

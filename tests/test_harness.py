@@ -1,11 +1,15 @@
 """Tests for the experiment harnesses (Tables I-IV; the Figure 7 sweep
 has its own dedicated benchmark module and a smoke test here)."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.harness import (
     PAPER_TABLE2,
     PAPER_TABLE4,
+    ResultCache,
     render_heatmap,
     render_table,
     run_case_study,
@@ -14,6 +18,14 @@ from repro.harness import (
     run_table3,
     run_table4,
 )
+from repro.harness.sweep import (
+    FIG7_BENCHMARKS,
+    fig7_geometry,
+    fig7_key,
+    fig7_problem,
+    fig7_workload,
+)
+from repro.service.jobs import MAX_N, MIN_N
 from repro.vortex import VortexConfig
 
 
@@ -113,3 +125,48 @@ class TestSweepSmoke:
         table = render_comparison([result])
         assert "- / 1.27" in table
         assert "- / 1.11" in table
+
+
+#: one (warps, threads) configuration per lane count W x T.
+_LANES = {1: (1, 1), 2: (1, 2), 4: (2, 2), 16: (4, 4), 64: (8, 8)}
+
+
+@pytest.fixture(scope="module")
+def key_cache(tmp_path_factory):
+    return ResultCache(tmp_path_factory.mktemp("keys"), fingerprint="keys")
+
+
+def _cell(benchmark, n, lanes):
+    """A cell's config and everything its launch reads: the argument
+    bytes and scalars, and the launch geometry."""
+    warps, threads = _LANES[lanes]
+    config = VortexConfig(cores=2, warps=warps, threads=threads)
+    problem = fig7_problem(benchmark, n)
+    _, args = fig7_workload(benchmark, problem)
+    launch = ([a.tobytes() if isinstance(a, np.ndarray) else a
+               for a in args], fig7_geometry(benchmark, problem, lanes))
+    return config, problem, launch
+
+
+class TestFig7Keys:
+    @given(n=st.integers(MIN_N, MAX_N), other=st.integers(MIN_N, MAX_N),
+           lanes=st.sampled_from(sorted(_LANES)),
+           other_lanes=st.sampled_from(sorted(_LANES)))
+    # transpose's side steps from 16 to 32 at 993 and to 48 at 2257.
+    @example(n=992, other=993, lanes=16, other_lanes=16)
+    @example(n=2256, other=2257, lanes=4, other_lanes=4)
+    @example(n=64, other=512, lanes=2, other_lanes=2)
+    @example(n=16, other=992, lanes=64, other_lanes=64)
+    @settings(max_examples=30, deadline=None)
+    def test_keys_name_the_launch(self, key_cache, n, other, lanes,
+                                  other_lanes):
+        """Two cells share a content key exactly when they run the same
+        launch on the same configuration."""
+        for benchmark in FIG7_BENCHMARKS:
+            config, problem, launch = _cell(benchmark, n, lanes)
+            config2, problem2, launch2 = _cell(benchmark, other,
+                                               other_lanes)
+            same = config == config2 and launch == launch2
+            assert (fig7_key(key_cache, benchmark, config, problem)
+                    == fig7_key(key_cache, benchmark, config2, problem2)
+                    ) is same, (benchmark, n, other, lanes, other_lanes)

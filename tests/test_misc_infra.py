@@ -3,13 +3,23 @@ management and image cache, and the CLI entry point."""
 
 import gc
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from repro.errors import RuntimeLaunchError
+from repro.harness.dse import run_dse
+from repro.harness.sweep import (
+    FIG7_BENCHMARKS,
+    fig7_problem,
+    fig7_profile,
+    fig7_workload,
+    sweep_point,
+)
 from repro.ocl import Context, GLOBAL_FLOAT32, INT32, KernelBuilder, NDRange
-from repro.vortex import VortexBackend, VortexConfig, layout
+from repro.vortex import VortexBackend, VortexConfig, layout, runtime
+from repro.vortex.simx import machine as simx_machine
 
 
 class TestLayout:
@@ -58,6 +68,21 @@ def _copy_kernel():
     return b.finish()
 
 
+def _structure(kernel):
+    """``kernel``'s params, arrays, blocks and instructions, with the
+    identity of every object and every operand."""
+    return (
+        kernel.format(),
+        [(id(p), p.name, p.index) for p in kernel.params],
+        [id(a) for a in kernel.arrays],
+        [(id(block), [(id(ins), ins.block is block,
+                       [id(arg) for arg in ins.args],
+                       [id(target) for target in ins.targets])
+                      for ins in block.instrs])
+         for block in kernel.blocks],
+    )
+
+
 class TestVortexRuntime:
     def test_image_cache_reuses_compilation(self):
         backend = VortexBackend(VortexConfig(cores=1, warps=2, threads=4))
@@ -80,6 +105,63 @@ class TestVortexRuntime:
         del kernel
         gc.collect()
         assert ref() is not None
+
+    def test_image_cache_evicts_least_recently_used(self, monkeypatch):
+        """Past the bound the least recently used image goes, and with
+        it the cache's hold on its kernel."""
+        monkeypatch.setattr(runtime, "_images", OrderedDict())
+        monkeypatch.setattr(runtime, "IMAGE_CACHE_SIZE", 2)
+        backend = VortexBackend(VortexConfig(cores=1, warps=2, threads=4))
+        ndr = NDRange.create(32, 8)
+        first, second, third = (_copy_kernel() for _ in range(3))
+        image = backend.compile_for(first, ndr)
+        backend.compile_for(second, ndr)
+        assert backend.compile_for(first, ndr) is image  # now most recent
+        backend.compile_for(third, ndr)  # one past the bound
+        assert backend.compile_for(first, ndr) is image
+        assert [key[0] for key in runtime._images] == [third, first]
+        ref = weakref.ref(second)
+        del second
+        gc.collect()
+        assert ref() is None
+
+    def test_cells_share_one_compile_and_decode(self, monkeypatch):
+        """Cells that differ only in cores or warps launch one image:
+        the process compiles and decodes it once."""
+        monkeypatch.setattr(runtime, "_images", OrderedDict())
+        calls = {"compile": 0, "decode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(runtime, "compile_kernel",
+                            counted("compile", runtime.compile_kernel))
+        monkeypatch.setattr(simx_machine, "decode_program",
+                            counted("decode", simx_machine.decode_program))
+        # T = 4 and a 16-item work-group on both.
+        small = sweep_point("vecadd", VortexConfig(cores=1, warps=4,
+                                                   threads=4), 256)
+        large = sweep_point("vecadd", VortexConfig(cores=2, warps=8,
+                                                   threads=4), 256)
+        assert calls == {"compile": 1, "decode": 1}
+        assert small != large
+
+    def test_shared_kernel_unchanged_by_use(self):
+        """A Figure 7 benchmark's kernel is built once per process and
+        shared; no cell, profile or screen changes it."""
+        for benchmark in FIG7_BENCHMARKS:
+            problem = fig7_problem(benchmark, 256)
+            kernel = fig7_workload(benchmark, problem)[0]
+            before = _structure(kernel)
+            sweep_point(benchmark, VortexConfig(cores=1, warps=2,
+                                                threads=2), 256)
+            fig7_profile(benchmark, 256)
+            run_dse(benchmark, n=256, core_counts=(1,), confirm="none")
+            assert fig7_workload(benchmark, problem)[0] is kernel
+            assert _structure(kernel) == before
 
     def test_heap_exhaustion(self):
         backend = VortexBackend(VortexConfig(cores=1, warps=2, threads=4))

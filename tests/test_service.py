@@ -366,6 +366,35 @@ class TestRoundtrip:
         key = job_key(daemon.cache, validate_job(spec))
         assert daemon.cache.get(key) is not MISS
 
+    def test_requests_that_build_one_launch_coalesce(self, daemon_factory):
+        """transpose builds one 16x16 matrix for n=64 and for n=512: the
+        second request coalesces onto the first job, which runs once.
+        vecadd's two n are two launches, so two jobs."""
+        from repro.harness.sweep import sweep_point
+        from repro.vortex import VortexConfig
+
+        daemon = daemon_factory()
+        client = _client(daemon)
+        cell = {"kind": "fig7-cell", "cores": 2, "warps": 2, "threads": 2}
+        first = client.submit({**cell, "benchmark": "transpose", "n": 64})
+        second = client.submit({**cell, "benchmark": "transpose",
+                                "n": 512})
+        assert first["coalesced"] is False
+        assert second["coalesced"] is True
+        assert second["job_id"] == first["job_id"]
+        value = client.wait(first["job_id"], timeout=60)["value"]
+        config = VortexConfig().with_geometry(cores=2, warps=2, threads=2)
+        assert value == sweep_point("transpose", config, 512)
+        vecadd = [client.submit({**cell, "benchmark": "vecadd", "n": n})
+                  for n in (64, 512)]
+        assert [reply["coalesced"] for reply in vecadd] == [False, False]
+        assert vecadd[0]["job_id"] != vecadd[1]["job_id"]
+        for reply in vecadd:
+            client.wait(reply["job_id"], timeout=60)
+        daemon.request_drain()
+        assert daemon.wait(30)
+        assert daemon.engine.stats.executed == 3
+
     def test_dse_job_confirms_the_frontier(self, daemon_factory,
                                            tmp_path):
         daemon = daemon_factory(checkpoint_dir=tmp_path / "ck",

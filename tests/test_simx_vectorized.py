@@ -9,7 +9,10 @@ masks — must leave bit-identical device memory, register files and
 timing under both paths. Below the program level, every compute
 handler is applied by both tables to copies of one random warp state.
 The decode-once instruction cache is also property-checked: every
-static instruction must be fetchable from the shared per-PC table.
+static instruction must be fetchable from the shared per-PC table, each
+run's handlers come from its own path's table although both runs load
+one cached image, and decode reads no config field outside the key its
+decoded programs are shared under.
 """
 
 import copy
@@ -37,9 +40,10 @@ from repro.vortex.simx.decode import (
     SCALAR_TABLE,
     VECTOR_TABLE,
     decode_one,
+    decode_program,
     scalar_path_enabled,
 )
-from repro.vortex.simx.machine import Machine
+from repro.vortex.simx.machine import _DECODE_FIELDS, Machine
 from repro.vortex.simx.warp import Warp
 
 N_ITEMS = 16
@@ -158,6 +162,7 @@ class _Capture:
         self.instructions = result.instructions
         self.x = np.stack([w.x for c in machine.cores for w in c.warps])
         self.f = np.stack([w.f for c in machine.cores for w in c.warps])
+        self.handlers = {d.handler for d in machine._code.values()}
 
 
 def _run(kernel, scalar: bool, float_ops=False, config=CONFIG,
@@ -202,6 +207,15 @@ def _assert_identical(kernel, float_ops=False, config=CONFIG, local=LOCAL):
     # x0 is architecturally zero; no handler may ever write it.
     assert (vec.x[:, 0, :] == 0).all()
     assert (sca.x[:, 0, :] == 0).all()
+    # Both runs load one cached image; each must still run its own
+    # path's handlers, or the oracle compares a path with itself.
+    _assert_handlers_from(vec.handlers, VECTOR_TABLE)
+    _assert_handlers_from(sca.handlers, SCALAR_TABLE)
+
+
+def _assert_handlers_from(handlers, table):
+    tabled = handlers & {*VECTOR_TABLE.values(), *SCALAR_TABLE.values()}
+    assert tabled and tabled <= set(table.values())
 
 
 # -- properties --------------------------------------------------------------
@@ -269,6 +283,32 @@ def test_scalar_vector_identical_narrow_warps(program):
         _assert_identical(
             kernel, config=VortexConfig(cores=2, warps=2, threads=threads),
             local=2)
+
+
+class _ConfigReads:
+    """A config proxy that records which fields are read."""
+
+    def __init__(self, config):
+        self._config = config
+        self._read = set()
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._config, name)
+
+
+@given(programs())
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+def test_decode_reads_only_its_key(program):
+    """Machines whose configs agree on ``_DECODE_FIELDS`` share one
+    decoded program, so decode must read no other config field."""
+    image = VortexBackend(CONFIG).compile_for(build_kernel(program),
+                                              NDRange.create(N_ITEMS, LOCAL))
+    config = _ConfigReads(CONFIG)
+    decode_program(image.program, config)
+    assert config._read and config._read <= set(_DECODE_FIELDS)
 
 
 def test_scalar_env_parsing(monkeypatch):
