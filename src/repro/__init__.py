@@ -22,7 +22,22 @@ Subpackages
 ``repro.benchmarks``
     The 28-benchmark suite from the paper's Table I.
 ``repro.harness``
-    Experiment drivers that regenerate every table and figure.
+    Experiment drivers that regenerate every table and figure, on a
+    parallel, memoising engine with a content-addressed result cache.
+``repro.calibrate``
+    Fits the Vortex analytical model against SimX and measures its
+    error bounds, the input of the design-space exploration.
+``repro.profiling``
+    One profiler for the three executors, with text, JSON and
+    Chrome-trace reports.
+``repro.service``
+    A crash-safe experiment daemon and its client
+    (``python -m repro serve``, ``submit``, ``status``, ``results``,
+    ``drain``).
+
+``repro.harness`` and ``repro.service`` are lazy namespaces: a name
+imports its submodule on first use, so a client or the CLI's parser
+starts without loading the simulator.
 """
 
 __version__ = "1.0.0"

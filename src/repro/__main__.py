@@ -37,9 +37,9 @@ import os
 import signal
 import sys
 
-from .harness.dse import (CALIBRATION_MAX_N, CONFIRM_MODES, CORE_COUNTS,
-                          FRONTIER_CAP)
-from .harness.sweep import FIG7_BENCHMARKS, FIG7_N, THREAD_SIZES, WARP_SIZES
+from .harness.defaults import (CALIBRATION_MAX_N, CONFIRM_MODES, CORE_COUNTS,
+                               FIG7_BENCHMARKS, FIG7_N, FRONTIER_CAP,
+                               THREAD_SIZES, WARP_SIZES)
 
 
 def _make_cache(args: argparse.Namespace):

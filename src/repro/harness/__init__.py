@@ -6,109 +6,36 @@
 * :mod:`repro.harness.sweep` — Figure 7 (warp/thread sweep on SimX),
 * :mod:`repro.harness.profile` — unified per-benchmark profiling
   (``python -m repro profile``).
+
+The package is a lazy namespace (:mod:`repro.lazy`): ``from
+repro.harness import run_sweep`` imports :mod:`repro.harness.sweep` on
+first use, and importing one submodule, such as
+:mod:`repro.harness.result_cache`, runs none of its siblings.
 """
 
-from .area_tables import (
-    PAPER_TABLE3,
-    PAPER_TABLE4,
-    Table3Report,
-    Table4Report,
-    run_table3,
-    run_table4,
-)
-from .case_study import (
-    PAPER_TABLE2,
-    CaseStudyReport,
-    run_auto_cse_ablation,
-    run_case_study,
-)
-from ..errors import ExperimentAborted, PointFailure
-from .coverage import PAPER_TABLE1, CoverageReport, run_coverage
-from .dse import (
-    Candidate,
-    DSEResult,
-    dse_confirm_point,
-    explore_design_space,
-    launch_rejection,
-    pareto_frontier,
-    run_dse,
-    workload_rejection,
-)
-from .engine import (
-    EngineStats,
-    ExperimentEngine,
-    close_all_engines,
-    resolve_jobs,
-)
-from .faults import (
-    FAULT_PLAN_ENV,
-    FAULT_STATE_ENV,
-    FaultInjected,
-    FaultSpec,
-    corrupt_cache_entry,
-    maybe_fault,
-    parse_plan,
-)
-from .profile import (
-    PROFILE_BACKENDS,
-    make_profiled_backend,
-    run_profile,
-    run_profile_cached,
-)
-from .golden import GoldenPoint, GoldenReport, golden_points, run_golden
-from .result_cache import ResultCache, code_fingerprint
-from .sweep import PAPER_FIG7, SweepResult, render_comparison, run_sweep
-from .tables import render_heatmap, render_table
+from ..lazy import attach as _attach
 
-__all__ = [
-    "CaseStudyReport",
-    "Candidate",
-    "CoverageReport",
-    "DSEResult",
-    "EngineStats",
-    "ExperimentAborted",
-    "ExperimentEngine",
-    "FAULT_PLAN_ENV",
-    "FAULT_STATE_ENV",
-    "FaultInjected",
-    "FaultSpec",
-    "GoldenPoint",
-    "GoldenReport",
-    "PointFailure",
-    "ResultCache",
-    "close_all_engines",
-    "corrupt_cache_entry",
-    "maybe_fault",
-    "parse_plan",
-    "code_fingerprint",
-    "resolve_jobs",
-    "run_profile_cached",
-    "golden_points",
-    "run_golden",
-    "PAPER_FIG7",
-    "PAPER_TABLE1",
-    "PAPER_TABLE2",
-    "PAPER_TABLE3",
-    "PAPER_TABLE4",
-    "PROFILE_BACKENDS",
-    "SweepResult",
-    "Table3Report",
-    "Table4Report",
-    "dse_confirm_point",
-    "launch_rejection",
-    "explore_design_space",
-    "make_profiled_backend",
-    "pareto_frontier",
-    "run_dse",
-    "workload_rejection",
-    "render_comparison",
-    "render_heatmap",
-    "render_table",
-    "run_auto_cse_ablation",
-    "run_case_study",
-    "run_coverage",
-    "run_profile",
-    "run_sweep",
-    "run_table3",
-    "run_table4",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    ".area_tables": ("PAPER_TABLE3", "PAPER_TABLE4", "Table3Report",
+                     "Table4Report", "run_table3", "run_table4"),
+    ".case_study": ("PAPER_TABLE2", "CaseStudyReport",
+                    "run_auto_cse_ablation", "run_case_study"),
+    "..errors": ("ExperimentAborted", "PointFailure"),
+    ".coverage": ("PAPER_TABLE1", "CoverageReport", "run_coverage"),
+    ".dse": ("Candidate", "DSEResult", "dse_confirm_point",
+             "explore_design_space", "launch_rejection", "pareto_frontier",
+             "run_dse", "workload_rejection"),
+    ".engine": ("EngineStats", "ExperimentEngine", "close_all_engines",
+                "resolve_jobs"),
+    ".faults": ("FAULT_PLAN_ENV", "FAULT_STATE_ENV", "FaultInjected",
+                "FaultSpec", "corrupt_cache_entry", "maybe_fault",
+                "parse_plan"),
+    ".profile": ("PROFILE_BACKENDS", "make_profiled_backend", "run_profile",
+                 "run_profile_cached"),
+    ".golden": ("GoldenPoint", "GoldenReport", "golden_points",
+                "run_golden"),
+    ".result_cache": ("ResultCache", "code_fingerprint"),
+    ".sweep": ("PAPER_FIG7", "SweepResult", "render_comparison",
+               "run_sweep"),
+    ".tables": ("render_heatmap", "render_table"),
+})

@@ -50,22 +50,13 @@ from ..vortex.analytical import (
 from ..vortex import layout
 from ..vortex.area import VortexAreaReport, synthesize
 from ..vortex.simx.config import VortexConfig
+from .defaults import (CONFIRM_MODES, CORE_COUNTS, FIG7_N, FRONTIER_CAP,
+                       THREAD_SIZES, WARP_SIZES)
 from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
-from .sweep import (FIG7_N, THREAD_SIZES, WARP_SIZES, fig7_geometry,
-                    fig7_key, fig7_problem, fig7_profile, sweep_point)
+from .sweep import (fig7_geometry, fig7_key, fig7_problem, fig7_profile,
+                    sweep_point)
 from .tables import render_table
-
-#: the default screen: one to eight cores over Figure 7's (W, T) axes.
-CORE_COUNTS = (1, 2, 4, 8)
-#: :func:`run_dse`'s ``confirm`` modes: SimX-confirm the frontier, or
-#: stop at the screen.
-CONFIRM_MODES = ("frontier", "none")
-#: the most frontier points :func:`run_dse` SimX-confirms by default.
-FRONTIER_CAP = 8
-#: a DSE that fits its own calibration does so at ``min(n, this)``: the
-#: fitted constants transfer across n, and the sims stay cheap.
-CALIBRATION_MAX_N = 1024
 
 
 @dataclass

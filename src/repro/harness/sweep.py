@@ -40,20 +40,14 @@ from ..errors import CalibrationError, PointFailure, ReproError
 from ..ocl import Context, Kernel, NDRange
 from ..profiling import NULL_PROFILER, Profiler
 from ..vortex import KernelProfile, VortexBackend, VortexConfig
+from ..vortex.runtime import IMAGE_CACHE_SIZE
+from .defaults import FIG7_BENCHMARKS, FIG7_N, THREAD_SIZES, WARP_SIZES
 from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
 from .tables import render_heatmap, render_table
 
-WARP_SIZES = (2, 4, 8, 16)
-THREAD_SIZES = (2, 4, 8, 16)
-#: the default problem size of a Figure 7 cell, a DSE and a calibration.
-FIG7_N = 4096
-
 #: the deterministic workload seed every cell uses.
 SWEEP_SEED = 0
-
-#: the benchmarks a Figure 7 cell runs.
-FIG7_BENCHMARKS = ("vecadd", "transpose")
 
 #: Ratios quoted in §III-C, relative to each benchmark's optimum.
 PAPER_FIG7 = {
@@ -219,8 +213,19 @@ def fig7_snapshot_id(benchmark: str, config: VortexConfig,
 def fig7_profile(benchmark: str, n: int) -> KernelProfile:
     """The cell's configuration-independent :class:`KernelProfile` — the
     analytical model's input for calibration and DSE, collected on the
-    clamped (``lanes=16``) work-group."""
-    problem = fig7_problem(benchmark, n)
+    clamped (``lanes=16``) work-group.
+
+    A process interprets each problem once, though a calibrated DSE asks
+    for its cell's profile twice, for the fit and for the screen. It
+    keeps the :data:`~repro.vortex.runtime.IMAGE_CACHE_SIZE` most
+    recently used profiles; a profile is frozen, so callers share it.
+    """
+    return _fig7_profile(benchmark, fig7_problem(benchmark, n))
+
+
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _fig7_profile(benchmark: str, problem: tuple[int, ...]
+                  ) -> KernelProfile:
     kernel, args = fig7_workload(benchmark, problem)
     return KernelProfile.collect(
         kernel, args, NDRange.create(*fig7_geometry(benchmark, problem, 16)))

@@ -5,34 +5,19 @@
 :class:`ServiceClient`. See :mod:`repro.service.daemon` for the
 robustness design (admission control, write-ahead journal, graceful
 shutdown) and :mod:`repro.service.protocol` for the wire format.
+
+The package is a lazy namespace (:mod:`repro.lazy`): a client imports
+:mod:`~repro.service.client` and the protocol, not the daemon and the
+simulator it runs.
 """
 
-from .client import ServiceClient, resolve_state_dir
-from .daemon import ExperimentDaemon
-from .jobs import JOB_KINDS, execute_job, job_key, validate_job
-from .journal import Journal
-from .protocol import (
-    CODES,
-    DAEMON_INFO_NAME,
-    DEFAULT_STATE_DIR,
-    OPS,
-    SERVICE_DIR_ENV,
-    ProtocolError,
-)
+from ..lazy import attach as _attach
 
-__all__ = [
-    "CODES",
-    "DAEMON_INFO_NAME",
-    "DEFAULT_STATE_DIR",
-    "ExperimentDaemon",
-    "JOB_KINDS",
-    "Journal",
-    "OPS",
-    "ProtocolError",
-    "SERVICE_DIR_ENV",
-    "ServiceClient",
-    "execute_job",
-    "job_key",
-    "resolve_state_dir",
-    "validate_job",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    ".client": ("ServiceClient", "resolve_state_dir"),
+    ".daemon": ("ExperimentDaemon",),
+    ".jobs": ("JOB_KINDS", "execute_job", "job_key", "validate_job"),
+    ".journal": ("Journal",),
+    ".protocol": ("CODES", "DAEMON_INFO_NAME", "DEFAULT_STATE_DIR", "OPS",
+                  "SERVICE_DIR_ENV", "ProtocolError"),
+})

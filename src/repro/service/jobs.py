@@ -49,14 +49,12 @@ import numbers
 import time
 from typing import Any
 
-from ..calibrate import run_calibration
 from ..errors import ServiceError
-from ..harness.dse import (CALIBRATION_MAX_N, CONFIRM_MODES, CORE_COUNTS,
-                           FRONTIER_CAP, run_dse)
+from ..harness.defaults import (CALIBRATION_MAX_N, CONFIRM_MODES,
+                                CORE_COUNTS, FIG7_BENCHMARKS, FIG7_N,
+                                FRONTIER_CAP, THREAD_SIZES, WARP_SIZES)
 from ..harness.engine import ExperimentEngine
-from ..harness.sweep import (FIG7_BENCHMARKS, FIG7_N, THREAD_SIZES,
-                             WARP_SIZES, fig7_key, fig7_problem,
-                             sweep_point)
+from ..harness.sweep import fig7_key, fig7_problem, sweep_point
 from ..vortex import VortexConfig
 
 __all__ = ["JOB_KINDS", "execute_job", "job_key", "validate_job"]
@@ -262,6 +260,11 @@ def execute_job(spec: dict, checkpoint: dict | None = None,
         return sweep_point(spec["benchmark"], _cell_config(spec),
                            spec["n"], checkpoint=checkpoint)
     if kind == "dse":
+        # loaded by the first dse job: a daemon serving only fig7 cells
+        # never imports the calibration or the DSE
+        from ..calibrate import run_calibration
+        from ..harness.dse import run_dse
+
         engine = ExperimentEngine(cache=cache)  # serial: one daemon point
         calibration = None
         if spec["calibrated"]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RuntimeLaunchError
+from repro.harness import sweep
 from repro.harness.dse import run_dse
 from repro.harness.sweep import (
     FIG7_BENCHMARKS,
@@ -152,6 +153,7 @@ class TestVortexRuntime:
     def test_shared_kernel_unchanged_by_use(self):
         """A Figure 7 benchmark's kernel is built once per process and
         shared; no cell, profile or screen changes it."""
+        sweep._fig7_profile.cache_clear()  # profile the kernel here
         for benchmark in FIG7_BENCHMARKS:
             problem = fig7_problem(benchmark, 256)
             kernel = fig7_workload(benchmark, problem)[0]

@@ -259,6 +259,48 @@ class TestValidateJob:
         assert daemon.wait(30)
         assert daemon.engine.stats.executed == 0
 
+    def test_calibrated_dse_jobs_profile_their_cell_once(self, monkeypatch,
+                                                         tmp_path):
+        """A calibrated dse job profiles its Fig. 7 cell for the fit and
+        for the screen. Two such jobs in one process interpret the cell
+        once, and their payloads equal those of jobs that interpret it
+        every time (timings aside)."""
+        from repro.harness import sweep
+        from repro.service.jobs import execute_job
+        from repro.vortex import KernelProfile
+
+        specs = [validate_job({"kind": "dse", "benchmark": "vecadd",
+                               "n": 1024, "cores": cores, "warps": [2, 4],
+                               "threads": [2, 4]})
+                 for cores in ([1, 2], [4])]
+        collect = KernelProfile.collect
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return collect(*args)
+
+        def run(cache_dir):
+            calls.clear()
+            payloads = []
+            for spec in specs:
+                payload = execute_job(spec, cache=ResultCache(cache_dir))
+                payloads.append({key: value for key, value
+                                 in payload.items()
+                                 if not key.startswith(("screen_",
+                                                        "confirm_"))})
+            return payloads, len(calls)
+
+        monkeypatch.setattr(KernelProfile, "collect", staticmethod(counted))
+        sweep._fig7_profile.cache_clear()
+        shared, collected = run(tmp_path / "shared")
+        assert collected == 1
+        monkeypatch.setattr(sweep, "_fig7_profile",
+                            sweep._fig7_profile.__wrapped__)
+        unshared, collected = run(tmp_path / "unshared")
+        assert collected == 4
+        assert shared == unshared
+
 
 # -- daemon lifecycle --------------------------------------------------------
 
