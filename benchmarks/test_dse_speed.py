@@ -13,9 +13,10 @@ Measures one cold-cache design-space exploration on a 648-point
 
 Both modes run with ``cache=None`` (no result-cache hits: every
 confirmation simulates), so the recorded speedup is the real
-simulations-avoided win, not cache warmth. The calibration artifact is
-fitted once outside both timed regions — it is a reusable input (the
-CLI persists it), not a per-exploration cost.
+simulations-avoided win, not cache warmth. The calibration is fitted
+once outside both timed regions: both searches prune with the same fit,
+and on a warm result cache a fit simulates nothing, so it is not a
+per-exploration cost.
 
 A run writes its measurement to ``.benchmarks/BENCH_dse.json``
 (gitignored). The committed ``BENCH_dse.json`` is the regression
@@ -78,7 +79,7 @@ def _grid_kwargs():
 
 @pytest.fixture(scope="module")
 def measurements():
-    calibration = run_calibration(benchmarks=(BENCH,), n=N)
+    calibration = run_calibration(BENCH, n=N)
 
     start = time.perf_counter()
     hier = run_dse(BENCH, n=N, calibration=calibration,

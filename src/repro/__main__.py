@@ -14,8 +14,8 @@ Usage::
     python -m repro profile bfs --backend hls --trace-out bfs.trace.json
 
     # calibrated analytical models + hierarchical DSE:
-    python -m repro calibrate --out .repro-calibration.json
-    python -m repro dse vecadd --calibration .repro-calibration.json \\
+    python -m repro calibrate         # report the fits dse prunes with
+    python -m repro dse vecadd --calibrate \\
         --cores 1,2,4,8,16 --warps 1,2,4,8,16,32 --threads 1,2,4,8,16
     python -m repro dse vecadd --confirm none   # screen only (ms)
 
@@ -37,9 +37,9 @@ import os
 import signal
 import sys
 
-from .harness.defaults import (CALIBRATION_MAX_N, CONFIRM_MODES, CORE_COUNTS,
-                               FIG7_BENCHMARKS, FIG7_N, FRONTIER_CAP,
-                               THREAD_SIZES, WARP_SIZES)
+from .harness.defaults import (CONFIRM_MODES, CORE_COUNTS, FIG7_BENCHMARKS,
+                               FIG7_N, FRONTIER_CAP, THREAD_SIZES,
+                               WARP_SIZES)
 
 
 def _make_cache(args: argparse.Namespace):
@@ -115,6 +115,13 @@ def _sizes(spec: str) -> tuple[int, ...]:
             f"want sizes like 2,4,8, got {spec!r}") from None
 
 
+def _names(spec: str) -> tuple[str, ...]:
+    """argparse ``type=`` for a comma-separated list of names: each is
+    stripped, empty ones are dropped and repeats kept once, in order."""
+    return tuple(dict.fromkeys(
+        tok.strip() for tok in spec.split(",") if tok.strip()))
+
+
 def _table1(args: argparse.Namespace) -> int:
     from .harness import run_coverage
 
@@ -184,8 +191,7 @@ def _fig7(args: argparse.Namespace) -> int:
 def _golden(args: argparse.Namespace) -> int:
     from .harness import run_golden
 
-    only = [tok for spec in (args.only or []) for tok in spec.split(",")
-            if tok.strip()]
+    only = [name for names in (args.only or ()) for name in names]
     report = run_golden(update=args.update, only=only or None)
     print(report.render())
     if args.update:
@@ -234,40 +240,32 @@ def _profile(args: argparse.Namespace) -> int:
 
 
 def _calibrate(args: argparse.Namespace) -> int:
-    from .calibrate import DEFAULT_ARTIFACT_PATH, run_calibration
+    from .calibrate import run_calibration
 
-    benchmarks = tuple(
-        tok for tok in (args.benchmarks or "").split(",") if tok.strip()
-    ) or FIG7_BENCHMARKS
     with _engine(args) as engine:
-        artifact = run_calibration(benchmarks=benchmarks, n=args.n,
-                                   engine=engine)
-    path = artifact.save(args.out or DEFAULT_ARTIFACT_PATH)
-    print(f"calibrated against SimX at n={args.n} "
-          f"({', '.join(benchmarks)})")
-    for bench, bounds in sorted(artifact.error_bounds.items()):
-        print(f"  {bench:12s} max rel err "
-              f"{bounds['max_rel_err']:.3f}  mean "
-              f"{bounds['mean_rel_err']:.3f}  "
-              f"({bounds['points']} points)")
-    print(f"artifact written to {path} "
-          f"(fingerprint {artifact.fingerprint[:12]}…)")
+        fits = [run_calibration(benchmark, args.n, engine=engine)
+                for benchmark in args.benchmarks or FIG7_BENCHMARKS]
+    print("calibrated against SimX (the fits `dse --calibrate` prunes "
+          "with):")
+    for fit in fits:
+        print(f"  {fit.benchmark:12s} max rel err {fit.bound:.3f}  "
+              f"mean {fit.mean_rel_err:.3f}  "
+              f"({fit.points} points at n={fit.n})")
+        print("    " + "  ".join(
+            f"{name}={value:.4g}"
+            for name, value in fit.vortex.to_payload().items()))
     return 0
 
 
 def _dse(args: argparse.Namespace) -> int:
-    from .calibrate import (DEFAULT_ARTIFACT_PATH, load_calibration,
-                            run_calibration)
+    from .calibrate import run_calibration
     from .harness import run_dse
 
     with _engine(args) as engine:
         calibration = None
         if args.calibrate:
-            calibration = run_calibration(
-                benchmarks=(args.benchmark,),
-                n=min(args.n, CALIBRATION_MAX_N), engine=engine)
-        elif args.calibration:
-            calibration = load_calibration(args.calibration)
+            calibration = run_calibration(args.benchmark, args.n,
+                                          engine=engine)
         result = run_dse(
             args.benchmark, n=args.n,
             core_counts=args.cores or CORE_COUNTS,
@@ -279,9 +277,8 @@ def _dse(args: argparse.Namespace) -> int:
             engine=engine, checkpoint=_checkpoint(args))
     print(result.render())
     if calibration is None and args.confirm == "frontier":
-        print("\n(uncalibrated screen: pass --calibrate or "
-              f"--calibration {DEFAULT_ARTIFACT_PATH} to prune the "
-              "frontier with measured error bounds)")
+        print("\n(uncalibrated screen: pass --calibrate to prune the "
+              "frontier with the error bound `calibrate` reports)")
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(result.to_payload(), fh, indent=1, sort_keys=True)
@@ -482,7 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update", action="store_true",
                    help="rewrite the digests from the current executors "
                         "(an explicit behaviour-change assertion)")
-    p.add_argument("--only", action="append", metavar="BENCH[,BENCH...]",
+    p.add_argument("--only", action="append", type=_names,
+                   metavar="BENCH[,BENCH...]",
                    help="restrict to these benchmarks / point names")
     p.set_defaults(func=_golden)
 
@@ -519,17 +517,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "calibrate",
         parents=[engine_flags],
-        help="fit the Vortex analytical model against SimX and write "
-             "a fingerprinted calibration artifact (the input of `dse`)",
+        help="fit the Vortex analytical model against SimX and report "
+             "each benchmark's fit and error bound: the ones "
+             "`dse --calibrate` prunes with (writes no file)",
     )
-    p.add_argument("--out", default="", metavar="PATH",
-                   help="artifact path (default .repro-calibration.json)")
-    p.add_argument("--benchmarks", default="", metavar="B,B,...",
+    p.add_argument("--benchmarks", type=_names, default=(),
+                   metavar="B,B,...",
                    help=f"comma-separated benchmarks "
                         f"(default {_csv(FIG7_BENCHMARKS)})")
     p.add_argument("--n", type=_POSITIVE, default=FIG7_N,
                    help=f"problem size of the SimX ground-truth cells "
-                        f"(default {FIG7_N})")
+                        f"(default {FIG7_N}; the fit caps it and "
+                        f"reports the n it ran at)")
     p.set_defaults(func=_calibrate)
 
     p = sub.add_parser(
@@ -558,12 +557,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frontier-cap", type=_POSITIVE, default=FRONTIER_CAP,
                    help=f"max frontier points to SimX-confirm "
                         f"(default {FRONTIER_CAP})")
-    p.add_argument("--calibration", default="", metavar="PATH",
-                   help="load a saved calibration artifact (its error "
-                        "bounds drive frontier pruning)")
     p.add_argument("--calibrate", action="store_true",
-                   help="fit a fresh calibration for this benchmark "
-                        "first instead of loading one")
+                   help="fit this benchmark's calibration first (the fit "
+                        "`calibrate` reports; cached cells make it cheap) "
+                        "and prune the frontier with its error bound")
     p.add_argument("--json-out", default="", metavar="PATH",
                    help="also write the full DSE result payload as JSON")
     p.set_defaults(func=_dse)

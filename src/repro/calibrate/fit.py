@@ -13,6 +13,10 @@ Fitting is a deterministic multiplicative coordinate descent on mean
 squared log-relative error: no SciPy dependence, no RNG, same fit on
 every machine. Starting from the hand-tuned defaults guarantees the
 calibrated objective is never worse than the uncalibrated one.
+
+:func:`run_calibration` is the one calibration the CLI and the service
+run: one benchmark's fit, recomputed from the result cache rather than
+saved, so it is always the fit of the running code.
 """
 
 from __future__ import annotations
@@ -23,17 +27,17 @@ from typing import Callable, Sequence
 import math
 
 from ..errors import CalibrationError, PointFailure
-from ..fingerprint import code_fingerprint
 from ..harness.engine import ExperimentEngine, default_engine
 from ..harness.result_cache import ResultCache
 from ..harness.sweep import (FIG7_BENCHMARKS, FIG7_N, fig7_key,
                              fig7_problem, fig7_profile, sweep_point)
 from ..vortex.analytical import KernelProfile, VortexModelParams, predict
 from ..vortex.simx.config import VortexConfig
-from .artifact import CalibrationArtifact
 
 __all__ = [
+    "CALIBRATION_MAX_N",
     "VORTEX_CALIBRATION_CELLS",
+    "Calibration",
     "CalibrationSample",
     "collect_vortex_samples",
     "error_bounds",
@@ -46,6 +50,10 @@ __all__ = [
 #: latency- and memory-bound regimes without simulating all 16 cells.
 VORTEX_CALIBRATION_CELLS = ((2, 2), (2, 16), (4, 4), (8, 8), (16, 4),
                             (16, 16))
+
+#: :func:`run_calibration` fits at ``min(n, this)``: the fitted
+#: constants transfer across n, and the sims stay cheap.
+CALIBRATION_MAX_N = 1024
 
 #: parameter fields the descent adjusts, with multiplicative bounds.
 _VORTEX_FIT_FIELDS = (
@@ -72,7 +80,6 @@ def collect_vortex_samples(
     n: int = FIG7_N,
     cores: int = 4,
     cells: Sequence[tuple[int, int]] = VORTEX_CALIBRATION_CELLS,
-    base: VortexConfig | None = None,
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[CalibrationSample]:
@@ -84,10 +91,9 @@ def collect_vortex_samples(
     calibration warms the sweep).
     """
     engine = default_engine(engine, cache)
-    base = base or VortexConfig()
     profiles = {b: fig7_profile(b, n) for b in benchmarks}
-    points = [(benchmark, base.with_geometry(cores=cores, warps=w,
-                                             threads=t), n)
+    points = [(benchmark, VortexConfig().with_geometry(
+                   cores=cores, warps=w, threads=t), n)
               for benchmark in benchmarks for (w, t) in cells]
     values = engine.run(
         sweep_point, points,
@@ -179,7 +185,8 @@ def error_bounds(samples: Sequence[CalibrationSample],
     """Per-benchmark relative-error bounds of a fit on ``samples``.
 
     ``{bench: {"max_rel_err", "mean_rel_err", "points"}}`` — the
-    numbers the artifact states and the regression tests assert.
+    numbers a :class:`Calibration` states and the regression tests
+    assert.
     """
     bounds: dict[str, dict] = {}
     for s in samples:
@@ -198,35 +205,40 @@ def error_bounds(samples: Sequence[CalibrationSample],
     return bounds
 
 
-def run_calibration(
-    benchmarks: Sequence[str] = FIG7_BENCHMARKS,
-    n: int = FIG7_N,
-    cores: int = 4,
-    cells: Sequence[tuple[int, int]] = VORTEX_CALIBRATION_CELLS,
-    base: VortexConfig | None = None,
-    cache: ResultCache | None = None,
-    engine: ExperimentEngine | None = None,
-) -> CalibrationArtifact:
-    """Collect SimX ground truth, fit the Vortex model, and assemble
-    the artifact.
+@dataclass(frozen=True)
+class Calibration:
+    """One benchmark's fit: the model parameters the DSE screens with,
+    and the error bound it prunes with."""
+
+    benchmark: str
+    #: the problem size the ground truth ran at.
+    n: int
+    vortex: VortexModelParams
+    #: max relative error on the calibration cells.
+    bound: float
+    mean_rel_err: float
+    points: int
+
+
+def run_calibration(benchmark: str, n: int = FIG7_N, *,
+                    cache: ResultCache | None = None,
+                    engine: ExperimentEngine | None = None) -> Calibration:
+    """Fit the Vortex model to ``benchmark`` on its
+    :data:`VORTEX_CALIBRATION_CELLS` at 4 cores and
+    ``min(n, CALIBRATION_MAX_N)``.
 
     The ground truth runs on ``engine`` (see
-    :func:`~repro.harness.engine.default_engine`). The caller persists
-    the artifact with :meth:`CalibrationArtifact.save`; the fingerprint
-    is recorded at fit time so a later load can detect code drift.
+    :func:`~repro.harness.engine.default_engine`) under the Figure 7
+    cells' content keys, so a fit on a warm result cache simulates
+    nothing, and a fit after a code change re-simulates every cell.
+    One benchmark, because the DSE searches and prunes one benchmark.
     """
-    samples = collect_vortex_samples(
-        benchmarks=benchmarks, n=n, cores=cores, cells=cells, base=base,
-        engine=default_engine(engine, cache))
+    n = min(n, CALIBRATION_MAX_N)
+    samples = collect_vortex_samples(benchmarks=(benchmark,), n=n,
+                                     engine=default_engine(engine, cache))
     params = fit_vortex_params(samples)
-    return CalibrationArtifact(
-        fingerprint=code_fingerprint(),
-        vortex=params,
-        error_bounds=error_bounds(samples, vortex=params),
-        meta={
-            "benchmarks": list(benchmarks),
-            "n": n,
-            "cores": cores,
-            "cells": [list(c) for c in cells],
-        },
-    )
+    stats = error_bounds(samples, vortex=params)[benchmark]
+    return Calibration(benchmark=benchmark, n=n, vortex=params,
+                       bound=stats["max_rel_err"],
+                       mean_rel_err=stats["mean_rel_err"],
+                       points=stats["points"])

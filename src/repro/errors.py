@@ -99,12 +99,12 @@ class TrapError(SimulationError):
 
 
 class CalibrationError(ReproError):
-    """Model calibration could not produce or load a usable fit.
+    """Model calibration could not produce or apply a usable fit.
 
-    Raised when a calibration artifact is missing/corrupt or was fitted
-    against a different code fingerprint, when a benchmark has no
-    calibration workload, or when ground-truth collection failed so the
-    fit would be based on incomplete samples.
+    Raised when a benchmark has no calibration workload, when
+    ground-truth collection failed so the fit would be based on
+    incomplete samples, or when a DSE is handed another benchmark's
+    fit.
     """
 
 

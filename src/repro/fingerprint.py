@@ -1,8 +1,8 @@
 """The code fingerprint: one SHA-256 over the ``repro`` source.
 
-Result-cache entries, calibration artifacts and SimX snapshots each
-record the fingerprint of the code that produced them, and a reader
-never hands back one made by other code. This module imports nothing
+Result-cache entries and SimX snapshots each record the fingerprint of
+the code that produced them, and a reader never hands back one made by
+other code. This module imports nothing
 from ``repro``, so any layer can key on the fingerprint without pulling
 in the harness.
 """

@@ -23,6 +23,3 @@ CONFIRM_MODES = ("frontier", "none")
 #: the most frontier points :func:`~repro.harness.dse.run_dse`
 #: SimX-confirms by default.
 FRONTIER_CAP = 8
-#: a DSE that fits its own calibration does so at ``min(n, this)``: the
-#: fitted constants transfer across n, and the sims stay cheap.
-CALIBRATION_MAX_N = 1024

@@ -38,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from ..errors import ExplorationError, PointFailure, SynthesisError
+from ..errors import (CalibrationError, ExplorationError, PointFailure,
+                      SynthesisError)
 from ..hls.device import FPGADevice, STRATIX10_SX2800
 from ..profiling import Profiler, ensure_profiler
 from ..vortex.analytical import (
@@ -114,6 +115,9 @@ class DSEResult:
     screen_seconds: float = 0.0
     #: wall-clock spent cycle-confirming candidates with SimX.
     confirm_seconds: float = 0.0
+    #: the calibrated error bound the frontier was pruned with
+    #: (``None`` for an uncalibrated screen).
+    bound: float | None = None
 
     @property
     def frontier(self) -> list[Candidate]:
@@ -194,6 +198,7 @@ class DSEResult:
             "screen_points_per_sec": round(self.screen_points_per_sec, 1),
             "confirm_seconds": round(self.confirm_seconds, 6),
             "frontier_size": len(self.frontier),
+            "bound": self.bound,
             "candidates": [row(c) for c in interesting],
             "best": best,
         }
@@ -228,6 +233,8 @@ class DSEResult:
                  f"{self.screen_seconds * 1000:.1f} ms "
                  f"({self.screen_points_per_sec:,.0f} points/sec), "
                  f"frontier {len(self.frontier)}")
+        if self.bound is not None:
+            stats += f", calibrated bound {self.bound:.3f}"
         if self.confirm_seconds:
             stats += f", confirmed in {self.confirm_seconds:.2f} s"
         return body + "\n" + stats
@@ -336,7 +343,7 @@ def explore_design_space(
     """
     base = base or VortexConfig()
     prof = ensure_profiler(profiler)
-    result = DSEResult(device=device)
+    result = DSEResult(device=device, bound=prune_rel_err)
     with prof.span("dse: screen", cat="dse") as screen:
         for c in core_counts:
             for w in warp_sizes:
@@ -427,12 +434,14 @@ def run_dse(
 
     Profiles the sweep's cell once with the functional interpreter
     (:func:`~repro.harness.sweep.fig7_profile`, which rejects
-    benchmarks without one), screens the grid with the (calibrated,
-    when ``calibration`` is a
-    :class:`~repro.calibrate.CalibrationArtifact`) analytical model,
-    and with ``confirm="frontier"`` SimX-confirms the Pareto frontier,
-    the calibrated error bound driving the pruning cutoff;
-    ``confirm="none"`` screens only (milliseconds end to end).
+    benchmarks without one), screens the grid with the analytical
+    model, and with ``confirm="frontier"`` SimX-confirms the Pareto
+    frontier; ``confirm="none"`` screens only (milliseconds end to end).
+    ``calibration`` (a :class:`~repro.calibrate.Calibration` of
+    ``benchmark``, from :func:`~repro.calibrate.run_calibration`)
+    supplies the model's parameters and the error bound that drives the
+    pruning cutoff; another benchmark's fit raises
+    :class:`~repro.errors.CalibrationError`.
 
     Confirmations run :func:`dse_confirm_point` on ``engine`` (see
     :func:`~repro.harness.engine.default_engine`), memoised under the
@@ -443,13 +452,14 @@ def run_dse(
     engine = default_engine(engine, cache)
     if confirm not in CONFIRM_MODES:
         raise ValueError("confirm must be 'frontier' or 'none'")
-    profile = fig7_profile(benchmark, n)
-
-    params = None
-    prune_rel_err = None
+    params = prune_rel_err = None
     if calibration is not None:
-        params = calibration.vortex
-        prune_rel_err = calibration.bound(benchmark)
+        if calibration.benchmark != benchmark:
+            raise CalibrationError(
+                f"a {calibration.benchmark} calibration cannot screen "
+                f"{benchmark}: fit {benchmark} with run_calibration")
+        params, prune_rel_err = calibration.vortex, calibration.bound
+    profile = fig7_profile(benchmark, n)
 
     simulate = simulate_key = None
     if confirm == "frontier":

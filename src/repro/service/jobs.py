@@ -27,10 +27,13 @@ Kinds
     x ``threads`` grid with the analytical model, then confirm the
     Pareto frontier on SimX (``confirm: "frontier"``, capped at
     ``frontier_cap`` points) or stop at the screen (``"none"``).
-    ``calibrated`` fits the model against SimX first, so the job's
-    frontier pruning uses measured error bounds. Its SimX cells share
-    the daemon's cache with ``fig7-cell`` jobs. The result payload is
-    :meth:`~repro.harness.dse.DSEResult.to_payload`.
+    ``calibrated`` fits the model against SimX first
+    (:func:`repro.calibrate.run_calibration`, the fit ``python -m repro
+    calibrate`` reports), so the job's frontier pruning uses a measured
+    error bound. Its SimX cells share the daemon's cache with
+    ``fig7-cell`` jobs. The result payload is
+    :meth:`~repro.harness.dse.DSEResult.to_payload`; its ``bound`` is
+    the bound the job pruned with.
 
 ``probe``
     A synthetic point for smoke/chaos testing the service itself:
@@ -50,9 +53,9 @@ import time
 from typing import Any
 
 from ..errors import ServiceError
-from ..harness.defaults import (CALIBRATION_MAX_N, CONFIRM_MODES,
-                                CORE_COUNTS, FIG7_BENCHMARKS, FIG7_N,
-                                FRONTIER_CAP, THREAD_SIZES, WARP_SIZES)
+from ..harness.defaults import (CONFIRM_MODES, CORE_COUNTS,
+                                FIG7_BENCHMARKS, FIG7_N, FRONTIER_CAP,
+                                THREAD_SIZES, WARP_SIZES)
 from ..harness.engine import ExperimentEngine
 from ..harness.sweep import fig7_key, fig7_problem, sweep_point
 from ..vortex import VortexConfig
@@ -268,9 +271,8 @@ def execute_job(spec: dict, checkpoint: dict | None = None,
         engine = ExperimentEngine(cache=cache)  # serial: one daemon point
         calibration = None
         if spec["calibrated"]:
-            calibration = run_calibration(
-                benchmarks=(spec["benchmark"],),
-                n=min(spec["n"], CALIBRATION_MAX_N), engine=engine)
+            calibration = run_calibration(spec["benchmark"], spec["n"],
+                                          engine=engine)
         result = run_dse(
             spec["benchmark"], n=spec["n"],
             core_counts=tuple(spec["cores"]),

@@ -19,11 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.calibrate.artifact import CalibrationArtifact
 from repro.harness import ResultCache
 from repro.harness.result_cache import MISS
 from repro.service.journal import Journal
-from repro.vortex.analytical import VortexModelParams
 from repro.vortex.simx.checkpoint import CheckpointStore
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -164,16 +162,8 @@ def _journal_compact(root):
             journal.path)
 
 
-def _calibration_save(root):
-    def save(v):
-        CalibrationArtifact(fingerprint=str(v), vortex=VortexModelParams()
-                            ).save(root / "cal.json")
-    return save, root / "cal.json"
-
-
 _WRITERS = {"cache-put": _cache_put, "checkpoint-save": _checkpoint_save,
-            "journal-compact": _journal_compact,
-            "calibration-save": _calibration_save}
+            "journal-compact": _journal_compact}
 
 
 class TestPutFailureHygiene:

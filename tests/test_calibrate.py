@@ -1,22 +1,17 @@
 """Tests for the calibration subsystem (``repro.calibrate``).
 
 The contract under test: a fit never degrades the hand-tuned model on
-its own calibration set, the artifact's *stated* error bounds hold
-where they were measured, and — the regression that matters for the
-hierarchical DSE — calibrated predictions stay within a stated
-tolerance of SimX ground truth across the full Figure 7 grid, i.e.
-also on cells the fit never saw.
+its own calibration set, its *stated* error bound holds where it was
+measured, and — the regression that matters for the hierarchical DSE —
+calibrated predictions stay within a stated tolerance of SimX ground
+truth across the full Figure 7 grid, i.e. also on cells the fit never
+saw. A fit is a cached computation: refitting on a warm cache
+simulates nothing, and a fit for other code re-simulates its cells.
 """
-
-import json
 
 import pytest
 
-from repro.calibrate import (
-    CalibrationArtifact,
-    load_calibration,
-    run_calibration,
-)
+from repro.calibrate import run_calibration
 from repro.calibrate.fit import (
     VORTEX_CALIBRATION_CELLS,
     _msle,
@@ -25,7 +20,9 @@ from repro.calibrate.fit import (
     error_bounds,
 )
 from repro.errors import CalibrationError
-from repro.harness.result_cache import ResultCache, code_fingerprint
+from repro.harness import ExperimentEngine
+from repro.harness.dse import run_dse
+from repro.harness.result_cache import ResultCache
 from repro.harness.sweep import THREAD_SIZES, WARP_SIZES
 from repro.vortex.analytical import VortexModelParams
 
@@ -34,8 +31,8 @@ from repro.vortex.analytical import VortexModelParams
 N = 1024
 BENCHMARKS = ("vecadd", "transpose")
 
-#: Stated tolerance for *held-out* Figure 7 cells. The artifact's own
-#: bounds are measured on the calibration cells; the full grid includes
+#: Stated tolerance for *held-out* Figure 7 cells. A fit's own bound
+#: is measured on the calibration cells; the full grid includes
 #: ten cells per benchmark the fit never saw, where the analytical
 #: model's structural error (not its fitted constants) dominates.
 FIG7_GRID_TOLERANCE = 0.75
@@ -52,8 +49,8 @@ def cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def artifact(cache):
-    return run_calibration(benchmarks=BENCHMARKS, n=N, cache=cache)
+def fits(cache):
+    return {b: run_calibration(b, n=N, cache=cache) for b in BENCHMARKS}
 
 
 @pytest.fixture(scope="module")
@@ -62,45 +59,45 @@ def grid_samples(cache):
                                   cells=FIG7_CELLS, cache=cache)
 
 
-def _calibration_samples(grid_samples):
+def _calibration_samples(grid_samples, benchmark):
     cells = set(VORTEX_CALIBRATION_CELLS)
-    return [s for s in grid_samples
-            if (s.config.warps, s.config.threads) in cells]
+    return [s for s in grid_samples if s.benchmark == benchmark
+            and (s.config.warps, s.config.threads) in cells]
 
 
 class TestFitQuality:
-    def test_fit_never_worse_than_defaults(self, artifact, grid_samples):
-        samples = _calibration_samples(grid_samples)
-        fitted = _msle(samples,
-                       lambda s: _sample_prediction(s, vortex=artifact.vortex))
-        stock = _msle(samples,
-                      lambda s: _sample_prediction(
-                          s, vortex=VortexModelParams()))
-        assert fitted <= stock + 1e-12
+    def test_fit_never_worse_than_defaults(self, fits, grid_samples):
+        for bench, fit in fits.items():
+            samples = _calibration_samples(grid_samples, bench)
+            fitted = _msle(samples,
+                           lambda s: _sample_prediction(s, vortex=fit.vortex))
+            stock = _msle(samples,
+                          lambda s: _sample_prediction(
+                              s, vortex=VortexModelParams()))
+            assert fitted <= stock + 1e-12, bench
 
-    def test_stated_bounds_hold_on_calibration_set(self, artifact,
+    def test_stated_bounds_hold_on_calibration_set(self, fits,
                                                    grid_samples):
-        """The artifact's error bounds are a *measurement*: re-measuring
-        the calibration cells with the fitted parameters must reproduce
-        them (up to the artifact's rounding)."""
-        samples = _calibration_samples(grid_samples)
-        remeasured = error_bounds(samples, vortex=artifact.vortex)
-        for bench in BENCHMARKS:
-            stated = artifact.bound(bench)
-            assert remeasured[bench]["max_rel_err"] <= stated + 1e-6
+        """A fit's error bound is a *measurement*: re-measuring the
+        calibration cells with the fitted parameters must reproduce it
+        (up to its rounding)."""
+        for bench, fit in fits.items():
+            samples = _calibration_samples(grid_samples, bench)
+            remeasured = error_bounds(samples, vortex=fit.vortex)[bench]
+            assert (fit.benchmark, fit.n, fit.points) == (bench, N, 6)
+            assert remeasured["max_rel_err"] <= fit.bound + 1e-6
             # bounds are genuine fractions, not degenerate zeros/infs
-            assert 0.0 <= stated < 1.0
+            assert 0.0 <= fit.bound < 1.0
 
-    def test_fig7_grid_within_stated_tolerance(self, artifact,
-                                               grid_samples):
+    def test_fig7_grid_within_stated_tolerance(self, fits, grid_samples):
         """Predicted vs simulated cycles across the full Figure 7 grid
         (16 cells per benchmark, most held out from the fit) stay within
-        FIG7_GRID_TOLERANCE relative error. This is the bound that makes
-        hierarchical DSE trustworthy: screening decisions are made on
-        these predictions."""
+        FIG7_GRID_TOLERANCE relative error under the benchmark's own
+        fit. This is the bound that makes hierarchical DSE trustworthy:
+        screening decisions are made on these predictions."""
         worst = {}
         for s in grid_samples:
-            pred = _sample_prediction(s, vortex=artifact.vortex)
+            pred = _sample_prediction(s, vortex=fits[s.benchmark].vortex)
             rel = abs(pred - s.true_cycles) / s.true_cycles
             worst[s.benchmark] = max(worst.get(s.benchmark, 0.0), rel)
             assert rel <= FIG7_GRID_TOLERANCE, (
@@ -115,59 +112,36 @@ def test_unknown_benchmark_rejected_before_simulation():
     calibrator must say so up front (typed, CLI-catchable), not
     surface an ImportError from the benchmark registry."""
     with pytest.raises(CalibrationError) as exc:
-        run_calibration(benchmarks=("nosuchbench",), n=64)
+        run_calibration("nosuchbench", n=64)
     assert "nosuchbench" in str(exc.value)
     assert "vecadd" in str(exc.value)
 
 
-class TestArtifact:
-    def test_roundtrip(self, artifact, tmp_path):
-        path = artifact.save(tmp_path / "cal.json")
-        loaded = load_calibration(path)
-        assert loaded.fingerprint == artifact.fingerprint
-        assert loaded.vortex == artifact.vortex
-        assert loaded.error_bounds == artifact.error_bounds
+def test_refit_on_a_warm_cache_simulates_nothing(cache, fits):
+    """The fit is recomputed, not saved: on the cache that holds its
+    ground truth, a second fit executes no point and equals the first."""
+    engine = ExperimentEngine(cache=cache)
+    for bench, fit in fits.items():
+        assert run_calibration(bench, n=N, engine=engine) == fit
+    assert engine.stats.executed == 0
 
-    def test_fingerprint_skew_rejected(self, artifact, tmp_path):
-        stale = CalibrationArtifact(
-            fingerprint="not-the-running-code",
-            vortex=artifact.vortex, error_bounds=artifact.error_bounds)
-        path = stale.save(tmp_path / "stale.json")
-        with pytest.raises(CalibrationError) as exc:
-            load_calibration(path)
-        assert "different code" in str(exc.value)
 
-    def test_missing_and_malformed(self, tmp_path):
-        with pytest.raises(CalibrationError) as exc:
-            load_calibration(tmp_path / "nope.json")
-        assert "calibrate" in str(exc.value)
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(CalibrationError):
-            load_calibration(bad)
-        wrong_schema = tmp_path / "schema.json"
-        # schema 1 carried an HLS half this build no longer reads.
-        for schema in (1, 99):
-            wrong_schema.write_text(json.dumps({"schema": schema}))
-            with pytest.raises(CalibrationError) as exc:
-                load_calibration(wrong_schema)
-            assert "schema" in str(exc.value)
+def test_fingerprint_skew_refits(tmp_path):
+    """A fit for other code never reuses that code's ground truth: its
+    cells are keyed by the code fingerprint, so every one re-runs."""
+    warm = ResultCache(tmp_path, fingerprint="rev-a")
+    run_calibration("vecadd", n=64, cache=warm)
+    assert len(warm) == len(VORTEX_CALIBRATION_CELLS) == 6
+    engine = ExperimentEngine(cache=ResultCache(tmp_path,
+                                                fingerprint="rev-b"))
+    run_calibration("vecadd", n=64, engine=engine)
+    assert engine.stats.executed == 6
 
-    def test_bound_lookup(self):
-        art = CalibrationArtifact(
-            fingerprint=code_fingerprint(),
-            vortex=VortexModelParams(),
-            error_bounds={
-                "vecadd": {"max_rel_err": 0.1, "mean_rel_err": 0.05,
-                           "points": 6},
-                "transpose": {"max_rel_err": 0.3, "mean_rel_err": 0.2,
-                              "points": 6},
-            })
-        assert art.bound("vecadd") == pytest.approx(0.1)
-        # unknown benchmark falls back to the worst stated bound
-        assert art.bound("sgemm") == pytest.approx(0.3)
-        assert art.bound() == pytest.approx(0.3)
-        empty = CalibrationArtifact(fingerprint=code_fingerprint(),
-                                    vortex=VortexModelParams())
-        with pytest.raises(CalibrationError):
-            empty.bound()
+
+def test_dse_refuses_another_benchmarks_fit(fits):
+    """A fit's parameters and bound describe one benchmark, so the DSE
+    will not screen or prune another with them."""
+    with pytest.raises(CalibrationError) as exc:
+        run_dse("vecadd", n=N, calibration=fits["transpose"],
+                confirm="none")
+    assert "transpose" in str(exc.value)

@@ -6,6 +6,7 @@ pin those), just that the CLI wiring stays sound.
 """
 
 import json
+import re
 
 import pytest
 
@@ -124,6 +125,19 @@ def test_golden_only_typo_is_an_error(capsys):
     assert main(["golden", "--only", "vecadd,no-such-point"]) == 1
     assert capsys.readouterr().err == \
         "error: unknown golden point(s): no-such-point\n"
+
+
+@pytest.mark.parametrize("argv, line, count", [
+    (["calibrate", "--benchmarks", "vecadd, transpose,vecadd,", "--n",
+      "64"], "max rel err", 2),
+    (["golden", "--only", "vecadd, saxpy"], "all digests match", 1),
+], ids=["calibrate", "golden"])
+def test_name_lists_strip_whitespace(argv, line, count, capsys):
+    """A comma-separated name list reads as typed: a space after a
+    comma is not part of the next name, and an empty or repeated name
+    adds nothing."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count(line) == count
 
 
 def test_profile_unknown_backend_rejected(capsys):
@@ -296,6 +310,30 @@ def test_checkpoint_flags_reach_the_runner(command, runner, monkeypatch,
                            "5000", "--point-timeout", "100"]) == 0
     assert seen and all(spec == checkpoint_spec(ckpt, 5000, 100.0)
                         for spec in seen)
+
+
+def test_dse_prunes_with_the_bound_calibrate_prints(monkeypatch, tmp_path,
+                                                    capsys):
+    """`calibrate` reports the fit `dse --calibrate` prunes with, and
+    writes no file: the DSE payload's bound is the printed one, and the
+    flags that saved and loaded a calibration file are gone."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["calibrate", "--benchmarks", "vecadd", "--n", "64",
+                 "--cache-dir", "cache"]) == 0
+    (printed,) = re.findall(r"vecadd\s+max rel err (\S+)",
+                            capsys.readouterr().out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+    assert main(["dse", "vecadd", "--n", "64", "--calibrate", "--confirm",
+                 "none", "--cache-dir", "cache", "--json-out",
+                 "dse.json"]) == 0
+    assert f"calibrated bound {printed}" in capsys.readouterr().out
+    bound = json.loads((tmp_path / "dse.json").read_text())["bound"]
+    assert f"{bound:.3f}" == printed
+    for argv in (["calibrate", "--out", "x"],
+                 ["dse", "vecadd", "--calibration", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_all_exits_with_the_worst_artifact_status(monkeypatch, capsys):

@@ -450,8 +450,7 @@ RUNNERS = {
         thread_sizes=(2,), **kw),
     "collect_vortex_samples": lambda **kw: collect_vortex_samples(
         benchmarks=("vecadd",), **_CELL, **kw),
-    "run_calibration": lambda **kw: run_calibration(
-        benchmarks=("vecadd",), **_CELL, **kw),
+    "run_calibration": lambda **kw: run_calibration("vecadd", n=64, **kw),
     "run_profile_cached": lambda **kw: run_profile_cached(
         "vecadd", backend="interp", **kw),
 }
