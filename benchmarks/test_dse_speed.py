@@ -9,7 +9,7 @@ Measures one cold-cache design-space exploration on a 648-point
 * **flat** — "rank the grid, simulate the top K", the search the
   hierarchy replaced, kept here only as the baseline: same screen
   (``confirm="none"``), then SimX on the K best-predicted points
-  through the same engine point function.
+  through the same cell runner (``run_cells``).
 
 Both modes run with ``cache=None`` (no result-cache hits: every
 confirmation simulates), so the recorded speedup is the real
@@ -37,11 +37,9 @@ from pathlib import Path
 
 import pytest
 
-from functools import partial
-
 from repro.calibrate import run_calibration
-from repro.harness import ExperimentEngine
-from repro.harness.dse import dse_confirm_point, run_dse
+from repro.harness.dse import run_dse
+from repro.harness.sweep import run_cells
 
 BENCH = "vecadd"
 N = 1024
@@ -93,9 +91,7 @@ def measurements():
     top = sorted(flat.candidates,
                  key=lambda c: (c.prediction.cycles, c.area.aluts,
                                 c.config.label()))[:FLAT_TOP_K]
-    with ExperimentEngine() as engine:
-        values = engine.run(partial(dse_confirm_point, benchmark=BENCH, n=N),
-                            [(c.config,) for c in top], label="flat top-k")
+    values = run_cells(BENCH, N, [c.config for c in top], label="flat top-k")
     for cand, value in zip(top, values):
         cand.simulated_cycles = value["cycles"]
     flat_wall = time.perf_counter() - start

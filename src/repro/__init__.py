@@ -35,9 +35,10 @@ Subpackages
     (``python -m repro serve``, ``submit``, ``status``, ``results``,
     ``drain``).
 
-``repro.harness`` and ``repro.service`` are lazy namespaces: a name
-imports its submodule on first use, so a client or the CLI's parser
-starts without loading the simulator.
+``repro.harness``, ``repro.service`` and ``repro.hls`` are lazy
+namespaces: a name imports its submodule on first use, so a client or
+the CLI's parser starts without loading the simulator, and the Vortex
+analytical model loads only the HLS flow's LSU classifier.
 """
 
 __version__ = "1.0.0"

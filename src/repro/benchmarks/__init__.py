@@ -8,6 +8,7 @@ each with a deterministic workload generator and a numpy golden model.
 from .suite import (
     Benchmark,
     BenchmarkResult,
+    Sweep,
     all_benchmarks,
     get_benchmark,
     run_benchmark,
@@ -16,6 +17,7 @@ from .suite import (
 __all__ = [
     "Benchmark",
     "BenchmarkResult",
+    "Sweep",
     "all_benchmarks",
     "get_benchmark",
     "run_benchmark",

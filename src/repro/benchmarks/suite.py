@@ -8,7 +8,11 @@ exposing the same contract:
   "identical source code, differing only in the kernel binaries");
 * ``workload(scale, seed)`` — deterministic inputs;
 * ``run(ctx, prog, wl)`` — the host driver (buffers, launches, reads);
-* ``reference(wl)`` — a numpy golden model.
+* ``reference(wl)`` — a numpy golden model;
+* optionally ``sweep`` — a :class:`Sweep`: the one definition of the
+  benchmark's configuration-sweep cell, which the Figure 7 sweep, the
+  calibration, the DSE and the service's ``fig7-cell`` jobs run
+  (:mod:`repro.harness.sweep`). A benchmark without one cannot be swept.
 
 ``run_benchmark`` compiles and executes one benchmark on one backend and
 validates outputs against the reference.
@@ -37,6 +41,24 @@ _MODULES = [
 
 
 @dataclass(frozen=True)
+class Sweep:
+    """A benchmark's sweep cell, kept apart from the machine it runs on.
+
+    ``problem(n)`` is the launch's global size for a requested ``n``;
+    ``inputs(problem, rng)`` the host arguments (numpy arrays for
+    buffers, Python numbers for scalars) drawn from the harness's
+    seeded generator; ``geometry(problem, lanes)`` the launch's
+    ``(global, local)`` sizes on a configuration with ``lanes`` = warps
+    x threads.
+    """
+
+    problem: Callable[[int], tuple[int, ...]]
+    inputs: Callable[[tuple[int, ...], np.random.Generator], list]
+    geometry: Callable[[tuple[int, ...], int],
+                       tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+@dataclass(frozen=True)
 class Benchmark:
     name: str  # module name
     table_name: str  # spelling used in the paper's Table I
@@ -47,6 +69,7 @@ class Benchmark:
     run: Callable[[Context, Any, dict], dict]
     reference: Callable[[dict], dict]
     tolerance: float = 1e-3
+    sweep: Sweep | None = None
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ocl import GLOBAL_FLOAT32, INT32, KernelBuilder
-from .suite import Benchmark, register
+from .suite import Benchmark, Sweep, register
 
 
 def build():
@@ -51,6 +51,27 @@ def reference(wl) -> dict:
     return {"dst": wl["src"].reshape(h, w).T.reshape(-1).copy()}
 
 
+def sweep_problem(n: int) -> tuple[int, int]:
+    """The square matrix nearest ``n`` elements, its side a multiple of
+    16 and at least 16: n = 16 ... 992 all run the same 16x16 matrix."""
+    dim = int(round(n ** 0.5))
+    side = max(dim - dim % 16, 16)
+    return (side, side)
+
+
+def sweep_inputs(problem, rng) -> list:
+    width, height = problem
+    return [rng.random(width * height, dtype=np.float32),
+            np.zeros(width * height, dtype=np.float32), width, height]
+
+
+def sweep_geometry(problem, lanes):
+    """PoCL clamps the work-group to what the device runs at once: up
+    to a 4x4 tile, so every W x T >= 16 launches the same geometry."""
+    lx = min(4, lanes)
+    return problem, (lx, max(1, min(4, lanes // lx)))
+
+
 register(Benchmark(
     name="transpose",
     table_name="Transpose",
@@ -60,4 +81,6 @@ register(Benchmark(
     workload=workload,
     run=run,
     reference=reference,
+    sweep=Sweep(problem=sweep_problem, inputs=sweep_inputs,
+                geometry=sweep_geometry),
 ))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ocl import GLOBAL_FLOAT32, INT32, KernelBuilder
-from .suite import Benchmark, register
+from .suite import Benchmark, Sweep, register
 
 
 def build():
@@ -48,6 +48,12 @@ def reference(wl) -> dict:
     return {"c": wl["a"] + wl["b"]}
 
 
+def sweep_inputs(problem, rng) -> list:
+    (n,) = problem
+    return [rng.random(n, dtype=np.float32), rng.random(n, dtype=np.float32),
+            np.zeros(n, dtype=np.float32), n]
+
+
 register(Benchmark(
     name="vecadd",
     table_name="Vecadd",
@@ -57,4 +63,9 @@ register(Benchmark(
     workload=workload,
     run=run,
     reference=reference,
+    # PoCL clamps the work-group to what the device runs at once: up to
+    # 16 items, so every W x T >= 16 launches the same geometry.
+    sweep=Sweep(
+        problem=lambda n: (n,), inputs=sweep_inputs,
+        geometry=lambda problem, lanes: (problem, (min(16, lanes),))),
 ))

@@ -3,10 +3,9 @@
 The free parameters of :func:`repro.vortex.analytical.predict`
 (per-bound scale factors plus the MSHR contention coefficient) are
 fitted against **SimX** cycle counts on a small calibration set of
-(warps, threads) cells. Ground truth runs through the
-:class:`~repro.harness.engine.ExperimentEngine` with the *same content
-keys as the Figure 7 sweep*, so calibration simulations dedupe against
-sweeps (and vice versa) in one
+(warps, threads) cells. Ground truth is a batch of the benchmark's
+sweep cells (:func:`~repro.harness.sweep.run_cells`), so calibration
+simulations dedupe against sweeps (and vice versa) in one
 :class:`~repro.harness.result_cache.ResultCache`.
 
 Fitting is a deterministic multiplicative coordinate descent on mean
@@ -27,10 +26,10 @@ from typing import Callable, Sequence
 import math
 
 from ..errors import CalibrationError, PointFailure
+from ..harness.defaults import FIG7_BENCHMARKS, FIG7_N
 from ..harness.engine import ExperimentEngine, default_engine
 from ..harness.result_cache import ResultCache
-from ..harness.sweep import (FIG7_BENCHMARKS, FIG7_N, fig7_key,
-                             fig7_problem, fig7_profile, sweep_point)
+from ..harness.sweep import fig7_profile, run_cells
 from ..vortex.analytical import KernelProfile, VortexModelParams, predict
 from ..vortex.simx.config import VortexConfig
 
@@ -83,36 +82,29 @@ def collect_vortex_samples(
     cache: ResultCache | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[CalibrationSample]:
-    """SimX ground truth for the Vortex fit, run on ``engine`` (see
-    :func:`~repro.harness.engine.default_engine`).
-
-    Content keys are identical to :func:`~repro.harness.sweep.run_sweep`
-    cells, so a warmed sweep cache makes calibration free (and a
-    calibration warms the sweep).
+    """SimX ground truth for the Vortex fit: each benchmark's ``cells``
+    at ``cores``, run on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`) through
+    :func:`~repro.harness.sweep.run_cells`, so a warmed sweep cache
+    makes calibration free (and a calibration warms the sweep).
     """
     engine = default_engine(engine, cache)
+    configs = [VortexConfig().with_geometry(cores=cores, warps=w, threads=t)
+               for w, t in cells]
     profiles = {b: fig7_profile(b, n) for b in benchmarks}
-    points = [(benchmark, VortexConfig().with_geometry(
-                   cores=cores, warps=w, threads=t), n)
-              for benchmark in benchmarks for (w, t) in cells]
-    values = engine.run(
-        sweep_point, points,
-        keys=[fig7_key(engine.cache, benchmark, config,
-                       fig7_problem(benchmark, n))
-              for benchmark, config, n in points],
-        label="calibrate vortex")
-
     samples = []
-    for (benchmark, config, _), value in zip(points, values):
-        if isinstance(value, PointFailure):
-            raise CalibrationError(
-                f"ground-truth simulation failed for {benchmark} "
-                f"{config.label()}: {value.brief()} — calibration needs "
-                f"a complete sample set")
-        samples.append(CalibrationSample(
-            benchmark=benchmark, label=config.label(),
-            profile=profiles[benchmark], config=config,
-            true_cycles=float(value["cycles"])))
+    for benchmark, profile in profiles.items():
+        values = run_cells(benchmark, n, configs, engine=engine,
+                           label="calibrate vortex")
+        for config, value in zip(configs, values):
+            if isinstance(value, PointFailure):
+                raise CalibrationError(
+                    f"ground-truth simulation failed for {benchmark} "
+                    f"{config.label()}: {value.brief()} — calibration "
+                    f"needs a complete sample set")
+            samples.append(CalibrationSample(
+                benchmark=benchmark, label=config.label(), profile=profile,
+                config=config, true_cycles=float(value["cycles"])))
     return samples
 
 
@@ -228,7 +220,7 @@ def run_calibration(benchmark: str, n: int = FIG7_N, *,
     ``min(n, CALIBRATION_MAX_N)``.
 
     The ground truth runs on ``engine`` (see
-    :func:`~repro.harness.engine.default_engine`) under the Figure 7
+    :func:`~repro.harness.engine.default_engine`) under the sweep
     cells' content keys, so a fit on a warm result cache simulates
     nothing, and a fit after a code change re-simulates every cell.
     One benchmark, because the DSE searches and prunes one benchmark.

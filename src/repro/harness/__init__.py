@@ -22,9 +22,9 @@ __getattr__, __dir__, __all__ = _attach(__name__, {
                     "run_auto_cse_ablation", "run_case_study"),
     "..errors": ("ExperimentAborted", "PointFailure"),
     ".coverage": ("PAPER_TABLE1", "CoverageReport", "run_coverage"),
-    ".dse": ("Candidate", "DSEResult", "dse_confirm_point",
-             "explore_design_space", "launch_rejection", "pareto_frontier",
-             "run_dse", "workload_rejection"),
+    ".dse": ("Candidate", "DSEResult", "explore_design_space",
+             "launch_rejection", "pareto_frontier", "run_dse",
+             "workload_rejection"),
     ".engine": ("EngineStats", "ExperimentEngine", "close_all_engines",
                 "resolve_jobs"),
     ".faults": ("FAULT_PLAN_ENV", "FAULT_STATE_ENV", "FaultInjected",

@@ -21,12 +21,11 @@ magnitude at each stage:
    measured on the calibration cells and held-out cells can exceed
    it, so neither step guarantees that the true optimum survives;
 3. **confirm** — the surviving handful of frontier points are
-   cycle-confirmed with SimX, fanned through the
-   :class:`~repro.harness.engine.ExperimentEngine` so memoisation,
-   ``--jobs``, retries, and checkpoint/preemption all apply. Confirm
-   points are Figure 7 cells (:mod:`repro.harness.sweep` defines their
-   workload, launch geometry and content key), so a warmed sweep cache
-   makes confirmation free (and vice versa).
+   cycle-confirmed with SimX as one batch of the benchmark's sweep
+   cells (:func:`~repro.harness.sweep.run_cells`, on the
+   :class:`~repro.harness.engine.ExperimentEngine`), so memoisation,
+   ``--jobs``, retries, and checkpoint/preemption all apply, and a
+   warmed sweep cache makes confirmation free (and vice versa).
 
 The flat "rank the grid, simulate the top K" baseline that
 ``BENCH_dse.json`` measures the hierarchy against lives in
@@ -48,15 +47,14 @@ from ..vortex.analytical import (
     VortexModelParams,
     predict,
 )
-from ..vortex import layout
 from ..vortex.area import VortexAreaReport, synthesize
+from ..vortex.layout import launch_rejection
 from ..vortex.simx.config import VortexConfig
 from .defaults import (CONFIRM_MODES, CORE_COUNTS, FIG7_N, FRONTIER_CAP,
                        THREAD_SIZES, WARP_SIZES)
 from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
-from .sweep import (fig7_geometry, fig7_key, fig7_problem, fig7_profile,
-                    sweep_point)
+from .sweep import fig7_geometry, fig7_problem, fig7_profile, run_cells
 from .tables import render_table
 
 
@@ -240,26 +238,6 @@ class DSEResult:
         return body + "\n" + stats
 
 
-#: launch-feasibility ceilings from the simulated platform's memory
-#: map: concurrent group slots (one 64 KiB local window per core x warp
-#: slot) and per-thread stack frames are finite regions, so a
-#: configuration exceeding either cannot launch at all — screening it
-#: out here keeps unlaunchable points from ever reaching SimX.
-MAX_GROUP_SLOTS = ((layout.LOCAL_LIMIT - layout.LOCAL_BASE)
-                   // layout.LOCAL_WINDOW_SIZE)
-MAX_SIM_THREADS = ((layout.STACK_LIMIT - layout.STACK_BASE)
-                   // layout.STACK_SIZE_PER_THREAD)
-
-
-def launch_rejection(config: VortexConfig) -> str | None:
-    """Why ``config`` cannot launch on the simulated platform, if so."""
-    if config.cores * config.warps > MAX_GROUP_SLOTS:
-        return "group-slots"
-    if config.total_threads > MAX_SIM_THREADS:
-        return "stack-region"
-    return None
-
-
 def workload_rejection(benchmark: str, n: int):
     """A ``config -> reason`` screen: ``"workgroup"`` when the cell's
     launch geometry (:func:`~repro.harness.sweep.fig7_geometry`) on
@@ -282,19 +260,6 @@ def workload_rejection(benchmark: str, n: int):
     return reject
 
 
-def dse_confirm_point(config: VortexConfig, benchmark: str, n: int,
-                      checkpoint: dict | None = None) -> dict:
-    """One frontier confirmation — module-level and spawn-picklable.
-
-    Delegates to :func:`~repro.harness.sweep.sweep_point`, returning its
-    full payload so cached values are byte-identical to Figure 7 sweep
-    cells (same content key, same value: the two campaigns dedupe
-    against each other), and snapshots under the cell's name, so a cell
-    preempted under either campaign resumes under the other.
-    """
-    return sweep_point(benchmark, config, n, checkpoint=checkpoint)
-
-
 def explore_design_space(
     profile: KernelProfile,
     device: FPGADevice = STRATIX10_SX2800,
@@ -307,8 +272,6 @@ def explore_design_space(
     reject=None,
     frontier_cap: int | None = None,
     prune_rel_err: float | None = None,
-    simulate_key=None,
-    engine: ExperimentEngine | None = None,
     profiler: Profiler | None = None,
 ) -> DSEResult:
     """Enumerate (C, W, T), filter by area, rank analytically, confirm.
@@ -319,22 +282,16 @@ def explore_design_space(
     workload-specific unlaunchable geometries — see
     :func:`workload_rejection`.
 
-    ``simulate`` (optional) is an engine point function ``config ->
-    {"cycles": ...}`` (the sweep payload; see :func:`dse_confirm_point`)
+    ``simulate`` (optional) is a batch callable ``configs -> values``
     that cycle-confirms the (predicted cycles x ALUT) Pareto frontier,
     pruned to points within ``best_predicted * (1 + 2*prune_rel_err)``
     but never below three, and capped at the ``frontier_cap``
     fastest-predicted points. The prune is a heuristic: the calibrated
     bound is measured on the calibration cells, and held-out cells can
-    exceed it.
-
-    Confirmations run through ``engine``: its worker pool, its result
-    cache (keyed by ``simulate_key``, ``config -> cache key``) and its
-    fault policy apply — under ``keep_going`` a failed simulation
-    leaves the candidate unverified with an ``ERROR(...)`` note in
-    :attr:`Candidate.sim_error`. Without ``engine`` a serial fail-fast
-    engine runs them inline (so ``simulate`` may be a closure) and a
-    failure raises :class:`~repro.errors.ExperimentAborted`.
+    exceed it. Each value is a ``{"cycles": ...}`` payload, or a
+    :class:`~repro.errors.PointFailure` (a failed simulation under a
+    ``keep_going`` engine), which leaves the candidate unverified with
+    an ``ERROR(...)`` note in :attr:`Candidate.sim_error`.
 
     ``profiler`` (optional) records the exploration itself: counters for
     enumerated/feasible/rejected/frontier points and wall-clock spans
@@ -396,13 +353,7 @@ def explore_design_space(
         return result
 
     with prof.span("dse: confirm", cat="dse") as confirm:
-        if engine is None:
-            engine = ExperimentEngine(profiler=profiler)
-        keys = (None if simulate_key is None
-                else [simulate_key(cand.config) for cand in to_confirm])
-        values = engine.run(simulate,
-                            [(cand.config,) for cand in to_confirm],
-                            keys=keys, label="dse verify")
+        values = simulate([cand.config for cand in to_confirm])
         for cand, value in zip(to_confirm, values):
             if isinstance(value, PointFailure):
                 cand.sim_error = f"ERROR({value.exc_type})"
@@ -430,11 +381,11 @@ def run_dse(
     profiler: Profiler | None = None,
     checkpoint: dict | None = None,
 ) -> DSEResult:
-    """End-to-end hierarchical DSE for one Figure 7 benchmark workload.
+    """End-to-end hierarchical DSE for one benchmark's sweep cell.
 
-    Profiles the sweep's cell once with the functional interpreter
+    Profiles the cell once with the functional interpreter
     (:func:`~repro.harness.sweep.fig7_profile`, which rejects
-    benchmarks without one), screens the grid with the analytical
+    benchmarks that declare no sweep), screens the grid with the analytical
     model, and with ``confirm="frontier"`` SimX-confirms the Pareto
     frontier; ``confirm="none"`` screens only (milliseconds end to end).
     ``calibration`` (a :class:`~repro.calibrate.Calibration` of
@@ -443,11 +394,11 @@ def run_dse(
     pruning cutoff; another benchmark's fit raises
     :class:`~repro.errors.CalibrationError`.
 
-    Confirmations run :func:`dse_confirm_point` on ``engine`` (see
-    :func:`~repro.harness.engine.default_engine`), memoised under the
-    Figure 7 cells' content keys. ``checkpoint`` (a
-    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`) makes them
-    preemptible exactly as in :func:`~repro.harness.sweep.run_sweep`.
+    Confirmations are one batch of the benchmark's sweep cells
+    (:func:`~repro.harness.sweep.run_cells`) on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`), memoised under their
+    content keys and preemptible under ``checkpoint`` exactly as the
+    sweep's.
     """
     engine = default_engine(engine, cache)
     if confirm not in CONFIRM_MODES:
@@ -460,23 +411,14 @@ def run_dse(
                 f"{benchmark}: fit {benchmark} with run_calibration")
         params, prune_rel_err = calibration.vortex, calibration.bound
     profile = fig7_profile(benchmark, n)
-
-    simulate = simulate_key = None
+    simulate = None
     if confirm == "frontier":
-        if checkpoint is not None:
-            from ..vortex.simx.checkpoint import CheckpointStore
-            # mkdir + stale-only temp sweep, as in run_sweep.
-            CheckpointStore(checkpoint["dir"])
-        simulate = partial(dse_confirm_point, benchmark=benchmark, n=n,
-                           checkpoint=checkpoint)
-        simulate_key = partial(fig7_key, engine.cache, benchmark,
-                               problem=fig7_problem(benchmark, n))
-
+        simulate = partial(run_cells, benchmark, n, engine=engine,
+                           checkpoint=checkpoint, label="dse verify")
     return explore_design_space(
         profile, device=device, core_counts=core_counts,
         warp_sizes=warp_sizes, thread_sizes=thread_sizes, base=base,
         params=params, reject=workload_rejection(benchmark, n),
         simulate=simulate, frontier_cap=frontier_cap,
-        prune_rel_err=prune_rel_err, simulate_key=simulate_key,
-        engine=engine, profiler=profiler,
+        prune_rel_err=prune_rel_err, profiler=profiler,
     )

@@ -11,19 +11,20 @@ threads and degrades ~27% at 8/8 and ~11% at 8 warps / 4 threads (more
 LSU stalls from its higher load density); transpose peaks at 8/8 and
 loses ~44% at 4/4 and ~17% at 8 warps / 4 threads.
 
-The grid is embarrassingly parallel: each cell is an independent SimX
-run, so ``run_sweep(engine=ExperimentEngine(jobs=N, cache=...))`` fans
-the cells across worker processes and memoises each on disk. A cell's
-problem, inputs, launch geometry and content key are defined here once
-(:func:`fig7_problem`, :func:`fig7_workload`, :func:`fig7_geometry`,
-:func:`fig7_key`): DSE confirmations, the calibration and the service's
-``fig7-cell`` jobs run the same cell. A requested ``n`` reaches the
-simulation only through its problem, the launch's global size, so two
-requests that build the same launch share one cache entry and one
-snapshot (transpose rounds ``n`` to a square side: n = 16 … 992 all
-run the same 16x16 matrix). Each benchmark's kernel is built once per
-process and shared by its cells; code generation clones it before any
-pass, and the Vortex runtime caches its compiled images.
+A cell's problem, inputs and launch geometry are declared once, on its
+benchmark module (:class:`~repro.benchmarks.suite.Sweep`), and read
+through one gate (:func:`fig7_sweep`), so the registry alone decides
+which benchmarks can be swept. :func:`run_cells` runs a batch of cells
+on an engine under their content keys (:func:`fig7_key`): the sweep,
+DSE confirmations and the calibration call it, and the service's
+``fig7-cell`` jobs run the same cell, so each dedupes against the
+others in one result cache. A requested ``n`` reaches the simulation
+only through its problem, the launch's global size, so two requests
+that build the same launch share one cache entry and one snapshot
+(transpose rounds ``n`` to a square side: n = 16 … 992 all run the same
+16x16 matrix). Each benchmark's kernel is built once per process and
+shared by its cells; code generation clones it before any pass, and the
+Vortex runtime caches its compiled images.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..benchmarks import get_benchmark
+from ..benchmarks import Sweep, all_benchmarks, get_benchmark
 from ..errors import CalibrationError, PointFailure, ReproError
 from ..ocl import Context, Kernel, NDRange
 from ..profiling import NULL_PROFILER, Profiler
 from ..vortex import KernelProfile, VortexBackend, VortexConfig
 from ..vortex.runtime import IMAGE_CACHE_SIZE
-from .defaults import FIG7_BENCHMARKS, FIG7_N, THREAD_SIZES, WARP_SIZES
+from .defaults import FIG7_N, THREAD_SIZES, WARP_SIZES
 from .engine import ExperimentEngine, default_engine
 from .result_cache import ResultCache
 from .tables import render_heatmap, render_table
@@ -111,30 +112,29 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _transpose_side(n: int) -> int:
-    """Side of the square transpose matrix nearest ``n`` elements: a
-    multiple of 16, at least 16."""
-    dim = int(round(n ** 0.5))
-    return max(dim - dim % 16, 16)
+def fig7_sweep(benchmark: str) -> Sweep:
+    """The sweep cell ``benchmark`` declares, the one gate of every
+    sweep runner: for a name outside the registry, or a benchmark that
+    declares no sweep, it raises
+    :class:`~repro.errors.CalibrationError` — the analytical model has
+    no calibration workload for it either."""
+    try:
+        sweep = get_benchmark(benchmark).sweep
+    except ReproError:  # not a benchmark
+        sweep = None
+    if sweep is None:
+        supported = [b.name for b in all_benchmarks() if b.sweep]
+        raise CalibrationError(
+            f"no calibration workload for benchmark {benchmark!r} "
+            f"(supported: {', '.join(supported)})")
+    return sweep
 
 
 def fig7_problem(benchmark: str, n: int) -> tuple[int, ...]:
     """The cell's problem for a request of ``n`` elements: the launch's
     global size, from which its inputs and geometry follow — vecadd's
-    ``(n,)``, transpose's ``(side, side)`` (:func:`_transpose_side`).
-
-    Raises :class:`~repro.errors.CalibrationError` for a benchmark with
-    no Figure 7 cell — the analytical model has no calibration workload
-    for it either.
-    """
-    if benchmark not in FIG7_BENCHMARKS:
-        raise CalibrationError(
-            f"no calibration workload for benchmark {benchmark!r} "
-            f"(supported: {', '.join(FIG7_BENCHMARKS)})")
-    if benchmark == "vecadd":
-        return (n,)
-    side = _transpose_side(n)
-    return (side, side)
+    ``(n,)``, transpose's ``(side, side)``."""
+    return fig7_sweep(benchmark).problem(n)
 
 
 @functools.cache
@@ -147,34 +147,19 @@ def _fig7_kernel(benchmark: str) -> Kernel:
 def fig7_workload(benchmark: str, problem: tuple[int, ...]
                   ) -> tuple[Kernel, list]:
     """The kernel and host arguments of a cell with ``problem``
-    (:func:`fig7_problem`): :data:`SWEEP_SEED` inputs as fresh numpy
-    arrays (buffers, which a launch writes into) and ints (scalars)."""
-    kernel = _fig7_kernel(benchmark)
+    (:func:`fig7_problem`): inputs drawn from a fresh :data:`SWEEP_SEED`
+    generator, numpy arrays for buffers (which a launch writes into)
+    and numbers for scalars."""
     rng = np.random.default_rng(SWEEP_SEED)
-    if benchmark == "vecadd":
-        (n,) = problem
-        return kernel, [rng.random(n, dtype=np.float32),
-                        rng.random(n, dtype=np.float32),
-                        np.zeros(n, dtype=np.float32), n]
-    width, height = problem
-    return kernel, [rng.random(width * height, dtype=np.float32),
-                    np.zeros(width * height, dtype=np.float32),
-                    width, height]
+    args = fig7_sweep(benchmark).inputs(problem, rng)
+    return _fig7_kernel(benchmark), args
 
 
 def fig7_geometry(benchmark: str, problem: tuple[int, ...], lanes: int
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(global, local)`` sizes of the launch of a cell with
-    ``problem`` on a configuration with ``lanes`` = warps x threads.
-
-    PoCL clamps the work-group to what the device runs at once: up to
-    16 items for vecadd, up to a 4x4 tile for transpose — so every
-    ``lanes >= 16`` launches the same geometry.
-    """
-    if benchmark == "vecadd":
-        return problem, (min(16, lanes),)
-    lx = min(4, lanes)
-    return problem, (lx, max(1, min(4, lanes // lx)))
+    ``problem`` on a configuration with ``lanes`` = warps x threads."""
+    return fig7_sweep(benchmark).geometry(problem, lanes)
 
 
 def fig7_key(cache: ResultCache | None, benchmark: str,
@@ -275,6 +260,44 @@ def sweep_point(benchmark: str, config: VortexConfig, n: int,
     return result
 
 
+def run_cells(benchmark: str, n: int, configs, *,
+              engine: ExperimentEngine | None = None,
+              cache: ResultCache | None = None,
+              checkpoint: dict | None = None, profile: bool = False,
+              label: str | None = None) -> list:
+    """Run ``benchmark``'s cell for ``n`` on each of ``configs``: the
+    :func:`sweep_point` values in order, with a
+    :class:`~repro.errors.PointFailure` for a cell that failed under the
+    engine's ``keep_going``.
+
+    The one runner of a batch of cells: the sweep, DSE confirmations
+    and the calibration call it. The cells run on ``engine`` (see
+    :func:`~repro.harness.engine.default_engine`) under their content
+    keys (:func:`fig7_key`), except profiled cells, whose traces must be
+    regenerated. ``checkpoint`` (a
+    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`) makes every
+    non-profiled cell preemptible: it snapshots on the spec's cadence,
+    retries resume from the latest snapshot, and a spec built with a
+    ``point_timeout`` yields at 80% of that budget instead of waiting
+    for the watchdog kill. ``label`` (default ``"fig7 <benchmark>"``)
+    names the batch's engine span and fault-injection sites.
+    """
+    engine = default_engine(engine, cache)
+    problem = fig7_problem(benchmark, n)
+    if checkpoint is not None:
+        from ..vortex.simx.checkpoint import CheckpointStore
+        # mkdir up front + sweep stale temp files from crashed runs;
+        # only the stale age is safe, as concurrent runs may share the dir.
+        CheckpointStore(checkpoint["dir"])
+    points = [(benchmark, config, n, profile, checkpoint)
+              for config in configs]
+    keys = [None if profile
+            else fig7_key(engine.cache, benchmark, config, problem)
+            for config in configs]
+    return engine.run(sweep_point, points, keys=keys,
+                      label=label or f"fig7 {benchmark}")
+
+
 def run_sweep(
     benchmark: str = "vecadd",
     cores: int = 4,
@@ -287,54 +310,31 @@ def run_sweep(
     engine: ExperimentEngine | None = None,
     checkpoint: dict | None = None,
 ) -> SweepResult:
-    """Sweep one benchmark over the (warps, threads) grid.
+    """Sweep one benchmark over the (warps, threads) grid through
+    :func:`run_cells`, which takes ``engine``, ``cache`` and
+    ``checkpoint``.
 
     When ``profile_dir`` is given, every configuration runs under its own
     :class:`~repro.profiling.Profiler` and its Chrome trace plus summary
     JSON land in that directory (``<bench>_w<warps>_t<threads>.*``), so
     any cell of the Figure 7 heatmap can be inspected cycle by cycle.
 
-    The cells run on ``engine`` (see
-    :func:`~repro.harness.engine.default_engine`): under its
-    ``keep_going`` a cell whose point fails (after retries) lands in
-    :attr:`SweepResult.failures` and renders as an ``ERROR(...)`` line
-    instead of aborting the whole grid. Profiled runs bypass the cache —
-    the traces are the point, and they must be regenerated.
-
-    ``checkpoint`` (a
-    :func:`~repro.vortex.simx.checkpoint.checkpoint_spec`) makes every
-    non-profiled cell preemptible: it snapshots on the spec's cadence,
-    retries resume from the latest snapshot, and a spec built with a
-    ``point_timeout`` yields at 80% of that budget instead of waiting
-    for the watchdog kill. Cache keys and cached values are unchanged
-    by checkpointing.
+    Under the engine's ``keep_going`` a cell whose point fails (after
+    retries) lands in :attr:`SweepResult.failures` and renders as an
+    ``ERROR(...)`` line instead of aborting the whole grid.
     """
-    engine = default_engine(engine, cache)
-    if benchmark not in FIG7_BENCHMARKS:
-        raise ValueError("the Figure 7 sweep covers vecadd and transpose")
     base = base_config or VortexConfig()
-    profile = profile_dir is not None
-    if profile:
+    grid = [(w, t) for w in warp_sizes for t in thread_sizes]
+    values = run_cells(
+        benchmark, n,
+        [base.with_geometry(cores=cores, warps=w, threads=t)
+         for w, t in grid],
+        engine=engine, cache=cache, checkpoint=checkpoint,
+        profile=profile_dir is not None)
+
+    if profile_dir is not None:
         profile_dir = Path(profile_dir)
         profile_dir.mkdir(parents=True, exist_ok=True)
-    if checkpoint is not None:
-        from ..vortex.simx.checkpoint import CheckpointStore
-        # mkdir up front + sweep stale temp files from crashed runs;
-        # only the stale age is safe, as concurrent runs may share the dir.
-        CheckpointStore(checkpoint["dir"])
-
-    grid = [(w, t) for w in warp_sizes for t in thread_sizes]
-    problem = fig7_problem(benchmark, n)
-    points = []
-    keys: list[str | None] = []
-    for w, t in grid:
-        config = base.with_geometry(cores=cores, warps=w, threads=t)
-        points.append((benchmark, config, n, profile, checkpoint))
-        keys.append(None if profile
-                    else fig7_key(engine.cache, benchmark, config, problem))
-    values = engine.run(sweep_point, points, keys=keys,
-                        label=f"fig7 {benchmark}")
-
     result = SweepResult(benchmark=benchmark, cores=cores)
     for (w, t), value in zip(grid, values):
         if isinstance(value, PointFailure):
@@ -342,7 +342,7 @@ def run_sweep(
             continue
         result.cycles[(w, t)] = value["cycles"]
         result.lsu_stalls[(w, t)] = value["lsu_stalls"]
-        if profile:
+        if profile_dir is not None:
             stem = profile_dir / f"{benchmark}_w{w}_t{t}"
             report = value["report"]
             report.save_chrome_trace(stem.with_suffix(".trace.json"))
@@ -364,7 +364,8 @@ def render_comparison(results: list[SweepResult]) -> str:
     rows = []
     for res in results:
         paper = PAPER_FIG7[res.benchmark]
-        subopt = (8, 8) if res.benchmark == "vecadd" else (4, 4)
+        # the quoted suboptimal cell besides 8w4t
+        subopt = next(cell for cell in paper if cell not in ("best", (8, 4)))
         if not res.cycles:  # every cell failed: nothing to compare
             rows.append([res.benchmark, "ERROR", f"{paper['best']}",
                          "-", "-"])
@@ -373,8 +374,7 @@ def render_comparison(results: list[SweepResult]) -> str:
             res.benchmark,
             f"{res.best}",
             f"{paper['best']}",
-            _ratio_cell(res.ratio(*subopt),
-                        paper.get(subopt, float("nan"))),
+            _ratio_cell(res.ratio(*subopt), paper[subopt]),
             _ratio_cell(res.ratio(8, 4), paper.get((8, 4), float("nan"))),
         ])
     return render_table(

@@ -5,53 +5,22 @@ capacity check against a Stratix 10 device → pipelined execution model.
 Failure modes reproduce Table I: ``SynthesisError("bram")`` for programs
 exceeding M20K capacity, ``SynthesisError("atomics")`` for atomic
 functions on the HBM2 (heterogeneous-memory) board.
+
+The package is a lazy namespace (:mod:`repro.lazy`): the Vortex
+analytical model imports the LSU classifier, :mod:`repro.hls.lsu`,
+without the HLS compiler and its models.
 """
 
-from .area import AreaReport, estimate, estimate_program
-from .compiler import HLSBackend, HLSCompiledKernel, aoc
-from .device import (
-    DDR4,
-    DEVICES,
-    HBM2,
-    STRATIX10_MX2100,
-    STRATIX10_SX2800,
-    FPGADevice,
-    MemorySystem,
-    get_device,
-)
-from .lsu import (
-    BURST_COALESCED_UNITS,
-    AffineIndexAnalysis,
-    LSUKind,
-    LSUSite,
-    classify_kernel,
-)
-from .perf import PipelineEstimate, estimate_cycles
-from .report import format_breakdown, format_table, format_utilization
+from ..lazy import attach as _attach
 
-__all__ = [
-    "AffineIndexAnalysis",
-    "AreaReport",
-    "BURST_COALESCED_UNITS",
-    "DDR4",
-    "DEVICES",
-    "FPGADevice",
-    "HBM2",
-    "HLSBackend",
-    "HLSCompiledKernel",
-    "LSUKind",
-    "LSUSite",
-    "MemorySystem",
-    "PipelineEstimate",
-    "STRATIX10_MX2100",
-    "STRATIX10_SX2800",
-    "aoc",
-    "classify_kernel",
-    "estimate",
-    "estimate_cycles",
-    "estimate_program",
-    "format_breakdown",
-    "format_table",
-    "format_utilization",
-    "get_device",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    ".area": ("AreaReport", "estimate", "estimate_program"),
+    ".compiler": ("HLSBackend", "HLSCompiledKernel", "aoc"),
+    ".device": ("DDR4", "DEVICES", "HBM2", "STRATIX10_MX2100",
+                "STRATIX10_SX2800", "FPGADevice", "MemorySystem",
+                "get_device"),
+    ".lsu": ("BURST_COALESCED_UNITS", "AffineIndexAnalysis", "LSUKind",
+             "LSUSite", "classify_kernel"),
+    ".perf": ("PipelineEstimate", "estimate_cycles"),
+    ".report": ("format_breakdown", "format_table", "format_utilization"),
+})

@@ -12,8 +12,11 @@ Kinds
 
 ``fig7-cell``
     One cell of the paper's Figure 7 warp/thread sweep: ``benchmark``
-    (vecadd or transpose), ``warps``, ``threads``, plus optional
-    ``cores`` and ``n``. The content key is the sweep's own
+    (any that declares a sweep, :func:`repro.harness.sweep.fig7_sweep`),
+    ``warps``, ``threads``, plus optional ``cores`` and ``n``. A
+    configuration the memory map cannot launch
+    (:func:`repro.vortex.layout.launch_rejection`) is refused at
+    admission. The content key is the sweep's own
     (:func:`repro.harness.sweep.fig7_key`), so service results,
     batch-CLI results, and resumed campaigns all deduplicate against
     the same :class:`~repro.harness.result_cache.ResultCache` entries.
@@ -52,13 +55,13 @@ import numbers
 import time
 from typing import Any
 
-from ..errors import ServiceError
-from ..harness.defaults import (CONFIRM_MODES, CORE_COUNTS,
-                                FIG7_BENCHMARKS, FIG7_N, FRONTIER_CAP,
-                                THREAD_SIZES, WARP_SIZES)
+from ..errors import CalibrationError, ServiceError
+from ..harness.defaults import (CONFIRM_MODES, CORE_COUNTS, FIG7_N,
+                                FRONTIER_CAP, THREAD_SIZES, WARP_SIZES)
 from ..harness.engine import ExperimentEngine
-from ..harness.sweep import fig7_key, fig7_problem, sweep_point
+from ..harness.sweep import fig7_key, fig7_problem, fig7_sweep, sweep_point
 from ..vortex import VortexConfig
+from ..vortex.layout import launch_rejection
 
 __all__ = ["JOB_KINDS", "execute_job", "job_key", "validate_job"]
 
@@ -72,9 +75,10 @@ MIN_N, MAX_N = 16, 1 << 20
 #: service; an unbounded sleep would be a self-inflicted hang).
 MAX_PROBE_SLEEP_S = 600.0
 
-#: admission bounds for dse jobs: SimX caps threads at 32 per warp, a
-#: grid bigger than this screens in well under a second but signals a
-#: typo, and the confirmation budget bounds the expensive part.
+#: admission bounds for dse jobs: SimX caps threads at 32 per warp (a
+#: fig7-cell's too), a grid bigger than this screens in well under a
+#: second but signals a typo, and the confirmation budget bounds the
+#: expensive part.
 MAX_DSE_THREADS = 32
 MAX_DSE_POINTS = 4096
 MAX_DSE_CONFIRM = 64
@@ -118,6 +122,15 @@ def _require_int_list(spec: dict, field: str, lo: int, hi: int,
     return sorted(set(value))
 
 
+def _require_sweep(spec: dict) -> str:
+    """The spec's ``benchmark``, if it declares a sweep cell."""
+    try:
+        fig7_sweep(spec.get("benchmark"))
+    except CalibrationError as exc:
+        raise _bad(str(exc)) from None
+    return spec["benchmark"]
+
+
 def _check_fields(spec: dict, allowed: set[str]) -> None:
     unknown = set(spec) - allowed - {"kind"}
     if unknown:
@@ -139,26 +152,25 @@ def validate_job(spec: Any) -> dict:
     if kind == "fig7-cell":
         _check_fields(spec, {"benchmark", "warps", "threads", "cores",
                              "n"})
-        benchmark = spec.get("benchmark")
-        if benchmark not in FIG7_BENCHMARKS:
-            raise _bad(f"fig7-cell benchmark must be one of "
-                       f"{list(FIG7_BENCHMARKS)}, got {benchmark!r}")
-        return {
+        job = {
             "kind": "fig7-cell",
-            "benchmark": benchmark,
+            "benchmark": _require_sweep(spec),
             "warps": _require_int(spec, "warps", 1, MAX_GEOMETRY),
-            "threads": _require_int(spec, "threads", 1, MAX_GEOMETRY),
+            "threads": _require_int(spec, "threads", 1, MAX_DSE_THREADS),
             "cores": _require_int(spec, "cores", 1, MAX_GEOMETRY, 4),
             "n": _require_int(spec, "n", MIN_N, MAX_N, FIG7_N),
         }
+        config = _cell_config(job)
+        reason = launch_rejection(config)
+        if reason is not None:
+            raise _bad(f"fig7-cell {config.label()} cannot launch on the "
+                       f"simulated memory map ({reason})")
+        return job
     if kind == "dse":
         _check_fields(spec, {"benchmark", "n", "cores", "warps",
                              "threads", "confirm", "frontier_cap",
                              "calibrated"})
-        benchmark = spec.get("benchmark")
-        if benchmark not in FIG7_BENCHMARKS:
-            raise _bad(f"dse benchmark must be one of "
-                       f"{list(FIG7_BENCHMARKS)}, got {benchmark!r}")
+        benchmark = _require_sweep(spec)
         cores = _require_int_list(spec, "cores", 1, MAX_GEOMETRY,
                                   CORE_COUNTS)
         warps = _require_int_list(spec, "warps", 1, MAX_GEOMETRY,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..hls.lsu import LSUKind, classify_kernel
 from ..ocl.interp import RunResult, interpret
 from ..ocl.ir import Kernel, Opcode
 from ..ocl.ndrange import NDRange
@@ -70,8 +71,6 @@ class KernelProfile:
 def _coalesced_fraction(kernel: Kernel) -> float:
     """Fraction of static global loads that coalesce across lanes,
     reusing the HLS flow's affine access classifier."""
-    from ..hls.lsu import LSUKind, classify_kernel
-
     sites = [s for s in classify_kernel(kernel)
              if not s.is_store and s.kind is not LSUKind.LOCAL_PORT]
     if not sites:

@@ -41,6 +41,21 @@ STACK_LIMIT = 0x0300_0000
 #: Total simulated DRAM.
 MEM_SIZE = 0x0400_0000  # 64 MiB
 
+#: Launch ceilings of the two finite regions: one local window per
+#: concurrent group slot (core x warp) and one stack frame per thread.
+MAX_GROUP_SLOTS = (LOCAL_LIMIT - LOCAL_BASE) // LOCAL_WINDOW_SIZE
+MAX_SIM_THREADS = (STACK_LIMIT - STACK_BASE) // STACK_SIZE_PER_THREAD
+
+
+def launch_rejection(config) -> str | None:
+    """Why a :class:`~repro.vortex.VortexConfig` cannot launch on this
+    memory map, if so: ``"group-slots"`` or ``"stack-region"``."""
+    if config.cores * config.warps > MAX_GROUP_SLOTS:
+        return "group-slots"
+    if config.total_threads > MAX_SIM_THREADS:
+        return "stack-region"
+    return None
+
 
 def stack_top(global_thread_index: int) -> int:
     """Base (lowest address) of one thread's frame; frames grow upward."""

@@ -204,6 +204,12 @@ class Machine:
         if self._image is None:
             raise RuntimeLaunchError("no kernel image loaded")
         cfg = self.config
+        reason = layout.launch_rejection(cfg)
+        if reason is not None:
+            raise RuntimeLaunchError(
+                f"{cfg.label()} does not fit the memory map ({reason}: at "
+                f"most {layout.MAX_GROUP_SLOTS} cores x warps and "
+                f"{layout.MAX_SIM_THREADS} threads)")
         ipg = ndrange.items_per_group
         warps_needed = self._warps_per_group(ndrange)
         if warps_needed > cfg.warps:

@@ -31,11 +31,15 @@ from repro.vortex.analytical import VortexModelParams
 N = 1024
 BENCHMARKS = ("vecadd", "transpose")
 
-#: Stated tolerance for *held-out* Figure 7 cells. A fit's own bound
-#: is measured on the calibration cells; the full grid includes
-#: ten cells per benchmark the fit never saw, where the analytical
-#: model's structural error (not its fitted constants) dominates.
-FIG7_GRID_TOLERANCE = 0.75
+#: Per-benchmark ceilings on the relative error of *held-out* Figure 7
+#: cells. A fit's own bound is measured on the calibration cells; the
+#: full grid includes ten cells per benchmark the fit never saw, where
+#: the analytical model's structural error (not its fitted constants)
+#: dominates. Measured at n=1024, each under its benchmark's own fit:
+#: the worst cells are 0.408 for vecadd (4c2w8t) and 0.161 for
+#: transpose (4c2w4t); each ceiling is about 10% above its reading.
+#: ROADMAP items 3-4 (held-out bound, model mechanisms) re-measure them.
+FIG7_GRID_CEILINGS = {"vecadd": 0.45, "transpose": 0.18}
 
 FIG7_CELLS = tuple((w, t) for w in WARP_SIZES for t in THREAD_SIZES)
 
@@ -92,7 +96,7 @@ class TestFitQuality:
     def test_fig7_grid_within_stated_tolerance(self, fits, grid_samples):
         """Predicted vs simulated cycles across the full Figure 7 grid
         (16 cells per benchmark, most held out from the fit) stay within
-        FIG7_GRID_TOLERANCE relative error under the benchmark's own
+        the benchmark's FIG7_GRID_CEILINGS relative error under its own
         fit. This is the bound that makes hierarchical DSE trustworthy:
         screening decisions are made on these predictions."""
         worst = {}
@@ -100,10 +104,11 @@ class TestFitQuality:
             pred = _sample_prediction(s, vortex=fits[s.benchmark].vortex)
             rel = abs(pred - s.true_cycles) / s.true_cycles
             worst[s.benchmark] = max(worst.get(s.benchmark, 0.0), rel)
-            assert rel <= FIG7_GRID_TOLERANCE, (
+            ceiling = FIG7_GRID_CEILINGS[s.benchmark]
+            assert rel <= ceiling, (
                 f"{s.benchmark} {s.label}: predicted {pred:,.0f} vs "
                 f"simulated {s.true_cycles:,.0f} — relative error "
-                f"{rel:.2f} exceeds the stated {FIG7_GRID_TOLERANCE}")
+                f"{rel:.2f} exceeds the stated {ceiling}")
         assert set(worst) == set(BENCHMARKS)
 
 

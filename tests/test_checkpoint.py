@@ -36,7 +36,7 @@ from repro.errors import (
     SimulationPreempted,
 )
 from repro.fingerprint import code_fingerprint
-from repro.harness.dse import dse_confirm_point, run_dse
+from repro.harness.dse import run_dse
 from repro.harness.engine import ExperimentEngine
 from repro.harness.faults import corrupt_checkpoint
 from repro.harness.result_cache import ResultCache
@@ -369,7 +369,7 @@ class TestStore:
         assert resumed == straight
         assert CheckpointStore(tmp_path).hit_count() == 1
 
-    @pytest.mark.parametrize("runner", ["dse_confirm_point", "execute_job"])
+    @pytest.mark.parametrize("runner", ["run_dse", "execute_job"])
     def test_any_runner_resumes_the_cell(self, tmp_path, baseline, runner):
         """A cell preempted under the sweep resumes as a DSE
         confirmation or a service ``fig7-cell`` job, byte-identically."""
@@ -377,8 +377,14 @@ class TestStore:
             sweep_point("vecadd", CONFIG, N,
                         checkpoint=_spec(tmp_path, preempt_at_cycle=5_000))
         spec = checkpoint_spec(tmp_path, EVERY, None)
-        if runner == "dse_confirm_point":
-            value = dse_confirm_point(CONFIG, "vecadd", N, checkpoint=spec)
+        if runner == "run_dse":
+            result = run_dse("vecadd", n=N, core_counts=(CONFIG.cores,),
+                             warp_sizes=(CONFIG.warps,),
+                             thread_sizes=(CONFIG.threads,),
+                             checkpoint=spec)
+            assert result.best.config == CONFIG
+            assert (result.best.simulated_cycles
+                    == baseline["vecadd"]["cycles"])
         else:
             from repro.service.jobs import execute_job, validate_job
 
@@ -386,8 +392,8 @@ class TestStore:
                                 "cores": 2, "warps": 2, "threads": 2,
                                 "n": N})
             value = execute_job(job, checkpoint=spec)
-        assert (json.dumps(value, sort_keys=True)
-                == json.dumps(baseline["vecadd"], sort_keys=True))
+            assert (json.dumps(value, sort_keys=True)
+                    == json.dumps(baseline["vecadd"], sort_keys=True))
         assert CheckpointStore(tmp_path).hit_count() == 1
 
     def test_orphan_tmp_files_swept_on_construction(self, tmp_path):

@@ -25,6 +25,12 @@ def _fake_simulate(config):
             + config.threads}
 
 
+def _batch(point):
+    """A DSE ``simulate`` batch callable that runs ``point`` on each
+    config in turn."""
+    return lambda configs: [point(config) for config in configs]
+
+
 @pytest.fixture(scope="module")
 def profile():
     return fig7_profile("vecadd", 1024)
@@ -60,7 +66,7 @@ class TestExploration:
 
         result = explore_design_space(
             profile, core_counts=(2,), warp_sizes=(2, 4),
-            thread_sizes=(4,), simulate=fake_sim,
+            thread_sizes=(4,), simulate=_batch(fake_sim),
         )
         assert len(calls) == len(result.frontier) >= 2
         best = result.best
@@ -94,11 +100,14 @@ class TestExploration:
             result.rejected)
 
     def test_parallel_verification_matches_serial(self, profile):
-        grid = dict(core_counts=(2,), warp_sizes=(2, 4),
-                    thread_sizes=(4,), simulate=_fake_simulate)
-        serial = explore_design_space(profile, **grid)
+        grid = dict(core_counts=(2,), warp_sizes=(2, 4), thread_sizes=(4,))
+        serial = explore_design_space(profile, simulate=_batch(
+            _fake_simulate), **grid)
         with ExperimentEngine(jobs=2) as engine:
-            parallel = explore_design_space(profile, engine=engine, **grid)
+            parallel = explore_design_space(
+                profile, simulate=lambda configs: engine.run(
+                    _fake_simulate, [(config,) for config in configs]),
+                **grid)
         assert engine.stats.executed == len(parallel.frontier) >= 2
         serial_cycles = {c.config.label(): c.simulated_cycles
                          for c in serial.candidates}
@@ -224,8 +233,9 @@ class TestScreens:
                                    threads=3)) == "workgroup"
 
     def test_run_dse_rejects_benchmark_without_a_cell(self):
-        """Only Figure 7 cells have a workload to screen and confirm:
-        anything else is refused before the screen, typed."""
+        """Only benchmarks that declare a sweep cell have a workload to
+        screen and confirm: anything else is refused before the screen,
+        typed."""
         from repro.errors import CalibrationError
         from repro.harness.dse import run_dse
 
@@ -253,7 +263,7 @@ class TestHierarchicalExploration:
 
         result = explore_design_space(
             profile, core_counts=(1, 2, 4), warp_sizes=(2, 4, 8),
-            thread_sizes=(2, 4, 8), simulate=fake_sim,
+            thread_sizes=(2, 4, 8), simulate=_batch(fake_sim),
         )
         frontier_labels = {c.config.label() for c in result.frontier}
         assert set(simulated) == frontier_labels
@@ -268,7 +278,8 @@ class TestHierarchicalExploration:
 
         explore_design_space(
             profile, core_counts=(1, 2, 4), warp_sizes=(2, 4, 8),
-            thread_sizes=(2, 4, 8), frontier_cap=2, simulate=fake_sim,
+            thread_sizes=(2, 4, 8), frontier_cap=2,
+            simulate=_batch(fake_sim),
         )
         assert len(simulated) == 2
 
@@ -282,7 +293,7 @@ class TestHierarchicalExploration:
         result = explore_design_space(
             profile, core_counts=(1, 2, 4), warp_sizes=(2, 4, 8),
             thread_sizes=(2, 4, 8), prune_rel_err=0.0,
-            simulate=fake_sim,
+            simulate=_batch(fake_sim),
         )
         # a zero stated error would prune to 1; the floor hedges to 3
         assert len(simulated) == min(3, len(result.frontier))
@@ -292,7 +303,7 @@ class TestHierarchicalExploration:
         result = explore_design_space(profile, core_counts=(1, 2, 4, 8),
                                       warp_sizes=(2, 4, 8, 16),
                                       thread_sizes=(2, 4, 8, 16),
-                                      simulate=_fake_simulate,
+                                      simulate=_batch(_fake_simulate),
                                       profiler=prof)
         assert result.screened == 64
         assert result.screen_seconds > 0.0
@@ -307,7 +318,7 @@ class TestHierarchicalExploration:
         result = explore_design_space(
             profile, core_counts=(1, 2, 4), warp_sizes=(2, 4, 8, 16),
             thread_sizes=(2, 4, 8, 16),
-            simulate=lambda config: {"cycles": 12345},
+            simulate=_batch(lambda config: {"cycles": 12345}),
         )
         payload = result.to_payload()
         assert payload["screened"] == 48

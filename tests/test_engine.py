@@ -19,8 +19,9 @@ from repro.errors import ExperimentAborted, PointFailure
 from repro.harness import run_coverage, run_dse, run_profile_cached
 from repro.harness.engine import EngineStats, ExperimentEngine, resolve_jobs
 from repro.harness.result_cache import MISS, ResultCache, code_fingerprint
-from repro.harness.sweep import run_sweep
+from repro.harness.sweep import run_cells, run_sweep
 from repro.profiling import Profiler
+from repro.vortex import VortexConfig
 
 
 def _add(a, b):
@@ -442,6 +443,8 @@ _CELL = dict(n=64, cores=1, cells=((2, 2),))
 
 #: one small call per harness runner; runners with a grid get one cell.
 RUNNERS = {
+    "run_cells": lambda **kw: run_cells(
+        "vecadd", 64, [VortexConfig(cores=1, warps=2, threads=2)], **kw),
     "run_sweep": lambda **kw: run_sweep(
         "vecadd", cores=1, n=64, warp_sizes=(2,), thread_sizes=(2,), **kw),
     "run_coverage": lambda **kw: run_coverage(**kw),

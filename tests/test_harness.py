@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CalibrationError
 from repro.harness import (
     PAPER_TABLE2,
     PAPER_TABLE4,
@@ -18,8 +19,8 @@ from repro.harness import (
     run_table3,
     run_table4,
 )
+from repro.harness.defaults import FIG7_BENCHMARKS
 from repro.harness.sweep import (
-    FIG7_BENCHMARKS,
     fig7_geometry,
     fig7_key,
     fig7_problem,
@@ -108,7 +109,7 @@ class TestSweepSmoke:
             in result.render()
 
     def test_unknown_benchmark_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CalibrationError):
             run_sweep("sgemm")
 
     def test_custom_grid_renders_missing_cells_as_dash(self):

@@ -4,9 +4,11 @@ Each closure case runs in a fresh interpreter and reads ``sys.modules``:
 a service client, the result cache and the CLI's parser load no numpy
 and none of the simulator's packages, a client command loads only the
 wire protocol, and a daemon serving Fig. 7 cells loads neither the
-calibration nor the DSE. ``repro.harness`` and ``repro.service`` are
-lazy namespaces; every name they exported when they imported all their
-submodules still resolves, to the same object.
+calibration nor the DSE, and the Vortex analytical model loads the
+HLS flow's LSU classifier and no other HLS module. ``repro.harness``,
+``repro.service`` and ``repro.hls`` are lazy namespaces; every name they
+exported when they imported all their submodules still resolves, to the
+same object.
 """
 
 import importlib
@@ -23,7 +25,7 @@ REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 #: packages a client, a result-cache reader or the parser has no use for.
 SIMULATOR = ("numpy", "repro.vortex", "repro.ocl", "repro.hls")
 
-#: every public name of the two lazy packages, by its defining module.
+#: every public name of the lazy packages, by its defining module.
 PUBLIC = {
     "repro.harness": {
         "repro.harness.area_tables": (
@@ -36,9 +38,9 @@ PUBLIC = {
         "repro.harness.coverage": (
             "PAPER_TABLE1", "CoverageReport", "run_coverage"),
         "repro.harness.dse": (
-            "Candidate", "DSEResult", "dse_confirm_point",
-            "explore_design_space", "launch_rejection", "pareto_frontier",
-            "run_dse", "workload_rejection"),
+            "Candidate", "DSEResult", "explore_design_space",
+            "launch_rejection", "pareto_frontier", "run_dse",
+            "workload_rejection"),
         "repro.harness.engine": (
             "EngineStats", "ExperimentEngine", "close_all_engines",
             "resolve_jobs"),
@@ -65,6 +67,19 @@ PUBLIC = {
         "repro.service.protocol": (
             "CODES", "DAEMON_INFO_NAME", "DEFAULT_STATE_DIR", "OPS",
             "SERVICE_DIR_ENV", "ProtocolError"),
+    },
+    "repro.hls": {
+        "repro.hls.area": ("AreaReport", "estimate", "estimate_program"),
+        "repro.hls.compiler": ("HLSBackend", "HLSCompiledKernel", "aoc"),
+        "repro.hls.device": (
+            "DDR4", "DEVICES", "HBM2", "STRATIX10_MX2100",
+            "STRATIX10_SX2800", "FPGADevice", "MemorySystem", "get_device"),
+        "repro.hls.lsu": (
+            "BURST_COALESCED_UNITS", "AffineIndexAnalysis", "LSUKind",
+            "LSUSite", "classify_kernel"),
+        "repro.hls.perf": ("PipelineEstimate", "estimate_cycles"),
+        "repro.hls.report": (
+            "format_breakdown", "format_table", "format_utilization"),
     },
 }
 
@@ -119,6 +134,13 @@ def test_daemon_loads_no_calibration_or_dse():
     loaded = _loaded("import repro.service.daemon")
     assert "repro.service.jobs" in loaded  # the fig7-cell path is loaded
     assert _within(loaded, ("repro.calibrate", "repro.harness.dse")) == []
+
+
+def test_analytical_model_loads_only_the_lsu_classifier():
+    """The model's coalescing input comes from the HLS classifier, a
+    static import that a closure of the model names."""
+    loaded = _loaded("import repro.vortex.analytical")
+    assert _within(loaded, ("repro.hls",)) == ["repro.hls", "repro.hls.lsu"]
 
 
 @pytest.mark.parametrize("package", sorted(PUBLIC))

@@ -10,9 +10,9 @@ import pytest
 
 from repro.errors import RuntimeLaunchError
 from repro.harness import sweep
+from repro.harness.defaults import FIG7_BENCHMARKS
 from repro.harness.dse import run_dse
 from repro.harness.sweep import (
-    FIG7_BENCHMARKS,
     fig7_problem,
     fig7_profile,
     fig7_workload,
@@ -56,6 +56,22 @@ class TestLayout:
         cfg = VortexConfig(cores=4, warps=16, threads=16)
         layout.stack_top(cfg.total_threads - 1)
         layout.local_window(cfg.cores - 1, cfg.warps - 1, cfg.warps)
+        assert layout.launch_rejection(cfg) is None
+
+    @pytest.mark.parametrize("config, reason", [
+        (VortexConfig(cores=64, warps=64, threads=32), "group-slots"),
+        (VortexConfig(cores=4, warps=32, threads=32), "stack-region"),
+    ])
+    def test_refused_config_fails_before_cycle_zero(self, config, reason):
+        """A machine the memory map cannot hold refuses the launch,
+        typed and naming the region, instead of failing mid-dispatch."""
+        assert layout.launch_rejection(config) == reason
+        ctx = Context(VortexBackend(config))
+        prog = ctx.program([_copy_kernel()])
+        src = ctx.buffer(np.ones(16, dtype=np.float32))
+        dst = ctx.buffer(np.zeros(16, dtype=np.float32))
+        with pytest.raises(RuntimeLaunchError, match=reason):
+            prog.launch("copy", [src, dst, 16], 16, 16)
 
 
 def _copy_kernel():

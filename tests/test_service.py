@@ -191,6 +191,24 @@ class TestValidateJob:
             validate_job({"kind": "fig7-cell", "benchmark": "vecadd",
                           "warps": True, "threads": 4})
 
+    @pytest.mark.parametrize("geometry", [
+        {"cores": 4, "warps": 4, "threads": 48},
+        {"cores": 64, "warps": 64, "threads": 32},
+    ], ids=["threads-past-simx", "past-the-memory-map"])
+    def test_unlaunchable_cell_is_a_bad_request(self, daemon_factory,
+                                                geometry):
+        """A cell SimX cannot launch is refused at admission, typed:
+        not an ``internal`` reply, and not a job that fails later."""
+        daemon = daemon_factory()
+        reply = daemon.handle_request({
+            "op": "submit", "client": "c",
+            "job": {"kind": "fig7-cell", "benchmark": "vecadd",
+                    **geometry}})
+        assert reply["ok"] is False and reply["code"] == "bad-request"
+        health = daemon.handle_request({"op": "health"})
+        assert "service.internal_errors" not in health["counters"]
+        assert health["jobs_tracked"] == 0
+
     def test_fig7_defaults(self):
         spec = validate_job({"kind": "fig7-cell", "benchmark": "vecadd",
                              "warps": 2, "threads": 8})
